@@ -16,9 +16,16 @@ import argparse
 import os
 import sys
 
+from kyfan.cli import STREAM_STRIDE
 from kyfan.ensembles import SeededStream
 from kyfan.fileformat import write_matrix
 from kyfan.ptrace import question_margin, search_counterexample
+
+
+def cell_stream(seed: int, cell: int) -> SeededStream:
+    """Base stream of grid cell ``cell``.  Restart r of the cell uses index
+    base + r, so cells sit ``STREAM_STRIDE`` apart and never share a stream."""
+    return SeededStream(seed, cell * STREAM_STRIDE)
 
 
 def _parse_dims(text: str) -> tuple:
@@ -40,6 +47,8 @@ def main() -> int:
     parser.add_argument("--out-dir", default="found",
                         help="where witness matrices are written if a candidate appears")
     args = parser.parse_args()
+    if not 1 <= args.restarts < STREAM_STRIDE:
+        parser.error(f"--restarts must be between 1 and {STREAM_STRIDE - 1}")
 
     questions = (1, 2) if args.question == "both" else (int(args.question),)
     strategies = ("general", "commuting")
@@ -54,7 +63,7 @@ def main() -> int:
                 result = search_counterexample(
                     question, n,
                     budget=args.budget, restarts=args.restarts,
-                    s=SeededStream(args.seed, cell), strategy=strategy,
+                    s=cell_stream(args.seed, cell), strategy=strategy,
                 )
                 cell += 1
                 found = result.witness is not None

@@ -125,6 +125,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _trial_count(text: str) -> int:
+    """Trials per run section: fewer than ``STREAM_STRIDE``, so that section
+    s's trial streams never run into section s+1's."""
+    value = _nonnegative_int(text)
+    if value >= STREAM_STRIDE:
+        raise argparse.ArgumentTypeError(
+            f"at most {STREAM_STRIDE - 1} trials per section, got {text}"
+        )
+    return value
+
+
 def _all_or_positive_int(text: str):
     if text == "all":
         return "all"
@@ -152,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="matrix dimension, or 'all' for n = 2..8 (default)")
     check.add_argument("--k", dest="k_spec", type=_all_or_positive_int, default="all",
                        help="restrict family checkers to one k (default: all k)")
-    check.add_argument("--trials", type=_nonnegative_int, default=10000)
+    check.add_argument("--trials", type=_trial_count, default=10000)
     check.add_argument("--seed", type=_nonnegative_int, default=None)
     check.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
     check.add_argument("--out", dest="output_path", default=None)
@@ -170,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     extremal.add_argument("--target", choices=("vector", "matrix", "equality", "all"),
                           default="all")
-    extremal.add_argument("--trials", type=_nonnegative_int, default=1000)
+    extremal.add_argument("--trials", type=_trial_count, default=1000)
     extremal.add_argument("--n", type=_positive_int, default=8,
                           help="maximum dimension sampled (default 8)")
     extremal.add_argument("--samples", type=_nonnegative_int, default=2,
@@ -197,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ptrace.add_argument("--question", type=int, choices=(1, 2), required=True)
     ptrace.add_argument("--n", type=_positive_int, default=3)
     ptrace.add_argument("--k", dest="k_spec", type=_all_or_positive_int, default="all")
-    ptrace.add_argument("--trials", type=_nonnegative_int, default=200,
+    ptrace.add_argument("--trials", type=_trial_count, default=200,
                         help="commuting pairs in the regression (default 200)")
     ptrace.add_argument("--budget", type=_nonnegative_int, default=0,
                         help="margin evaluations for the bounded search (default 0)")

@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .matrixcore import as_matrix, svd
+from .matrixcore import _adjoint, as_matrix, svd
 from .norms import Weight, dual_weighted_vector_k_norm, weighted_vector_k_norm
 
 __all__ = [
@@ -100,13 +100,72 @@ def as_generator(s) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # matrix/vector samplers
+#
+# The samplers the checkers stack are split in two: an RNG step that makes
+# one trial's generator calls in a fixed order, and a transform that takes
+# the stacked results of many trials, ``(..., n, n)`` arrays, to the sampled
+# matrices.  The public sampler is the transform of a batch of one.
 # ---------------------------------------------------------------------------
+
+
+def _gaussian(n: int, g: np.random.Generator) -> np.ndarray:
+    """RNG step of the Gaussian samplers: (2, n, n) real, then imaginary parts.
+
+    One call draws the same normals, in the same order, as two (n, n) calls.
+    """
+    return g.standard_normal((2, n, n))
+
+
+def _complex(w: np.ndarray) -> np.ndarray:
+    return w[..., 0, :, :] + 1j * w[..., 1, :, :]
+
+
+def _ginibre(w: np.ndarray) -> np.ndarray:
+    return _complex(w) / np.sqrt(2.0)
+
+
+def _haar(w: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(_complex(w))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0  # measure-zero guard
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _contraction_draw(n: int, g: np.random.Generator) -> tuple:
+    return _gaussian(n, g), _gaussian(n, g), g.uniform(0.0, 1.0, size=n)
+
+
+def _contraction(wu: np.ndarray, wv: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return (_haar(wu) * t[..., None, :]) @ _adjoint(_haar(wv))
+
+
+def _subunit_draw(n: int, g: np.random.Generator) -> tuple:
+    return _gaussian(n, g), g.uniform(0.0, 1.0, size=n)
+
+
+def _subunit(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    z = _complex(w)
+    return z / np.linalg.norm(z, axis=-2)[..., None, :] * lengths[..., None, :]
+
+
+def _normalized(z: np.ndarray) -> np.ndarray:
+    """z / np.linalg.norm(z) for a 1-D complex z: the same BLAS dots, less dispatch."""
+    re, im = z.real, z.imag
+    return z / np.sqrt(re.dot(re) + im.dot(im))
+
+
+def _unit_columns(n: int, j: int, g: np.random.Generator) -> np.ndarray:
+    positions = g.choice(n, size=j, replace=False)
+    w = g.standard_normal((j, 2, n))  # column by column: real, then imaginary parts
+    out = np.zeros((n, n), dtype=np.complex128)
+    for p, z in zip(positions, w[:, 0] + 1j * w[:, 1]):
+        out[:, p] = _normalized(z)
+    return out
 
 
 def ginibre(n: int, s) -> np.ndarray:
     """n x n matrix of iid standard complex Gaussians (unit entry variance)."""
-    g = as_generator(s)
-    return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+    return _ginibre(_gaussian(n, as_generator(s)))
 
 
 def haar_unitary(n: int, s) -> np.ndarray:
@@ -116,28 +175,18 @@ def haar_unitary(n: int, s) -> np.ndarray:
     rotated by the phases of R's diagonal so the distribution is exactly
     rotation invariant rather than QR-convention dependent.
     """
-    g = as_generator(s)
-    z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d))
+    return _haar(_gaussian(n, as_generator(s)))
 
 
 def random_hermitian(n: int, s) -> np.ndarray:
     """Hermitian matrix (G + G*)/2 with G a scaled complex Gaussian sample."""
-    g = as_generator(s)
-    z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    z = _complex(_gaussian(n, as_generator(s)))
     return (z + z.conj().T) / 2.0
 
 
 def random_contraction(n: int, s) -> np.ndarray:
     """U diag(t) V* with Haar U, V and t uniform on [0, 1]; sigma_1 <= 1."""
-    g = as_generator(s)
-    u = haar_unitary(n, g)
-    v = haar_unitary(n, g)
-    t = g.uniform(0.0, 1.0, size=n)
-    return (u * t) @ v.conj().T
+    return _contraction(*_contraction_draw(n, as_generator(s)))
 
 
 def commuting_hermitian_pair(n: int, s) -> tuple[np.ndarray, np.ndarray]:
@@ -154,16 +203,12 @@ def commuting_hermitian_pair(n: int, s) -> tuple[np.ndarray, np.ndarray]:
 
 def random_unit_vector(n: int, s) -> np.ndarray:
     g = as_generator(s)
-    z = g.standard_normal(n) + 1j * g.standard_normal(n)
-    return z / np.linalg.norm(z)
+    return _normalized(g.standard_normal(n) + 1j * g.standard_normal(n))
 
 
 def random_subunit_columns(n: int, s) -> np.ndarray:
     """Matrix whose columns are independent with Euclidean lengths uniform in [0, 1]."""
-    g = as_generator(s)
-    z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    lengths = g.uniform(0.0, 1.0, size=n)
-    return z / np.linalg.norm(z, axis=0) * lengths
+    return _subunit(*_subunit_draw(n, as_generator(s)))
 
 
 def random_weight(n: int, k: int, s) -> Weight:
@@ -199,12 +244,7 @@ def sample_unit_columns(n: int, j: int, s) -> np.ndarray:
     """Matrix with j random unit columns at uniformly chosen positions, rest zero."""
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
-    g = as_generator(s)
-    positions = g.choice(n, size=j, replace=False)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for p in positions:
-        out[:, p] = random_unit_vector(n, g)
-    return out
+    return _unit_columns(n, j, as_generator(s))
 
 
 # ---------------------------------------------------------------------------

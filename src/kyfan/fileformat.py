@@ -71,13 +71,25 @@ def load_document(path: str):
         return json.loads(fh.read())
 
 
+def _umask() -> int:
+    """The process umask; ``os.umask`` reads it only by setting it."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def write_text(path: str, text: str) -> None:
-    """Write text atomically: temp file in the same directory, then rename."""
+    """Write text atomically: temp file in the same directory, then rename.
+
+    ``mkstemp`` creates the file with mode 0600 and the rename keeps it, so
+    the mode a plain ``open`` would give (0666 less the umask) is set first.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kyfan-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

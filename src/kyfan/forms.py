@@ -6,6 +6,9 @@ all-ones mask is the Hadamard product; the mask with -1 on the diagonal and
 +1 elsewhere is the diagonal-negated ("fan") product.  Mask symmetry is what
 makes the right-adjoint closed form ``B^T . C`` satisfy the trace identity
 tr((A.B) C) = tr((B^T.C) A) exactly.
+
+:func:`apply_form`, :func:`right_adjoint_apply` and :func:`fan_product` also
+take ``(..., n, n)`` stacks of matrices and apply the form to each of them.
 """
 
 from __future__ import annotations
@@ -69,9 +72,9 @@ def fan_form(n: int) -> EntrywiseForm:
 
 
 def apply_form(f: EntrywiseForm, a, b) -> np.ndarray:
-    ma = as_matrix(a, square=True, name="A")
-    mb = as_matrix(b, square=True, name="B")
-    if ma.shape != mb.shape or ma.shape != f.mask.shape:
+    ma = as_matrix(a, square=True, name="A", stacked=True)
+    mb = as_matrix(b, square=True, name="B", stacked=True)
+    if ma.shape != mb.shape or ma.shape[-2:] != f.mask.shape:
         raise ValueError(
             f"shape mismatch: mask {f.mask.shape}, A {ma.shape}, B {mb.shape}"
         )
@@ -85,18 +88,19 @@ def right_adjoint_apply(f: EntrywiseForm, b, c) -> np.ndarray:
     tr((A.B) C) = sum_{ij} mask_{ij} a_{ij} b_{ij} c_{ji}
                 = sum_{ij} (mask_{ji} b_{ij} c_{ji}) a_{ij} = tr((B^T . C) A).
     """
-    mb = as_matrix(b, square=True, name="B")
-    return apply_form(f, mb.T, c)
+    mb = as_matrix(b, square=True, name="B", stacked=True)
+    return apply_form(f, mb.swapaxes(-1, -2), c)
 
 
 def fan_product(a, b) -> np.ndarray:
     """Entrywise product with the diagonal negated (mask-free fast path)."""
-    ma = as_matrix(a, square=True, name="A")
-    mb = as_matrix(b, square=True, name="B")
+    ma = as_matrix(a, square=True, name="A", stacked=True)
+    mb = as_matrix(b, square=True, name="B", stacked=True)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     p = ma * mb
-    np.fill_diagonal(p, -np.diagonal(p))
+    diag = np.arange(p.shape[-1])
+    p[..., diag, diag] = -p[..., diag, diag]
     return p
 
 

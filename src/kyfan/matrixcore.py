@@ -4,6 +4,10 @@ Everything downstream (norms, ensembles, inequality checkers) goes through
 this module for SVD, column profiles, Kronecker products, and partial
 traces.  All functions are pure: they validate, compute, and return fresh
 arrays; inputs are never mutated.
+
+The SVD, column-profile and square-root functions also take a stack of
+matrices, an array of shape ``(..., m, n)``, and act on each matrix of it.
+On a stack they give the same bits as calling them matrix by matrix.
 """
 
 from __future__ import annotations
@@ -24,14 +28,19 @@ __all__ = [
 ]
 
 
-def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array, validating shape."""
+def as_matrix(a, *, square: bool = False, name: str = "matrix",
+              stacked: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a finite 2-D complex128 array, validating shape.
+
+    With ``stacked`` a ``(..., m, n)`` stack of matrices is accepted too, and
+    the shape rules apply to its last two axes.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
+    if m.shape[-2] == 0 or m.shape[-1] == 0:
         raise ValueError(f"{name} must be nonempty, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -56,7 +65,8 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Parameters
     ----------
     a : array_like
-        n x m complex matrix with finite entries.
+        n x m complex matrix with finite entries, or a ``(..., n, m)`` stack
+        of them; the outputs then carry the same leading axes.
 
     Returns
     -------
@@ -75,24 +85,24 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     numpy.linalg.LinAlgError
         The underlying iteration failed to converge (never silenced).
     """
-    m = as_matrix(a, name="svd operand")
+    m = as_matrix(a, name="svd operand", stacked=True)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh.conj().T
+    return u, s, _adjoint(vh)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a``, sorted nonincreasing."""
-    return np.linalg.svd(as_matrix(a, name="operand"), compute_uv=False)
+    return np.linalg.svd(as_matrix(a, name="operand", stacked=True), compute_uv=False)
 
 
 def column_norms_unsorted(a) -> np.ndarray:
     """Euclidean column lengths in original column order."""
-    return np.linalg.norm(as_matrix(a, name="operand"), axis=0)
+    return np.linalg.norm(as_matrix(a, name="operand", stacked=True), axis=-2)
 
 
 def column_norms(a) -> np.ndarray:
     """Euclidean column lengths sorted nonincreasing (the column profile)."""
-    return np.sort(column_norms_unsorted(a))[::-1].copy()
+    return np.sort(column_norms_unsorted(a), axis=-1)[..., ::-1].copy()
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -139,9 +149,12 @@ def factor_sqrt(a) -> tuple[np.ndarray, np.ndarray]:
     Uses the SVD: X = diag(sqrt(S)) U*, Y = diag(sqrt(S)) V*, so both factors
     carry half of each singular value and X* Y reconstructs A to roundoff.
     """
-    m = as_matrix(a, square=True, name="factor operand")
+    m = as_matrix(a, square=True, name="factor operand", stacked=True)
     u, s, v = svd(m)
-    root = np.sqrt(s)
-    x = root[:, None] * u.conj().T
-    y = root[:, None] * v.conj().T
-    return x, y
+    root = np.sqrt(s)[..., :, None]
+    return root * _adjoint(u), root * _adjoint(v)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)

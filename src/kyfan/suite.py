@@ -9,6 +9,35 @@ so positive beyond tolerance means "violated".  The worst trial is kept as a
 Checker ids double as report ids: von-neumann, product-family,
 hadamard-family, ahj-given, ahj-sqrt, lemma31, lemma32, hmn-<mask>,
 fan-sigma1.
+
+Trial engine
+------------
+Trial t of a run opens ``stream.offset(t).generator()`` and draws the same
+variates from it, in the same order, as the one-matrix samplers (stream
+contract v1); where those drew adjacent blocks of normals in two calls, one
+call of the joint shape draws the same numbers.  Everything after the
+draws runs on stacks: a chunk of trials is stacked into ``(T, n, n)`` arrays
+that are transformed, evaluated and scored together.  A chunk holds at most
+``CHUNK_ENTRIES`` complex entries per operand, ``max(1, CHUNK_ENTRIES //
+n**2)`` trials, so memory stays flat at large n.  The ``_parts_*``
+evaluators take one trial's matrices or a stack.
+
+Stacking changes no report byte.  Measured on numpy 2.4.6 with OpenBLAS
+0.3.31, the bit-exactness rules are:
+
+- stacked ``svd``, ``qr``, ``matmul``, ``trace(axis1=-2, axis2=-1)`` and
+  axis norms give the same bits as per-matrix calls, as do elementwise
+  arithmetic and ``cumsum``/``sum``/``sort`` over the last axis;
+- array ``np.abs`` of complex128 does not give the bits of scalar ``abs()``:
+  it differs in the last bit for about 35 % of inputs.  ``von-neumann``
+  therefore takes each trial's ``abs(trace)`` as a scalar;
+- 1-D BLAS reductions stay per trial: ``np.dot`` of the spectra in
+  ``von-neumann`` and the norm of each unit vector that ``lemma32`` draws.
+
+Aggregation is that of a trial-by-trial loop: a violation is
+``margin > tol * max(1, rhs)``; only the ``k_values`` are scored; the worst
+margin is the first strict maximum in trial order, then k order; extra
+trials are scored after the drawn ones.
 """
 
 from __future__ import annotations
@@ -23,14 +52,24 @@ import numpy as np
 from .ensembles import (
     GENERATOR_ID,
     SeededStream,
-    ginibre,
-    random_contraction,
-    random_subunit_columns,
+    _contraction,
+    _contraction_draw,
+    _gaussian,
+    _ginibre,
+    _subunit,
+    _subunit_draw,
+    _unit_columns,
     random_unit_vector,
-    sample_unit_columns,
 )
 from .forms import EntrywiseForm, apply_form, fan_product, right_adjoint_apply
-from .matrixcore import column_norms, factor_sqrt, singular_values, svd
+from .matrixcore import (
+    _adjoint,
+    as_matrix,
+    column_norms,
+    factor_sqrt,
+    singular_values,
+    svd,
+)
 from .norms import INEQUALITY_TOL
 
 __all__ = [
@@ -49,6 +88,9 @@ __all__ = [
     "reevaluate_margin",
     "PARTS_BY_ID",
 ]
+
+#: most complex entries in one stacked (T, n, n) operand of a trial chunk
+CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +133,24 @@ def _run_checker(
     trials: int,
     s,
     draw,
+    build,
     parts,
     *,
     tolerance: float = INEQUALITY_TOL,
     k_values=None,
+    shared=None,
     extra_trials=(),
     observe=None,
-    details: dict | None = None,
 ) -> CheckReport:
+    """Run ``trials`` seeded trials plus ``extra_trials`` through the chunked engine.
+
+    ``draw(n, g)`` is one trial's RNG step and returns a tuple of arrays;
+    ``build`` maps the stacked tuple to a dict of ``(T, ...)`` matrix stacks;
+    ``parts`` evaluates such a dict to ``(ks, lhs, rhs)`` with lhs and rhs of
+    shape ``(T, len(ks))``.  ``shared`` entries (a form's mask) are the same
+    for every trial: they join each chunk and each witness unstacked.
+    ``observe(mats, lhs, rhs)`` sees every scored chunk before the k filter.
+    """
     n = int(n)
     trials = int(trials)
     if n < 1:
@@ -107,6 +159,8 @@ def _run_checker(
         raise ValueError("trials must be nonnegative")
     stream = _as_stream(s)
     k_filter = None if k_values is None else {int(k) for k in k_values}
+    shared = dict(shared or {})
+    extras = [dict(mats) for mats in extra_trials]
     t0 = time.perf_counter()
 
     violations = 0
@@ -115,27 +169,39 @@ def _run_checker(
     worst_mats = None
     per_k: dict[int, float] = {}
 
-    def score(mats):
+    def score(stacked, extra=None):
+        """Score one chunk; ``extra`` is the caller's dict for an extra trial."""
         nonlocal violations, worst, worst_k, worst_mats
-        if observe is not None:
-            observe(mats)
+        mats = dict(stacked, **shared)
         ks, lhs, rhs = parts(mats)
-        for i, k in enumerate(ks):
-            k = int(k)
-            if k_filter is not None and k not in k_filter:
-                continue
-            m = float(lhs[i]) - float(rhs[i])
-            if m > tolerance * max(1.0, float(rhs[i])):
-                violations += 1
-            if k not in per_k or m > per_k[k]:
-                per_k[k] = m
-            if m > worst:
-                worst, worst_k, worst_mats = m, k, mats
+        if observe is not None:
+            observe(mats, lhs, rhs)
+        ks = [int(k) for k in ks]
+        cols = [j for j, k in enumerate(ks) if k_filter is None or k in k_filter]
+        if not cols:
+            return
+        rhs = rhs[:, cols]
+        margins = lhs[:, cols] - rhs
+        violations += int(np.count_nonzero(margins > tolerance * np.maximum(1.0, rhs)))
+        for j, top in zip(cols, margins.max(axis=0)):
+            if ks[j] not in per_k or top > per_k[ks[j]]:
+                per_k[ks[j]] = float(top)
+        first = int(np.argmax(margins))  # row-major: trial order, then k order
+        if margins.flat[first] > worst:
+            trial, j = divmod(first, len(cols))
+            if extra is None:
+                extra = {name: m[trial].copy() for name, m in stacked.items()}
+            worst, worst_k = float(margins.flat[first]), ks[cols[j]]
+            worst_mats = dict(extra, **shared)
 
-    for t in range(trials):
-        score(draw(stream.offset(t).generator()))
-    for mats in extra_trials:
-        score(dict(mats))
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    for start in range(0, trials, chunk):
+        stop = min(trials, start + chunk)
+        draws = [draw(n, stream.offset(t).generator()) for t in range(start, stop)]
+        score(build(*(np.stack(column) for column in zip(*draws))))
+    for extra in extras:
+        score({name: as_matrix(m, name=name)[None]
+               for name, m in extra.items() if name not in shared}, extra)
 
     witness = None
     if worst_mats is not None:
@@ -144,83 +210,141 @@ def _run_checker(
         inequality_id=inequality_id,
         n=n,
         k_range=tuple(sorted(per_k)),
-        trials=trials + len(tuple(extra_trials)),
+        trials=trials + len(extras),
         violations=violations,
         worst_margin=worst,
         tolerance=float(tolerance),
         master_seed=stream.master_seed,
         elapsed_seconds=time.perf_counter() - t0,
         per_k_worst=dict(sorted(per_k.items())),
-        details=dict(details or {}),
         witness=witness,
     )
 
 
 # ---------------------------------------------------------------------------
-# per-family evaluation (shared by checkers and witness re-evaluation)
+# trial draws: RNG steps (one trial) and their stacked transforms
+# ---------------------------------------------------------------------------
+
+
+def _draw_two(n, g):
+    return _gaussian(n, g), _gaussian(n, g)
+
+
+def _ginibre_pair(wa, wb):
+    return {"A": _ginibre(wa), "B": _ginibre(wb)}
+
+
+def _draw_three(n, g):
+    return _gaussian(n, g), _gaussian(n, g), _gaussian(n, g)
+
+
+def _ahj_given(wx, wy, wb):
+    return {"X": _ginibre(wx), "Y": _ginibre(wy), "B": _ginibre(wb)}
+
+
+def _ahj_sqrt(wa, wb):
+    x, y = factor_sqrt(_ginibre(wa))
+    return {"X": x, "Y": y, "B": _ginibre(wb)}
+
+
+def _draw_lemma31(n, g):
+    return (*_subunit_draw(n, g), *_subunit_draw(n, g), *_contraction_draw(n, g))
+
+
+def _lemma31_inputs(wx, lx, wy, ly, wu, wv, t):
+    return {"X": _subunit(wx, lx), "Y": _subunit(wy, ly), "S": _contraction(wu, wv, t)}
+
+
+def _draw_lemma32(n, g):
+    return (_unit_columns(n, n, g), _unit_columns(n, n, g),
+            random_unit_vector(n, g), random_unit_vector(n, g))
+
+
+def _lemma32_inputs(x, y, u, v):
+    return {"X": x, "Y": y, "u": u[..., None], "v": v[..., None]}
+
+
+def _draw_contractions(n, g):
+    return (*_contraction_draw(n, g), *_contraction_draw(n, g))
+
+
+def _contraction_pair(wua, wva, ta, wub, wvb, tb):
+    return {"A": _contraction(wua, wva, ta), "B": _contraction(wub, wvb, tb)}
+
+
+# ---------------------------------------------------------------------------
+# per-family evaluation (shared by checkers and witness re-evaluation); each
+# takes one trial's matrices or (T, ...) stacks and returns lhs, rhs of shape
+# (..., len(ks))
 # ---------------------------------------------------------------------------
 
 
 def _parts_von_neumann(mats):
     a, b = mats["A"], mats["B"]
-    lhs = abs(np.trace(a @ b))
-    rhs = float(np.dot(singular_values(a), singular_values(b)))
-    return (a.shape[0],), (lhs,), (rhs,)
+    traces = np.trace(a @ b, axis1=-2, axis2=-1)
+    sa, sb = singular_values(a), singular_values(b)
+    # scalar abs and 1-D BLAS dots, trial by trial: the array forms change last bits
+    lhs = [abs(t) for t in np.ravel(traces)]
+    rhs = [float(np.dot(x, y)) for x, y in zip(sa.reshape(-1, sa.shape[-1]),
+                                               sb.reshape(-1, sb.shape[-1]))]
+    shape = np.shape(traces) + (1,)
+    return (a.shape[-1],), np.reshape(lhs, shape), np.reshape(rhs, shape)
 
 
 def _parts_product_family(mats):
     a, b = mats["A"], mats["B"]
-    lhs = np.cumsum(singular_values(a @ b))
-    rhs = np.cumsum(singular_values(a) * singular_values(b))
-    return range(1, a.shape[0] + 1), lhs, rhs
+    lhs = np.cumsum(singular_values(a @ b), axis=-1)
+    rhs = np.cumsum(singular_values(a) * singular_values(b), axis=-1)
+    return range(1, a.shape[-1] + 1), lhs, rhs
 
 
 def _parts_hadamard_family(mats):
     a, b = mats["A"], mats["B"]
-    lhs = np.cumsum(singular_values(a * b))
-    rhs = np.cumsum(singular_values(a) * singular_values(b))
-    return range(1, a.shape[0] + 1), lhs, rhs
+    lhs = np.cumsum(singular_values(a * b), axis=-1)
+    rhs = np.cumsum(singular_values(a) * singular_values(b), axis=-1)
+    return range(1, a.shape[-1] + 1), lhs, rhs
 
 
 def _parts_ahj(mats):
     x, y, b = mats["X"], mats["Y"], mats["B"]
-    lhs = np.cumsum(singular_values((x.conj().T @ y) * b))
-    rhs = np.cumsum(column_norms(x) * column_norms(y) * singular_values(b))
-    return range(1, b.shape[0] + 1), lhs, rhs
+    lhs = np.cumsum(singular_values((_adjoint(x) @ y) * b), axis=-1)
+    rhs = np.cumsum(column_norms(x) * column_norms(y) * singular_values(b), axis=-1)
+    return range(1, b.shape[-1] + 1), lhs, rhs
 
 
 def _parts_lemma31(mats):
     form = EntrywiseForm(mats["mask"])
     x, y, s = mats["X"], mats["Y"], mats["S"]
-    lhs = singular_values(apply_form(form, x.conj().T @ y, s))[0]
-    return (1,), (lhs,), (1.0,)
+    lhs = singular_values(apply_form(form, _adjoint(x) @ y, s))[..., :1]
+    return (1,), lhs, np.ones_like(lhs)
 
 
 def _parts_lemma32(mats):
     x, y = mats["X"], mats["Y"]
-    u = np.asarray(mats["u"]).ravel()
-    v = np.asarray(mats["v"]).ravel()
-    q = np.outer(u, v.conj())
-    lhs = float(singular_values((x.conj().T @ y) * q).sum())
-    return (1,), (lhs,), (1.0,)
+    vectors = np.shape(x)[:-1]  # one length-n vector per trial
+    u = np.reshape(mats["u"], vectors)
+    v = np.reshape(mats["v"], vectors)
+    q = u[..., :, None] * np.conj(v)[..., None, :]
+    lhs = singular_values((_adjoint(x) @ y) * q).sum(axis=-1)[..., None]
+    return (1,), lhs, np.ones_like(lhs)
 
 
 def _parts_hmn(mats):
     form = EntrywiseForm(mats["mask"])
     a, b = mats["A"], mats["B"]
-    lhs = np.cumsum(singular_values(apply_form(form, a, b)))
-    rhs = np.cumsum(singular_values(a) * singular_values(b))
-    return range(1, a.shape[0] + 1), lhs, rhs
+    lhs = np.cumsum(singular_values(apply_form(form, a, b)), axis=-1)
+    rhs = np.cumsum(singular_values(a) * singular_values(b), axis=-1)
+    return range(1, a.shape[-1] + 1), lhs, rhs
 
 
 def _parts_fan_sigma1(mats):
     a, b = mats["A"], mats["B"]
-    lhs = max(
-        singular_values(fan_product(a, b))[0],
-        singular_values(fan_product(a.T, b))[0],
+    lhs = np.maximum(
+        singular_values(fan_product(a, b))[..., :1],
+        singular_values(fan_product(np.swapaxes(a, -1, -2), b))[..., :1],
     )
-    rhs = singular_values(a)[0] * singular_values(b)[0]
-    return (1,), (lhs,), (rhs,)
+    rhs = singular_values(a)[..., :1] * singular_values(b)[..., :1]
+    return (1,), lhs, rhs
 
 
 PARTS_BY_ID = {
@@ -256,36 +380,24 @@ def reevaluate_margin(inequality_id: str, witness: Witness) -> float:
 
 def check_von_neumann(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """|tr(AB)| <= sum_i sigma_i(A) sigma_i(B) on complex Gaussian pairs."""
-
-    def draw(g):
-        return {"A": ginibre(n, g), "B": ginibre(n, g)}
-
     return _run_checker(
-        "von-neumann", n, trials, s, draw, _parts_von_neumann,
+        "von-neumann", n, trials, s, _draw_two, _ginibre_pair, _parts_von_neumann,
         tolerance=tolerance, k_values=k_values,
     )
 
 
 def check_product_family(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """sum_{i<=k} sigma_i(AB) <= sum_{i<=k} sigma_i(A) sigma_i(B), every k."""
-
-    def draw(g):
-        return {"A": ginibre(n, g), "B": ginibre(n, g)}
-
     return _run_checker(
-        "product-family", n, trials, s, draw, _parts_product_family,
+        "product-family", n, trials, s, _draw_two, _ginibre_pair, _parts_product_family,
         tolerance=tolerance, k_values=k_values,
     )
 
 
 def check_hadamard_family(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """sum_{i<=k} sigma_i(A o B) <= sum_{i<=k} sigma_i(A) sigma_i(B), every k."""
-
-    def draw(g):
-        return {"A": ginibre(n, g), "B": ginibre(n, g)}
-
     return _run_checker(
-        "hadamard-family", n, trials, s, draw, _parts_hadamard_family,
+        "hadamard-family", n, trials, s, _draw_two, _ginibre_pair, _parts_hadamard_family,
         tolerance=tolerance, k_values=k_values,
     )
 
@@ -299,15 +411,9 @@ def check_ahj(n, trials, s, factorization="given", *, tolerance=INEQUALITY_TOL, 
     """
     if factorization not in ("given", "sqrt"):
         raise ValueError(f"unknown factorization {factorization!r}")
-
-    def draw(g):
-        if factorization == "given":
-            return {"X": ginibre(n, g), "Y": ginibre(n, g), "B": ginibre(n, g)}
-        x, y = factor_sqrt(ginibre(n, g))
-        return {"X": x, "Y": y, "B": ginibre(n, g)}
-
+    draw, build = (_draw_three, _ahj_given) if factorization == "given" else (_draw_two, _ahj_sqrt)
     return _run_checker(
-        f"ahj-{factorization}", n, trials, s, draw, _parts_ahj,
+        f"ahj-{factorization}", n, trials, s, draw, build, _parts_ahj,
         tolerance=tolerance, k_values=k_values,
     )
 
@@ -323,35 +429,17 @@ def check_lemma31(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL
     if int(n) != form.n:
         raise ValueError(f"form is {form.n} x {form.n} but n={n}")
     ineq_id = "lemma31" if form.name == "hadamard" else f"lemma31-{form.name}"
-
-    def draw(g):
-        return {
-            "X": random_subunit_columns(n, g),
-            "Y": random_subunit_columns(n, g),
-            "S": random_contraction(n, g),
-            "mask": form.mask,
-        }
-
-    extras = [dict(m, mask=form.mask) for m in extra_trials]
     return _run_checker(
-        ineq_id, n, trials, s, draw, _parts_lemma31,
-        tolerance=tolerance, k_values=k_values, extra_trials=extras,
+        ineq_id, n, trials, s, _draw_lemma31, _lemma31_inputs, _parts_lemma31,
+        tolerance=tolerance, k_values=k_values, shared={"mask": form.mask},
+        extra_trials=extra_trials,
     )
 
 
 def check_lemma32(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """trace norm of (X*Y) o (u v*) <= 1 for unit-column X, Y and unit u, v."""
-
-    def draw(g):
-        return {
-            "X": sample_unit_columns(n, n, g),
-            "Y": sample_unit_columns(n, n, g),
-            "u": random_unit_vector(n, g)[:, None],
-            "v": random_unit_vector(n, g)[:, None],
-        }
-
     return _run_checker(
-        "lemma32", n, trials, s, draw, _parts_lemma32,
+        "lemma32", n, trials, s, _draw_lemma32, _lemma32_inputs, _parts_lemma32,
         tolerance=tolerance, k_values=k_values,
     )
 
@@ -371,23 +459,23 @@ def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
         raise ValueError(f"form is {form.n} x {form.n} but n={n}")
     hyp = {"max_sigma1_ratio": 0.0, "max_adjoint_sigma1_ratio": 0.0}
 
-    def observe(mats):
-        a, b = mats["A"], mats["B"]
-        denom = singular_values(a)[0] * singular_values(b)[0]
-        if denom < 1e-12:
+    def observe(mats, lhs, rhs):
+        # the k = 1 parts are sigma_1(A . B) and sigma_1(A) sigma_1(B): reuse them
+        denom = rhs[:, 0]
+        probed = ~(denom < 1e-12)
+        if not probed.any():
             return
-        fwd = singular_values(apply_form(form, a, b))[0] / denom
-        adj = singular_values(right_adjoint_apply(form, a, b))[0] / denom
-        hyp["max_sigma1_ratio"] = max(hyp["max_sigma1_ratio"], float(fwd))
-        hyp["max_adjoint_sigma1_ratio"] = max(hyp["max_adjoint_sigma1_ratio"], float(adj))
+        denom = denom[probed]
+        fwd = lhs[probed, 0] / denom
+        adjoint = right_adjoint_apply(form, mats["A"][probed], mats["B"][probed])
+        adj = singular_values(adjoint)[:, 0] / denom
+        hyp["max_sigma1_ratio"] = max(hyp["max_sigma1_ratio"], float(fwd.max()))
+        hyp["max_adjoint_sigma1_ratio"] = max(hyp["max_adjoint_sigma1_ratio"], float(adj.max()))
 
-    def draw(g):
-        return {"A": random_contraction(n, g), "B": random_contraction(n, g), "mask": form.mask}
-
-    extras = [dict(m, mask=form.mask) for m in extra_trials]
     report = _run_checker(
-        f"hmn-{form.name}", n, trials, s, draw, _parts_hmn,
-        tolerance=tolerance, k_values=k_values, extra_trials=extras, observe=observe,
+        f"hmn-{form.name}", n, trials, s, _draw_contractions, _contraction_pair, _parts_hmn,
+        tolerance=tolerance, k_values=k_values, shared={"mask": form.mask},
+        extra_trials=extra_trials, observe=observe,
     )
     hypothesis_ok = (
         hyp["max_sigma1_ratio"] <= 1.0 + tolerance
@@ -405,12 +493,8 @@ def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
 def check_fan_sigma1(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """Top singular value of the diagonal-negated product stays below
     sigma_1(A) sigma_1(B), applied both to (A, B) and to (A^T, B)."""
-
-    def draw(g):
-        return {"A": ginibre(n, g), "B": ginibre(n, g)}
-
     return _run_checker(
-        "fan-sigma1", n, trials, s, draw, _parts_fan_sigma1,
+        "fan-sigma1", n, trials, s, _draw_two, _ginibre_pair, _parts_fan_sigma1,
         tolerance=tolerance, k_values=k_values,
     )
 

@@ -4,6 +4,7 @@ import pytest
 from kyfan.cli import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
+    STREAM_STRIDE,
     RunConfig,
     execute,
     main,
@@ -52,6 +53,17 @@ class TestParsing:
     def test_negative_trials_rejected(self):
         with pytest.raises(SystemExit):
             parse_arguments(["check", "--ineq", "lemma31", "--trials", "-1"])
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--ineq", "lemma31"], ["extremal"], ["ptrace", "--question", "1"],
+    ])
+    def test_trials_reaching_the_stream_stride_rejected(self, command):
+        # section s + 1 starts STREAM_STRIDE indices after section s
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(command + ["--trials", str(STREAM_STRIDE)])
+        assert err.value.code == 2
+        cfg = parse_arguments(command + ["--trials", str(STREAM_STRIDE - 1)])
+        assert cfg.trials == STREAM_STRIDE - 1
 
     def test_ptrace_and_search_parse(self):
         cfg = parse_arguments(["ptrace", "--question", "2", "--n", "4", "--budget", "10"])

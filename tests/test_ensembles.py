@@ -156,3 +156,74 @@ class TestSupportGaps:
             c = ginibre(n, g)
             gap = matrix_ball_support_gap(c, w, samples=2, s=g)
             assert abs(gap) <= 1e-10 * (1 + np.linalg.norm(c))
+
+
+def _reference_haar(n, g):
+    z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+def _reference_contraction(n, g):
+    u = _reference_haar(n, g)
+    v = _reference_haar(n, g)
+    t = g.uniform(0.0, 1.0, size=n)
+    return (u * t) @ v.conj().T
+
+
+def _reference_subunit(n, g):
+    z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    lengths = g.uniform(0.0, 1.0, size=n)
+    return z / np.linalg.norm(z, axis=0) * lengths
+
+
+def _reference_unit_vector(n, g):
+    z = g.standard_normal(n) + 1j * g.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
+REFERENCE_SAMPLERS = {
+    # the one-matrix formulas the samplers had before the RNG step and the
+    # transform were split; the split must reproduce them bit for bit
+    "ginibre": (ginibre, lambda n, g: (
+        g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)),
+    "haar": (haar_unitary, _reference_haar),
+    "contraction": (random_contraction, _reference_contraction),
+    "subunit": (random_subunit_columns, _reference_subunit),
+    "unit-vector": (random_unit_vector, _reference_unit_vector),
+}
+
+
+class TestSamplersMatchReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLERS))
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 17])
+    def test_bitwise(self, name, n):
+        sampler, reference = REFERENCE_SAMPLERS[name]
+        for t in range(10):
+            stream = SeededStream(41, t)
+            assert np.array_equal(sampler(n, stream), reference(n, stream.generator()))
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_unit_columns_bitwise(self, n):
+        for t in range(10):
+            g = SeededStream(43, t).generator()
+            expected = np.zeros((n, n), dtype=np.complex128)
+            for p in g.choice(n, size=n - 1, replace=False):
+                expected[:, p] = _reference_unit_vector(n, g)
+            assert np.array_equal(sample_unit_columns(n, n - 1, SeededStream(43, t)), expected)
+
+    def test_stacked_transforms_match_one_matrix_samplers(self):
+        from kyfan.ensembles import _contraction, _contraction_draw, _subunit, _subunit_draw
+
+        for n in (2, 5):
+            streams = [SeededStream(47, t) for t in range(9)]
+            draws = [_contraction_draw(n, s.generator()) for s in streams]
+            stacked = _contraction(*(np.stack(c) for c in zip(*draws)))
+            for s, got in zip(streams, stacked):
+                assert np.array_equal(got, random_contraction(n, s))
+            draws = [_subunit_draw(n, s.generator()) for s in streams]
+            stacked = _subunit(*(np.stack(c) for c in zip(*draws)))
+            for s, got in zip(streams, stacked):
+                assert np.array_equal(got, random_subunit_columns(n, s))

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert load_document(path) == {"ok": False}
     leftovers = [f for f in os.listdir(tmp_path) if f != "doc.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["umask022", "umask077", "umask002"])
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "doc.json"
+    old = os.umask(umask)
+    try:
+        write_document(str(path), {"ok": True})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 def test_nested_arrays_serialize():

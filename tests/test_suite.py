@@ -213,3 +213,74 @@ class TestReportShape:
         assert report.elapsed_seconds >= 0.0
         clone = dataclasses.replace(report, elapsed_seconds=0.0)
         assert clone.worst_margin == report.worst_margin
+
+
+def _trial_inputs(ineq_id, n, g):
+    """One trial's matrices for ``ineq_id``, drawn with the public samplers."""
+    from kyfan.ensembles import (
+        random_contraction, random_subunit_columns, random_unit_vector, sample_unit_columns,
+    )
+
+    mask = (fan_form(n) if ineq_id.endswith("fan") else hadamard_form(n)).mask
+    if ineq_id.startswith("ahj"):
+        return {"X": ginibre(n, g), "Y": ginibre(n, g), "B": ginibre(n, g)}
+    if ineq_id.startswith("lemma31"):
+        return {"X": random_subunit_columns(n, g), "Y": random_subunit_columns(n, g),
+                "S": random_contraction(n, g), "mask": mask}
+    if ineq_id == "lemma32":
+        return {"X": sample_unit_columns(n, n, g), "Y": sample_unit_columns(n, n, g),
+                "u": random_unit_vector(n, g)[:, None], "v": random_unit_vector(n, g)[:, None]}
+    if ineq_id.startswith("hmn"):
+        return {"A": random_contraction(n, g), "B": random_contraction(n, g), "mask": mask}
+    return {"A": ginibre(n, g), "B": ginibre(n, g)}
+
+
+def _stack(trials):
+    return {name: value if name == "mask" else np.stack([t[name] for t in trials])
+            for name, value in trials[0].items()}
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("ineq_id", sorted(PARTS_BY_ID))
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_parts_of_a_stack_are_the_parts_of_each_trial(self, ineq_id, n):
+        parts = PARTS_BY_ID[ineq_id]
+        trials = [_trial_inputs(ineq_id, n, SeededStream(50, t).generator()) for t in range(7)]
+        ks, lhs, rhs = parts(_stack(trials))
+        assert lhs.shape == rhs.shape == (7, len(ks))
+        for i, mats in enumerate(trials):
+            ks_one, lhs_one, rhs_one = parts(mats)
+            assert list(ks_one) == list(ks)
+            assert np.array_equal(lhs[i], np.asarray(lhs_one, dtype=float))
+            assert np.array_equal(rhs[i], np.asarray(rhs_one, dtype=float))
+
+    @pytest.mark.parametrize("ineq_id, run", [
+        ("product-family", lambda t, s, tol, kv: check_product_family(2, t, s, tolerance=tol, k_values=kv)),
+        ("von-neumann", lambda t, s, tol, kv: check_von_neumann(2, t, s, tolerance=tol, k_values=kv)),
+        ("hmn-fan", lambda t, s, tol, kv: check_hmn(fan_form(2), 2, t, s, tolerance=tol, k_values=kv)),
+    ])
+    @pytest.mark.parametrize("tolerance, k_values", [(1e-8, None), (-0.2, None), (-0.2, [2])])
+    def test_report_matches_a_trial_by_trial_loop(self, ineq_id, run, tolerance, k_values):
+        # 1100 trials at n = 2 span two chunks of the engine
+        trials, stream = 1100, SeededStream(51, 3)
+        report = run(trials, stream, tolerance, k_values)
+        parts = PARTS_BY_ID[ineq_id]
+        violations, worst, worst_k, worst_mats, per_k = 0, -np.inf, 0, None, {}
+        for t in range(trials):
+            mats = _trial_inputs(ineq_id, 2, stream.offset(t).generator())
+            ks, lhs, rhs = parts(mats)
+            for i, k in enumerate(ks):
+                if k_values is not None and k not in k_values:
+                    continue
+                m = float(lhs[i]) - float(rhs[i])
+                violations += m > tolerance * max(1.0, float(rhs[i]))
+                per_k[k] = max(per_k.get(k, m), m)
+                if m > worst:
+                    worst, worst_k, worst_mats = m, k, mats
+        assert report.violations == violations
+        assert report.worst_margin == worst
+        assert report.per_k_worst == per_k
+        assert report.witness.k == worst_k
+        assert report.witness.matrices.keys() == worst_mats.keys()
+        for name, value in worst_mats.items():
+            assert np.array_equal(report.witness.matrices[name], value)
