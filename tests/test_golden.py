@@ -1,7 +1,9 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The hashes were recorded with the per-trial checker loop, before the stacked
-trial engine replaced it; the engine must reproduce every body byte for byte.
+The checker hashes were recorded with the per-trial checker loop, before the
+stacked trial engine replaced it, and the search and ptrace hashes with the
+one-proposal-at-a-time search loop; both engines must reproduce every body
+byte for byte.
 They hold for one numeric stack only: the generator id (numpy version) plus
 the BLAS/LAPACK build and the machine architecture.  On another stack the
 test skips and names the stack it found, so new hashes can be recorded there
@@ -39,6 +41,16 @@ GOLDEN = {
             "a792a7f33bc2e03da55069a03320631cb1d65003e4afe0452ccde6508cbef938",
         "hmn-fan-witness":
             "d3633d4972bc30e93a2c2376813956c1624731971e05d5e48ca6d1a916796550",
+        "search-q2-n3-restarts8-budget3000":
+            "ffe5503971aec5c124f441b9e2a09f629d205838ceafc30e505ee5d885706515",
+        "search-q1-n4-commuting-budget800":
+            "3d511d6d7d7f95f08cd09c054d934442c667609bd3b23bc93a50d02a2a9b41de",
+        "search-q2-n3-k2-budget500":
+            "1475e2ce83c913115864c557bf4d576bab476a9dcabf89a6b278851f4f0a909a",
+        "ptrace-q2-n3-trials30-budget500":
+            "e89aa4284ad0fa11a4cebbca29d4f9bb1f220c005d1fab436221c8b67e0b740f",
+        "search-q2-n3-witness-budget500":
+            "8a1721998667f9260422244982517334d78446a194939cc64173ad99b5aa11c2",
     },
 }
 
@@ -62,6 +74,21 @@ CASES = {
         include_witness=True)),
     "hmn-fan-witness": lambda capsys: report_body_bytes(check_report_document(
         check_hmn(fan_form(4), 4, 50, SeededStream(17)), include_witness=True)),
+    "search-q2-n3-restarts8-budget3000": lambda capsys: _cli_body(
+        ["search", "--question", "2", "--n", "3", "--restarts", "8", "--budget", "3000",
+         "--seed", "271828"], capsys),
+    "search-q1-n4-commuting-budget800": lambda capsys: _cli_body(
+        ["search", "--question", "1", "--n", "4", "--strategy", "commuting",
+         "--budget", "800", "--seed", "271828"], capsys),
+    "search-q2-n3-k2-budget500": lambda capsys: _cli_body(
+        ["search", "--question", "2", "--n", "3", "--k", "2", "--budget", "500",
+         "--seed", "271828"], capsys),
+    "ptrace-q2-n3-trials30-budget500": lambda capsys: _cli_body(
+        ["ptrace", "--question", "2", "--n", "3", "--trials", "30", "--budget", "500",
+         "--seed", "271828"], capsys),
+    "search-q2-n3-witness-budget500": lambda capsys: _cli_body(
+        ["search", "--question", "2", "--n", "3", "--budget", "500", "--tolerance=-10",
+         "--seed", "271828"], capsys),
 }
 
 

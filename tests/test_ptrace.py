@@ -199,3 +199,130 @@ class TestSearch:
         )
         assert res.witness is not None
         assert abs(question_margin(res.witness) - res.best_margin) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# reference: the one-proposal-at-a-time search loop, with per-pair numerics
+# ---------------------------------------------------------------------------
+
+
+def _reference_margins(a, b, question):
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    ab = a @ b
+    t = np.trace(ab) * eye - np.trace(a) * b + np.trace(b) * a - n * ab
+    d = np.trace(b) * eye - n * b
+    lhs = np.cumsum(np.linalg.svd(t, compute_uv=False))
+    sd = np.linalg.svd(d, compute_uv=False)
+    sa = np.linalg.svd(a, compute_uv=False)
+    if question == 1:
+        rhs = 2.0 * sa[0] * np.cumsum(sd)
+    else:
+        rhs = 2.0 * np.cumsum(sa * sd)
+    return lhs - rhs
+
+
+def _reference_unpack(part, n):
+    h = np.zeros((n, n), dtype=np.complex128)
+    offdiag = (n * (n - 1)) // 2
+    diag, re, im = part[:n], part[n : n + offdiag], part[n + offdiag :]
+    iu = np.triu_indices(n, k=1)
+    h[iu] = re + 1j * im
+    h += h.conj().T
+    h[np.diag_indices(n)] = diag
+    return h
+
+
+def _reference_search(question, n, k_policy, budget, restarts, stream, strategy,
+                      step_init=0.5, stall_limit=50):
+    """Greedy search scoring one proposal per step; returns margin, evaluations,
+    and the best pair with its k."""
+    k_values = range(1, n + 1) if k_policy == "all" else [k_policy]
+    base, rem = divmod(budget, restarts)
+    best_margin, best_pair, best_k, evaluations = -np.inf, None, 1, 0
+    for r in range(restarts):
+        quota = base + (1 if r < rem else 0)
+        if quota <= 0:
+            continue
+        g = stream.offset(r).generator()
+        if strategy == "commuting":
+            basis = haar_unitary(n, g)
+            dim = 2 * n
+
+            def build(theta):
+                a = (basis * theta[:n]) @ basis.conj().T
+                b = (basis * theta[n:]) @ basis.conj().T
+                return (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+        else:
+            dim = 2 * n * n
+
+            def build(theta):
+                return _reference_unpack(theta[: n * n], n), _reference_unpack(theta[n * n :], n)
+
+        def margin_of(theta):
+            margins = _reference_margins(*build(theta), question)
+            k = max(k_values, key=lambda k: margins[k - 1])
+            return float(margins[k - 1]), k
+
+        theta = g.standard_normal(dim)
+        current, current_k = margin_of(theta)
+        used, step, stalls = 1, step_init, 0
+        while used < quota:
+            candidate = theta.copy()
+            candidate[g.integers(dim)] += step * g.standard_normal()
+            value, value_k = margin_of(candidate)
+            used += 1
+            if value > current:
+                theta, current, current_k = candidate, value, value_k
+                stalls = 0
+            else:
+                stalls += 1
+                if stalls >= stall_limit:
+                    step *= 0.5
+                    stalls = 0
+        evaluations += used
+        if current > best_margin:
+            best_margin, best_pair, best_k = current, build(theta), current_k
+    return best_margin, evaluations, best_pair, best_k
+
+
+# (question, n, k_policy, budget, restarts, strategy, stall_limit)
+REFERENCE_CONFIGS = [
+    (q, n, "all", 157, 3, strategy, 50)
+    for q in (1, 2) for n in range(1, 7) for strategy in ("general", "commuting")
+] + [
+    (2, 3, 2, 203, 2, "general", 50),
+    (1, 4, 1, 131, 3, "general", 50),
+    (2, 5, 5, 97, 1, "commuting", 50),
+    (1, 3, 3, 61, 4, "commuting", 50),
+    (2, 3, "all", 401, 1, "general", 3),     # step halvings inside one batch
+    (1, 4, "all", 299, 2, "commuting", 2),
+    (2, 2, "all", 7, 3, "general", 50),      # quotas 3, 2, 2: below any batch size
+    (1, 3, "all", 5, 8, "general", 50),      # quotas of 1 and 0
+    (2, 6, "all", 1, 1, "commuting", 50),
+    (1, 2, "all", 0, 2, "general", 50),
+]
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize("config", REFERENCE_CONFIGS,
+                             ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}".format(*c))
+    def test_bitwise(self, config):
+        question, n, k_policy, budget, restarts, strategy, stall_limit = config
+        seed = 1000 + 7 * n + question
+        ref_margin, ref_evaluations, ref_pair, ref_k = _reference_search(
+            question, n, k_policy, budget, restarts, SeededStream(seed), strategy,
+            stall_limit=stall_limit,
+        )
+        res = search_counterexample(
+            question, n, k_policy, budget, restarts, SeededStream(seed),
+            strategy=strategy, stall_limit=stall_limit, tolerance=-np.inf,
+        )
+        assert res.evaluations == ref_evaluations
+        assert np.array_equal(res.best_margin, ref_margin)
+        if ref_pair is None:
+            assert res.witness is None
+            return
+        assert res.witness.k == ref_k
+        assert np.array_equal(res.witness.A, ref_pair[0])
+        assert np.array_equal(res.witness.B, ref_pair[1])
