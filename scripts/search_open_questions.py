@@ -5,7 +5,8 @@ Runs the multi-restart greedy search across a grid of dimensions and both
 parameterizations (general Hermitian pairs, and commuting pairs as a control
 that is proven safe), prints a margin table, and saves any witness pair to
 matrix files for later inspection.  Exit status 2 signals that a candidate
-with margin above tolerance was found; 0 means none within budget.
+failing the tolerance rule (``kyfan.norms.inequality_holds``) was found; 0
+means none within budget.
 
 Usage:
     python scripts/search_open_questions.py --budget 20000 --seed 7

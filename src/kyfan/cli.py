@@ -40,11 +40,12 @@ from .ensembles import (
     random_weight,
     support_function_gap,
 )
-from .fileformat import dump_document, matrix_to_document, write_text
+from .fileformat import dump_document, write_text
 from .forms import fan_form, hadamard_form
 from .matrixcore import kronecker, partial_trace_first, singular_values
 from .norms import INEQUALITY_TOL, RESIDUAL_TOL
 from .ptrace import (
+    _violates,
     lhs_operator,
     lhs_operator_brute,
     search_counterexample,
@@ -57,6 +58,8 @@ from .reports import (
     witness_document,
 )
 from .suite import (
+    CHUNK_ENTRIES,
+    Witness,
     check_ahj,
     check_fan_sigma1,
     check_hadamard_family,
@@ -300,6 +303,8 @@ def parse_arguments(argv) -> RunConfig:
 
 
 def _checker_runs(inequality_id: str):
+    """(report id, run, scored k values at n) for each checker ``inequality_id`` runs."""
+
     def lemma31_hadamard(n, trials, s, tolerance, k_values):
         return check_lemma31(hadamard_form(n), n, trials, s,
                              tolerance=tolerance, k_values=k_values)
@@ -324,16 +329,25 @@ def _checker_runs(inequality_id: str):
 
         return run
 
+    def every_k(n):
+        return range(1, n + 1)
+
+    def top_k(n):
+        return (1,)
+
+    def last_k(n):
+        return (n,)
+
     table = {
-        "von-neumann": [("von-neumann", plain(check_von_neumann))],
-        "product-family": [("product-family", plain(check_product_family))],
-        "hadamard-family": [("hadamard-family", plain(check_hadamard_family))],
-        "ahj": [("ahj-given", ahj("given")), ("ahj-sqrt", ahj("sqrt"))],
-        "lemma31": [("lemma31", lemma31_hadamard)],
-        "lemma32": [("lemma32", plain(check_lemma32))],
-        "hmn-hadamard": [("hmn-hadamard", hmn_hadamard)],
-        "hmn-fan": [("hmn-fan", hmn_fan)],
-        "fan-sigma1": [("fan-sigma1", plain(check_fan_sigma1))],
+        "von-neumann": [("von-neumann", plain(check_von_neumann), last_k)],
+        "product-family": [("product-family", plain(check_product_family), every_k)],
+        "hadamard-family": [("hadamard-family", plain(check_hadamard_family), every_k)],
+        "ahj": [("ahj-given", ahj("given"), every_k), ("ahj-sqrt", ahj("sqrt"), every_k)],
+        "lemma31": [("lemma31", lemma31_hadamard, top_k)],
+        "lemma32": [("lemma32", plain(check_lemma32), top_k)],
+        "hmn-hadamard": [("hmn-hadamard", hmn_hadamard, every_k)],
+        "hmn-fan": [("hmn-fan", hmn_fan, every_k)],
+        "fan-sigma1": [("fan-sigma1", plain(check_fan_sigma1), top_k)],
     }
     if inequality_id == "all":
         runs = []
@@ -347,10 +361,18 @@ def _execute_check(cfg: RunConfig):
     runs = _checker_runs(cfg.inequality_id)
     ns = DEFAULT_NS if cfg.n is None else (cfg.n,)
     k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
+    if k_values is not None:
+        for name, _, scored_ks in runs:
+            for n in ns:
+                if k_values[0] not in scored_ks(n):
+                    raise ValueError(
+                        f"--k {k_values[0]} scores no margin for {name} at n={n} "
+                        f"(it scores k in {list(scored_ks(n))})"
+                    )
     results = []
     total_violations = 0
     section = 0
-    for _, fn in runs:
+    for _, fn, _ in runs:
         for n in ns:
             stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
             report = fn(n, cfg.trials, stream, cfg.tolerance, k_values)
@@ -469,17 +491,18 @@ def _execute_ptrace(cfg: RunConfig):
         }
     )
 
-    # commuting pairs must satisfy both questions
+    # commuting pairs must satisfy both questions; drawn per trial, scored in stacks
     regression_stream = SeededStream(cfg.seed, STREAM_STRIDE)
     reg_worst = -np.inf
     reg_violations = 0
-    for t in range(cfg.trials):
-        g = regression_stream.offset(t).generator()
-        a, b = commuting_hermitian_pair(n, g)
-        m, _ = worst_question_margin(a, b, cfg.question, k_values)
-        reg_worst = max(reg_worst, m)
-        if m > cfg.tolerance:
-            reg_violations += 1
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    for start in range(0, cfg.trials, chunk):
+        pairs = [commuting_hermitian_pair(n, regression_stream.offset(t).generator())
+                 for t in range(start, min(cfg.trials, start + chunk))]
+        a, b = (np.stack(side) for side in zip(*pairs))
+        margins, ks = worst_question_margin(a, b, cfg.question, k_values)
+        reg_worst = max(reg_worst, float(margins.max()))
+        reg_violations += int(np.count_nonzero(_violates(a, b, cfg.question, ks, cfg.tolerance)))
     results.append(
         {
             "target": "commuting-regression",
@@ -497,31 +520,21 @@ def _execute_ptrace(cfg: RunConfig):
         cfg.budget, cfg.restarts, SeededStream(cfg.seed, 2 * STREAM_STRIDE),
         strategy=cfg.strategy, tolerance=cfg.tolerance,
     )
-    found = search.witness is not None
-    search_result = {
-        "target": "bounded-search",
-        "question": cfg.question,
-        "strategy": search.strategy,
-        "budget": cfg.budget,
-        "evaluations": search.evaluations,
-        "best_margin": search.best_margin,
-        "violations": 1 if found else 0,
-    }
-    if found:
-        search_result["witness"] = {
-            "k": search.witness.k,
-            "margin": search.best_margin,
-            "matrices": {
-                "A": matrix_to_document(search.witness.A),
-                "B": matrix_to_document(search.witness.B),
-            },
+    findings, note = _search_findings(search)
+    results.append(
+        {
+            "target": "bounded-search",
+            "question": cfg.question,
+            "strategy": search.strategy,
+            "budget": cfg.budget,
+            "evaluations": search.evaluations,
+            "best_margin": search.best_margin,
+            **findings,
         }
-        notes.append("counterexample candidate found — inspect the witness")
-    else:
-        notes.append("no counterexample found within budget")
-    results.append(search_result)
+    )
+    notes.append(note)
 
-    total_violations = reg_violations + (1 if found else 0)
+    total_violations = reg_violations + findings["violations"]
     status = 2 if total_violations else 0
     return status, results, total_violations, notes
 
@@ -532,7 +545,7 @@ def _execute_search(cfg: RunConfig):
         cfg.budget, cfg.restarts, SeededStream(cfg.seed),
         strategy=cfg.strategy, tolerance=cfg.tolerance,
     )
-    found = result.witness is not None
+    findings, note = _search_findings(result)
     doc = {
         "target": "counterexample-search",
         "question": cfg.question,
@@ -542,23 +555,20 @@ def _execute_search(cfg: RunConfig):
         "evaluations": result.evaluations,
         "restarts": result.restarts,
         "best_margin": result.best_margin,
-        "violations": 1 if found else 0,
+        **findings,
     }
-    if found:
-        doc["witness"] = {
-            "k": result.witness.k,
-            "margin": result.best_margin,
-            "matrices": {
-                "A": matrix_to_document(result.witness.A),
-                "B": matrix_to_document(result.witness.B),
-            },
-        }
-    notes = [
-        "counterexample candidate found — inspect the witness"
-        if found
-        else "no counterexample found within budget"
-    ]
-    return (2 if found else 0), [doc], (1 if found else 0), notes
+    status = 2 if findings["violations"] else 0
+    return status, [doc], findings["violations"], [note]
+
+
+def _search_findings(result) -> tuple[dict, str]:
+    """The violation count and witness document of one search, and its note."""
+    if result.witness is None:
+        return {"violations": 0}, "no counterexample found within budget"
+    w = result.witness
+    witness = Witness(matrices={"A": w.A, "B": w.B}, k=w.k, margin=result.best_margin)
+    return ({"violations": 1, "witness": witness_document(witness)},
+            "counterexample candidate found — inspect the witness")
 
 
 _EXECUTORS = {

@@ -41,8 +41,9 @@ INEQUALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 
 
-def inequality_holds(lhs: float, rhs: float, tol: float = INEQUALITY_TOL) -> bool:
-    return lhs <= rhs + tol * max(1.0, rhs)
+def inequality_holds(lhs, rhs, tol: float = INEQUALITY_TOL):
+    """lhs <= rhs + tol * max(1, rhs), elementwise over arrays."""
+    return lhs <= rhs + tol * np.maximum(1.0, rhs)
 
 
 def residual_vanishes(residual: float, scale: float = 0.0, tol: float = RESIDUAL_TOL) -> bool:

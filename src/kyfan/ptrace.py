@@ -15,9 +15,31 @@ The two open questions ask whether the k-norm of T is bounded by
     question 1:  2 sigma_1(A) ||tr(B) I - n B||_(k)
     question 2:  2 sum_{i<=k} sigma_i(A) sigma_i(tr(B) I - n B)
 
-A positive margin (lhs - rhs) beyond tolerance is a counterexample candidate;
-the searches only ever report "no counterexample found within budget",
-never nonexistence.
+A pair is a counterexample candidate when its worst margin (lhs - rhs) and
+the rhs at that k fail :func:`kyfan.norms.inequality_holds`, the tolerance
+rule the checkers use; the searches only ever report "no counterexample
+found within budget", never nonexistence.
+
+The margin primitives take one pair of n x n matrices or ``(..., n, n)``
+stacks of pairs, and on a stack give the same bits as pair by pair.
+
+Search engine
+-------------
+A greedy step proposes one coordinate and one Gaussian move, drawn as
+``g.integers(dim)`` then ``g.standard_normal()``.  Which proposals are
+drawn does not depend on which earlier ones were accepted; only the base
+point and the step size do.  The search therefore builds the next
+``SEARCH_BATCH`` candidates at once, each from the current point with the
+step it would have if every earlier candidate of the batch were rejected,
+scores them as one stack, and replays the sequential accept/stall/halve
+rule over the scores.  The first acceptance ends the batch; the candidates
+after it are discarded and their proposals reused, from the new point, in
+the next batch.  Only consumed candidates count as evaluations, so the
+trajectory, the best margin and the witness are those of a loop that
+scores one proposal at a time.  Measured on numpy 2.4.6 with OpenBLAS
+0.3.31, this rests on stacked ``svd``, ``matmul`` and ``trace(axis1=-2,
+axis2=-1)`` giving the same bits as per-matrix calls, as elementwise
+arithmetic and ``cumsum`` over the last axis do.
 """
 
 from __future__ import annotations
@@ -28,8 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import SeededStream, haar_unitary
-from .matrixcore import as_matrix, kronecker, partial_trace_first, singular_values
-from .norms import INEQUALITY_TOL
+from .matrixcore import (
+    _adjoint,
+    as_matrix,
+    kronecker,
+    partial_trace_first,
+    singular_values,
+)
+from .norms import INEQUALITY_TOL, inequality_holds
 
 __all__ = [
     "QuestionInstance",
@@ -46,12 +74,25 @@ __all__ = [
     "search_counterexample",
 ]
 
+#: candidates one search step builds and scores as one stack.  ``kyfan search
+#: --question 2 --n 3 --budget 3000`` takes 755 stacks at 8 (1042 at 4, 668
+#: at 12); its times at 6, 8 and 12 were equal within measurement noise
+SEARCH_BATCH = 8
+
 
 def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
-    m = as_matrix(a, square=True, name=name)
-    deviation = float(np.linalg.norm(m - m.conj().T))
-    if deviation > tol * (1.0 + float(np.linalg.norm(m))):
-        raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
+    """Validate a Hermitian matrix, or each matrix of a ``(..., n, n)`` stack."""
+    m = as_matrix(a, square=True, name=name, stacked=True)
+    deviation = np.linalg.norm(m - _adjoint(m), axis=(-2, -1))
+    if not deviation.any():  # exactly Hermitian, whatever the scale
+        return m
+    bad = np.ravel(deviation > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1))))
+    if bad.any():
+        first = int(np.argmax(bad))
+        where = "" if m.ndim == 2 else f" (matrix {first} of the stack)"
+        raise ValueError(
+            f"{name} is not Hermitian{where} (deviation {np.ravel(deviation)[first]:.3e})"
+        )
     return m
 
 
@@ -66,8 +107,8 @@ class QuestionInstance:
     k: int
 
     def __post_init__(self):
-        a = require_hermitian(self.A, name="A")
-        b = require_hermitian(self.B, name="B")
+        a = require_hermitian(as_matrix(self.A, name="A"), name="A")
+        b = require_hermitian(as_matrix(self.B, name="B"), name="B")
         if a.shape != b.shape:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
         object.__setattr__(self, "A", a)
@@ -97,16 +138,21 @@ class SearchResult:
 
 def trace_deviation(b) -> np.ndarray:
     """tr(B) I - n B, the first-factor partial trace of B ox I - I ox B."""
-    m = as_matrix(b, square=True, name="B")
-    n = m.shape[0]
-    return np.trace(m) * np.eye(n, dtype=np.complex128) - n * m
+    m = as_matrix(b, square=True, name="B", stacked=True)
+    n = m.shape[-1]
+    return _trace(m) * np.eye(n, dtype=np.complex128) - n * m
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Trace of each matrix, shaped to broadcast against the matrices."""
+    return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
+    n = a.shape[-1]
     ab = a @ b
     eye = np.eye(n, dtype=np.complex128)
-    return np.trace(ab) * eye - np.trace(a) * b + np.trace(b) * a - n * ab
+    return _trace(ab) * eye - _trace(a) * b + _trace(b) * a - n * ab
 
 
 def lhs_operator_brute(a, b) -> np.ndarray:
@@ -143,21 +189,27 @@ def lhs_operator(a, b, *, cross_check: bool = True) -> np.ndarray:
     return closed
 
 
-def question_margins_all_k(a, b, question: int) -> np.ndarray:
-    """Margins lhs - rhs for k = 1..n (index k-1) using the closed form."""
+def _question_sides(a, b, question: int) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs for k = 1..n (index k-1), shape ``(..., n)``."""
     a = require_hermitian(a, name="A")
     b = require_hermitian(b, name="B")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     question = int(question)
     if question not in (1, 2):
         raise ValueError("question must be 1 or 2")
-    t = _closed_form(a, b)
-    d = trace_deviation(b)
-    lhs = np.cumsum(singular_values(t))
-    sd = singular_values(d)
+    st, sd, sa = singular_values(np.stack([_closed_form(a, b), trace_deviation(b), a]))
+    lhs = np.cumsum(st, axis=-1)
     if question == 1:
-        rhs = 2.0 * singular_values(a)[0] * np.cumsum(sd)
+        rhs = 2.0 * sa[..., :1] * np.cumsum(sd, axis=-1)
     else:
-        rhs = 2.0 * np.cumsum(singular_values(a) * sd)
+        rhs = 2.0 * np.cumsum(sa * sd, axis=-1)
+    return lhs, rhs
+
+
+def question_margins_all_k(a, b, question: int) -> np.ndarray:
+    """Margins lhs - rhs for k = 1..n (index k-1) using the closed form."""
+    lhs, rhs = _question_sides(a, b, question)
     return lhs - rhs
 
 
@@ -166,12 +218,30 @@ def question_margin(inst: QuestionInstance) -> float:
     return float(question_margins_all_k(inst.A, inst.B, inst.question)[inst.k - 1])
 
 
-def worst_question_margin(a, b, question: int, k_values=None) -> tuple[float, int]:
-    """Largest margin over the requested k values (default: all of 1..n)."""
+def worst_question_margin(a, b, question: int, k_values=None):
+    """Largest margin over the requested k values (default: all of 1..n) and
+    the first k in ``k_values`` order attaining it: floats for one pair,
+    arrays over the leading axes for a stack."""
     margins = question_margins_all_k(a, b, question)
-    ks = range(1, margins.size + 1) if k_values is None else [int(k) for k in k_values]
-    best_k = max(ks, key=lambda k: margins[k - 1])
-    return float(margins[best_k - 1]), int(best_k)
+    n = margins.shape[-1]
+    ks = np.arange(1, n + 1) if k_values is None else np.array([int(k) for k in k_values])
+    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
+        raise ValueError(f"k values {ks.tolist()} not in 1..{n}")
+    picked = margins[..., ks - 1]
+    first = np.argmax(picked, axis=-1)
+    best = np.take_along_axis(picked, first[..., None], axis=-1)[..., 0]
+    if margins.ndim == 1:
+        return float(best), int(ks[first])
+    return best, ks[first]
+
+
+def _violates(a, b, question: int, ks, tolerance: float):
+    """Whether each pair fails :func:`inequality_holds` at its k in ``ks``."""
+    lhs, rhs = _question_sides(a, b, question)
+    at = np.asarray(ks)[..., None] - 1
+    holds = inequality_holds(np.take_along_axis(lhs, at, axis=-1)[..., 0],
+                             np.take_along_axis(rhs, at, axis=-1)[..., 0], tolerance)
+    return ~holds
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +251,8 @@ def worst_question_margin(a, b, question: int, k_values=None) -> tuple[float, in
 
 def pack_hermitian_pair(a, b) -> np.ndarray:
     """Flatten a Hermitian pair into 2 n^2 reals (diagonal, then upper re/im)."""
-    a = require_hermitian(a, name="A")
-    b = require_hermitian(b, name="B")
+    a = require_hermitian(as_matrix(a, name="A"), name="A")
+    b = require_hermitian(as_matrix(b, name="B"), name="B")
     return np.concatenate([_pack_one(a), _pack_one(b)])
 
 
@@ -193,20 +263,22 @@ def _pack_one(h: np.ndarray) -> np.ndarray:
 
 
 def unpack_hermitian_pair(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pack_hermitian_pair`; a ``(..., 2 n^2)`` stack of
+    parameter vectors gives ``(..., n, n)`` stacks of pairs."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (2 * n * n,):
+    if theta.ndim == 0 or theta.shape[-1] != 2 * n * n:
         raise ValueError(f"expected {2 * n * n} parameters, got {theta.shape}")
-    return _unpack_one(theta[: n * n], n), _unpack_one(theta[n * n :], n)
+    upper = np.nonzero(~np.tri(n, dtype=bool))  # row-major, as np.triu_indices(n, 1)
+    return _unpack_one(theta[..., : n * n], n, upper), _unpack_one(theta[..., n * n :], n, upper)
 
 
-def _unpack_one(part: np.ndarray, n: int) -> np.ndarray:
-    h = np.zeros((n, n), dtype=np.complex128)
+def _unpack_one(part: np.ndarray, n: int, upper) -> np.ndarray:
+    h = np.zeros(part.shape[:-1] + (n, n), dtype=np.complex128)
     offdiag = (n * (n - 1)) // 2
-    diag, re, im = part[:n], part[n : n + offdiag], part[n + offdiag :]
-    iu = np.triu_indices(n, k=1)
-    h[iu] = re + 1j * im
-    h += h.conj().T  # lower triangle is the exact conjugate, so h is Hermitian
-    h[np.diag_indices(n)] = diag
+    diag, re, im = part[..., :n], part[..., n : n + offdiag], part[..., n + offdiag :]
+    h[..., upper[0], upper[1]] = re + 1j * im
+    h += _adjoint(h)  # lower triangle is the exact conjugate, so h is Hermitian
+    h[..., np.arange(n), np.arange(n)] = diag
     return h
 
 
@@ -238,8 +310,10 @@ def search_counterexample(
     Gaussian step, keeping improvements and halving the step after
     ``stall_limit`` consecutive rejections.  ``budget`` counts margin
     evaluations across all restarts; ties in best margin resolve to the
-    earlier restart.  A witness is attached only when the best margin exceeds
-    ``tolerance``; a negative result never claims nonexistence.
+    earlier restart.  A witness is attached only when the best pair fails
+    :func:`kyfan.norms.inequality_holds` at its k under ``tolerance``; a
+    negative result never claims nonexistence.  Proposals are scored
+    ``SEARCH_BATCH`` at a time (see the module docstring).
     """
     question = int(question)
     if question not in (1, 2):
@@ -275,43 +349,51 @@ def search_counterexample(
         g = stream.offset(r).generator()
         if strategy == "commuting":
             basis = haar_unitary(n, g)
+            basis_h = _adjoint(basis)
             dim = 2 * n
 
             def build(theta):
-                a = (basis * theta[:n]) @ basis.conj().T
-                b = (basis * theta[n:]) @ basis.conj().T
-                return (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+                a = (basis * theta[..., None, :n]) @ basis_h
+                b = (basis * theta[..., None, n:]) @ basis_h
+                return (a + _adjoint(a)) / 2.0, (b + _adjoint(b)) / 2.0
 
         else:
-            basis = None
             dim = 2 * n * n
 
             def build(theta):
                 return unpack_hermitian_pair(theta, n)
 
         theta = g.standard_normal(dim)
-
-        def margin_of(t):
-            a, b = build(t)
-            return worst_question_margin(a, b, question, k_values)
-
-        current, current_k = margin_of(theta)
+        current, current_k = worst_question_margin(*build(theta), question, k_values)
         used = 1
         step = step_init
         stalls = 0
+        pending = []  # drawn (coordinate, normal) proposals not yet consumed
         while used < quota:
-            candidate = theta.copy()
-            candidate[g.integers(dim)] += step * g.standard_normal()
-            value, value_k = margin_of(candidate)
-            used += 1
-            if value > current:
-                theta, current, current_k = candidate, value, value_k
-                stalls = 0
-            else:
+            while len(pending) < min(SEARCH_BATCH, quota - used):
+                pending.append((g.integers(dim), g.standard_normal()))
+            # the step of each candidate if every earlier one is rejected
+            steps = []
+            for _ in pending:
+                steps.append(step)
                 stalls += 1
                 if stalls >= stall_limit:
                     step *= 0.5
                     stalls = 0
+            coords, normals = zip(*pending)
+            candidates = np.repeat(theta[None], len(pending), axis=0)
+            candidates[np.arange(len(pending)), coords] += np.multiply(steps, normals)
+            values, value_ks = worst_question_margin(*build(candidates), question, k_values)
+            accepted = np.flatnonzero(values > current)
+            if accepted.size:
+                i = int(accepted[0])
+                theta, current, current_k = candidates[i], float(values[i]), int(value_ks[i])
+                step, stalls = steps[i], 0
+                consumed = i + 1
+            else:
+                consumed = len(pending)
+            used += consumed
+            del pending[:consumed]
         evaluations += used
         if current > best_margin:
             best_margin = current
@@ -319,7 +401,7 @@ def search_counterexample(
             best_k = current_k
 
     witness = None
-    if best_pair is not None and best_margin > tolerance:
+    if best_pair is not None and _violates(*best_pair, question, best_k, tolerance):
         witness = QuestionInstance(
             A=best_pair[0], B=best_pair[1], n=n, question=question, k=best_k
         )

@@ -3,13 +3,16 @@ import pytest
 
 from kyfan.cli import (
     DEFAULT_SEED,
+    INEQUALITY_IDS,
     SEED_ENV_VAR,
     STREAM_STRIDE,
     RunConfig,
+    _checker_runs,
     execute,
     main,
     parse_arguments,
 )
+from kyfan.ensembles import SeededStream
 from kyfan.fileformat import load_document
 from kyfan.reports import SCHEMA_ID, report_body_bytes
 
@@ -233,3 +236,33 @@ class TestExecution:
         cfg = RunConfig(command="repro", target="fan-counterexample")
         assert execute(cfg) == 2
         capsys.readouterr()
+
+
+class TestKRejection:
+    @pytest.mark.parametrize("argv, named", [
+        (["check", "--ineq", "product-family", "--n", "4", "--k", "9", "--trials", "5"],
+         "product-family at n=4"),
+        (["check", "--ineq", "lemma31", "--k", "2", "--trials", "5"], "lemma31 at n=2"),
+        (["check", "--ineq", "all", "--k", "5", "--trials", "5"], "von-neumann at n=2"),
+    ])
+    def test_k_that_scores_no_margin_exits_one(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "scores no margin" in err and named in err
+        assert not out.exists()  # rejected before any section ran
+
+    def test_k_scored_by_every_section_runs(self, capsys):
+        import json
+
+        assert main(["check", "--ineq", "product-family", "--n", "4", "--k", "3",
+                     "--trials", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"][0]["k_range"] == [3]
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_declared_k_values_match_the_reports(self, n):
+        for ineq in INEQUALITY_IDS:
+            for name, run, scored_ks in _checker_runs(ineq):
+                report = run(n, 1, SeededStream(3), 1e-8, None)
+                assert report.k_range == tuple(scored_ks(n)), (name, n)

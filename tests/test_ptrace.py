@@ -8,8 +8,11 @@ from kyfan.ensembles import (
     haar_unitary,
     random_hermitian,
 )
+from kyfan.matrixcore import singular_values
+from kyfan.norms import inequality_holds
 from kyfan.ptrace import (
     QuestionInstance,
+    _violates,
     lhs_operator,
     lhs_operator_brute,
     pack_hermitian_pair,
@@ -149,7 +152,82 @@ class TestPacking:
             unpack_hermitian_pair(np.zeros(7), 2)
 
 
+class TestStackedPrimitives:
+    def _pairs(self, seed, count, n):
+        g = SeededStream(seed).generator()
+        pairs = [(random_hermitian(n, g), random_hermitian(n, g)) for _ in range(count)]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_stack_matches_pair_by_pair(self, n):
+        a, b = self._pairs(60 + n, 7, n)
+        for q in (1, 2):
+            margins = question_margins_all_k(a, b, q)
+            worst, ks = worst_question_margin(a, b, q)
+            worst2, ks2 = worst_question_margin(a, b, q, [2, 1] if n > 1 else [1])
+            assert margins.shape == (7, n)
+            for i in range(7):
+                assert np.array_equal(margins[i], question_margins_all_k(a[i], b[i], q))
+                assert (worst[i], ks[i]) == worst_question_margin(a[i], b[i], q)
+                assert (worst2[i], ks2[i]) == worst_question_margin(
+                    a[i], b[i], q, [2, 1] if n > 1 else [1])
+        assert np.array_equal(trace_deviation(b)[4], trace_deviation(b[4]))
+
+    def test_unpack_stack_matches_rows(self):
+        theta = SeededStream(61).generator().standard_normal((3, 2, 32))
+        a, b = unpack_hermitian_pair(theta, 4)
+        assert a.shape == b.shape == (3, 2, 4, 4)
+        a2, b2 = unpack_hermitian_pair(theta[2, 1], 4)
+        assert np.array_equal(a[2, 1], a2) and np.array_equal(b[2, 1], b2)
+
+    def test_require_hermitian_checks_every_matrix(self):
+        a, _ = self._pairs(62, 4, 3)
+        assert np.array_equal(require_hermitian(a), a)
+        a[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="matrix 2 of the stack"):
+            require_hermitian(a)
+        with pytest.raises(ValueError):
+            question_margins_all_k(a, a, 1)
+
+    def test_worst_margin_rejects_k_out_of_range(self):
+        a, b = self._pairs(63, 1, 3)
+        with pytest.raises(ValueError):
+            worst_question_margin(a[0], b[0], 1, [4])
+        with pytest.raises(ValueError):
+            worst_question_margin(a[0], b[0], 1, [0])
+
+    def test_instance_rejects_stacks(self):
+        a, b = self._pairs(64, 3, 2)
+        with pytest.raises(ValueError):
+            QuestionInstance(A=a, B=b, n=2, question=1, k=1)
+
+    def test_violates_is_the_relative_rule(self):
+        a, b = self._pairs(65, 9, 4)
+        margins, ks = worst_question_margin(a, b, 2)
+        for tol in (1e-8, -0.5, -5.0):
+            flags = _violates(a, b, 2, ks, tol)
+            for i in range(9):
+                lhs = np.cumsum(singular_values(lhs_operator(a[i], b[i])))[ks[i] - 1]
+                rhs = lhs - margins[i]
+                assert flags[i] == (not inequality_holds(lhs, rhs, tol))
+
+
 class TestSearch:
+    def test_witness_uses_the_relative_rule(self):
+        # a tolerance t < 0 with t * rhs < margin <= t: the absolute rule
+        # margin > t attaches nothing, the relative rule attaches the pair
+        forced = search_counterexample(2, 3, budget=200, restarts=2, s=SeededStream(66),
+                                       tolerance=-np.inf)
+        inst, m = forced.witness, forced.best_margin
+        lhs = np.cumsum(singular_values(lhs_operator(inst.A, inst.B)))[inst.k - 1]
+        rhs = lhs - m
+        assert m < 0 and rhs > 1
+        t = (m + m / rhs) / 2.0
+        res = search_counterexample(2, 3, budget=200, restarts=2, s=SeededStream(66),
+                                    tolerance=t)
+        assert not res.best_margin > t
+        assert res.witness is not None and res.witness.k == inst.k
+
     def test_budget_zero_sentinel(self):
         res = search_counterexample(1, 3, budget=0, restarts=4, s=SeededStream(53))
         assert res.best_margin == -np.inf
