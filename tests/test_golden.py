@@ -2,8 +2,9 @@
 
 The checker hashes were recorded with the per-trial checker loop, before the
 stacked trial engine replaced it, and the search and ptrace hashes with the
-one-proposal-at-a-time search loop; both engines must reproduce every body
-byte for byte.
+one-proposal-at-a-time search loop, and the extremal hashes with the
+per-trial extremal loop of the command line; every engine must reproduce
+every body byte for byte.
 They hold for one numeric stack only: the generator id (numpy version) plus
 the BLAS/LAPACK build and the machine architecture.  On another stack the
 test skips and names the stack it found, so new hashes can be recorded there
@@ -51,6 +52,14 @@ GOLDEN = {
             "e89aa4284ad0fa11a4cebbca29d4f9bb1f220c005d1fab436221c8b67e0b740f",
         "search-q2-n3-witness-budget500":
             "8a1721998667f9260422244982517334d78446a194939cc64173ad99b5aa11c2",
+        "extremal-all-trials300-seed271828":
+            "b80982b916cdf17e9e1c68670640a9b36a592abc76d45b700bcc9ebc0e6f21b0",
+        "extremal-all-trials300-seed161803":
+            "16f4f2488d40790afa782df1d6a46b1cffeeb7ed33b7bc937ec9f48e2ee73bf5",
+        "extremal-matrix-n8-samples5":
+            "36487526466c044f338e24215e7d07fe97dde2f8895ee49fa01efacbedc3dea0",
+        "extremal-n2-samples0":
+            "aae7f93a16b8b7d12fe6b6c5deb2f06c3551bdcff1f7c8189e079da1587bd770",
     },
 }
 
@@ -89,6 +98,15 @@ CASES = {
     "search-q2-n3-witness-budget500": lambda capsys: _cli_body(
         ["search", "--question", "2", "--n", "3", "--budget", "500", "--tolerance=-10",
          "--seed", "271828"], capsys),
+    "extremal-all-trials300-seed271828": lambda capsys: _cli_body(
+        ["extremal", "--target", "all", "--trials", "300", "--seed", "271828"], capsys),
+    "extremal-all-trials300-seed161803": lambda capsys: _cli_body(
+        ["extremal", "--target", "all", "--trials", "300", "--seed", "161803"], capsys),
+    "extremal-matrix-n8-samples5": lambda capsys: _cli_body(
+        ["extremal", "--target", "matrix", "--n", "8", "--samples", "5",
+         "--seed", "271828"], capsys),
+    "extremal-n2-samples0": lambda capsys: _cli_body(
+        ["extremal", "--n", "2", "--samples", "0", "--seed", "271828"], capsys),
 }
 
 
