@@ -16,6 +16,7 @@ import os
 import sys
 import time
 
+from kyfan.cli import _trial_count
 from kyfan.cli import main as kyfan_main
 
 
@@ -35,7 +36,7 @@ def main() -> int:
                         help="directory for per-section report files (default: reports/)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed forwarded to every section")
-    parser.add_argument("--trials", type=int, default=2000,
+    parser.add_argument("--trials", type=_trial_count, default=2000,
                         help="trials per checker/section (default 2000)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny run: 100 trials, n=3 only, small budgets")

@@ -34,11 +34,7 @@ from . import __version__
 from .ensembles import (
     SeededStream,
     commuting_hermitian_pair,
-    ginibre,
-    matrix_ball_support_gap,
     random_hermitian,
-    random_weight,
-    support_function_gap,
 )
 from .fileformat import dump_document, write_text
 from .forms import fan_form, hadamard_form
@@ -59,7 +55,9 @@ from .reports import (
 )
 from .suite import (
     CHUNK_ENTRIES,
+    EXTREMAL_TARGETS,
     Witness,
+    _extremal_gaps,
     check_ahj,
     check_fan_sigma1,
     check_hadamard_family,
@@ -69,7 +67,6 @@ from .suite import (
     check_product_family,
     check_von_neumann,
     reproduce_fan_counterexample,
-    von_neumann_equality_witness,
 )
 
 __all__ = ["RunConfig", "parse_arguments", "execute", "main"]
@@ -129,12 +126,22 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _trial_count(text: str) -> int:
-    """Trials per run section: fewer than ``STREAM_STRIDE``, so that section
-    s's trial streams never run into section s+1's."""
-    value = _nonnegative_int(text)
+    """Trials per run section: at least one, so that a clean report has
+    scored something, and fewer than ``STREAM_STRIDE``, so that section s's
+    trial streams never run into section s+1's."""
+    value = _positive_int(text)
     if value >= STREAM_STRIDE:
         raise argparse.ArgumentTypeError(
             f"at most {STREAM_STRIDE - 1} trials per section, got {text}"
+        )
+    return value
+
+
+def _extremal_dimension(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"the extremal targets sample n from 2 up, so --n must be at least 2, got {text}"
         )
     return value
 
@@ -182,10 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "equality (rank-one construction attaining the trace bound)."
         ),
     )
-    extremal.add_argument("--target", choices=("vector", "matrix", "equality", "all"),
+    extremal.add_argument("--target", choices=EXTREMAL_TARGETS + ("all",),
                           default="all")
     extremal.add_argument("--trials", type=_trial_count, default=1000)
-    extremal.add_argument("--n", type=_positive_int, default=8,
+    extremal.add_argument("--n", type=_extremal_dimension, default=8,
                           help="maximum dimension sampled (default 8)")
     extremal.add_argument("--samples", type=_nonnegative_int, default=2,
                           help="random candidates cross-checked per matrix trial")
@@ -386,42 +393,24 @@ def _execute_check(cfg: RunConfig):
 
 
 def _execute_extremal(cfg: RunConfig):
-    targets = ("vector", "matrix", "equality") if cfg.target == "all" else (cfg.target,)
+    targets = EXTREMAL_TARGETS if cfg.target == "all" else (cfg.target,)
     n_max = cfg.n or 8
     results = []
-    total_violations = 0
     for target in targets:
-        section = ("vector", "matrix", "equality").index(target)
-        base = SeededStream(cfg.seed, section * STREAM_STRIDE)
-        worst = 0.0
-        violations = 0
-        for t in range(cfg.trials):
-            g = base.offset(t).generator()
-            n = int(g.integers(2, n_max + 1))
-            if target == "vector":
-                w = random_weight(n, int(g.integers(1, n + 1)), g)
-                gap = support_function_gap(g.standard_normal(n), w)
-            elif target == "matrix":
-                w = random_weight(n, int(g.integers(1, n + 1)), g)
-                gap = matrix_ball_support_gap(ginibre(n, g), w, cfg.samples, g)
-            else:
-                b = ginibre(n, g)
-                a = von_neumann_equality_witness(b)
-                gap = abs(abs(np.trace(a @ b)) - singular_values(b)[0])
-            worst = max(worst, gap)
-            if gap > cfg.tolerance:
-                violations += 1
+        section = EXTREMAL_TARGETS.index(target)
+        gaps = _extremal_gaps(target, n_max, cfg.trials,
+                              SeededStream(cfg.seed, section * STREAM_STRIDE), cfg.samples)
         results.append(
             {
                 "target": f"{target}-support" if target != "equality" else "trace-equality",
                 "trials": cfg.trials,
                 "max_dimension": n_max,
-                "worst_gap": worst,
+                "worst_gap": float(gaps.max(initial=0.0)),
                 "tolerance": cfg.tolerance,
-                "violations": violations,
+                "violations": int(np.count_nonzero(gaps > cfg.tolerance)),
             }
         )
-        total_violations += violations
+    total_violations = sum(r["violations"] for r in results)
     status = 0 if total_violations == 0 else 2
     return status, results, total_violations, []
 
@@ -457,7 +446,7 @@ def _execute_ptrace(cfg: RunConfig):
 
     # closed form vs the Kronecker route, plus the basic partial-trace identity
     identity_stream = SeededStream(cfg.seed, 0)
-    identity_trials = min(cfg.trials, 50) or 1
+    identity_trials = min(cfg.trials, 50)
     worst_closed = 0.0
     worst_kron = 0.0
     for t in range(identity_trials):

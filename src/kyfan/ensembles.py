@@ -24,7 +24,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .matrixcore import _adjoint, as_matrix, svd
-from .norms import Weight, dual_weighted_vector_k_norm, weighted_vector_k_norm
+from .norms import Weight, _dual_norms, _prefix_table, weighted_vector_k_norm
 
 __all__ = [
     "GENERATOR_ID",
@@ -54,6 +54,9 @@ GENERATOR_ID = f"numpy-pcg64-seedseq/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
+
+#: most complex entries in one stacked (T, n, n) operand of a trial chunk
+CHUNK_ENTRIES = 4096
 
 
 class BudgetError(ValueError):
@@ -344,11 +347,25 @@ def support_function_gap(c, w: Weight) -> float:
     for j in list(range(1, w.k)) + [n]:
         if _count_sign_vectors(n, j) > ENUMERATION_BUDGET:
             raise BudgetError(f"family E{j} in dimension {n} exceeds the enumeration budget")
-    ws = w.prefix_sums()
-    best = float((_sign_matrix(n, n) @ vec).max()) / ws[w.k - 1]
-    for j in range(1, w.k):
-        best = max(best, float((_sign_matrix(n, j) @ vec).max()) / ws[j - 1])
-    return abs(best - dual_weighted_vector_k_norm(vec, w))
+    return float(_support_gaps(vec[None], [w])[0])
+
+
+def _support_gaps(c: np.ndarray, weights) -> np.ndarray:
+    """:func:`support_function_gap` of each row of a (T, n) stack, row t under weights[t].
+
+    The sign-matrix products stay one matrix-vector product per row: a
+    stacked product changes the last bits of the row maxima.
+    """
+    n = c.shape[-1]
+    ws = _prefix_table(weights, n)
+    ks = np.array([w.k for w in weights])
+    best = np.empty(len(c))
+    for t, (vec, w) in enumerate(zip(c, weights)):
+        top = float((_sign_matrix(n, n) @ vec).max()) / ws[t, w.k - 1]
+        for j in range(1, w.k):
+            top = max(top, float((_sign_matrix(n, j) @ vec).max()) / ws[t, j - 1])
+        best[t] = top
+    return np.abs(best - _dual_norms(c, ws, ks))
 
 
 def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
@@ -369,18 +386,62 @@ def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
     samples = int(samples)
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    u, sig, v = svd(m)
-    ws = w.prefix_sums()
-    groups = [(j, ws[j - 1]) for j in range(1, w.k)] + [(n, ws[w.k - 1])]
-    aligned = -np.inf
-    for j, scale in groups:
-        x = (u[:, :j] @ v[:, :j].conj().T) / scale
-        aligned = max(aligned, float(np.real(np.vdot(m, x))))
-    gap = abs(aligned - dual_weighted_vector_k_norm(sig, w))
-    g = as_generator(s)
-    excess = 0.0
-    for _ in range(samples):
-        j, scale = groups[g.integers(len(groups))]
-        q = sample_partial_isometry(n, j, g) / scale
-        excess = max(excess, float(np.real(np.vdot(m, q))) - aligned)
-    return float(max(gap, excess))
+    return float(_matrix_gaps(m[None], [w], samples, [as_generator(s)])[0])
+
+
+def _scaled_isometries(u, v, ranks, scales) -> np.ndarray:
+    """(u[i][:, :j] @ v[i][:, :j]^*) / scales[i] with j = ranks[i], for (P, n, n) stacks."""
+    out = np.empty(u.shape, dtype=np.complex128)
+    for j in sorted(set(ranks.tolist())):  # not np.unique: it imports numpy.ma
+        sel = ranks == j
+        out[sel] = (u[sel, :, :j] @ _adjoint(v[sel, :, :j])) / scales[sel, None, None]
+    return out
+
+
+def _alignments(c, trial, x) -> np.ndarray:
+    """Re tr(C_t^* X) for each candidate X of ``x``, C_t = c[trial[i]]; one vdot each."""
+    return np.array([np.real(np.vdot(c[t], xi)) for t, xi in zip(trial, x)], dtype=np.float64)
+
+
+def _matrix_gaps(c: np.ndarray, weights, samples: int, generators) -> np.ndarray:
+    """:func:`matrix_ball_support_gap` of each matrix of a (T, n, n) stack.
+
+    Matrix t is scored under weights[t] and draws its ``samples`` candidates
+    from generators[t], each as ``g.integers(k)`` then two (2, n, n) blocks
+    of normals.  The candidates of family p of a weight with k entries have
+    rank p + 1 for p < k - 1, else rank n, and are scaled by the p-th prefix
+    sum.  Samples are drawn and scored in blocks that keep the stack of
+    their U factors, and that of their V factors, within ``CHUNK_ENTRIES``
+    complex entries where one matrix per trial fits.
+    """
+    trials, n = c.shape[0], c.shape[-1]
+    u, sig, v = svd(c)
+    ws = _prefix_table(weights, n)
+    ks = np.array([w.k for w in weights])
+
+    def rank(family, k):
+        return np.where(family + 1 < k, family + 1, n)
+
+    trial = np.repeat(np.arange(trials), ks)
+    family = np.concatenate([np.arange(k) for k in ks])
+    x = _scaled_isometries(u[trial], v[trial], rank(family, ks[trial]), ws[trial, family])
+    aligned = np.maximum.reduceat(_alignments(c, trial, x), np.cumsum(ks) - ks)
+    gaps = np.abs(aligned - _dual_norms(sig, ws, ks))
+
+    excess = np.zeros(trials)
+    block = max(1, CHUNK_ENTRIES // (trials * n * n))
+    for start in range(0, samples, block):
+        count = min(block, samples - start)
+        picks = np.empty((trials, count), dtype=np.intp)
+        normals = np.empty((trials, count, 2, 2, n, n))
+        for t, (g, k) in enumerate(zip(generators, ks)):
+            for i in range(count):
+                picks[t, i] = g.integers(int(k))
+                normals[t, i] = g.standard_normal((2, 2, n, n))
+        h = _haar(normals).reshape(trials * count, 2, n, n)
+        trial = np.repeat(np.arange(trials), count)
+        family = picks.ravel()
+        q = _scaled_isometries(h[:, 0], h[:, 1], rank(family, ks[trial]), ws[trial, family])
+        values = _alignments(c, trial, q).reshape(trials, count)
+        excess = np.maximum(excess, (values - aligned[:, None]).max(axis=-1))
+    return np.maximum(gaps, excess)

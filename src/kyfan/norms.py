@@ -112,14 +112,36 @@ def dual_weighted_vector_k_norm(x, w: Weight) -> float:
     with ||x||_(n) / (w1+...+wk), where ||x||_(j) is the sum of the j largest
     moduli.  For k = 1 only the last term applies.
     """
-    v = _abs_sorted_desc(x, w, name="x")
-    cums = np.cumsum(v)
-    ws = w.prefix_sums()
-    best = cums[-1] / ws[w.k - 1]
-    if w.k > 1:
-        partial = cums[: w.k - 1] / ws[: w.k - 1]
-        best = max(best, float(partial.max()))
-    return float(best)
+    v = as_vector(x, name="x")
+    if v.size < w.k:
+        raise ValueError(f"x has length {v.size} < k={w.k}")
+    return float(_dual_norms(v[None], _prefix_table([w], v.size), np.array([w.k]))[0])
+
+
+def _prefix_table(weights, n: int) -> np.ndarray:
+    """(T, n) array whose row t starts with weights[t].prefix_sums().
+
+    The entries past k are zero, so the rest of row t repeats w1+...+wk.  The
+    row sums run in the same order as :meth:`Weight.prefix_sums`.
+    """
+    table = np.zeros((len(weights), n))
+    for row, w in zip(table, weights):
+        row[: w.k] = w.entries[: w.k]
+    return np.cumsum(table, axis=-1)
+
+
+def _dual_norms(x, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The dual weighted k-norm of each row of a (T, n) stack.
+
+    Row t is taken under the weight with prefix sums ``ws[t]`` (a
+    :func:`_prefix_table` row) and active length ``ks[t]``.  The moduli are
+    sorted and summed, and each quotient formed, as in the one-vector form,
+    so every row gets the same bits.
+    """
+    cums = np.cumsum(np.sort(np.abs(x), axis=-1)[..., ::-1], axis=-1)
+    best = cums[:, -1] / ws[np.arange(len(ks)), ks - 1]
+    partial = np.where(np.arange(cums.shape[-1]) < ks[:, None] - 1, cums / ws, -np.inf)
+    return np.maximum(best, partial.max(axis=-1))
 
 
 def weighted_kyfan_norm(a, w: Weight) -> float:

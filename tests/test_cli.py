@@ -68,6 +68,23 @@ class TestParsing:
         cfg = parse_arguments(command + ["--trials", str(STREAM_STRIDE - 1)])
         assert cfg.trials == STREAM_STRIDE - 1
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--ineq", "lemma31"], ["extremal"], ["ptrace", "--question", "1"],
+    ])
+    def test_zero_trials_rejected(self, command, capsys):
+        # a run of zero trials would write a clean report that scored nothing
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(command + ["--trials", "0"])
+        assert err.value.code == 2
+        assert "expected a positive integer, got 0" in capsys.readouterr().err
+
+    def test_extremal_dimension_below_two_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(["extremal", "--n", "1"])
+        assert err.value.code == 2
+        assert "--n must be at least 2, got 1" in capsys.readouterr().err
+        assert parse_arguments(["extremal", "--n", "2"]).n == 2
+
     def test_ptrace_and_search_parse(self):
         cfg = parse_arguments(["ptrace", "--question", "2", "--n", "4", "--budget", "10"])
         assert cfg.question == 2 and cfg.n == 4 and cfg.budget == 10

@@ -22,7 +22,7 @@ from kyfan.ensembles import (
 )
 from kyfan.matrixcore import singular_values, svd
 from kyfan.norms import dual_weighted_vector_k_norm
-from kyfan.suite import von_neumann_equality_witness
+from kyfan.suite import _extremal_gaps, von_neumann_equality_witness
 
 TARGETS = ("vector", "matrix", "equality")
 SEED = 7
@@ -94,6 +94,20 @@ def test_report_matches_the_reference_loop(n_max, samples, trials):
         gaps = _reference_gaps(target, n_max, trials, samples)
         assert result["worst_gap"] == max(0.0, *gaps)
         assert result["violations"] == int(np.count_nonzero(gaps > cfg.tolerance))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+# the last run scores its samples in several blocks of the matrix engine
+@pytest.mark.parametrize("n_max, samples, trials", CONFIGS + [(8, 20, 70)])
+def test_engine_gaps_match_the_reference_loop_trial_by_trial(target, n_max, samples, trials):
+    base = SeededStream(SEED, TARGETS.index(target) * STREAM_STRIDE)
+    gaps = _extremal_gaps(target, n_max, trials, base, samples)
+    assert gaps.tobytes() == _reference_gaps(target, n_max, trials, samples).tobytes()
+
+
+def test_engine_rejects_dimensions_below_two():
+    with pytest.raises(ValueError, match="n >= 2"):
+        _extremal_gaps("vector", 1, 5, SeededStream(SEED))
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])

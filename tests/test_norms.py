@@ -91,6 +91,23 @@ class TestDualNorm:
         # only the full-sum term applies
         assert dual_weighted_vector_k_norm([3.0, 1.0, 1.0], Weight((2.0,), 1)) == 2.5
 
+    def test_matches_the_one_vector_formula_bit_for_bit(self):
+        # the formula as it stood before the dual was computed on stacks
+        def one_vector(x, w):
+            cums = np.cumsum(np.sort(np.abs(x))[::-1])
+            ws = w.prefix_sums()
+            best = cums[-1] / ws[w.k - 1]
+            if w.k > 1:
+                best = max(best, float((cums[: w.k - 1] / ws[: w.k - 1]).max()))
+            return float(best)
+
+        for t in range(300):
+            g = SeededStream(23, t).generator()
+            n = int(g.integers(1, 9))
+            w = random_weight(n, int(g.integers(1, n + 1)), g)
+            x = g.standard_normal(n) + (1j * g.standard_normal(n) if t % 2 else 0.0)
+            assert dual_weighted_vector_k_norm(x, w) == one_vector(x, w)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_unit_weight_reduction(self, seed):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from kyfan.fileformat import load_document
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -41,3 +43,28 @@ def test_search_script_rejects_restarts_that_reach_the_next_cell(monkeypatch, ca
     with pytest.raises(SystemExit) as err:
         script.main()
     assert err.value.code == 2
+
+
+def test_full_suite_quick_run_passes_every_section(monkeypatch, capsys, tmp_path):
+    script = _load("run_full_suite")
+    monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--quick",
+                                      "--out-dir", str(tmp_path)])
+    assert script.main() == 0
+    assert "5/5 sections passed" in capsys.readouterr().out
+    reports = {"check-all", "extremal-all", "repro", "ptrace-q1", "ptrace-q2"}
+    assert {p.stem for p in tmp_path.iterdir()} == reports
+    for name in reports:
+        doc = load_document(str(tmp_path / f"{name}.json"))
+        assert doc["exit_status"] == (2 if name == "repro" else 0)
+    extremal = load_document(str(tmp_path / "extremal-all.json"))
+    assert [r["trials"] for r in extremal["results"]] == [100, 100, 100]
+
+
+def test_full_suite_rejects_zero_trials(monkeypatch, capsys, tmp_path):
+    script = _load("run_full_suite")
+    monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--trials", "0",
+                                      "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as err:
+        script.main()
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
