@@ -344,19 +344,27 @@ def support_function_gap(c, w: Weight) -> float:
     n = vec.size
     if n < w.k:
         raise ValueError(f"need len(c) >= k, got {n} < {w.k}")
-    for j in list(range(1, w.k)) + [n]:
+    return float(_support_gaps(vec[None], [w])[0])
+
+
+def _check_enumeration_budget(n: int, k: int) -> None:
+    """Raise :class:`BudgetError` for the first family E1..E(k-1), En of dimension n over budget."""
+    for j in list(range(1, k)) + [n]:
         if _count_sign_vectors(n, j) > ENUMERATION_BUDGET:
             raise BudgetError(f"family E{j} in dimension {n} exceeds the enumeration budget")
-    return float(_support_gaps(vec[None], [w])[0])
 
 
 def _support_gaps(c: np.ndarray, weights) -> np.ndarray:
     """:func:`support_function_gap` of each row of a (T, n) stack, row t under weights[t].
 
-    The sign-matrix products stay one matrix-vector product per row: a
-    stacked product changes the last bits of the row maxima.
+    Every row's families are checked against ``ENUMERATION_BUDGET`` before
+    any sign matrix is built.  The sign-matrix products stay one
+    matrix-vector product per row: a stacked product changes the last bits
+    of the row maxima.
     """
     n = c.shape[-1]
+    for w in weights:
+        _check_enumeration_budget(n, w.k)
     ws = _prefix_table(weights, n)
     ks = np.array([w.k for w in weights])
     best = np.empty(len(c))
@@ -389,18 +397,21 @@ def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
     return float(_matrix_gaps(m[None], [w], samples, [as_generator(s)])[0])
 
 
-def _scaled_isometries(u, v, ranks, scales) -> np.ndarray:
-    """(u[i][:, :j] @ v[i][:, :j]^*) / scales[i] with j = ranks[i], for (P, n, n) stacks."""
-    out = np.empty(u.shape, dtype=np.complex128)
+def _alignments(c, trial, u, v, source, ranks, scales) -> np.ndarray:
+    """Re tr(C_t^* X_i) for each candidate i, with C_t = c[trial[i]].
+
+    X_i = (U[:, :j] @ V[:, :j]^*) / scales[i] for U = u[source[i]], V =
+    v[source[i]] and j = ranks[i].  The candidates are built one rank at a
+    time and scored straight away, so at most one rank group of them is held
+    at once; each ``Re tr`` is one ``np.vdot``.
+    """
+    out = np.empty(len(trial))
     for j in sorted(set(ranks.tolist())):  # not np.unique: it imports numpy.ma
-        sel = ranks == j
-        out[sel] = (u[sel, :, :j] @ _adjoint(v[sel, :, :j])) / scales[sel, None, None]
+        sel = np.flatnonzero(ranks == j)
+        pick = source[sel]
+        x = (u[pick, :, :j] @ _adjoint(v[pick, :, :j])) / scales[sel, None, None]
+        out[sel] = [np.real(np.vdot(c[t], xi)) for t, xi in zip(trial[sel], x)]
     return out
-
-
-def _alignments(c, trial, x) -> np.ndarray:
-    """Re tr(C_t^* X) for each candidate X of ``x``, C_t = c[trial[i]]; one vdot each."""
-    return np.array([np.real(np.vdot(c[t], xi)) for t, xi in zip(trial, x)], dtype=np.float64)
 
 
 def _matrix_gaps(c: np.ndarray, weights, samples: int, generators) -> np.ndarray:
@@ -424,8 +435,8 @@ def _matrix_gaps(c: np.ndarray, weights, samples: int, generators) -> np.ndarray
 
     trial = np.repeat(np.arange(trials), ks)
     family = np.concatenate([np.arange(k) for k in ks])
-    x = _scaled_isometries(u[trial], v[trial], rank(family, ks[trial]), ws[trial, family])
-    aligned = np.maximum.reduceat(_alignments(c, trial, x), np.cumsum(ks) - ks)
+    values = _alignments(c, trial, u, v, trial, rank(family, ks[trial]), ws[trial, family])
+    aligned = np.maximum.reduceat(values, np.cumsum(ks) - ks)
     gaps = np.abs(aligned - _dual_norms(sig, ws, ks))
 
     excess = np.zeros(trials)
@@ -441,7 +452,7 @@ def _matrix_gaps(c: np.ndarray, weights, samples: int, generators) -> np.ndarray
         h = _haar(normals).reshape(trials * count, 2, n, n)
         trial = np.repeat(np.arange(trials), count)
         family = picks.ravel()
-        q = _scaled_isometries(h[:, 0], h[:, 1], rank(family, ks[trial]), ws[trial, family])
-        values = _alignments(c, trial, q).reshape(trials, count)
+        values = _alignments(c, trial, h[:, 0], h[:, 1], np.arange(trials * count),
+                             rank(family, ks[trial]), ws[trial, family]).reshape(trials, count)
         excess = np.maximum(excess, (values - aligned[:, None]).max(axis=-1))
     return np.maximum(gaps, excess)

@@ -47,13 +47,17 @@ one-trial loop in its order: n, then k and the ``random_weight`` draws, then
 c for ``vector``; the Ginibre normals, then per sample ``g.integers(k)`` and
 two ``(2, n, n)`` blocks of normals for ``matrix``; the Ginibre normals for
 ``equality``.  A matrix trial keeps its generator open until its samples are
-drawn.  A chunk holds ``max(1, CHUNK_ENTRIES // n_max**2)`` trials, and its
-trials are grouped by n into ``(T, n, n)`` stacks: one ``svd`` of the C or B
-stack, one Haar QR over a block of sample draws, ``singular_values``,
-``trace(axis1=-2, axis2=-1)``, and the candidate products ``U_j V_j*``
-stacked by rank j.  The public ``support_function_gap``,
-``matrix_ball_support_gap`` and ``von_neumann_equality_witness`` are these
-same helpers on one input.  Beyond the rules above:
+drawn; a vector trial's sign-vector families are checked against
+``ENUMERATION_BUDGET`` as it is drawn, so an over-budget run fails at the
+trial a one-trial loop failed at.  A chunk holds ``max(1, CHUNK_ENTRIES //
+n_max**2)`` trials, and its trials are grouped by n into ``(T, n, n)``
+stacks: one ``svd`` of the C or B stack, one Haar QR over a block of sample
+draws, ``singular_values``, ``trace(axis1=-2, axis2=-1)``, and the
+candidate products ``U_j V_j*`` stacked and scored one rank j at a time,
+at most one per trial, so memory stays flat in n as well.  The public
+``support_function_gap``, ``matrix_ball_support_gap`` and
+``von_neumann_equality_witness`` are these same helpers on one input.
+Beyond the rules above:
 
 - ``np.vdot(C, X)`` stays one 1-D BLAS call per candidate;
 - the sign-matrix products of the vector target stay one matrix-vector
@@ -80,6 +84,7 @@ from .ensembles import (
     CHUNK_ENTRIES,
     GENERATOR_ID,
     SeededStream,
+    _check_enumeration_budget,
     _contraction,
     _contraction_draw,
     _gaussian,
@@ -588,6 +593,22 @@ def _draw_weight(n, g):
     return random_weight(n, int(g.integers(1, n + 1)), g)
 
 
+def _draw_vector(n, g):
+    w = _draw_weight(n, g)
+    # refuse an over-budget trial before later trials are drawn, naming the
+    # first such trial as a one-trial loop would
+    _check_enumeration_budget(n, w.k)
+    return w, g.standard_normal(n)
+
+
+def _draw_matrix(n, g):
+    """A weight, the Ginibre normals of C, and g itself to draw C's samples from."""
+    return _draw_weight(n, g), _gaussian(n, g), g
+
+
+_EXTREMAL_DRAWS = {"vector": _draw_vector, "matrix": _draw_matrix, "equality": _gaussian}
+
+
 def _equality_gaps(b):
     """| |tr(AB)| - sigma_1(B) | for the rank-one witness A of each B of a stack."""
     traces = np.trace(von_neumann_equality_witness(b) @ b, axis1=-2, axis2=-1)
@@ -595,7 +616,7 @@ def _equality_gaps(b):
     return np.abs(np.array([abs(t) for t in traces]) - singular_values(b)[:, 0])
 
 
-def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int = 2) -> np.ndarray:
+def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.ndarray:
     """The gap of every trial of one extremal target, in trial order.
 
     Trial t opens ``stream.offset(t).generator()`` and draws n from 2..n_max,
@@ -614,25 +635,25 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int = 2) ->
         raise ValueError("trials must be nonnegative")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    draw, score = {
-        "vector": (lambda n, g: (_draw_weight(n, g), g.standard_normal(n)),
-                   lambda weights, c: _support_gaps(np.stack(c), weights)),
-        "matrix": (lambda n, g: (_draw_weight(n, g), _gaussian(n, g), g),
-                   lambda weights, wc, gens: _matrix_gaps(_ginibre(np.stack(wc)), weights,
-                                                          samples, gens)),
-        "equality": (lambda n, g: (_gaussian(n, g),),
-                     lambda wb: _equality_gaps(_ginibre(np.stack(wb)))),
-    }[target]
+    draw = _EXTREMAL_DRAWS[target]
     stream = _as_stream(s)
     gaps = np.empty(trials)
     chunk = max(1, CHUNK_ENTRIES // (n_max * n_max))
     for start in range(0, trials, chunk):
-        by_n: dict[int, list] = {}
+        by_n: dict[int, tuple[list, list]] = {}
         for t in range(start, min(trials, start + chunk)):
             g = stream.offset(t).generator()
             n = int(g.integers(2, n_max + 1))
-            by_n.setdefault(n, []).append((t, *draw(n, g)))
-        for rows in by_n.values():
-            index, *columns = zip(*rows)
-            gaps[list(index)] = score(*columns)
+            index, drawn = by_n.setdefault(n, ([], []))
+            index.append(t)
+            drawn.append(draw(n, g))
+        for index, drawn in by_n.values():
+            if target == "vector":
+                weights, c = zip(*drawn)
+                gaps[index] = _support_gaps(np.stack(c), weights)
+            elif target == "matrix":
+                weights, wc, generators = zip(*drawn)
+                gaps[index] = _matrix_gaps(_ginibre(np.stack(wc)), weights, samples, generators)
+            else:
+                gaps[index] = _equality_gaps(_ginibre(np.stack(drawn)))
     return gaps

@@ -7,12 +7,17 @@ ran before its trials were scored in stacks, with the gap formulas of
 command reports must equal the loop's bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kyfan.cli import STREAM_STRIDE, _execute_extremal, parse_arguments
 from kyfan.ensembles import (
+    BudgetError,
     SeededStream,
+    _sign_matrix,
+    _support_gaps,
     ginibre,
     matrix_ball_support_gap,
     random_weight,
@@ -21,7 +26,7 @@ from kyfan.ensembles import (
     support_function_gap,
 )
 from kyfan.matrixcore import singular_values, svd
-from kyfan.norms import dual_weighted_vector_k_norm
+from kyfan.norms import Weight, dual_weighted_vector_k_norm
 from kyfan.suite import _extremal_gaps, von_neumann_equality_witness
 
 TARGETS = ("vector", "matrix", "equality")
@@ -107,7 +112,36 @@ def test_engine_gaps_match_the_reference_loop_trial_by_trial(target, n_max, samp
 
 def test_engine_rejects_dimensions_below_two():
     with pytest.raises(ValueError, match="n >= 2"):
-        _extremal_gaps("vector", 1, 5, SeededStream(SEED))
+        _extremal_gaps("vector", 1, 5, SeededStream(SEED), 2)
+
+
+def test_vector_gaps_check_every_row_against_the_budget_before_enumerating():
+    # E9 in dimension 14 holds C(14, 9) * 2^9 > 10^6 sign vectors
+    rows = np.ones((2, 14))
+    weights = [Weight.ones(1, 14), Weight.ones(10, 14)]
+    _sign_matrix.cache_clear()
+    with pytest.raises(BudgetError, match="family E9 in dimension 14"):
+        _support_gaps(rows, weights)
+    assert _sign_matrix.cache_info().currsize == 0
+
+
+def test_full_rank_weight_in_a_large_dimension_keeps_memory_quadratic():
+    # k = n gives one aligned candidate of every rank 1..n; building them all
+    # at once would hold n^3 complex entries
+    n = 128
+    g, h = SeededStream(13, 0).generator(), SeededStream(13, 0).generator()
+    m = ginibre(n, g)
+    w = Weight(tuple(np.sort(g.random(n) + 0.1)[::-1]), n)
+    tracemalloc.start()
+    try:
+        gap = matrix_ball_support_gap(m, w, 2, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n * n * 16
+    ginibre(n, h)
+    h.random(n)
+    assert gap == _matrix_gap(m, w, 2, h)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
