@@ -1,3 +1,9 @@
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +13,14 @@ from kyfan.cli import (
     SEED_ENV_VAR,
     STREAM_STRIDE,
     RunConfig,
+    _build_parser,
     _checker_runs,
     execute,
     main,
     parse_arguments,
 )
 from kyfan.ensembles import SeededStream
+from kyfan.norms import INEQUALITY_TOL, RESIDUAL_TOL
 from kyfan.fileformat import load_document
 from kyfan.reports import SCHEMA_ID, report_body_bytes
 
@@ -90,6 +98,67 @@ class TestParsing:
         assert cfg.question == 2 and cfg.n == 4 and cfg.budget == 10
         cfg = parse_arguments(["search", "--question", "1", "--strategy", "commuting"])
         assert cfg.strategy == "commuting" and cfg.budget == 20000
+
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["check", "--ineq", "lemma31"],
+         dict(command="check", inequality_id="lemma31", n=None, k_spec="all",
+              trials=10000, tolerance=INEQUALITY_TOL)),
+        (["extremal"],
+         dict(command="extremal", target="all", n=8, trials=1000, samples=2,
+              tolerance=RESIDUAL_TOL)),
+        (["repro", "fan-counterexample"],
+         dict(command="repro", target="fan-counterexample", tolerance=INEQUALITY_TOL)),
+        (["ptrace", "--question", "1"],
+         dict(command="ptrace", question=1, n=3, k_spec="all", trials=200, budget=0,
+              restarts=4, strategy="general", tolerance=INEQUALITY_TOL)),
+        (["search", "--question", "2"],
+         dict(command="search", question=2, n=3, k_spec="all", budget=20000,
+              restarts=8, strategy="general", tolerance=INEQUALITY_TOL)),
+    ])
+    def test_defaults_of_every_subcommand(self, argv, expected, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        common = dict(seed=DEFAULT_SEED, seed_source="default", output_path=None,
+                      format="structured-text")
+        assert parse_arguments(argv) == RunConfig(**expected, **common)
+
+    def test_option_set_of_every_subcommand(self):
+        output = {"-h", "--help", "--out", "--format"}
+        expected = {
+            "check": output | {"--seed", "--ineq", "--n", "--k", "--trials", "--tolerance"},
+            "extremal": output | {"--seed", "--target", "--trials", "--n", "--samples"},
+            "repro": output | {"--tolerance"},
+            "ptrace": output | {"--seed", "--question", "--n", "--k", "--trials", "--budget",
+                                "--restarts", "--strategy", "--tolerance"},
+            "search": output | {"--seed", "--question", "--n", "--k", "--budget",
+                                "--restarts", "--strategy", "--tolerance"},
+        }
+        (subparsers,) = [a for a in _build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(expected)
+        for name, sub in subparsers.choices.items():
+            assert set(sub._option_string_actions) == expected[name], name
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--ineq", "lemma31"], ["extremal"], ["repro", "fan-counterexample"],
+        ["ptrace", "--question", "1"], ["search", "--question", "1"],
+    ])
+    def test_output_flags_parse_for_every_subcommand(self, command):
+        cfg = parse_arguments(command + ["--out", "r.json", "--format", "table"])
+        assert cfg.output_path == "r.json" and cfg.format == "table"
+
+    def test_parsing_leaves_numpy_random_unimported(self):
+        # numpy.random is imported when the first stream opens, not before
+        code = (
+            "import sys\n"
+            "import kyfan.cli\n"
+            "kyfan.cli.parse_arguments(['check', '--ineq', 'all', '--trials', '5'])\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestSeedResolution:

@@ -52,6 +52,38 @@ class TestSeededStream:
             as_generator("seed")
 
 
+
+#: master seeds of the stream derivation test: small, 32-bit edges, and seeds
+#: of two and seven 32-bit words
+DERIVATION_SEEDS = [0, 1, 271828, 161803, 2**32 - 1, 2**32, 2**64 + 12345, 2**200 + 7]
+#: stream indices: every section base the CLI uses (k * 2**24) and its next
+#: index, a seed-block edge, and the points where the spawn key gains a word
+DERIVATION_INDICES = (
+    list(range(301))
+    + [k * 2**24 + d for k in range(1, 71) for d in (0, 1)]
+    + [1023, 1024, 2**32 - 1, 2**32, 2**33 + 5, 2**64 - 1, 2**64]
+)
+
+
+class TestStreamMatchesSeedSequence:
+    @pytest.mark.parametrize("master_seed", DERIVATION_SEEDS)
+    def test_state_and_draws(self, master_seed):
+        for index in DERIVATION_INDICES:
+            got = SeededStream(master_seed, index).generator()
+            ref = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+            )
+            assert got.bit_generator.state == ref.bit_generator.state, index
+            assert np.array_equal(got.standard_normal(3), ref.standard_normal(3)), index
+            assert got.integers(2**62) == ref.integers(2**62), index
+
+    def test_each_call_opens_a_fresh_generator(self):
+        s = SeededStream(5, 7)
+        g, h = s.generator(), s.generator()
+        assert g is not h
+        assert g.standard_normal() == h.standard_normal()
+
+
 class TestSamplers:
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(6, SeededStream(1))
