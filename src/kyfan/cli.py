@@ -160,9 +160,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # options shared by subcommands, defined once
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_nonnegative_int, default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", dest="output_path", default=None)
+    output.add_argument("--format", choices=("structured-text", "table"),
+                        default="structured-text")
+
     id_lines = "\n".join(f"  {name}: {text}" for name, text in INEQUALITY_HELP.items())
     check = sub.add_parser(
         "check",
+        parents=[seeded, output],
         help="run a randomized inequality suite",
         description="Inequality ids:\n" + id_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -172,16 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=_all_or_positive_int, default="all",
                        help="matrix dimension, or 'all' for n = 2..8 (default)")
     check.add_argument("--k", dest="k_spec", type=_all_or_positive_int, default="all",
-                       help="restrict family checkers to one k (default: all k)")
+                       help="score one k only, with a single --ineq (default: all k)")
     check.add_argument("--trials", type=_trial_count, default=10000)
-    check.add_argument("--seed", type=_nonnegative_int, default=None)
     check.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
-    check.add_argument("--out", dest="output_path", default=None)
-    check.add_argument("--format", choices=("structured-text", "table"),
-                       default="structured-text")
 
     extremal = sub.add_parser(
         "extremal",
+        parents=[seeded, output],
         help="support-function and trace-equality validation",
         description=(
             "Targets: vector (sign-vector candidates vs the dual-norm closed form), "
@@ -196,23 +202,18 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="maximum dimension sampled (default 8)")
     extremal.add_argument("--samples", type=_nonnegative_int, default=2,
                           help="random candidates cross-checked per matrix trial")
-    extremal.add_argument("--seed", type=_nonnegative_int, default=None)
-    extremal.add_argument("--out", dest="output_path", default=None)
-    extremal.add_argument("--format", choices=("structured-text", "table"),
-                          default="structured-text")
 
     repro = sub.add_parser(
         "repro",
+        parents=[output],
         help="reproduce the exact 3x3 contraction-norm violation (exits 2)",
     )
     repro.add_argument("target", choices=("fan-counterexample",))
     repro.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
-    repro.add_argument("--out", dest="output_path", default=None)
-    repro.add_argument("--format", choices=("structured-text", "table"),
-                       default="structured-text")
 
     ptrace = sub.add_parser(
         "ptrace",
+        parents=[seeded, output],
         help="partial-trace lab: identities, commuting regression, bounded search",
     )
     ptrace.add_argument("--question", type=int, choices=(1, 2), required=True)
@@ -224,14 +225,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="margin evaluations for the bounded search (default 0)")
     ptrace.add_argument("--restarts", type=_positive_int, default=4)
     ptrace.add_argument("--strategy", choices=("general", "commuting"), default="general")
-    ptrace.add_argument("--seed", type=_nonnegative_int, default=None)
     ptrace.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
-    ptrace.add_argument("--out", dest="output_path", default=None)
-    ptrace.add_argument("--format", choices=("structured-text", "table"),
-                        default="structured-text")
 
     search = sub.add_parser(
         "search",
+        parents=[seeded, output],
         help="multi-restart counterexample search for one open question",
     )
     search.add_argument("--question", type=int, choices=(1, 2), required=True)
@@ -240,11 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget", type=_nonnegative_int, default=20000)
     search.add_argument("--restarts", type=_positive_int, default=8)
     search.add_argument("--strategy", choices=("general", "commuting"), default="general")
-    search.add_argument("--seed", type=_nonnegative_int, default=None)
     search.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
-    search.add_argument("--out", dest="output_path", default=None)
-    search.add_argument("--format", choices=("structured-text", "table"),
-                        default="structured-text")
 
     return parser
 
@@ -270,6 +264,10 @@ def parse_arguments(argv) -> RunConfig:
     seed, seed_source = _resolve_seed(parser, getattr(args, "seed", None))
     common = dict(seed=seed, seed_source=seed_source)
     if args.command == "check":
+        if args.ineq == "all" and args.k_spec != "all":
+            # each family scores its own k values, so no one k suits them all
+            parser.error("--k needs a single --ineq: with --ineq all, every family scores "
+                         "its own k values")
         n = None if args.n == "all" else int(args.n)
         return RunConfig(
             command="check", inequality_id=args.ineq, n=n, k_spec=args.k_spec,

@@ -7,6 +7,14 @@ independent of scheduling.  Every sampler also accepts an already-open
 ``numpy.random.Generator`` so several draws inside one trial chain off a
 single stream instead of each restarting it.
 
+Stream (m, i) is seeded exactly as ``PCG64(SeedSequence(m, spawn_key=(i,)))``,
+but opening it runs no SeedSequence: the PCG64 seed words of an aligned block
+of ``SEED_BLOCK`` consecutive indices are derived in one vectorised pass of
+numpy's SeedSequence hash and cached, and each new block's first row is
+checked against numpy's own SeedSequence (``RuntimeError`` on a mismatch).
+Importing this module does not import ``numpy.random``; opening the first
+stream does.
+
 The candidate machinery enumerates the scaled sign-vector families that
 carry the extreme points of the weighted vector k-norm ball, and evaluates
 support functions of the matrix-ball candidates (scaled partial isometries)
@@ -82,12 +90,165 @@ class SeededStream:
             raise ValueError("stream_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.PCG64(seq))
+        """A fresh ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream_index,))))``.
+
+        The PCG64 seed words come from the cached block of the stream's index
+        (see "Stream seeding" below) rather than from a new SeedSequence.
+        """
+        block, row = divmod(self.stream_index, SEED_BLOCK)
+        seed_row = _seed_row_type()(self.master_seed, self.stream_index,
+                                    _seed_block(self.master_seed, block)[row])
+        return np.random.Generator(np.random.PCG64(seed_row))
 
     def offset(self, delta: int) -> "SeededStream":
         """The stream ``delta`` indices further along (trial substreams)."""
         return SeededStream(self.master_seed, self.stream_index + int(delta))
+
+
+# ---------------------------------------------------------------------------
+# stream seeding
+#
+# Stream (m, i) is seeded by numpy's SeedSequence(m, spawn_key=(i,)), whose
+# PCG64 words are generate_state(4, np.uint64).  The SeedSequence hashes its
+# entropy words into a pool of 4 uint32 words, one word at a time: first the
+# run entropy m (zero-padded to the pool size, as numpy does for spawned
+# sequences), then the 32-bit words of i.  Everything before the words of i
+# depends on m alone and is computed once per master seed.  The words of i
+# and the output hashes are then applied to a whole block of SEED_BLOCK
+# consecutive indices at once, as uint32 array arithmetic.  Blocks are
+# aligned, so they never cross a multiple of 2**32, where i gains a word:
+# within a block only the low word varies.  Each new block's first row is
+# checked against numpy's own SeedSequence.
+# ---------------------------------------------------------------------------
+
+#: consecutive stream indices whose seed words are derived in one pass
+SEED_BLOCK = 1024
+
+# the constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _words32(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words, at least one, as numpy splits an int."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int):
+    """numpy's ``hashmix`` of a word (int or uint32 array), and the next hash constant."""
+    next_const = (hash_const * _MULT_A) & _MASK32
+    value = ((value ^ hash_const) * next_const) & _MASK32
+    return value ^ (value >> 16), next_const
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of two words (ints or uint32 arrays)."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _absorb(pool: list, words, hash_const: int) -> tuple[list, int]:
+    """Mix each word beyond the first ``_POOL_SIZE`` into every pool word, as numpy does."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, hash_const
+
+
+@lru_cache(maxsize=8)
+def _run_entropy_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant of every stream of ``master_seed`` before its spawn key."""
+    entropy = _words32(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    pool, hash_const = _absorb(pool, entropy[_POOL_SIZE:], hash_const)
+    return tuple(pool), hash_const
+
+
+@lru_cache(maxsize=8)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """Read-only (SEED_BLOCK, 4) uint64 PCG64 seed words of streams from ``block * SEED_BLOCK``.
+
+    Row r holds ``SeedSequence(master_seed, spawn_key=(block * SEED_BLOCK + r,))
+    .generate_state(4, np.uint64)``.  Raises ``RuntimeError`` if row 0 is not
+    what numpy's SeedSequence gives.
+    """
+    start = block * SEED_BLOCK
+    pool, hash_const = _run_entropy_pool(master_seed)
+    low, *high = _words32(start)
+    spawn = [np.arange(low, low + SEED_BLOCK, dtype=np.uint32)]
+    spawn += [np.full(SEED_BLOCK, word, dtype=np.uint32) for word in high]
+    pool, _ = _absorb([np.full(SEED_BLOCK, word, dtype=np.uint32) for word in pool],
+                      spawn, hash_const)
+    # generate_state: 8 uint32 words drawn cyclically from the pool, paired little-endian
+    state = np.empty((SEED_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    from numpy.random import SeedSequence
+
+    expected = SeedSequence(master_seed, spawn_key=(start,)).generate_state(_POOL_SIZE, np.uint64)
+    if not np.array_equal(words[0], expected):
+        raise RuntimeError(
+            f"the block seed derivation of stream ({master_seed}, {start}) does not match "
+            f"numpy {np.__version__}'s SeedSequence; kyfan's copy of its hashing constants "
+            "or steps no longer matches this numpy"
+        )
+    words.setflags(write=False)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _seed_row_type():
+    """The ``ISeedSequence`` that seeds a stream's PCG64 from its block row.
+
+    Built on first use, so that importing kyfan does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence, SeedSequence
+
+    class SeedRow(ISeedSequence):
+        """``SeedSequence(master_seed, spawn_key=(stream_index,))`` with its PCG64 words given.
+
+        ``generate_state(4, np.uint64)``, the call PCG64 seeds from, returns a
+        copy of the given words; any other request goes to the SeedSequence.
+        """
+
+        def __init__(self, master_seed: int, stream_index: int, words: np.ndarray):
+            self.master_seed = master_seed
+            self.stream_index = stream_index
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == _POOL_SIZE and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+                return self.words.copy()
+            seq = SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
+            return seq.generate_state(n_words, dtype)
+
+    return SeedRow
 
 
 def as_generator(s) -> np.random.Generator:

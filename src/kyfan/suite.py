@@ -15,7 +15,11 @@ Trial engine
 Trial t of a run opens ``stream.offset(t).generator()`` and draws the same
 variates from it, in the same order, as the one-matrix samplers (stream
 contract v1); where those drew adjacent blocks of normals in two calls, one
-call of the joint shape draws the same numbers.  Everything after the
+call of the joint shape draws the same numbers.  The open builds a PCG64
+from seed words derived for a cached block of ``SEED_BLOCK`` consecutive
+stream indices (:mod:`kyfan.ensembles`), so consecutive trials share one
+vectorised SeedSequence hash and each trial pays only the PCG64 and
+``Generator`` construction.  Everything after the
 draws runs on stacks: a chunk of trials is stacked into ``(T, n, n)`` arrays
 that are transformed, evaluated and scored together.  A chunk holds at most
 ``CHUNK_ENTRIES`` complex entries per operand, ``max(1, CHUNK_ENTRIES //

@@ -339,7 +339,6 @@ class TestKRejection:
         (["check", "--ineq", "product-family", "--n", "4", "--k", "9", "--trials", "5"],
          "product-family at n=4"),
         (["check", "--ineq", "lemma31", "--k", "2", "--trials", "5"], "lemma31 at n=2"),
-        (["check", "--ineq", "all", "--k", "5", "--trials", "5"], "von-neumann at n=2"),
     ])
     def test_k_that_scores_no_margin_exits_one(self, argv, named, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -347,6 +346,15 @@ class TestKRejection:
         err = capsys.readouterr().err
         assert "scores no margin" in err and named in err
         assert not out.exists()  # rejected before any section ran
+
+    @pytest.mark.parametrize("k", ["1", "3", "5"])
+    def test_k_with_every_inequality_rejected_at_parse_time(self, k, capsys):
+        # each family scores its own k values, so no one k suits --ineq all
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--ineq", "all", "--n", "3", "--k", k, "--trials", "5"])
+        assert err.value.code == 2
+        assert "--k needs a single --ineq" in capsys.readouterr().err
+        assert parse_arguments(["check", "--ineq", "all", "--k", "all"]).k_spec == "all"
 
     def test_k_scored_by_every_section_runs(self, capsys):
         import json

@@ -77,6 +77,27 @@ class TestStreamMatchesSeedSequence:
             assert np.array_equal(got.standard_normal(3), ref.standard_normal(3)), index
             assert got.integers(2**62) == ref.integers(2**62), index
 
+    def test_a_corrupted_derivation_is_refused(self, monkeypatch):
+        from kyfan import ensembles
+
+        monkeypatch.setattr(ensembles, "_INIT_B", ensembles._INIT_B ^ 1)
+        ensembles._seed_block.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+                SeededStream(3, 5000).generator()
+        finally:
+            monkeypatch.undo()
+            ensembles._seed_block.cache_clear()
+        assert SeededStream(3, 5000).generator().bit_generator.state == np.random.PCG64(
+            np.random.SeedSequence(3, spawn_key=(5000,))).state
+
+    def test_seed_rows_answer_other_requests_as_the_seed_sequence(self):
+        got = SeededStream(9, 2**40 + 3).generator().bit_generator.seed_seq
+        ref = np.random.SeedSequence(9, spawn_key=(2**40 + 3,))
+        assert np.array_equal(got.generate_state(4, np.uint64), ref.generate_state(4, np.uint64))
+        assert np.array_equal(got.generate_state(5), ref.generate_state(5))
+        assert np.array_equal(got.generate_state(2, np.uint64), ref.generate_state(2, np.uint64))
+
     def test_each_call_opens_a_fresh_generator(self):
         s = SeededStream(5, 7)
         g, h = s.generator(), s.generator()

@@ -1,8 +1,11 @@
 import importlib.util
+import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from kyfan.fileformat import load_document
@@ -68,3 +71,17 @@ def test_full_suite_rejects_zero_trials(monkeypatch, capsys, tmp_path):
         script.main()
     assert err.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
+    script = _load("bench")
+    assert script.main(["--label", "t", "--ops", "4", "--repeats", "2",
+                        "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert set(doc["layers"]) == {"stream_open", "stream_open_reference", "draw_gaussian_5",
+                                  "svd_5_looped", "svd_5_stacked"}
+    for row in doc["layers"].values():
+        assert row["q1_us"] <= row["median_us"] <= row["q3_us"] and row["repeats"] == 2
+    assert doc["machine"]["cpu_count"] == os.cpu_count()
+    assert doc["machine"]["numpy"] == np.__version__
+    assert {"blas", "lapack"} <= set(doc["machine"])
