@@ -69,7 +69,7 @@ def measure(ops: int, repeats: int) -> dict:
         for t in range(ops):
             Generator(PCG64(SeedSequence(SEED, spawn_key=(base + t,))))
 
-    g = SeededStream(SEED).generator()
+    g = SeededStream(SEED).generator()  # opened before timing, so lazy imports are not timed
 
     def draw_gaussian(rep):
         for _ in range(ops):
@@ -84,8 +84,6 @@ def measure(ops: int, repeats: int) -> dict:
     def svd_stacked(rep):
         svd(mats)
 
-    # open one stream first so lazy imports are not timed
-    SeededStream(SEED).generator()
     layers = {
         "stream_open": stream_open,
         "stream_open_reference": stream_open_reference,

@@ -115,7 +115,8 @@ class SeededStream:
 # sequences), then the 32-bit words of i.  Everything before the words of i
 # depends on m alone and is computed once per master seed.  The words of i
 # and the output hashes are then applied to a whole block of SEED_BLOCK
-# consecutive indices at once, as uint32 array arithmetic.  Blocks are
+# consecutive indices at once, as uint32 array arithmetic; the 4 pool words
+# and the 8 output words are rows of one 2-D array each.  Blocks are
 # aligned, so they never cross a multiple of 2**32, where i gains a word:
 # within a block only the low word varies.  Each new block's first row is
 # checked against numpy's own SeedSequence.
@@ -144,8 +145,11 @@ def _words32(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value, hash_const: int):
-    """numpy's ``hashmix`` of a word (int or uint32 array), and the next hash constant."""
+def _hashmix(value, hash_const):
+    """numpy's ``hashmix`` of a word under a hash constant, and the constant after it.
+
+    Ints, or uint32 arrays that broadcast against each other.
+    """
     next_const = (hash_const * _MULT_A) & _MASK32
     value = ((value ^ hash_const) * next_const) & _MASK32
     return value ^ (value >> 16), next_const
@@ -157,18 +161,33 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-def _absorb(pool: list, words, hash_const: int) -> tuple[list, int]:
-    """Mix each word beyond the first ``_POOL_SIZE`` into every pool word, as numpy does."""
+def _const_column(first: int, mult: int, count: int) -> np.ndarray:
+    """``count`` hash constants from ``first`` on, each ``mult`` times the last, as a column."""
+    consts = [first]
+    for _ in range(count - 1):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _absorb(pool: np.ndarray, words, hash_const: int) -> tuple[np.ndarray, int]:
+    """Mix each of ``words`` into every pool word, as numpy mixes entropy beyond the pool.
+
+    ``pool`` is a (4, m) uint32 array and a word an int or a length-m uint32
+    array.  A word's four hashes depend on it and the hash constants alone,
+    so they are formed together as one (4, m) array.
+    """
     for word in words:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
+        consts = _const_column(hash_const, _MULT_A, _POOL_SIZE + 1)
+        hashed, _ = _hashmix(word, consts[:-1])
+        pool = _mix(pool, hashed)
+        hash_const = int(consts[-1, 0])
     return pool, hash_const
 
 
 @lru_cache(maxsize=8)
-def _run_entropy_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """The pool and hash constant of every stream of ``master_seed`` before its spawn key."""
+def _run_entropy_pool(master_seed: int) -> tuple[np.ndarray, int]:
+    """The (4, 1) pool and the hash constant of every stream of ``master_seed`` before its
+    spawn key."""
     entropy = _words32(master_seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))
     hash_const = _INIT_A
@@ -181,8 +200,10 @@ def _run_entropy_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
             if src != dst:
                 value, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], value)
-    pool, hash_const = _absorb(pool, entropy[_POOL_SIZE:], hash_const)
-    return tuple(pool), hash_const
+    pool, hash_const = _absorb(np.array(pool, dtype=np.uint32)[:, None],
+                               entropy[_POOL_SIZE:], hash_const)
+    pool.setflags(write=False)
+    return pool, hash_const
 
 
 @lru_cache(maxsize=8)
@@ -196,19 +217,13 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     start = block * SEED_BLOCK
     pool, hash_const = _run_entropy_pool(master_seed)
     low, *high = _words32(start)
-    spawn = [np.arange(low, low + SEED_BLOCK, dtype=np.uint32)]
-    spawn += [np.full(SEED_BLOCK, word, dtype=np.uint32) for word in high]
-    pool, _ = _absorb([np.full(SEED_BLOCK, word, dtype=np.uint32) for word in pool],
-                      spawn, hash_const)
+    pool, _ = _absorb(pool, [np.arange(low, low + SEED_BLOCK, dtype=np.uint32), *high],
+                      hash_const)
     # generate_state: 8 uint32 words drawn cyclically from the pool, paired little-endian
-    state = np.empty((SEED_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        state[:, i] = value ^ (value >> 16)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    consts = _const_column(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+    value = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ consts[:-1]) * consts[1:]
+    state = np.ascontiguousarray((value ^ (value >> 16)).T, dtype="<u4")
+    words = state.view("<u8").astype(np.uint64)
     from numpy.random import SeedSequence
 
     expected = SeedSequence(master_seed, spawn_key=(start,)).generate_state(_POOL_SIZE, np.uint64)
@@ -233,8 +248,9 @@ def _seed_row_type():
     class SeedRow(ISeedSequence):
         """``SeedSequence(master_seed, spawn_key=(stream_index,))`` with its PCG64 words given.
 
-        ``generate_state(4, np.uint64)``, the call PCG64 seeds from, returns a
-        copy of the given words; any other request goes to the SeedSequence.
+        ``generate_state(4, np.uint64)``, the call PCG64 seeds from, returns the
+        given words, a read-only row of the cached block; any other request
+        goes to the SeedSequence.
         """
 
         def __init__(self, master_seed: int, stream_index: int, words: np.ndarray):
@@ -244,7 +260,7 @@ def _seed_row_type():
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words == _POOL_SIZE and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
-                return self.words.copy()
+                return self.words
             seq = SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
             return seq.generate_state(n_words, dtype)
 

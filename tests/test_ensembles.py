@@ -94,7 +94,10 @@ class TestStreamMatchesSeedSequence:
     def test_seed_rows_answer_other_requests_as_the_seed_sequence(self):
         got = SeededStream(9, 2**40 + 3).generator().bit_generator.seed_seq
         ref = np.random.SeedSequence(9, spawn_key=(2**40 + 3,))
-        assert np.array_equal(got.generate_state(4, np.uint64), ref.generate_state(4, np.uint64))
+        words = got.generate_state(4, np.uint64)
+        assert np.array_equal(words, ref.generate_state(4, np.uint64))
+        with pytest.raises(ValueError):
+            words[0] = 0  # the row is the cached block's; it must not be writable
         assert np.array_equal(got.generate_state(5), ref.generate_state(5))
         assert np.array_equal(got.generate_state(2, np.uint64), ref.generate_state(2, np.uint64))
 
