@@ -52,7 +52,6 @@ class TestSeededStream:
             as_generator("seed")
 
 
-
 #: master seeds of the stream derivation test: small, 32-bit edges, and seeds
 #: of two and seven 32-bit words
 DERIVATION_SEEDS = [0, 1, 271828, 161803, 2**32 - 1, 2**32, 2**64 + 12345, 2**200 + 7]
