@@ -3,9 +3,10 @@
 
     PYTHONPATH=src python3 scripts/bench.py --label baseline [--ops 2048] [--repeats 9]
 
-Each layer is timed as a loop of ``--ops`` operations, ``--repeats`` times;
-the file records the median and quartiles of the time per operation, in
-microseconds, over the repeats:
+Each layer is timed as a loop of ``--ops`` operations (for the checker
+layers, one section of 1024 trials), ``--repeats`` times; the file records
+the median and quartiles of the time per operation, in microseconds, over
+the repeats:
 
 - ``stream_open``: ``base.offset(t).generator()`` for t = 0, 1, ..., the way
   a trial loop opens its streams.  Every repeat starts from a fresh section
@@ -18,6 +19,10 @@ microseconds, over the repeats:
 - ``svd_5_looped``: ``kyfan.matrixcore.svd`` of one 5 x 5 complex matrix.
 - ``svd_5_stacked``: one ``svd`` call on a stack of ``--ops`` such matrices,
   per matrix.
+- ``checker_trial_ahj_5`` and ``checker_trial_lemma32_5``: one section of
+  1024 trials at n = 5 through ``check_ahj`` (given factors) and
+  ``check_lemma32``, per trial: opening the streams, drawing, building,
+  scoring and aggregation.  Every repeat starts from a fresh section base.
 
 The file also records the machine: ``os.cpu_count()``, the Python and numpy
 versions and the BLAS/LAPACK build from ``np.show_config(mode="dicts")``.
@@ -39,10 +44,12 @@ import numpy as np
 
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
+from kyfan.suite import check_ahj, check_lemma32
 
 SEED = 271828
 SECTION = 2**24
 N = 5
+SECTION_TRIALS = 1024
 
 
 def _per_op_us(loop, ops: int, repeats: int) -> dict:
@@ -84,14 +91,22 @@ def measure(ops: int, repeats: int) -> dict:
     def svd_stacked(rep):
         svd(mats)
 
+    def checker_section(check):
+        def loop(rep):
+            check(N, SECTION_TRIALS, SeededStream(SEED, (rep + 1) * SECTION))
+
+        return loop
+
     layers = {
-        "stream_open": stream_open,
-        "stream_open_reference": stream_open_reference,
-        "draw_gaussian_5": draw_gaussian,
-        "svd_5_looped": svd_looped,
-        "svd_5_stacked": svd_stacked,
+        "stream_open": (stream_open, ops),
+        "stream_open_reference": (stream_open_reference, ops),
+        "draw_gaussian_5": (draw_gaussian, ops),
+        "svd_5_looped": (svd_looped, ops),
+        "svd_5_stacked": (svd_stacked, ops),
+        "checker_trial_ahj_5": (checker_section(check_ahj), SECTION_TRIALS),
+        "checker_trial_lemma32_5": (checker_section(check_lemma32), SECTION_TRIALS),
     }
-    return {name: _per_op_us(loop, ops, repeats) for name, loop in layers.items()}
+    return {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
 
 
 def machine() -> dict:

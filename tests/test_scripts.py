@@ -79,7 +79,8 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
                         "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert set(doc["layers"]) == {"stream_open", "stream_open_reference", "draw_gaussian_5",
-                                  "svd_5_looped", "svd_5_stacked"}
+                                  "svd_5_looped", "svd_5_stacked", "checker_trial_ahj_5",
+                                  "checker_trial_lemma32_5"}
     for row in doc["layers"].values():
         assert row["q1_us"] <= row["median_us"] <= row["q3_us"] and row["repeats"] == 2
     assert doc["machine"]["cpu_count"] == os.cpu_count()
