@@ -2,18 +2,23 @@
 
 Sampling is driven by explicit streams: a :class:`SeededStream` is a
 (master_seed, stream_index) pair that deterministically opens a PCG64
-generator, so trial t of a run uses stream_index = base + t and results are
-independent of scheduling.  Every sampler also accepts an already-open
-``numpy.random.Generator`` so several draws inside one trial chain off a
-single stream instead of each restarting it.
+generator, so results are independent of scheduling.  A run section based
+at stream index ``base`` maps its trials to streams by the stream contract
+named in ``GENERATOR_ID``.  Under contract v2 the checker engine draws
+block b of its trials from stream ``base + b`` (see :mod:`kyfan.suite`);
+the ``extremal`` targets, the ``ptrace`` loops and the searches open one
+stream per trial or restart, base + t.  Every sampler also accepts an
+already-open ``numpy.random.Generator`` so several draws inside one trial
+chain off a single stream instead of each restarting it.
 
-Stream (m, i) is seeded exactly as ``PCG64(SeedSequence(m, spawn_key=(i,)))``,
-but opening it runs no SeedSequence: the PCG64 seed words of an aligned block
-of ``SEED_BLOCK`` consecutive indices are derived in one vectorised pass of
-numpy's SeedSequence hash and cached, and each new block's first row is
-checked against numpy's own SeedSequence (``RuntimeError`` on a mismatch).
-Importing this module does not import ``numpy.random``; opening the first
-stream does.
+Stream (m, i) is seeded exactly as ``PCG64(SeedSequence(m, spawn_key=(i,)))``.
+The first stream opened in an aligned block of ``SEED_BLOCK`` consecutive
+indices is seeded through numpy's own SeedSequence.  When a second one is
+opened, the PCG64 seed words of the whole block are derived in one
+vectorised pass of numpy's SeedSequence hash and cached, and the block's
+first row is checked against numpy's own SeedSequence (``RuntimeError`` on a
+mismatch).  Importing this module does not import ``numpy.random``; opening
+the first stream does.
 
 The candidate machinery enumerates the scaled sign-vector families that
 carry the extreme points of the weighted vector k-norm ball, and evaluates
@@ -24,6 +29,7 @@ closed form — the agreement of the two routes is what the test suite pins.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,13 +63,17 @@ __all__ = [
     "matrix_ball_support_gap",
 ]
 
-#: recorded in every report so a replay can verify it uses the same bit source
-GENERATOR_ID = f"numpy-pcg64-seedseq/{np.__version__}"
+#: recorded in every report so a replay can verify it uses the same bit source:
+#: the generator family, the stream contract (v2: block-drawn checker trials,
+#: see kyfan.suite) and the numpy version
+GENERATOR_ID = f"numpy-pcg64-seedseq-v2/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
 
-#: most complex entries in one stacked (T, n, n) operand of a trial chunk
+#: most complex entries in one stacked (T, n, n) operand of a trial chunk; it
+#: also sets the checker engine's block of max(1, CHUNK_ENTRIES // n**2)
+#: trials per stream, so it is part of stream contract v2
 CHUNK_ENTRIES = 4096
 
 
@@ -92,17 +102,38 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         """A fresh ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream_index,))))``.
 
-        The PCG64 seed words come from the cached block of the stream's index
-        (see "Stream seeding" below) rather than from a new SeedSequence.
+        The first stream opened in a block of ``SEED_BLOCK`` indices takes its
+        PCG64 seed words from numpy's SeedSequence; later ones take them from
+        the block's cached words (see "Stream seeding" below).
         """
         block, row = divmod(self.stream_index, SEED_BLOCK)
-        seed_row = _seed_row_type()(self.master_seed, self.stream_index,
-                                    _seed_block(self.master_seed, block)[row])
+        if next(_block_opens(self.master_seed, block)) == 0:
+            from numpy.random import SeedSequence
+
+            words = SeedSequence(self.master_seed, spawn_key=(self.stream_index,)
+                                 ).generate_state(_POOL_SIZE, np.uint64)
+            words.setflags(write=False)
+        else:
+            words = _seed_block(self.master_seed, block)[row]
+        seed_row = _seed_row_type()(self.master_seed, self.stream_index, words)
         return np.random.Generator(np.random.PCG64(seed_row))
 
     def offset(self, delta: int) -> "SeededStream":
-        """The stream ``delta`` indices further along (trial substreams)."""
-        return SeededStream(self.master_seed, self.stream_index + int(delta))
+        """The stream ``delta`` indices further along (trial substreams).
+
+        The master seed was checked when this stream was made, so only the
+        new index is checked: ``delta`` must be an integer and the index
+        nonnegative.
+        """
+        if not isinstance(delta, (int, np.integer)) or isinstance(delta, bool):
+            raise ValueError("delta must be an integer")
+        index = self.stream_index + int(delta)
+        if index < 0:
+            raise ValueError("stream_index must be nonnegative")
+        stream = object.__new__(SeededStream)
+        object.__setattr__(stream, "master_seed", self.master_seed)
+        object.__setattr__(stream, "stream_index", index)
+        return stream
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +150,10 @@ class SeededStream:
 # and the 8 output words are rows of one 2-D array each.  Blocks are
 # aligned, so they never cross a multiple of 2**32, where i gains a word:
 # within a block only the low word varies.  Each new block's first row is
-# checked against numpy's own SeedSequence.
+# checked against numpy's own SeedSequence.  A block is derived only when a
+# second stream in it is opened: a section that opens one stream, as a
+# short checker section does, seeds it from numpy's SeedSequence instead
+# (about 25 us against about 100 us for a block).
 # ---------------------------------------------------------------------------
 
 #: consecutive stream indices whose seed words are derived in one pass
@@ -237,9 +271,19 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     return words
 
 
+@lru_cache(maxsize=64)
+def _block_opens(master_seed: int, block: int):
+    """Counts the streams opened in a seed block: ``next()`` gives 0 on the first open.
+
+    An evicted counter starts again at 0, which costs one open through
+    numpy's SeedSequence and changes no stream.
+    """
+    return itertools.count()
+
+
 @lru_cache(maxsize=None)
 def _seed_row_type():
-    """The ``ISeedSequence`` that seeds a stream's PCG64 from its block row.
+    """The ``ISeedSequence`` that seeds a stream's PCG64 from its given seed words.
 
     Built on first use, so that importing kyfan does not import numpy.random.
     """
@@ -249,8 +293,8 @@ def _seed_row_type():
         """``SeedSequence(master_seed, spawn_key=(stream_index,))`` with its PCG64 words given.
 
         ``generate_state(4, np.uint64)``, the call PCG64 seeds from, returns the
-        given words, a read-only row of the cached block; any other request
-        goes to the SeedSequence.
+        given words, read-only: a row of the cached block, or the words of the
+        stream's own SeedSequence; any other request goes to the SeedSequence.
         """
 
         def __init__(self, master_seed: int, stream_index: int, words: np.ndarray):
@@ -284,16 +328,18 @@ def as_generator(s) -> np.random.Generator:
 # The samplers the checkers stack are split in two: an RNG step that makes
 # one trial's generator calls in a fixed order, and a transform that takes
 # the stacked results of many trials, ``(..., n, n)`` arrays, to the sampled
-# matrices.  The public sampler is the transform of a batch of one.
+# matrices.  The public sampler is the transform of a batch of one.  Given a
+# block size, an RNG step makes each of its calls once for the whole block,
+# with a leading block axis (stream contract v2, see kyfan.suite).
 # ---------------------------------------------------------------------------
 
 
-def _gaussian(n: int, g: np.random.Generator) -> np.ndarray:
-    """RNG step of the Gaussian samplers: (2, n, n) real, then imaginary parts.
+def _gaussian(n: int, g: np.random.Generator, *block: int) -> np.ndarray:
+    """RNG step of the Gaussian samplers: (*block, 2, n, n) real, then imaginary parts.
 
     One call draws the same normals, in the same order, as two (n, n) calls.
     """
-    return g.standard_normal((2, n, n))
+    return g.standard_normal((*block, 2, n, n))
 
 
 def _complex(w: np.ndarray) -> np.ndarray:
@@ -311,16 +357,16 @@ def _haar(w: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _contraction_draw(n: int, g: np.random.Generator) -> tuple:
-    return _gaussian(n, g), _gaussian(n, g), g.uniform(0.0, 1.0, size=n)
+def _contraction_draw(n: int, g: np.random.Generator, *block: int) -> tuple:
+    return _gaussian(n, g, *block), _gaussian(n, g, *block), g.uniform(0.0, 1.0, size=(*block, n))
 
 
 def _contraction(wu: np.ndarray, wv: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (_haar(wu) * t[..., None, :]) @ _adjoint(_haar(wv))
 
 
-def _subunit_draw(n: int, g: np.random.Generator) -> tuple:
-    return _gaussian(n, g), g.uniform(0.0, 1.0, size=n)
+def _subunit_draw(n: int, g: np.random.Generator, *block: int) -> tuple:
+    return _gaussian(n, g, *block), g.uniform(0.0, 1.0, size=(*block, n))
 
 
 def _subunit(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -10,24 +10,30 @@ Checker ids double as report ids: von-neumann, product-family,
 hadamard-family, ahj-given, ahj-sqrt, lemma31, lemma32, hmn-<mask>,
 fan-sigma1.
 
-Trial engine
-------------
-Trial t of a run opens ``stream.offset(t).generator()`` and draws the same
-variates from it, in the same order, as the one-matrix samplers (stream
-contract v1); where those drew adjacent blocks of normals in two calls, one
-call of the joint shape draws the same numbers.  The open builds a PCG64
-from seed words derived for a cached block of ``SEED_BLOCK`` consecutive
-stream indices (:mod:`kyfan.ensembles`), so consecutive trials share one
-vectorised SeedSequence hash and each trial pays only the PCG64 and
-``Generator`` construction.  Everything after the
-draws runs on stacks: a chunk of trials is stacked into ``(T, n, n)`` arrays
-that are transformed, evaluated and scored together.  A chunk holds at most
-``CHUNK_ENTRIES`` complex entries per operand, ``max(1, CHUNK_ENTRIES //
-n**2)`` trials, so memory stays flat at large n.  The ``_parts_*``
-evaluators take one trial's matrices or a stack.
+Trial engine (stream contract v2)
+---------------------------------
+The trials of a run section based at stream index ``base`` come in blocks
+of ``B_n = max(1, CHUNK_ENTRIES // n**2)`` trials.  Block b is drawn from the
+one generator ``stream.offset(b).generator()``: each generator call of the
+family's one-trial RNG step is made once, with a leading block axis of
+``B_n`` trials, in the one-trial call order; ahj-given, for example, draws
+three ``g.standard_normal((B_n, 2, n, n))``.  lemma32 draws its column
+positions as one stacked ``g.permuted`` of ``0..n-1`` per trial and
+normalises its columns and vectors with last-axis norms of the block.  A
+block always draws all ``B_n`` trials' variates, even where the section
+ends inside it, and slices off the rest before any transform, so trial t's
+inputs depend only on the seed, the section base, n and t, never on the
+trial count.  A section of T trials opens ``ceil(T / B_n)`` streams, at
+``base`` up to ``base + ceil(T / B_n) - 1``.  The ``extremal`` engine below,
+the ``ptrace`` loops and the searches keep one stream per trial or restart.
 
-Stacking changes no report byte.  Measured on numpy 2.4.6 with OpenBLAS
-0.3.31, the bit-exactness rules are:
+Everything after the draws runs on the block's stacks: the block is
+transformed, evaluated and scored as ``(T, n, n)`` arrays of at most
+``CHUNK_ENTRIES`` complex entries per operand, so memory stays flat at
+large n.  The ``_parts_*`` evaluators take one trial's matrices or a stack.
+
+Scoring a stack gives the bits of scoring each trial alone.  Measured on
+numpy 2.4.6 with OpenBLAS 0.3.31, the bit-exactness rules are:
 
 - stacked ``svd``, ``qr``, ``matmul``, ``trace(axis1=-2, axis2=-1)`` and
   axis norms give the same bits as per-matrix calls, as do elementwise
@@ -36,7 +42,7 @@ Stacking changes no report byte.  Measured on numpy 2.4.6 with OpenBLAS
   it differs in the last bit for about 35 % of inputs.  ``von-neumann``
   therefore takes each trial's ``abs(trace)`` as a scalar;
 - 1-D BLAS reductions stay per trial: ``np.dot`` of the spectra in
-  ``von-neumann`` and the norm of each unit vector that ``lemma32`` draws.
+  ``von-neumann``.
 
 Aggregation is that of a trial-by-trial loop: a violation is
 ``margin > tol * max(1, rhs)``; only the ``k_values`` are scored; the worst
@@ -97,8 +103,6 @@ from .ensembles import (
     _subunit,
     _subunit_draw,
     _support_gaps,
-    _unit_columns,
-    random_unit_vector,
     random_weight,
 )
 from .forms import EntrywiseForm, apply_form, fan_product, right_adjoint_apply
@@ -180,8 +184,9 @@ def _run_checker(
 ) -> CheckReport:
     """Run ``trials`` seeded trials plus ``extra_trials`` through the chunked engine.
 
-    ``draw(n, g)`` is one trial's RNG step and returns a tuple of arrays;
-    ``build`` maps the stacked tuple to a dict of ``(T, ...)`` matrix stacks;
+    ``draw(n, size, g)`` is a block's RNG step and returns a tuple of arrays
+    with a leading axis of ``size`` trials; ``build`` maps such a tuple to a
+    dict of ``(T, ...)`` matrix stacks;
     ``parts`` evaluates such a dict to ``(ks, lhs, rhs)`` with lhs and rhs of
     shape ``(T, len(ks))``.  ``shared`` entries (a form's mask) are the same
     for every trial: they join each chunk and each witness unstacked.
@@ -230,11 +235,12 @@ def _run_checker(
             worst, worst_k = float(margins.flat[first]), ks[cols[j]]
             worst_mats = dict(extra, **shared)
 
-    chunk = max(1, CHUNK_ENTRIES // (n * n))
-    for start in range(0, trials, chunk):
-        stop = min(trials, start + chunk)
-        draws = [draw(n, stream.offset(t).generator()) for t in range(start, stop)]
-        score(build(*(np.stack(column) for column in zip(*draws))))
+    size = max(1, CHUNK_ENTRIES // (n * n))
+    for block, start in enumerate(range(0, trials, size)):
+        # a block draws all its trials even where the run ends inside it, so
+        # trial t's inputs do not depend on the trial count
+        drawn = draw(n, size, stream.offset(block).generator())
+        score(build(*(column[:trials - start] for column in drawn)))
     for extra in extras:
         score({name: as_matrix(m, name=name)[None]
                for name, m in extra.items() if name not in shared}, extra)
@@ -258,20 +264,22 @@ def _run_checker(
 
 
 # ---------------------------------------------------------------------------
-# trial draws: RNG steps (one trial) and their stacked transforms
+# trial draws: block RNG steps and their stacked transforms.  ``_draw_*(n,
+# size, g)`` makes a family's one-trial generator calls once each, for
+# ``size`` trials, with a leading block axis and in the one-trial order.
 # ---------------------------------------------------------------------------
 
 
-def _draw_two(n, g):
-    return _gaussian(n, g), _gaussian(n, g)
+def _draw_two(n, size, g):
+    return _gaussian(n, g, size), _gaussian(n, g, size)
 
 
 def _ginibre_pair(wa, wb):
     return {"A": _ginibre(wa), "B": _ginibre(wb)}
 
 
-def _draw_three(n, g):
-    return _gaussian(n, g), _gaussian(n, g), _gaussian(n, g)
+def _draw_three(n, size, g):
+    return _gaussian(n, g, size), _gaussian(n, g, size), _gaussian(n, g, size)
 
 
 def _ahj_given(wx, wy, wb):
@@ -283,25 +291,48 @@ def _ahj_sqrt(wa, wb):
     return {"X": x, "Y": y, "B": _ginibre(wb)}
 
 
-def _draw_lemma31(n, g):
-    return (*_subunit_draw(n, g), *_subunit_draw(n, g), *_contraction_draw(n, g))
+def _draw_lemma31(n, size, g):
+    return (*_subunit_draw(n, g, size), *_subunit_draw(n, g, size),
+            *_contraction_draw(n, g, size))
 
 
 def _lemma31_inputs(wx, lx, wy, ly, wu, wv, t):
     return {"X": _subunit(wx, lx), "Y": _subunit(wy, ly), "S": _contraction(wu, wv, t)}
 
 
-def _draw_lemma32(n, g):
-    return (_unit_columns(n, n, g), _unit_columns(n, n, g),
-            random_unit_vector(n, g), random_unit_vector(n, g))
+def _draw_unit_columns(n, size, g):
+    """A permutation of the n column positions per trial, then the columns'
+    normals, (size, n, 2, n): column by column, real then imaginary parts."""
+    positions = g.permuted(np.broadcast_to(np.arange(n), (size, n)), axis=-1)
+    return positions, g.standard_normal((size, n, 2, n))
 
 
-def _lemma32_inputs(x, y, u, v):
-    return {"X": x, "Y": y, "u": u[..., None], "v": v[..., None]}
+def _unit_columns_at(positions, w):
+    """Matrix t has the normalised column j of ``w[t]`` at column ``positions[t, j]``."""
+    z = _unit_rows(w[..., 0, :] + 1j * w[..., 1, :])
+    out = np.empty_like(z)
+    out[np.arange(len(z))[:, None], positions] = z  # rows here, columns after the transpose
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
 
 
-def _draw_contractions(n, g):
-    return (*_contraction_draw(n, g), *_contraction_draw(n, g))
+def _unit_rows(z):
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def _draw_lemma32(n, size, g):
+    """X's and Y's unit columns, then u's and v's real and imaginary parts."""
+    return (*_draw_unit_columns(n, size, g), *_draw_unit_columns(n, size, g),
+            *(g.standard_normal((size, n)) for _ in range(4)))
+
+
+def _lemma32_inputs(px, wx, py, wy, ur, ui, vr, vi):
+    u, v = _unit_rows(ur + 1j * ui), _unit_rows(vr + 1j * vi)
+    return {"X": _unit_columns_at(px, wx), "Y": _unit_columns_at(py, wy),
+            "u": u[..., None], "v": v[..., None]}
+
+
+def _draw_contractions(n, size, g):
+    return (*_contraction_draw(n, g, size), *_contraction_draw(n, g, size))
 
 
 def _contraction_pair(wua, wva, ta, wub, wvb, tb):

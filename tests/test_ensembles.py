@@ -38,6 +38,17 @@ class TestSeededStream:
         s = SeededStream(7, 10)
         assert s.offset(5) == SeededStream(7, 15)
 
+    @pytest.mark.parametrize("delta", [1.5, 2.0, "2", True, None])
+    def test_offset_rejects_a_non_integer_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            SeededStream(7, 10).offset(delta)
+
+    def test_offset_rejects_a_negative_index(self):
+        s = SeededStream(7, 10)
+        assert s.offset(np.int64(-10)) == SeededStream(7, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            s.offset(-11)
+
     def test_as_generator_accepts_int(self):
         g = as_generator(42)
         h = as_generator(42)
@@ -81,9 +92,11 @@ class TestStreamMatchesSeedSequence:
 
         monkeypatch.setattr(ensembles, "_INIT_B", ensembles._INIT_B ^ 1)
         ensembles._seed_block.cache_clear()
+        ensembles._block_opens.cache_clear()
         try:
+            SeededStream(3, 5000).generator()  # a block's first open derives no block
             with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-                SeededStream(3, 5000).generator()
+                SeededStream(3, 5001).generator()
         finally:
             monkeypatch.undo()
             ensembles._seed_block.cache_clear()
@@ -99,6 +112,19 @@ class TestStreamMatchesSeedSequence:
             words[0] = 0  # the row is the cached block's; it must not be writable
         assert np.array_equal(got.generate_state(5), ref.generate_state(5))
         assert np.array_equal(got.generate_state(2, np.uint64), ref.generate_state(2, np.uint64))
+
+    def test_a_single_open_derives_no_block(self):
+        from kyfan import ensembles
+
+        index = 2**40 + 5 * 1024 + 17
+        misses = ensembles._seed_block.cache_info().misses
+        first = SeededStream(10, index).generator()
+        assert ensembles._seed_block.cache_info().misses == misses
+        second = SeededStream(10, index + 1).generator()  # the second open derives the block
+        assert ensembles._seed_block.cache_info().misses == misses + 1
+        for got, i in ((first, index), (second, index + 1)):
+            assert got.bit_generator.state == np.random.PCG64(
+                np.random.SeedSequence(10, spawn_key=(i,))).state
 
     def test_each_call_opens_a_fresh_generator(self):
         s = SeededStream(5, 7)

@@ -5,7 +5,7 @@ import pytest
 
 from kyfan.ensembles import GENERATOR_ID, SeededStream, ginibre
 from kyfan.forms import fan_form, hadamard_form
-from kyfan.matrixcore import singular_values
+from kyfan.matrixcore import factor_sqrt, singular_values
 from kyfan.suite import (
     PARTS_BY_ID,
     CheckReport,
@@ -22,6 +22,18 @@ from kyfan.suite import (
     reevaluate_margin,
     reproduce_fan_counterexample,
     von_neumann_equality_witness,
+    _ahj_given,
+    _ahj_sqrt,
+    _contraction_pair,
+    _draw_contractions,
+    _draw_lemma31,
+    _draw_lemma32,
+    _draw_three,
+    _draw_two,
+    _ginibre_pair,
+    _lemma31_inputs,
+    _lemma32_inputs,
+    _run_checker,
 )
 
 RT13_3 = np.sqrt(13.0) / 3.0
@@ -261,13 +273,151 @@ class TestStackedEngine:
     ])
     @pytest.mark.parametrize("tolerance, k_values", [(1e-8, None), (-0.2, None), (-0.2, [2])])
     def test_report_matches_a_trial_by_trial_loop(self, ineq_id, run, tolerance, k_values):
-        # 1100 trials at n = 2 span two chunks of the engine
+        # 1100 trials at n = 2 span two blocks of the engine
         trials, stream = 1100, SeededStream(51, 3)
         report = run(trials, stream, tolerance, k_values)
-        parts = PARTS_BY_ID[ineq_id]
-        violations, worst, worst_k, worst_mats, per_k = 0, -np.inf, 0, None, {}
-        for t in range(trials):
-            mats = _trial_inputs(ineq_id, 2, stream.offset(t).generator())
+        _assert_report_is_the_reference(report, ineq_id, 2, trials, stream, tolerance, k_values)
+
+    @pytest.mark.parametrize("ineq_id", ["ahj-given", "ahj-sqrt", "lemma31-fan", "lemma32"])
+    def test_report_of_every_draw_matches_a_trial_by_trial_loop(self, ineq_id):
+        # 500 trials at n = 3 span two blocks of 455
+        trials, stream = 500, SeededStream(52, 2**24)
+        report = _run_family(ineq_id, 3, trials, stream, tolerance=-0.2)
+        _assert_report_is_the_reference(report, ineq_id, 3, trials, stream, -0.2, None)
+
+
+# ---------------------------------------------------------------------------
+# stream contract v2: block b of a section is drawn from stream base + b by
+# the documented generator calls, written out here call by call
+# ---------------------------------------------------------------------------
+
+
+def _block_size(n):
+    return max(1, 4096 // n**2)
+
+
+def _normals(n, size, g):
+    return g.standard_normal((size, 2, n, n))
+
+
+def _uniforms(n, size, g):
+    return g.uniform(0.0, 1.0, size=(size, n))
+
+
+def _permutations(n, size, g):
+    return g.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+
+
+DOCUMENTED_CALLS = {
+    # draw function: the generator calls of one block, in order
+    _draw_two: lambda n, b, g: (_normals(n, b, g), _normals(n, b, g)),
+    _draw_three: lambda n, b, g: (_normals(n, b, g), _normals(n, b, g), _normals(n, b, g)),
+    _draw_lemma31: lambda n, b, g: (
+        _normals(n, b, g), _uniforms(n, b, g), _normals(n, b, g), _uniforms(n, b, g),
+        _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g)),
+    _draw_lemma32: lambda n, b, g: (
+        _permutations(n, b, g), g.standard_normal((b, n, 2, n)),
+        _permutations(n, b, g), g.standard_normal((b, n, 2, n)),
+        g.standard_normal((b, n)), g.standard_normal((b, n)),
+        g.standard_normal((b, n)), g.standard_normal((b, n))),
+    _draw_contractions: lambda n, b, g: (
+        _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g),
+        _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g)),
+}
+
+
+def _mask(ineq_id, n):
+    return (fan_form(n) if ineq_id.endswith("fan") else hadamard_form(n)).mask
+
+
+#: id -> (block RNG step, stacked transform, whether the family has a mask)
+FAMILIES = {
+    "von-neumann": (_draw_two, _ginibre_pair, False),
+    "product-family": (_draw_two, _ginibre_pair, False),
+    "hadamard-family": (_draw_two, _ginibre_pair, False),
+    "fan-sigma1": (_draw_two, _ginibre_pair, False),
+    "ahj-given": (_draw_three, _ahj_given, False),
+    "ahj-sqrt": (_draw_two, _ahj_sqrt, False),
+    "lemma31": (_draw_lemma31, _lemma31_inputs, True),
+    "lemma31-fan": (_draw_lemma31, _lemma31_inputs, True),
+    "lemma32": (_draw_lemma32, _lemma32_inputs, False),
+    "hmn-hadamard": (_draw_contractions, _contraction_pair, True),
+    "hmn-fan": (_draw_contractions, _contraction_pair, True),
+    "hmn-masked": (_draw_contractions, _contraction_pair, True),
+}
+
+
+def _run_family(ineq_id, n, trials, stream, **kwargs):
+    draw, build, masked = FAMILIES[ineq_id]
+    shared = {"mask": _mask(ineq_id, n)} if masked else None
+    return _run_checker(ineq_id, n, trials, stream, draw, build, PARTS_BY_ID[ineq_id],
+                        shared=shared, **kwargs)
+
+
+def _ginibre_one(w):
+    return (w[0] + 1j * w[1]) / np.sqrt(2.0)
+
+
+def _haar_one(w):
+    q, r = np.linalg.qr(w[0] + 1j * w[1])
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+def _contraction_one(wu, wv, t):
+    return (_haar_one(wu) * t) @ _haar_one(wv).conj().T
+
+
+def _subunit_one(w, lengths):
+    z = w[0] + 1j * w[1]
+    return z / np.linalg.norm(z, axis=0) * lengths
+
+
+def _unit_one(z):
+    return z / np.linalg.norm(z, axis=-1)  # the contract's last-axis norm, not a 1-D BLAS norm
+
+
+def _unit_columns_one(positions, w):
+    x = np.zeros((len(positions), len(positions)), dtype=np.complex128)
+    for j, p in enumerate(positions):
+        x[:, p] = _unit_one(w[j, 0] + 1j * w[j, 1])
+    return x
+
+
+def _reference_trial(ineq_id, n, drawn, t):
+    """Trial t's matrices, built alone from the arrays its block drew."""
+    d = [column[t] for column in drawn]
+    if ineq_id == "ahj-given":
+        mats = {"X": _ginibre_one(d[0]), "Y": _ginibre_one(d[1]), "B": _ginibre_one(d[2])}
+    elif ineq_id == "ahj-sqrt":
+        x, y = factor_sqrt(_ginibre_one(d[0]))
+        mats = {"X": x, "Y": y, "B": _ginibre_one(d[1])}
+    elif ineq_id.startswith("lemma31"):
+        mats = {"X": _subunit_one(d[0], d[1]), "Y": _subunit_one(d[2], d[3]),
+                "S": _contraction_one(d[4], d[5], d[6])}
+    elif ineq_id == "lemma32":
+        mats = {"X": _unit_columns_one(d[0], d[1]), "Y": _unit_columns_one(d[2], d[3]),
+                "u": _unit_one(d[4] + 1j * d[5])[:, None], "v": _unit_one(d[6] + 1j * d[7])[:, None]}
+    elif ineq_id.startswith("hmn"):
+        mats = {"A": _contraction_one(*d[:3]), "B": _contraction_one(*d[3:])}
+    else:
+        mats = {"A": _ginibre_one(d[0]), "B": _ginibre_one(d[1])}
+    if FAMILIES[ineq_id][2]:
+        mats["mask"] = _mask(ineq_id, n)
+    return mats
+
+
+def _assert_report_is_the_reference(report, ineq_id, n, trials, stream, tolerance, k_values):
+    """Block b draws from stream base + b by the documented calls; each trial is scored alone."""
+    size = _block_size(n)
+    calls = DOCUMENTED_CALLS[FAMILIES[ineq_id][0]]
+    parts = PARTS_BY_ID[ineq_id]
+    violations, worst, worst_k, worst_mats, per_k = 0, -np.inf, 0, None, {}
+    for block in range(-(-trials // size)):
+        drawn = calls(n, size, stream.offset(block).generator())
+        for t in range(min(size, trials - block * size)):
+            mats = _reference_trial(ineq_id, n, drawn, t)
             ks, lhs, rhs = parts(mats)
             for i, k in enumerate(ks):
                 if k_values is not None and k not in k_values:
@@ -277,10 +427,53 @@ class TestStackedEngine:
                 per_k[k] = max(per_k.get(k, m), m)
                 if m > worst:
                     worst, worst_k, worst_mats = m, k, mats
-        assert report.violations == violations
-        assert report.worst_margin == worst
-        assert report.per_k_worst == per_k
-        assert report.witness.k == worst_k
-        assert report.witness.matrices.keys() == worst_mats.keys()
-        for name, value in worst_mats.items():
-            assert np.array_equal(report.witness.matrices[name], value)
+    assert report.violations == violations
+    assert report.worst_margin == worst
+    assert report.per_k_worst == per_k
+    assert report.witness.k == worst_k
+    assert report.witness.matrices.keys() == worst_mats.keys()
+    for name, value in worst_mats.items():
+        assert np.array_equal(report.witness.matrices[name], value)
+
+
+def _per_trial_scores(ineq_id, n, trials, stream):
+    """Every trial's lhs and rhs rows, in trial order, as the engine scored them."""
+    rows = []
+    _run_family(ineq_id, n, trials, stream,
+                observe=lambda mats, lhs, rhs: rows.append(np.concatenate([lhs, rhs], axis=1)))
+    return np.concatenate(rows)
+
+
+class TestStreamContractV2:
+    @pytest.mark.parametrize("draw", list(DOCUMENTED_CALLS), ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("n, size", [(1, 3), (3, 455), (5, 1)])
+    def test_block_draw_is_its_documented_generator_calls(self, draw, n, size):
+        got = draw(n, size, SeededStream(60, 9).generator())
+        want = DOCUMENTED_CALLS[draw](n, size, SeededStream(60, 9).generator())
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape[0] == size
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ineq_id", sorted(FAMILIES))
+    def test_first_trials_of_a_longer_run_are_scored_the_same(self, ineq_id):
+        n, stream = 5, SeededStream(61, 5 * 2**24)
+        size = _block_size(n)
+        longer = _per_trial_scores(ineq_id, n, 2 * size + 7, stream)
+        for m in (1, 50, size - 1, size, size + 1):
+            assert np.array_equal(_per_trial_scores(ineq_id, n, m, stream), longer[:m]), m
+
+    @pytest.mark.parametrize("n, trials", [(2, 1), (2, 1024), (2, 1025), (5, 162), (5, 164),
+                                           (5, 500), (64, 3), (70, 2)])
+    def test_a_section_opens_one_stream_per_block(self, monkeypatch, n, trials):
+        opened = []
+        generator = SeededStream.generator
+
+        def record(stream):
+            opened.append(stream.stream_index)
+            return generator(stream)
+
+        monkeypatch.setattr(SeededStream, "generator", record)
+        base = 7 * 2**24
+        check_product_family(n, trials, SeededStream(62, base))
+        assert opened == list(range(base, base + -(-trials // _block_size(n))))
