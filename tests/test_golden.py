@@ -1,14 +1,17 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The checker hashes were recorded with the per-trial checker loop, before the
-stacked trial engine replaced it, and the search and ptrace hashes with the
-one-proposal-at-a-time search loop, and the extremal hashes with the
-per-trial extremal loop of the command line; every engine must reproduce
-every body byte for byte.
-They hold for one numeric stack only: the generator id (numpy version) plus
-the BLAS/LAPACK build and the machine architecture.  On another stack the
-test skips and names the stack it found, so new hashes can be recorded there
-from a trusted checkout.
+The hashes are those of stream contract v2 (``numpy-pcg64-seedseq-v2``, kyfan
+0.2.0), where the checker engine draws each block of trials from one
+generator.  Under contract v1 the search and ptrace hashes were recorded with
+the one-proposal-at-a-time search loop, and the extremal hashes with the
+per-trial extremal loop of the command line; those nine bodies kept their
+bytes under v2 except for the generator id and the tool version, because
+their streams did not move.  Every engine must reproduce every body byte for
+byte.
+They hold for one numeric stack only: the generator id (stream contract and
+numpy version) plus the BLAS/LAPACK build and the machine architecture.  On
+another stack the test skips and names the stack it found, so new hashes can
+be recorded there from a trusted checkout.
 """
 
 import hashlib
@@ -31,35 +34,35 @@ def _numeric_stack() -> tuple[str, str, str]:
 
 
 GOLDEN = {
-    ("numpy-pcg64-seedseq/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
+    ("numpy-pcg64-seedseq-v2/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "0a8eede737d00142829c628a57de8fafb8b8358c7f970fa12431479d9d2e727f",
+            "9fd025ac0b5fb8108dddbbb81f813aa867f76843fcc5e07623850b6341e72e92",
         "check-all-trials50-seed161803":
-            "8fe21cd39f24f3a48445cf1d66e211c5bea0bac4b53ef5b3bbc8917f3ce1807f",
+            "cf80142aaf7c75f9f2e967d43850046c277291c6d247e385ebfaf635f61bc05d",
         "check-all-n64-trials2":
-            "f2187c2216c7aea71212388b99f53b964cee7c1611402f6b1b949a9da568f74b",
+            "868011e73a5e778e1e7437797e7e48bde15036ee283fd41dbdce8ef78072d4be",
         "lemma31-fan-witness":
-            "a792a7f33bc2e03da55069a03320631cb1d65003e4afe0452ccde6508cbef938",
+            "54238afb9733ad338a64db927f55454df2ef01b2d8135c1352deb2609ec37eba",
         "hmn-fan-witness":
-            "d3633d4972bc30e93a2c2376813956c1624731971e05d5e48ca6d1a916796550",
+            "cd273f0f6563d992d517d1241ba9a0434d427ee13a365ba929203aa250e6bc1b",
         "search-q2-n3-restarts8-budget3000":
-            "ffe5503971aec5c124f441b9e2a09f629d205838ceafc30e505ee5d885706515",
+            "564981707e162e0883e8d129c203997ad9f009dcb1750790e5b5cdc4e5db7192",
         "search-q1-n4-commuting-budget800":
-            "3d511d6d7d7f95f08cd09c054d934442c667609bd3b23bc93a50d02a2a9b41de",
+            "d3e33968587fd0914726a62d403f30c57dc744202631ec9d297c4fb8d8b6792a",
         "search-q2-n3-k2-budget500":
-            "1475e2ce83c913115864c557bf4d576bab476a9dcabf89a6b278851f4f0a909a",
+            "b89de034012af4eb52b9f80767729cbf2aaf9fde69ed4ae8ec2185dbf3dd724e",
         "ptrace-q2-n3-trials30-budget500":
-            "e89aa4284ad0fa11a4cebbca29d4f9bb1f220c005d1fab436221c8b67e0b740f",
+            "d3c672607a6a7b62c937a3c2820f2479587271e58d68a6f8f41634f20febbeef",
         "search-q2-n3-witness-budget500":
-            "8a1721998667f9260422244982517334d78446a194939cc64173ad99b5aa11c2",
+            "cffd827ba97c42c2565940fe11dc6ce0a13a8b3b5908467792ee92191393309e",
         "extremal-all-trials300-seed271828":
-            "b80982b916cdf17e9e1c68670640a9b36a592abc76d45b700bcc9ebc0e6f21b0",
+            "86ee8a73348aa9f70087c7f61e1038a365b6425541eaa40a52ca31eecc6cfc96",
         "extremal-all-trials300-seed161803":
-            "16f4f2488d40790afa782df1d6a46b1cffeeb7ed33b7bc937ec9f48e2ee73bf5",
+            "be88e1df6d18d34a397b84f41857c8e3148d4f763e8168b3142fd49ca14923c7",
         "extremal-matrix-n8-samples5":
-            "36487526466c044f338e24215e7d07fe97dde2f8895ee49fa01efacbedc3dea0",
+            "791bd5bdc911ff30e97ec5742e21ee021c9e29094c2ed5a03cd7cdc69baadaea",
         "extremal-n2-samples0":
-            "aae7f93a16b8b7d12fe6b6c5deb2f06c3551bdcff1f7c8189e079da1587bd770",
+            "7e7d9a82dc2ec836958ca634757574356e384e7b20511c655248f4b26be22c64",
     },
 }
 
