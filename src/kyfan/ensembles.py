@@ -71,9 +71,7 @@ GENERATOR_ID = f"numpy-pcg64-seedseq-v2/{np.__version__}"
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
 
-#: most complex entries in one stacked (T, n, n) operand of a trial chunk; it
-#: also sets the checker engine's block of max(1, CHUNK_ENTRIES // n**2)
-#: trials per stream, so it is part of stream contract v2
+#: most complex entries in one stacked (T, n, n) operand of a trial chunk
 CHUNK_ENTRIES = 4096
 
 
@@ -91,9 +89,10 @@ class SeededStream:
     def __post_init__(self):
         for field_name in ("master_seed", "stream_index"):
             value = getattr(self, field_name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{field_name} must be an integer")
-            object.__setattr__(self, field_name, int(value))
+            if type(value) is not int:  # an exact int, as offset passes, needs no conversion
+                if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                    raise ValueError(f"{field_name} must be an integer")
+                object.__setattr__(self, field_name, int(value))
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.stream_index < 0:
@@ -121,19 +120,12 @@ class SeededStream:
     def offset(self, delta: int) -> "SeededStream":
         """The stream ``delta`` indices further along (trial substreams).
 
-        The master seed was checked when this stream was made, so only the
-        new index is checked: ``delta`` must be an integer and the index
+        ``delta`` must be an integer (not a float or bool) and the new index
         nonnegative.
         """
         if not isinstance(delta, (int, np.integer)) or isinstance(delta, bool):
             raise ValueError("delta must be an integer")
-        index = self.stream_index + int(delta)
-        if index < 0:
-            raise ValueError("stream_index must be nonnegative")
-        stream = object.__new__(SeededStream)
-        object.__setattr__(stream, "master_seed", self.master_seed)
-        object.__setattr__(stream, "stream_index", index)
-        return stream
+        return SeededStream(self.master_seed, self.stream_index + int(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,26 @@ fan-sigma1.
 Trial engine (stream contract v2)
 ---------------------------------
 The trials of a run section based at stream index ``base`` come in blocks
-of ``B_n = max(1, CHUNK_ENTRIES // n**2)`` trials.  Block b is drawn from the
-one generator ``stream.offset(b).generator()``: each generator call of the
-family's one-trial RNG step is made once, with a leading block axis of
-``B_n`` trials, in the one-trial call order; ahj-given, for example, draws
-three ``g.standard_normal((B_n, 2, n, n))``.  lemma32 draws its column
-positions as one stacked ``g.permuted`` of ``0..n-1`` per trial and
-normalises its columns and vectors with last-axis norms of the block.  A
-block always draws all ``B_n`` trials' variates, even where the section
-ends inside it, and slices off the rest before any transform, so trial t's
-inputs depend only on the seed, the section base, n and t, never on the
-trial count.  A section of T trials opens ``ceil(T / B_n)`` streams, at
-``base`` up to ``base + ceil(T / B_n) - 1``.  The ``extremal`` engine below,
-the ``ptrace`` loops and the searches keep one stream per trial or restart.
+of ``B_n = max(1, BLOCK_ENTRIES // n**2)`` trials, ``BLOCK_ENTRIES = 4096``.
+Block b is drawn from the one generator ``stream.offset(b).generator()``:
+each generator call of the family's one-trial RNG step is made once, with
+a leading block axis of ``B_n`` trials, in the one-trial call order;
+ahj-given, for example, draws three ``g.standard_normal((B_n, 2, n, n))``.
+lemma32 draws the normals of X's n columns, then of Y's, as one
+``g.standard_normal((B_n, n, 2, n))`` each (column j's real then imaginary
+parts), then u's and v's real and imaginary parts as four ``(B_n, n)``
+draws, and normalises its columns and vectors with last-axis norms of the
+block.  A block always draws all ``B_n`` trials' variates, even where the
+section ends inside it, and slices off the rest before any transform, so
+trial t's inputs depend only on the seed, the section base, n and t, never
+on the trial count.  A section of T trials opens ``ceil(T / B_n)`` streams,
+at ``base`` up to ``base + ceil(T / B_n) - 1``.  The ``extremal`` engine
+below, the ``ptrace`` loops and the searches keep one stream per trial or
+restart.
 
 Everything after the draws runs on the block's stacks: the block is
 transformed, evaluated and scored as ``(T, n, n)`` arrays of at most
-``CHUNK_ENTRIES`` complex entries per operand, so memory stays flat at
+``BLOCK_ENTRIES`` complex entries per operand, so memory stays flat at
 large n.  The ``_parts_*`` evaluators take one trial's matrices or a stack.
 
 Scoring a stack gives the bits of scoring each trial alone.  Measured on
@@ -158,6 +161,11 @@ class CheckReport:
     details: dict = field(default_factory=dict)
     witness: Witness | None = None
 
+#: a checker block holds max(1, BLOCK_ENTRIES // n**2) trials.  The block size
+#: is part of stream contract v2, so this constant moves every checker stream;
+#: it is not a memory knob like ensembles.CHUNK_ENTRIES
+BLOCK_ENTRIES = 4096
+
 
 def _as_stream(s) -> SeededStream:
     if isinstance(s, SeededStream):
@@ -235,7 +243,7 @@ def _run_checker(
             worst, worst_k = float(margins.flat[first]), ks[cols[j]]
             worst_mats = dict(extra, **shared)
 
-    size = max(1, CHUNK_ENTRIES // (n * n))
+    size = max(1, BLOCK_ENTRIES // (n * n))
     for block, start in enumerate(range(0, trials, size)):
         # a block draws all its trials even where the run ends inside it, so
         # trial t's inputs do not depend on the trial count
@@ -300,35 +308,26 @@ def _lemma31_inputs(wx, lx, wy, ly, wu, wv, t):
     return {"X": _subunit(wx, lx), "Y": _subunit(wy, ly), "S": _contraction(wu, wv, t)}
 
 
-def _draw_unit_columns(n, size, g):
-    """A permutation of the n column positions per trial, then the columns'
-    normals, (size, n, 2, n): column by column, real then imaginary parts."""
-    positions = g.permuted(np.broadcast_to(np.arange(n), (size, n)), axis=-1)
-    return positions, g.standard_normal((size, n, 2, n))
-
-
-def _unit_columns_at(positions, w):
-    """Matrix t has the normalised column j of ``w[t]`` at column ``positions[t, j]``."""
-    z = _unit_rows(w[..., 0, :] + 1j * w[..., 1, :])
-    out = np.empty_like(z)
-    out[np.arange(len(z))[:, None], positions] = z  # rows here, columns after the transpose
-    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
-
-
 def _unit_rows(z):
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
+def _unit_columns(w):
+    """Matrix t has the normalised column j of ``w[t]``, (n, 2, n): column by
+    column, real then imaginary parts, at column j."""
+    z = _unit_rows(w[..., 0, :] + 1j * w[..., 1, :])
+    return np.ascontiguousarray(np.swapaxes(z, -1, -2))
+
+
 def _draw_lemma32(n, size, g):
-    """X's and Y's unit columns, then u's and v's real and imaginary parts."""
-    return (*_draw_unit_columns(n, size, g), *_draw_unit_columns(n, size, g),
+    """X's and Y's column normals, then u's and v's real and imaginary parts."""
+    return (g.standard_normal((size, n, 2, n)), g.standard_normal((size, n, 2, n)),
             *(g.standard_normal((size, n)) for _ in range(4)))
 
 
-def _lemma32_inputs(px, wx, py, wy, ur, ui, vr, vi):
+def _lemma32_inputs(wx, wy, ur, ui, vr, vi):
     u, v = _unit_rows(ur + 1j * ui), _unit_rows(vr + 1j * vi)
-    return {"X": _unit_columns_at(px, wx), "Y": _unit_columns_at(py, wy),
-            "u": u[..., None], "v": v[..., None]}
+    return {"X": _unit_columns(wx), "Y": _unit_columns(wy), "u": u[..., None], "v": v[..., None]}
 
 
 def _draw_contractions(n, size, g):

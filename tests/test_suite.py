@@ -7,6 +7,7 @@ from kyfan.ensembles import GENERATOR_ID, SeededStream, ginibre
 from kyfan.forms import fan_form, hadamard_form
 from kyfan.matrixcore import factor_sqrt, singular_values
 from kyfan.suite import (
+    BLOCK_ENTRIES,
     PARTS_BY_ID,
     CheckReport,
     Witness,
@@ -293,7 +294,7 @@ class TestStackedEngine:
 
 
 def _block_size(n):
-    return max(1, 4096 // n**2)
+    return max(1, BLOCK_ENTRIES // n**2)
 
 
 def _normals(n, size, g):
@@ -304,10 +305,6 @@ def _uniforms(n, size, g):
     return g.uniform(0.0, 1.0, size=(size, n))
 
 
-def _permutations(n, size, g):
-    return g.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-
-
 DOCUMENTED_CALLS = {
     # draw function: the generator calls of one block, in order
     _draw_two: lambda n, b, g: (_normals(n, b, g), _normals(n, b, g)),
@@ -316,8 +313,7 @@ DOCUMENTED_CALLS = {
         _normals(n, b, g), _uniforms(n, b, g), _normals(n, b, g), _uniforms(n, b, g),
         _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g)),
     _draw_lemma32: lambda n, b, g: (
-        _permutations(n, b, g), g.standard_normal((b, n, 2, n)),
-        _permutations(n, b, g), g.standard_normal((b, n, 2, n)),
+        g.standard_normal((b, n, 2, n)), g.standard_normal((b, n, 2, n)),
         g.standard_normal((b, n)), g.standard_normal((b, n)),
         g.standard_normal((b, n)), g.standard_normal((b, n))),
     _draw_contractions: lambda n, b, g: (
@@ -378,10 +374,10 @@ def _unit_one(z):
     return z / np.linalg.norm(z, axis=-1)  # the contract's last-axis norm, not a 1-D BLAS norm
 
 
-def _unit_columns_one(positions, w):
-    x = np.zeros((len(positions), len(positions)), dtype=np.complex128)
-    for j, p in enumerate(positions):
-        x[:, p] = _unit_one(w[j, 0] + 1j * w[j, 1])
+def _unit_columns_one(w):
+    x = np.zeros((len(w), len(w)), dtype=np.complex128)
+    for j, column in enumerate(w):
+        x[:, j] = _unit_one(column[0] + 1j * column[1])
     return x
 
 
@@ -397,8 +393,8 @@ def _reference_trial(ineq_id, n, drawn, t):
         mats = {"X": _subunit_one(d[0], d[1]), "Y": _subunit_one(d[2], d[3]),
                 "S": _contraction_one(d[4], d[5], d[6])}
     elif ineq_id == "lemma32":
-        mats = {"X": _unit_columns_one(d[0], d[1]), "Y": _unit_columns_one(d[2], d[3]),
-                "u": _unit_one(d[4] + 1j * d[5])[:, None], "v": _unit_one(d[6] + 1j * d[7])[:, None]}
+        mats = {"X": _unit_columns_one(d[0]), "Y": _unit_columns_one(d[1]),
+                "u": _unit_one(d[2] + 1j * d[3])[:, None], "v": _unit_one(d[4] + 1j * d[5])[:, None]}
     elif ineq_id.startswith("hmn"):
         mats = {"A": _contraction_one(*d[:3]), "B": _contraction_one(*d[3:])}
     else:
