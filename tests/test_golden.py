@@ -36,11 +36,11 @@ def _numeric_stack() -> tuple[str, str, str]:
 GOLDEN = {
     ("numpy-pcg64-seedseq-v2/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "9fd025ac0b5fb8108dddbbb81f813aa867f76843fcc5e07623850b6341e72e92",
+            "a7056944198c99a2aec14e7ce4715d3140fbd56418ae1eea093a5563528c1ebc",
         "check-all-trials50-seed161803":
-            "cf80142aaf7c75f9f2e967d43850046c277291c6d247e385ebfaf635f61bc05d",
+            "559ed3ae1ebd1360e5e972195c81a7275c4f0a2c28b3c98a493125469863791b",
         "check-all-n64-trials2":
-            "868011e73a5e778e1e7437797e7e48bde15036ee283fd41dbdce8ef78072d4be",
+            "c91f0574a031e8b4aab98b2298c27cbcc833f82987cbf8317c40202becf529eb",
         "lemma31-fan-witness":
             "54238afb9733ad338a64db927f55454df2ef01b2d8135c1352deb2609ec37eba",
         "hmn-fan-witness":
