@@ -23,6 +23,26 @@ the repeats:
   1024 trials at n = 5 through ``check_ahj`` (given factors) and
   ``check_lemma32``, per trial: opening the streams, drawing, building,
   scoring and aggregation.  Every repeat starts from a fresh section base.
+- ``search_stack_3``: one scoring stack of the counterexample search at
+  n = 3, question 2, all k: the call ``search_counterexample`` makes for
+  each stack of ``SEARCH_BATCH`` candidates, each a copy of one parameter
+  vector with one coordinate moved.  Timed over ``--ops // SEARCH_BATCH``
+  stacks.
+- ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
+  restarts=8)`` in process, per evaluation; the row also gives the median
+  in evaluations per second.
+
+A shared machine drifts between speed states, within seconds as well as
+over minutes, so a fixed numpy/LAPACK calibration kernel (no kyfan code;
+the mix ``perfbench/child.py`` times) is timed around every timed loop.
+Each loop's time is scaled by ``CAL_REF_S`` over the mean of the kernel
+times just before and just after it: microseconds on a machine that runs
+the kernel in ``CAL_REF_S``.  Each row gives the scaled median and
+quartiles (``*_scaled``) beside the raw ones, and its median speed factor.
+The kernel is also timed ``CALIBRATION_ROUNDS`` times at the start and at
+the end of the run; the file records both medians and the run's
+``speed_factor`` = ``CAL_REF_S`` / their mean.  Compare two files by their
+scaled figures.
 
 The file also records the machine: ``os.cpu_count()``, the Python and numpy
 versions and the BLAS/LAPACK build from ``np.show_config(mode="dicts")``.
@@ -44,23 +64,69 @@ import numpy as np
 
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
+from kyfan.ptrace import (
+    SEARCH_BATCH,
+    search_counterexample,
+    unpack_hermitian_pair,
+    worst_question_margin,
+)
 from kyfan.suite import check_ahj, check_lemma32
 
 SEED = 271828
 SECTION = 2**24
 N = 5
 SECTION_TRIALS = 1024
+SEARCH_N = 3
+SEARCH_BUDGET = 3000
+#: calibration kernel time on the reference machine, as in perfbench/run.py
+CAL_REF_S = 0.03
+CALIBRATION_REPS = 160
+CALIBRATION_ROUNDS = 5
+
+
+def calibrate() -> float:
+    """Seconds taken by a fixed mix of small numpy, LAPACK and interpreter
+    work: the kernel of ``perfbench/child.py``, which calls no kyfan code."""
+    a = np.arange(64.0).reshape(8, 8) / 7.0 + 1j * np.eye(8)
+    start = time.perf_counter()
+    acc = 0.0
+    for i in range(CALIBRATION_REPS):
+        g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7, spawn_key=(i,))))
+        z = g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
+        q, _ = np.linalg.qr(z)
+        acc += float(np.cumsum(np.linalg.svd(q @ z, compute_uv=False))[-1])
+        for _ in range(4):
+            acc += float(np.linalg.svd(a, compute_uv=False)[0])
+            scratch = {}
+            for j in range(40):
+                scratch[j] = j * acc
+    return time.perf_counter() - start
+
+
+def calibration_median() -> float:
+    return statistics.median(calibrate() for _ in range(CALIBRATION_ROUNDS))
+
+
+def _quartiles(samples: list, suffix: str) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {f"median{suffix}": median, f"q1{suffix}": q1, f"q3{suffix}": q3}
 
 
 def _per_op_us(loop, ops: int, repeats: int) -> dict:
-    """Median and quartiles of the per-operation time of ``loop(rep)`` in µs."""
-    samples = []
+    """Median and quartiles of the per-operation time of ``loop(rep)`` in µs,
+    raw and scaled by the calibration kernel timed around each loop."""
+    raw, factors = [], []
+    before = calibrate()
     for rep in range(repeats):
         start = time.perf_counter()
         loop(rep)
-        samples.append((time.perf_counter() - start) / ops * 1e6)
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median_us": median, "q1_us": q1, "q3_us": q3, "repeats": repeats}
+        raw.append((time.perf_counter() - start) / ops * 1e6)
+        after = calibrate()
+        factors.append(CAL_REF_S / ((before + after) / 2))
+        before = after
+    scaled = [t * f for t, f in zip(raw, factors)]
+    return {**_quartiles(raw, "_us"), **_quartiles(scaled, "_us_scaled"),
+            "speed_factor": statistics.median(factors), "repeats": repeats}
 
 
 def measure(ops: int, repeats: int) -> dict:
@@ -97,6 +163,20 @@ def measure(ops: int, repeats: int) -> dict:
 
         return loop
 
+    theta = g.standard_normal(2 * SEARCH_N**2)
+    candidates = np.repeat(theta[None], SEARCH_BATCH, axis=0)
+    moved = g.integers(theta.size, size=SEARCH_BATCH)
+    candidates[np.arange(SEARCH_BATCH), moved] += 0.5 * g.standard_normal(SEARCH_BATCH)
+    stacks = max(1, ops // SEARCH_BATCH)
+
+    def search_stack(rep):
+        for _ in range(stacks):
+            worst_question_margin(*unpack_hermitian_pair(candidates, SEARCH_N), 2)
+
+    def search_q2(rep):
+        search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=8,
+                              s=SeededStream(SEED))
+
     layers = {
         "stream_open": (stream_open, ops),
         "stream_open_reference": (stream_open_reference, ops),
@@ -105,8 +185,14 @@ def measure(ops: int, repeats: int) -> dict:
         "svd_5_stacked": (svd_stacked, ops),
         "checker_trial_ahj_5": (checker_section(check_ahj), SECTION_TRIALS),
         "checker_trial_lemma32_5": (checker_section(check_lemma32), SECTION_TRIALS),
+        "search_stack_3": (search_stack, stacks),
+        "search_q2_3000": (search_q2, SEARCH_BUDGET),
     }
-    return {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
+    rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
+    search = rows["search_q2_3000"]
+    search["evaluations_per_s"] = 1e6 / search["median_us"]
+    search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
+    return rows
 
 
 def machine() -> dict:
@@ -131,18 +217,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.ops < 1 or args.repeats < 2:
         parser.error("--ops must be at least 1 and --repeats at least 2")
+    calibrate()  # warms numpy.random's lazy import and the LAPACK paths
+    before = calibration_median()
+    rows = measure(args.ops, args.repeats)
+    after = calibration_median()
+    speed_factor = CAL_REF_S / ((before + after) / 2)
     doc = {
         "label": args.label,
         "generator_id": GENERATOR_ID,
         "ops": args.ops,
         "machine": machine(),
-        "layers": measure(args.ops, args.repeats),
+        "calibration": {"reference_s": CAL_REF_S, "before_s": before, "after_s": after,
+                        "speed_factor": speed_factor},
+        "layers": rows,
     }
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    for name, row in doc["layers"].items():
+    print(f"calibration {before * 1e3:.1f} ms before, {after * 1e3:.1f} ms after: "
+          f"speed factor {speed_factor:.3f}")
+    for name, row in rows.items():
         print(f"{name:24s} {row['median_us']:9.2f} us/op  "
-              f"(q1 {row['q1_us']:.2f}, q3 {row['q3_us']:.2f})")
+              f"(q1 {row['q1_us']:.2f}, q3 {row['q3_us']:.2f}; "
+              f"scaled {row['median_us_scaled']:.2f})")
     print(f"wrote {path}")
     return 0
 

@@ -80,9 +80,18 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert set(doc["layers"]) == {"stream_open", "stream_open_reference", "draw_gaussian_5",
                                   "svd_5_looped", "svd_5_stacked", "checker_trial_ahj_5",
-                                  "checker_trial_lemma32_5"}
+                                  "checker_trial_lemma32_5", "search_stack_3",
+                                  "search_q2_3000"}
     for row in doc["layers"].values():
         assert row["q1_us"] <= row["median_us"] <= row["q3_us"] and row["repeats"] == 2
+        assert row["q1_us_scaled"] <= row["median_us_scaled"] <= row["q3_us_scaled"]
+        assert row["speed_factor"] > 0
+    search = doc["layers"]["search_q2_3000"]
+    assert search["evaluations_per_s"] == pytest.approx(1e6 / search["median_us"])
+    calibration = doc["calibration"]
+    assert calibration["before_s"] > 0 and calibration["after_s"] > 0
+    assert calibration["speed_factor"] == pytest.approx(
+        calibration["reference_s"] / ((calibration["before_s"] + calibration["after_s"]) / 2))
     assert doc["machine"]["cpu_count"] == os.cpu_count()
     assert doc["machine"]["numpy"] == np.__version__
     assert {"blas", "lapack"} <= set(doc["machine"])
