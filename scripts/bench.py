@@ -26,8 +26,9 @@ the repeats:
 - ``search_stack_3``: one scoring stack of the counterexample search at
   n = 3, question 2, all k: the call ``search_counterexample`` makes for
   each stack of ``SEARCH_BATCH`` candidates, each a copy of one parameter
-  vector with one coordinate moved.  Timed over ``--ops // SEARCH_BATCH``
-  stacks.
+  vector with one coordinate moved (building the pairs, validating them,
+  one SVD call on the operators and the moved factors, and the margins).
+  Timed over ``--ops // SEARCH_BATCH`` stacks.
 - ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
   restarts=8)`` in process, per evaluation; the row also gives the median
   in evaluations per second.
@@ -64,12 +65,7 @@ import numpy as np
 
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
-from kyfan.ptrace import (
-    SEARCH_BATCH,
-    search_counterexample,
-    unpack_hermitian_pair,
-    worst_question_margin,
-)
+from kyfan.ptrace import SEARCH_BATCH, _best_margins, _unpack_pair, search_counterexample
 from kyfan.suite import check_ahj, check_lemma32
 
 SEED = 271828
@@ -164,14 +160,17 @@ def measure(ops: int, repeats: int) -> dict:
         return loop
 
     theta = g.standard_normal(2 * SEARCH_N**2)
+    ks = np.arange(1, SEARCH_N + 1)
+    _, _, sa, sd = _best_margins(_unpack_pair(theta[None], SEARCH_N), 2, ks)
     candidates = np.repeat(theta[None], SEARCH_BATCH, axis=0)
     moved = g.integers(theta.size, size=SEARCH_BATCH)
     candidates[np.arange(SEARCH_BATCH), moved] += 0.5 * g.standard_normal(SEARCH_BATCH)
+    moved_b = moved >= SEARCH_N**2
     stacks = max(1, ops // SEARCH_BATCH)
 
     def search_stack(rep):
         for _ in range(stacks):
-            worst_question_margin(*unpack_hermitian_pair(candidates, SEARCH_N), 2)
+            _best_margins(_unpack_pair(candidates, SEARCH_N), 2, ks, moved_b, sa[0], sd[0])
 
     def search_q2(rep):
         search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=8,

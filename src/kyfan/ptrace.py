@@ -40,12 +40,27 @@ scores one proposal at a time.  Measured on numpy 2.4.6 with OpenBLAS
 0.3.31, this rests on stacked ``svd``, ``matmul`` and ``trace(axis1=-2,
 axis2=-1)`` giving the same bits as per-matrix calls, as elementwise
 arithmetic and ``cumsum`` over the last axis do.
+
+A candidate moves one coordinate, and the coordinates below ``dim // 2``
+parameterise A and the others B, for both strategies.  So a candidate moves
+A or B, never both, and the factor it leaves is built from the same numbers
+by the same calls as the current point's: it is bit-identical, and so are
+its singular values.  The search therefore carries sigma(A) and
+sigma(tr(B) I - n B) of the current point, takes a candidate's over when it
+is accepted, and scores a stack of K candidates with one SVD call on 2 K
+matrices (the K operators T and the K factors that moved) instead of 3 K.
+What is fixed for a whole search is set up once: the k set is validated
+when the search starts, the unpacking index maps and the identity are
+cached per n, and tr(B) is computed once per candidate for both T and
+tr(B) I - n B.  Each candidate stack is still validated as Hermitian and
+finite before its SVD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,16 +91,19 @@ __all__ = [
 
 #: candidates one search step builds and scores as one stack.  ``kyfan search
 #: --question 2 --n 3 --budget 3000`` takes 755 stacks at 8 (1042 at 4, 668
-#: at 12); its times at 6, 8 and 12 were equal within measurement noise
+#: at 12).  With the half-split scoring, in-process searches of that size ran
+#: at 12.8k, 12.7k and 12.0k evaluations/s (medians of 12 interleaved rounds)
+#: at 6, 8 and 12, equal at 6 and 8 within noise
 SEARCH_BATCH = 8
 
 
 def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
     """Validate a Hermitian matrix, or each matrix of a ``(..., n, n)`` stack."""
     m = as_matrix(a, square=True, name=name, stacked=True)
-    deviation = np.linalg.norm(m - _adjoint(m), axis=(-2, -1))
-    if not deviation.any():  # exactly Hermitian, whatever the scale
+    difference = m - _adjoint(m)
+    if not difference.any():  # exactly Hermitian, whatever the scale
         return m
+    deviation = np.linalg.norm(difference, axis=(-2, -1))
     bad = np.ravel(deviation > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1))))
     if bad.any():
         first = int(np.argmax(bad))
@@ -199,6 +217,11 @@ def _question_sides(a, b, question: int) -> tuple[np.ndarray, np.ndarray]:
     if question not in (1, 2):
         raise ValueError("question must be 1 or 2")
     st, sd, sa = singular_values(np.stack([_closed_form(a, b), trace_deviation(b), a]))
+    return _sides(st, sa, sd, question)
+
+
+def _sides(st, sa, sd, question: int) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs for k = 1..n from the spectra of T, A and tr(B) I - n B."""
     lhs = np.cumsum(st, axis=-1)
     if question == 1:
         rhs = 2.0 * sa[..., :1] * np.cumsum(sd, axis=-1)
@@ -268,18 +291,80 @@ def unpack_hermitian_pair(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0 or theta.shape[-1] != 2 * n * n:
         raise ValueError(f"expected {2 * n * n} parameters, got {theta.shape}")
-    upper = np.nonzero(~np.tri(n, dtype=bool))  # row-major, as np.triu_indices(n, 1)
-    return _unpack_one(theta[..., : n * n], n, upper), _unpack_one(theta[..., n * n :], n, upper)
+    pair = _unpack_pair(theta, n)
+    return pair[..., 0, :, :], pair[..., 1, :, :]
 
 
-def _unpack_one(part: np.ndarray, n: int, upper) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _constants(n: int) -> tuple[np.ndarray, ...]:
+    """The row and column indices of the strict upper triangle, row-major as
+    ``np.triu_indices(n, 1)``, the diagonal indices and the identity at size
+    n; read only, as every search at that size shares them."""
+    rows, cols = np.nonzero(~np.tri(n, dtype=bool))
+    maps = rows, cols, np.arange(n), np.eye(n, dtype=np.complex128)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
+def _unpack_pair(theta: np.ndarray, n: int) -> np.ndarray:
+    """``(..., 2 n^2)`` parameter vectors to a ``(..., 2, n, n)`` stack of
+    pairs; the two halves are unpacked independently, entry by entry."""
+    part = theta.reshape(theta.shape[:-1] + (2, n * n))
+    rows, cols, diagonal, _ = _constants(n)
     h = np.zeros(part.shape[:-1] + (n, n), dtype=np.complex128)
     offdiag = (n * (n - 1)) // 2
     diag, re, im = part[..., :n], part[..., n : n + offdiag], part[..., n + offdiag :]
-    h[..., upper[0], upper[1]] = re + 1j * im
+    h[..., rows, cols] = re + 1j * im
     h += _adjoint(h)  # lower triangle is the exact conjugate, so h is Hermitian
-    h[..., np.arange(n), np.arange(n)] = diag
+    h[..., diagonal, diagonal] = diag
     return h
+
+
+def _pair_spectra(pairs: np.ndarray, moved_b=None, sa=None, sd=None):
+    """Singular values of T(A, B), A and tr(B) I - n B for each pair of a
+    ``(K, 2, n, n)`` stack of candidate pairs.
+
+    Without ``moved_b`` all three spectra go through one SVD call (3 K
+    matrices).  With it, candidate i differs from the current point only in B
+    where ``moved_b[i]`` and only in A elsewhere, so the factor it did not
+    move is bit-identical to the current point's and its spectrum is taken
+    from ``sa`` (of A) or ``sd`` (of tr(B) I - n B), the current point's:
+    one SVD call on 2 K matrices, the K operators and the K moved factors.
+    """
+    pairs = require_hermitian(pairs, name="candidate pair")
+    n = pairs.shape[-1]
+    a, b = pairs[:, 0], pairs[:, 1]
+    tr = np.trace(pairs, axis1=-2, axis2=-1)[..., None, None]
+    tr_a, tr_b = tr[:, 0], tr[:, 1]  # tr(B) is shared by T and tr(B) I - n B
+    ab = a @ b
+    eye = _constants(n)[-1]
+    # the expressions of _closed_form and trace_deviation, in their order
+    t = _trace(ab) * eye - tr_a * b + tr_b * a - n * ab
+    d = tr_b * eye - n * b
+    k = len(pairs)
+    if moved_b is None:
+        spectra = singular_values(np.concatenate([t, d, a]))
+        return spectra[:k], spectra[2 * k :], spectra[k : 2 * k]
+    moved = moved_b[:, None]
+    spectra = singular_values(np.concatenate([t, np.where(moved[..., None], d, a)]))
+    st, moved_spectra = spectra[:k], spectra[k:]
+    return st, np.where(moved, sa, moved_spectra), np.where(moved, moved_spectra, sd)
+
+
+def _best_margins(pairs: np.ndarray, question: int, ks: np.ndarray, moved_b=None,
+                  sa=None, sd=None):
+    """The search's scoring of a ``(K, 2, n, n)`` stack of candidate pairs:
+    each pair's largest margin over ``ks`` (all of 1..n or one k, already
+    validated) and the first k attaining it, as :func:`worst_question_margin`
+    gives them, and the spectra of A and tr(B) I - n B to carry (see
+    :func:`_pair_spectra`)."""
+    st, sa, sd = _pair_spectra(pairs, moved_b, sa, sd)
+    lhs, rhs = _sides(st, sa, sd, question)
+    margins = lhs - rhs
+    picked = margins if ks.size == margins.shape[-1] else margins[:, ks - 1]
+    first = np.argmax(picked, axis=-1)
+    return picked[np.arange(len(first)), first], ks[first], sa, sd
 
 
 def _split_budget(budget: int, restarts: int) -> list[int]:
@@ -287,6 +372,67 @@ def _split_budget(budget: int, restarts: int) -> list[int]:
         return []
     base, rem = divmod(budget, restarts)
     return [base + (1 if r < rem else 0) for r in range(restarts)]
+
+
+def _builder(strategy: str, n: int, g):
+    """The map from ``(..., dim)`` parameter vectors to ``(..., 2, n, n)``
+    stacks of Hermitian pairs, and dim; the commuting strategy draws its
+    shared eigenbasis from ``g`` here.  Parameters below dim // 2 give A,
+    the others B."""
+    if strategy == "commuting":
+        basis = haar_unitary(n, g)
+        basis_h = _adjoint(basis)
+
+        def build(theta):
+            pair = (basis * theta.reshape(theta.shape[:-1] + (2, 1, n))) @ basis_h
+            return (pair + _adjoint(pair)) / 2.0
+
+        return build, 2 * n
+    return (lambda theta: _unpack_pair(theta, n)), 2 * n * n
+
+
+def _climb(g, question: int, n: int, ks: np.ndarray, quota: int, strategy: str,
+           step_init: float, stall_limit: int):
+    """One restart of the greedy search, scoring ``quota`` pairs drawn from
+    ``g``.  Returns the final pair, its margin and k, the evaluations used
+    (``quota``) and the carried spectra of the final A and tr(B) I - n B."""
+    build, dim = _builder(strategy, n, g)
+    half = dim // 2
+    theta = g.standard_normal(dim)
+    values, value_ks, sa, sd = _best_margins(build(theta[None]), question, ks)
+    current, current_k, sa, sd = float(values[0]), int(value_ks[0]), sa[0], sd[0]
+    used = 1
+    step = step_init
+    stalls = 0
+    pending = []  # drawn (coordinate, normal) proposals not yet consumed
+    while used < quota:
+        while len(pending) < min(SEARCH_BATCH, quota - used):
+            pending.append((g.integers(dim), g.standard_normal()))
+        # the step of each candidate if every earlier one is rejected
+        steps = []
+        for _ in pending:
+            steps.append(step)
+            stalls += 1
+            if stalls >= stall_limit:
+                step *= 0.5
+                stalls = 0
+        coords, normals = zip(*pending)
+        candidates = np.repeat(theta[None], len(pending), axis=0)
+        candidates[np.arange(len(pending)), coords] += np.multiply(steps, normals)
+        values, value_ks, sas, sds = _best_margins(build(candidates), question, ks,
+                                                 np.array(coords) >= half, sa, sd)
+        accepted = np.flatnonzero(values > current)
+        if accepted.size:
+            i = int(accepted[0])
+            theta, current, current_k = candidates[i], float(values[i]), int(value_ks[i])
+            sa, sd = sas[i], sds[i]
+            step, stalls = steps[i], 0
+            consumed = i + 1
+        else:
+            consumed = len(pending)
+        used += consumed
+        del pending[:consumed]
+    return build(theta), current, current_k, used, sa, sd
 
 
 def search_counterexample(
@@ -333,7 +479,7 @@ def search_counterexample(
         k_policy = int(k_policy)
         if not 1 <= k_policy <= n:
             raise ValueError(f"k={k_policy} out of range 1..{n}")
-    k_values = None if k_policy == "all" else [k_policy]
+    ks = np.arange(1, n + 1) if k_policy == "all" else np.array([k_policy])
     if s is None:
         raise ValueError("a seed stream is required")
     stream = s if isinstance(s, SeededStream) else SeededStream(int(s))
@@ -342,63 +488,16 @@ def search_counterexample(
     best_pair = None
     best_k = 1
     evaluations = 0
-
     for r, quota in enumerate(_split_budget(budget, restarts)):
         if quota <= 0:
             continue
-        g = stream.offset(r).generator()
-        if strategy == "commuting":
-            basis = haar_unitary(n, g)
-            basis_h = _adjoint(basis)
-            dim = 2 * n
-
-            def build(theta):
-                a = (basis * theta[..., None, :n]) @ basis_h
-                b = (basis * theta[..., None, n:]) @ basis_h
-                return (a + _adjoint(a)) / 2.0, (b + _adjoint(b)) / 2.0
-
-        else:
-            dim = 2 * n * n
-
-            def build(theta):
-                return unpack_hermitian_pair(theta, n)
-
-        theta = g.standard_normal(dim)
-        current, current_k = worst_question_margin(*build(theta), question, k_values)
-        used = 1
-        step = step_init
-        stalls = 0
-        pending = []  # drawn (coordinate, normal) proposals not yet consumed
-        while used < quota:
-            while len(pending) < min(SEARCH_BATCH, quota - used):
-                pending.append((g.integers(dim), g.standard_normal()))
-            # the step of each candidate if every earlier one is rejected
-            steps = []
-            for _ in pending:
-                steps.append(step)
-                stalls += 1
-                if stalls >= stall_limit:
-                    step *= 0.5
-                    stalls = 0
-            coords, normals = zip(*pending)
-            candidates = np.repeat(theta[None], len(pending), axis=0)
-            candidates[np.arange(len(pending)), coords] += np.multiply(steps, normals)
-            values, value_ks = worst_question_margin(*build(candidates), question, k_values)
-            accepted = np.flatnonzero(values > current)
-            if accepted.size:
-                i = int(accepted[0])
-                theta, current, current_k = candidates[i], float(values[i]), int(value_ks[i])
-                step, stalls = steps[i], 0
-                consumed = i + 1
-            else:
-                consumed = len(pending)
-            used += consumed
-            del pending[:consumed]
+        pair, margin, k, used, _, _ = _climb(
+            stream.offset(r).generator(), question, n, ks, quota, strategy, step_init,
+            stall_limit,
+        )
         evaluations += used
-        if current > best_margin:
-            best_margin = current
-            best_pair = build(theta)
-            best_k = current_k
+        if margin > best_margin:
+            best_margin, best_pair, best_k = margin, pair, k
 
     witness = None
     if best_pair is not None and _violates(*best_pair, question, best_k, tolerance):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kyfan import ptrace
 from kyfan.ensembles import (
     SeededStream,
     commuting_hermitian_pair,
@@ -380,6 +381,24 @@ REFERENCE_CONFIGS = [
     (2, 6, "all", 1, 1, "commuting", 50),
     (1, 2, "all", 0, 2, "general", 50),
 ]
+# the A/B split of a candidate is coordinate < dim // 2; at n = 1 dim // 2 = 1
+# for both strategies
+HALF_SPLIT_CONFIGS = [
+    (2, 1, 1, 64, 2, "general", 3),
+    (1, 1, "all", 64, 2, "commuting", 3),
+]
+# each has a full batch whose proposals all move the same half
+ONE_SIDED_CONFIGS = [
+    (2, 2, "all", 1500, 1, "general", 50),    # a batch moving only A
+    (1, 2, "all", 1500, 1, "general", 50),    # a batch moving only B
+    (2, 2, "all", 1500, 1, "commuting", 50),  # a batch moving only A
+]
+# question 1 reads only sigma_1(A), however many of A's values are carried
+QUESTION1_CONFIGS = [
+    (1, 4, "all", 450, 2, "general", 10),
+    (1, 4, 4, 333, 3, "commuting", 50),
+]
+REFERENCE_CONFIGS += HALF_SPLIT_CONFIGS + ONE_SIDED_CONFIGS + QUESTION1_CONFIGS
 
 
 class TestSearchMatchesReference:
@@ -404,3 +423,66 @@ class TestSearchMatchesReference:
         assert res.witness.k == ref_k
         assert np.array_equal(res.witness.A, ref_pair[0])
         assert np.array_equal(res.witness.B, ref_pair[1])
+
+    @pytest.mark.parametrize("config", ONE_SIDED_CONFIGS,
+                             ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}".format(*c))
+    def test_one_sided_configs_have_a_one_sided_full_batch(self, monkeypatch, config):
+        question, n, k_policy, budget, restarts, strategy, stall_limit = config
+        real, sides = ptrace._best_margins, []
+
+        def recording(pairs, question, ks, moved_b=None, sa=None, sd=None):
+            if moved_b is not None and len(moved_b) == ptrace.SEARCH_BATCH:
+                sides.append(set(moved_b.tolist()))
+            return real(pairs, question, ks, moved_b, sa, sd)
+
+        monkeypatch.setattr(ptrace, "_best_margins", recording)
+        search_counterexample(question, n, k_policy, budget, restarts,
+                              SeededStream(1000 + 7 * n + question), strategy=strategy,
+                              stall_limit=stall_limit)
+        assert {True} in sides or {False} in sides
+
+
+class TestSearchKernel:
+    """The stacked scoring reuses the spectrum of the factor a candidate did
+    not move, so each stack of K candidates makes one SVD call on 2 K
+    matrices."""
+
+    @pytest.mark.parametrize("strategy", ["general", "commuting"])
+    def test_one_svd_call_on_2k_matrices_per_stack(self, monkeypatch, strategy):
+        real, sizes = ptrace.singular_values, []
+
+        def counting(a):
+            a = np.asarray(a)
+            sizes.append(a.shape[0] if a.ndim == 3 else 1)
+            return real(a)
+
+        monkeypatch.setattr(ptrace, "singular_values", counting)
+        restarts, budget = 3, 3 * 101
+        res = search_counterexample(2, 3, budget=budget, restarts=restarts,
+                                    s=SeededStream(71), strategy=strategy)
+        assert res.evaluations == budget
+        # each restart: its first point (T, tr(B) I - nB and A), then its
+        # stacks; last, the witness check of the best pair
+        assert sizes[-1] == 3
+        starts = [i for i, size in enumerate(sizes[:-1]) if size == 3]
+        assert starts[0] == 0 and len(starts) == restarts
+        for begin, end in zip(starts, starts[1:] + [len(sizes) - 1]):
+            stacks = [size // 2 for size in sizes[begin + 1 : end]]
+            assert all(size % 2 == 0 for size in sizes[begin + 1 : end])
+            assert stacks[0] == ptrace.SEARCH_BATCH
+            assert stacks == sorted(stacks, reverse=True)  # K = min(batch, quota - used)
+            assert sum(stacks) >= budget // restarts - 1
+
+    @pytest.mark.parametrize("strategy", ["general", "commuting"])
+    @pytest.mark.parametrize("question", [1, 2])
+    def test_carried_spectra_are_those_of_the_final_pair(self, strategy, question):
+        n = 4
+        g = SeededStream(72).generator()
+        pair, margin, k, used, sa, sd = ptrace._climb(
+            g, question, n, np.arange(1, n + 1), 400, strategy, 0.5, 50
+        )
+        assert used == 400
+        a, b = pair
+        assert sa.tobytes() == singular_values(a).tobytes()
+        assert sd.tobytes() == singular_values(trace_deviation(b)).tobytes()
+        assert (margin, k) == worst_question_margin(a, b, question)
