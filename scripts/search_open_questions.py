@@ -50,6 +50,10 @@ def main() -> int:
     args = parser.parse_args()
     if not 1 <= args.restarts < STREAM_STRIDE:
         parser.error(f"--restarts must be between 1 and {STREAM_STRIDE - 1}")
+    if args.budget < args.restarts:
+        # a restart with no budget scores nothing, and a negative one is no budget
+        parser.error(f"--budget must be at least --restarts ({args.restarts}), "
+                     f"got {args.budget}")
 
     questions = (1, 2) if args.question == "both" else (int(args.question),)
     strategies = ("general", "commuting")

@@ -293,6 +293,10 @@ def parse_arguments(argv) -> RunConfig:
             output_path=args.output_path, format=args.format, **common,
         )
     if args.command == "search":
+        if args.budget < args.restarts:
+            # a restart with no budget scores nothing, and --budget 0 nothing at all
+            parser.error(f"--budget must be at least --restarts ({args.restarts}), "
+                         f"got {args.budget}")
         return RunConfig(
             command="search", question=args.question, n=args.n, k_spec=args.k_spec,
             budget=args.budget, restarts=args.restarts, strategy=args.strategy,

@@ -93,6 +93,19 @@ class TestParsing:
         assert "--n must be at least 2, got 1" in capsys.readouterr().err
         assert parse_arguments(["extremal", "--n", "2"]).n == 2
 
+    @pytest.mark.parametrize("budget, restarts", [("0", "8"), ("3", "8"), ("0", "1")])
+    def test_search_budget_below_restarts_rejected(self, budget, restarts, capsys):
+        # a restart with no budget scores nothing, yet the report would count it
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(["search", "--question", "2", "--budget", budget,
+                             "--restarts", restarts])
+        assert err.value.code == 2
+        assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
+                in capsys.readouterr().err)
+        cfg = parse_arguments(["search", "--question", "2", "--budget", restarts,
+                               "--restarts", restarts])
+        assert cfg.budget == cfg.restarts == int(restarts)
+
     def test_ptrace_and_search_parse(self):
         cfg = parse_arguments(["ptrace", "--question", "2", "--n", "4", "--budget", "10"])
         assert cfg.question == 2 and cfg.n == 4 and cfg.budget == 10

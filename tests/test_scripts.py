@@ -48,6 +48,19 @@ def test_search_script_rejects_restarts_that_reach_the_next_cell(monkeypatch, ca
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("budget, restarts", [("-1", "8"), ("0", "8"), ("3", "8")])
+def test_search_script_rejects_a_budget_below_the_restarts(monkeypatch, capsys, budget,
+                                                           restarts):
+    script = _load("search_open_questions")
+    monkeypatch.setattr(sys, "argv", ["search_open_questions.py", "--budget", budget,
+                                      "--restarts", restarts])
+    with pytest.raises(SystemExit) as err:
+        script.main()
+    assert err.value.code == 2
+    assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
+            in capsys.readouterr().err)
+
+
 def test_full_suite_quick_run_passes_every_section(monkeypatch, capsys, tmp_path):
     script = _load("run_full_suite")
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--quick",
