@@ -166,11 +166,14 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
 
 
-def _closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _closed_form(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T(A, B) and tr(B) I - n B (as :func:`trace_deviation` gives it) of
+    validated pairs, sharing tr(B)."""
     n = a.shape[-1]
     ab = a @ b
-    eye = np.eye(n, dtype=np.complex128)
-    return _trace(ab) * eye - _trace(a) * b + _trace(b) * a - n * ab
+    eye = _constants(n)[-1]
+    tr_b = _trace(b)
+    return _trace(ab) * eye - _trace(a) * b + tr_b * a - n * ab, tr_b * eye - n * b
 
 
 def lhs_operator_brute(a, b) -> np.ndarray:
@@ -196,7 +199,7 @@ def lhs_operator(a, b, *, cross_check: bool = True) -> np.ndarray:
     b = require_hermitian(b, name="B")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    closed = _closed_form(a, b)
+    closed = _closed_form(a, b)[0]
     if cross_check:
         brute = lhs_operator_brute(a, b)
         residual = float(np.linalg.norm(brute - closed))
@@ -216,7 +219,7 @@ def _question_sides(a, b, question: int) -> tuple[np.ndarray, np.ndarray]:
     question = int(question)
     if question not in (1, 2):
         raise ValueError("question must be 1 or 2")
-    st, sd, sa = singular_values(np.stack([_closed_form(a, b), trace_deviation(b), a]))
+    st, sd, sa = singular_values(np.stack([*_closed_form(a, b), a]))
     return _sides(st, sa, sd, question)
 
 
@@ -333,15 +336,8 @@ def _pair_spectra(pairs: np.ndarray, moved_b=None, sa=None, sd=None):
     one SVD call on 2 K matrices, the K operators and the K moved factors.
     """
     pairs = require_hermitian(pairs, name="candidate pair")
-    n = pairs.shape[-1]
-    a, b = pairs[:, 0], pairs[:, 1]
-    tr = np.trace(pairs, axis1=-2, axis2=-1)[..., None, None]
-    tr_a, tr_b = tr[:, 0], tr[:, 1]  # tr(B) is shared by T and tr(B) I - n B
-    ab = a @ b
-    eye = _constants(n)[-1]
-    # the expressions of _closed_form and trace_deviation, in their order
-    t = _trace(ab) * eye - tr_a * b + tr_b * a - n * ab
-    d = tr_b * eye - n * b
+    a = pairs[:, 0]
+    t, d = _closed_form(a, pairs[:, 1])
     k = len(pairs)
     if moved_b is None:
         spectra = singular_values(np.concatenate([t, d, a]))
@@ -394,8 +390,8 @@ def _builder(strategy: str, n: int, g):
 def _climb(g, question: int, n: int, ks: np.ndarray, quota: int, strategy: str,
            step_init: float, stall_limit: int):
     """One restart of the greedy search, scoring ``quota`` pairs drawn from
-    ``g``.  Returns the final pair, its margin and k, the evaluations used
-    (``quota``) and the carried spectra of the final A and tr(B) I - n B."""
+    ``g``.  Returns the final pair, its margin and k, and the carried spectra
+    of the final A and tr(B) I - n B."""
     build, dim = _builder(strategy, n, g)
     half = dim // 2
     theta = g.standard_normal(dim)
@@ -432,7 +428,7 @@ def _climb(g, question: int, n: int, ks: np.ndarray, quota: int, strategy: str,
             consumed = len(pending)
         used += consumed
         del pending[:consumed]
-    return build(theta), current, current_k, used, sa, sd
+    return build(theta), current, current_k, sa, sd
 
 
 def search_counterexample(
@@ -491,11 +487,11 @@ def search_counterexample(
     for r, quota in enumerate(_split_budget(budget, restarts)):
         if quota <= 0:
             continue
-        pair, margin, k, used, _, _ = _climb(
+        pair, margin, k, _, _ = _climb(
             stream.offset(r).generator(), question, n, ks, quota, strategy, step_init,
             stall_limit,
         )
-        evaluations += used
+        evaluations += quota
         if margin > best_margin:
             best_margin, best_pair, best_k = margin, pair, k
 
