@@ -34,8 +34,9 @@ the repeats:
   in evaluations per second.
 
 A shared machine drifts between speed states, within seconds as well as
-over minutes, so a fixed numpy/LAPACK calibration kernel (no kyfan code;
-the mix ``perfbench/child.py`` times) is timed around every timed loop.
+over minutes, so perfbench's calibration kernel (``calibrate`` in
+``perfbench/child.py``: a fixed mix of numpy, LAPACK and interpreter work,
+no kyfan code) is timed around every timed loop.
 Each loop's time is scaled by ``CAL_REF_S`` over the mean of the kernel
 times just before and just after it: microseconds on a machine that runs
 the kernel in ``CAL_REF_S``.  Each row gives the scaled median and
@@ -53,6 +54,7 @@ Only the standard library and numpy are used besides kyfan itself.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -76,27 +78,18 @@ SEARCH_N = 3
 SEARCH_BUDGET = 3000
 #: calibration kernel time on the reference machine, as in perfbench/run.py
 CAL_REF_S = 0.03
-CALIBRATION_REPS = 160
 CALIBRATION_ROUNDS = 5
 
 
-def calibrate() -> float:
-    """Seconds taken by a fixed mix of small numpy, LAPACK and interpreter
-    work: the kernel of ``perfbench/child.py``, which calls no kyfan code."""
-    a = np.arange(64.0).reshape(8, 8) / 7.0 + 1j * np.eye(8)
-    start = time.perf_counter()
-    acc = 0.0
-    for i in range(CALIBRATION_REPS):
-        g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7, spawn_key=(i,))))
-        z = g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
-        q, _ = np.linalg.qr(z)
-        acc += float(np.cumsum(np.linalg.svd(q @ z, compute_uv=False))[-1])
-        for _ in range(4):
-            acc += float(np.linalg.svd(a, compute_uv=False)[0])
-            scratch = {}
-            for j in range(40):
-                scratch[j] = j * acc
-    return time.perf_counter() - start
+def _load_calibrate():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.calibrate
+
+
+calibrate = _load_calibrate()
 
 
 def calibration_median() -> float:

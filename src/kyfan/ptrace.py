@@ -302,7 +302,7 @@ def unpack_hermitian_pair(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _constants(n: int) -> tuple[np.ndarray, ...]:
     """The row and column indices of the strict upper triangle, row-major as
     ``np.triu_indices(n, 1)``, the diagonal indices and the identity at size
-    n; read only, as every search at that size shares them."""
+    n; read only, as every caller at that size shares them."""
     rows, cols = np.nonzero(~np.tri(n, dtype=bool))
     maps = rows, cols, np.arange(n), np.eye(n, dtype=np.complex128)
     for m in maps:

@@ -387,18 +387,18 @@ HALF_SPLIT_CONFIGS = [
     (2, 1, 1, 64, 2, "general", 3),
     (1, 1, "all", 64, 2, "commuting", 3),
 ]
-# each has a full batch whose proposals all move the same half
-ONE_SIDED_CONFIGS = [
-    (2, 2, "all", 1500, 1, "general", 50),    # a batch moving only A
-    (1, 2, "all", 1500, 1, "general", 50),    # a batch moving only B
-    (2, 2, "all", 1500, 1, "commuting", 50),  # a batch moving only A
-]
+# each has a full batch whose proposals all move the same half, the one named
+ONE_SIDED_CONFIGS = {
+    (2, 2, "all", 1500, 1, "general", 50): "A",
+    (1, 2, "all", 1500, 1, "general", 50): "B",
+    (2, 2, "all", 1500, 1, "commuting", 50): "A",
+}
 # question 1 reads only sigma_1(A), however many of A's values are carried
 QUESTION1_CONFIGS = [
     (1, 4, "all", 450, 2, "general", 10),
     (1, 4, 4, 333, 3, "commuting", 50),
 ]
-REFERENCE_CONFIGS += HALF_SPLIT_CONFIGS + ONE_SIDED_CONFIGS + QUESTION1_CONFIGS
+REFERENCE_CONFIGS += HALF_SPLIT_CONFIGS + list(ONE_SIDED_CONFIGS) + QUESTION1_CONFIGS
 
 
 class TestSearchMatchesReference:
@@ -424,7 +424,7 @@ class TestSearchMatchesReference:
         assert np.array_equal(res.witness.A, ref_pair[0])
         assert np.array_equal(res.witness.B, ref_pair[1])
 
-    @pytest.mark.parametrize("config", ONE_SIDED_CONFIGS,
+    @pytest.mark.parametrize("config", list(ONE_SIDED_CONFIGS),
                              ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}".format(*c))
     def test_one_sided_configs_have_a_one_sided_full_batch(self, monkeypatch, config):
         question, n, k_policy, budget, restarts, strategy, stall_limit = config
@@ -439,7 +439,7 @@ class TestSearchMatchesReference:
         search_counterexample(question, n, k_policy, budget, restarts,
                               SeededStream(1000 + 7 * n + question), strategy=strategy,
                               stall_limit=stall_limit)
-        assert {True} in sides or {False} in sides
+        assert {ONE_SIDED_CONFIGS[config] == "B"} in sides
 
 
 class TestSearchKernel:
