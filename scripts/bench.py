@@ -32,6 +32,11 @@ the repeats:
 - ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
   restarts=8)`` in process, per evaluation; the row also gives the median
   in evaluations per second.
+- ``extremal_2000``: the ``kyfan extremal`` engine in process,
+  ``suite._extremal_gaps`` for each of the three targets at n_max = 8 with
+  ``samples = 2`` and 2000 trials, each target on its own section as the CLI
+  spaces them; per trial of the 6000, and the row also gives the median in
+  trials per second.
 
 A shared machine drifts between speed states, within seconds as well as
 over minutes, so perfbench's calibration kernel (``calibrate`` in
@@ -68,7 +73,7 @@ import numpy as np
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
 from kyfan.ptrace import SEARCH_BATCH, _best_margins, _unpack_pair, search_counterexample
-from kyfan.suite import check_ahj, check_lemma32
+from kyfan.suite import EXTREMAL_TARGETS, _extremal_gaps, check_ahj, check_lemma32
 
 SEED = 271828
 SECTION = 2**24
@@ -76,6 +81,9 @@ N = 5
 SECTION_TRIALS = 1024
 SEARCH_N = 3
 SEARCH_BUDGET = 3000
+EXTREMAL_N = 8
+EXTREMAL_TRIALS = 2000
+EXTREMAL_SAMPLES = 2
 #: calibration kernel time on the reference machine, as in perfbench/run.py
 CAL_REF_S = 0.03
 CALIBRATION_ROUNDS = 5
@@ -169,6 +177,11 @@ def measure(ops: int, repeats: int) -> dict:
         search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=8,
                               s=SeededStream(SEED))
 
+    def extremal(rep):
+        for section, target in enumerate(EXTREMAL_TARGETS, start=rep * len(EXTREMAL_TARGETS)):
+            base = SeededStream(SEED, (section + 1) * SECTION)
+            _extremal_gaps(target, EXTREMAL_N, EXTREMAL_TRIALS, base, EXTREMAL_SAMPLES)
+
     layers = {
         "stream_open": (stream_open, ops),
         "stream_open_reference": (stream_open_reference, ops),
@@ -179,11 +192,15 @@ def measure(ops: int, repeats: int) -> dict:
         "checker_trial_lemma32_5": (checker_section(check_lemma32), SECTION_TRIALS),
         "search_stack_3": (search_stack, stacks),
         "search_q2_3000": (search_q2, SEARCH_BUDGET),
+        "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
     }
     rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
     search = rows["search_q2_3000"]
     search["evaluations_per_s"] = 1e6 / search["median_us"]
     search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
+    extremal_row = rows["extremal_2000"]
+    extremal_row["trials_per_s"] = 1e6 / extremal_row["median_us"]
+    extremal_row["trials_per_s_scaled"] = 1e6 / extremal_row["median_us_scaled"]
     return rows
 
 
