@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .ensembles import (
+    CHUNK_ENTRIES,
     SeededStream,
     commuting_hermitian_pair,
     random_hermitian,
@@ -54,7 +55,6 @@ from .reports import (
     witness_document,
 )
 from .suite import (
-    CHUNK_ENTRIES,
     EXTREMAL_TARGETS,
     Witness,
     _extremal_gaps,

@@ -4,9 +4,9 @@ Sampling is driven by explicit streams: a :class:`SeededStream` is a
 (master_seed, stream_index) pair that deterministically opens a PCG64
 generator, so results are independent of scheduling.  A run section based
 at stream index ``base`` maps its trials to streams by the stream contract
-named in ``GENERATOR_ID``.  Under contract v2 the checker engine draws
-block b of its trials from stream ``base + b`` (see :mod:`kyfan.suite`);
-the ``extremal`` targets, the ``ptrace`` loops and the searches open one
+named in ``GENERATOR_ID``.  Under contract v3 the checker engine and the
+``extremal`` targets draw block b of their trials from stream ``base + b``
+(see :mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
 stream per trial or restart, base + t.  Every sampler also accepts an
 already-open ``numpy.random.Generator`` so several draws inside one trial
 chain off a single stream instead of each restarting it.
@@ -64,9 +64,9 @@ __all__ = [
 ]
 
 #: recorded in every report so a replay can verify it uses the same bit source:
-#: the generator family, the stream contract (v2: block-drawn checker trials,
-#: see kyfan.suite) and the numpy version
-GENERATOR_ID = f"numpy-pcg64-seedseq-v2/{np.__version__}"
+#: the generator family, the stream contract (v3: block-drawn checker and
+#: extremal trials, see kyfan.suite) and the numpy version
+GENERATOR_ID = f"numpy-pcg64-seedseq-v3/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
@@ -322,7 +322,7 @@ def as_generator(s) -> np.random.Generator:
 # the stacked results of many trials, ``(..., n, n)`` arrays, to the sampled
 # matrices.  The public sampler is the transform of a batch of one.  Given a
 # block size, an RNG step makes each of its calls once for the whole block,
-# with a leading block axis (stream contract v2, see kyfan.suite).
+# with a leading block axis (stream contract v3, see kyfan.suite).
 # ---------------------------------------------------------------------------
 
 
@@ -559,7 +559,7 @@ def support_function_gap(c, w: Weight) -> float:
     n = vec.size
     if n < w.k:
         raise ValueError(f"need len(c) >= k, got {n} < {w.k}")
-    return float(_support_gaps(vec[None], [w])[0])
+    return float(_support_gaps(vec[None], _prefix_table([w], n), np.array([w.k]))[0])
 
 
 def _check_enumeration_budget(n: int, k: int) -> None:
@@ -569,23 +569,28 @@ def _check_enumeration_budget(n: int, k: int) -> None:
             raise BudgetError(f"family E{j} in dimension {n} exceeds the enumeration budget")
 
 
-def _support_gaps(c: np.ndarray, weights) -> np.ndarray:
-    """:func:`support_function_gap` of each row of a (T, n) stack, row t under weights[t].
+def _check_enumeration_budgets(ns: np.ndarray, ks: np.ndarray) -> None:
+    """:func:`_check_enumeration_budget` of each (n, k) pair, raising for the first one over."""
+    for n, k in dict.fromkeys(zip(ns.tolist(), ks.tolist())):  # first-seen order
+        _check_enumeration_budget(n, k)
 
+
+def _support_gaps(c: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """:func:`support_function_gap` of each row of a (T, n) stack.
+
+    Row t is taken under the weight with prefix sums ``ws[t]`` (a
+    :func:`~kyfan.norms._prefix_table` row) and active length ``ks[t]``.
     Every row's families are checked against ``ENUMERATION_BUDGET`` before
     any sign matrix is built.  The sign-matrix products stay one
     matrix-vector product per row: a stacked product changes the last bits
     of the row maxima.
     """
     n = c.shape[-1]
-    for w in weights:
-        _check_enumeration_budget(n, w.k)
-    ws = _prefix_table(weights, n)
-    ks = np.array([w.k for w in weights])
+    _check_enumeration_budgets(np.full(len(ks), n), ks)
     best = np.empty(len(c))
-    for t, (vec, w) in enumerate(zip(c, weights)):
-        top = float((_sign_matrix(n, n) @ vec).max()) / ws[t, w.k - 1]
-        for j in range(1, w.k):
+    for t, (vec, k) in enumerate(zip(c, ks.tolist())):
+        top = float((_sign_matrix(n, n) @ vec).max()) / ws[t, k - 1]
+        for j in range(1, k):
             top = max(top, float((_sign_matrix(n, j) @ vec).max()) / ws[t, j - 1])
         best[t] = top
     return np.abs(best - _dual_norms(c, ws, ks))
@@ -600,7 +605,9 @@ def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
     scored via Re tr(C* X); the closed-form reference is the dual weighted
     k-norm of the singular value vector.  Additionally ``samples`` random
     scaled partial isometries are drawn and must not beat the aligned
-    maximum.  Returns the largest discrepancy observed (either route).
+    maximum: each draws ``g.integers(k)``, its family, then the (2, 2, n, n)
+    normals of its two Haar factors.  Returns the largest discrepancy
+    observed (either route).
     """
     m = as_matrix(c, square=True, name="C")
     n = m.shape[0]
@@ -609,65 +616,74 @@ def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
     samples = int(samples)
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    return float(_matrix_gaps(m[None], [w], samples, [as_generator(s)])[0])
+    ws, ks = _prefix_table([w], n), np.array([w.k])
+    gaps, aligned = _aligned_gaps(m[None], ws, ks)
+    g = as_generator(s)
+    for _ in range(samples):
+        picks = np.array([g.integers(w.k)])
+        values = _sampled_values(m[None], ws, ks, picks, g.standard_normal((1, 2, 2, n, n)))
+        gaps = np.maximum(gaps, values - aligned)
+    return float(gaps[0])
 
 
-def _alignments(c, trial, u, v, source, ranks, scales) -> np.ndarray:
+def _re_inner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re tr(C_t^* X_t) of each pair of a (T, n, n) stack: a row-major sum of entries.
+
+    Each row is one contiguous last-axis sum, so a row's bits do not depend
+    on the stack it is in.
+    """
+    products = c.real * x.real + c.imag * x.imag
+    return products.reshape(len(products), -1).sum(axis=-1)
+
+
+def _candidate_values(c, trial, u, v, source, ranks, scales) -> np.ndarray:
     """Re tr(C_t^* X_i) for each candidate i, with C_t = c[trial[i]].
 
     X_i = (U[:, :j] @ V[:, :j]^*) / scales[i] for U = u[source[i]], V =
     v[source[i]] and j = ranks[i].  The candidates are built one rank at a
-    time and scored straight away, so at most one rank group of them is held
-    at once; each ``Re tr`` is one ``np.vdot``.
+    time and scored straight away as one stacked :func:`_re_inner`, so at
+    most one rank group of them is held at once.
     """
     out = np.empty(len(trial))
     for j in sorted(set(ranks.tolist())):  # not np.unique: it imports numpy.ma
         sel = np.flatnonzero(ranks == j)
         pick = source[sel]
         x = (u[pick, :, :j] @ _adjoint(v[pick, :, :j])) / scales[sel, None, None]
-        out[sel] = [np.real(np.vdot(c[t], xi)) for t, xi in zip(trial[sel], x)]
+        out[sel] = _re_inner(c[trial[sel]], x)
     return out
 
 
-def _matrix_gaps(c: np.ndarray, weights, samples: int, generators) -> np.ndarray:
-    """:func:`matrix_ball_support_gap` of each matrix of a (T, n, n) stack.
+def _ranks(families: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
+    """Rank of the candidates of each family: p + 1 for p < k - 1, else n."""
+    return np.where(families + 1 < ks, families + 1, n)
 
-    Matrix t is scored under weights[t] and draws its ``samples`` candidates
-    from generators[t], each as ``g.integers(k)`` then two (2, n, n) blocks
-    of normals.  The candidates of family p of a weight with k entries have
-    rank p + 1 for p < k - 1, else rank n, and are scaled by the p-th prefix
-    sum.  Samples are drawn and scored in blocks that keep the stack of
-    their U factors, and that of their V factors, within ``CHUNK_ENTRIES``
-    complex entries where one matrix per trial fits.
+
+def _aligned_gaps(c: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> tuple:
+    """The aligned gap of each matrix of a (T, n, n) stack, and its best aligned value.
+
+    Matrix t is taken under the weight with prefix sums ``ws[t]`` and active
+    length ``ks[t]``; its family p < k is scored at the candidate built from
+    its own singular vectors, of rank :func:`_ranks` and scaled by ws[t, p].
     """
     trials, n = c.shape[0], c.shape[-1]
     u, sig, v = svd(c)
-    ws = _prefix_table(weights, n)
-    ks = np.array([w.k for w in weights])
-
-    def rank(family, k):
-        return np.where(family + 1 < k, family + 1, n)
-
     trial = np.repeat(np.arange(trials), ks)
-    family = np.concatenate([np.arange(k) for k in ks])
-    values = _alignments(c, trial, u, v, trial, rank(family, ks[trial]), ws[trial, family])
-    aligned = np.maximum.reduceat(values, np.cumsum(ks) - ks)
-    gaps = np.abs(aligned - _dual_norms(sig, ws, ks))
+    starts = np.cumsum(ks) - ks
+    family = np.arange(trial.size) - np.repeat(starts, ks)
+    values = _candidate_values(c, trial, u, v, trial, _ranks(family, ks[trial], n),
+                               ws[trial, family])
+    aligned = np.maximum.reduceat(values, starts)
+    return np.abs(aligned - _dual_norms(sig, ws, ks)), aligned
 
-    excess = np.zeros(trials)
-    block = max(1, CHUNK_ENTRIES // (trials * n * n))
-    for start in range(0, samples, block):
-        count = min(block, samples - start)
-        picks = np.empty((trials, count), dtype=np.intp)
-        normals = np.empty((trials, count, 2, 2, n, n))
-        for t, (g, k) in enumerate(zip(generators, ks)):
-            for i in range(count):
-                picks[t, i] = g.integers(int(k))
-                normals[t, i] = g.standard_normal((2, 2, n, n))
-        h = _haar(normals).reshape(trials * count, 2, n, n)
-        trial = np.repeat(np.arange(trials), count)
-        family = picks.ravel()
-        values = _alignments(c, trial, h[:, 0], h[:, 1], np.arange(trials * count),
-                             rank(family, ks[trial]), ws[trial, family]).reshape(trials, count)
-        excess = np.maximum(excess, (values - aligned[:, None]).max(axis=-1))
-    return np.maximum(gaps, excess)
+
+def _sampled_values(c, ws, ks, picks, normals) -> np.ndarray:
+    """Re tr(C_t^* X_t) of one sampled candidate per matrix of a (T, n, n) stack.
+
+    X_t is a partial isometry U_j V_j^* of family picks[t], with U and V the
+    Haar unitaries of normals[t, 0] and normals[t, 1], scaled as the aligned
+    candidate of that family; one QR call covers the stack.
+    """
+    h = _haar(normals)
+    trial = np.arange(len(c))
+    return _candidate_values(c, trial, h[:, 0], h[:, 1], trial,
+                             _ranks(picks, ks, c.shape[-1]), ws[trial, picks])

@@ -71,16 +71,7 @@ class Weight:
         object.__setattr__(self, "k", int(k))
         if len(entries) == 0:
             raise ValueError("weight needs at least one entry")
-        if not all(np.isfinite(e) for e in entries):
-            raise ValueError("weight entries must be finite")
-        if any(e < 0 for e in entries):
-            raise ValueError("weight entries must be nonnegative")
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            raise ValueError("weight entries must be nonincreasing")
-        if not 1 <= self.k <= len(entries):
-            raise ValueError(f"k={self.k} out of range for {len(entries)} entries")
-        if entries[self.k - 1] <= 0:
-            raise ValueError("the k-th weight entry must be strictly positive")
+        _check_weight_rows(np.array([entries]), np.array([self.k]), np.array([len(entries)]))
 
     @classmethod
     def ones(cls, k: int, n: int | None = None) -> "Weight":
@@ -128,6 +119,27 @@ def _prefix_table(weights, n: int) -> np.ndarray:
     for row, w in zip(table, weights):
         row[: w.k] = w.entries[: w.k]
     return np.cumsum(table, axis=-1)
+
+
+def _check_weight_rows(entries: np.ndarray, ks: np.ndarray, lengths: np.ndarray) -> None:
+    """:class:`Weight`'s checks on every row of a (T, m) stack of weights.
+
+    Row t holds a weight of ``lengths[t]`` entries, zero-padded to m, with
+    active length ``ks[t]``.  The checks run in the constructor's order and
+    raise its messages, the k range naming the first row out of range.
+    """
+    if not np.isfinite(entries).all():
+        raise ValueError("weight entries must be finite")
+    if (entries < 0).any():
+        raise ValueError("weight entries must be nonnegative")
+    if (entries[:, :-1] < entries[:, 1:]).any():
+        raise ValueError("weight entries must be nonincreasing")
+    out_of_range = (ks < 1) | (ks > lengths)
+    if out_of_range.any():
+        t = int(np.argmax(out_of_range))
+        raise ValueError(f"k={int(ks[t])} out of range for {int(lengths[t])} entries")
+    if (entries[np.arange(len(ks)), ks - 1] <= 0).any():
+        raise ValueError("the k-th weight entry must be strictly positive")
 
 
 def _dual_norms(x, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:

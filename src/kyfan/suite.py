@@ -10,7 +10,7 @@ Checker ids double as report ids: von-neumann, product-family,
 hadamard-family, ahj-given, ahj-sqrt, lemma31, lemma32, hmn-<mask>,
 fan-sigma1.
 
-Trial engine (stream contract v2)
+Trial engine (stream contract v3)
 ---------------------------------
 The trials of a run section based at stream index ``base`` come in blocks
 of ``B_n = max(1, BLOCK_ENTRIES // n**2)`` trials, ``BLOCK_ENTRIES = 4096``.
@@ -27,8 +27,8 @@ section ends inside it, and slices off the rest before any transform, so
 trial t's inputs depend only on the seed, the section base, n and t, never
 on the trial count.  A section of T trials opens ``ceil(T / B_n)`` streams,
 at ``base`` up to ``base + ceil(T / B_n) - 1``.  The ``extremal`` engine
-below, the ``ptrace`` loops and the searches keep one stream per trial or
-restart.
+below draws by the same block rule; the ``ptrace`` loops and the searches
+keep one stream per trial or restart.
 
 Everything after the draws runs on the block's stacks: the block is
 transformed, evaluated and scored as ``(T, n, n)`` arrays of at most
@@ -54,28 +54,47 @@ trials are scored after the drawn ones.
 
 Extremal engine
 ---------------
-The ``kyfan extremal`` targets run through :func:`_extremal_gaps`.  Trial t
-opens ``stream.offset(t).generator()`` and makes the generator calls of the
-one-trial loop in its order: n, then k and the ``random_weight`` draws, then
-c for ``vector``; the Ginibre normals, then per sample ``g.integers(k)`` and
-two ``(2, n, n)`` blocks of normals for ``matrix``; the Ginibre normals for
-``equality``.  A matrix trial keeps its generator open until its samples are
-drawn; a vector trial's sign-vector families are checked against
-``ENUMERATION_BUDGET`` as it is drawn, so an over-budget run fails at the
-trial a one-trial loop failed at.  A chunk holds ``max(1, CHUNK_ENTRIES //
-n_max**2)`` trials, and its trials are grouped by n into ``(T, n, n)``
-stacks: one ``svd`` of the C or B stack, one Haar QR over a block of sample
-draws, ``singular_values``, ``trace(axis1=-2, axis2=-1)``, and the
-candidate products ``U_j V_j*`` stacked and scored one rank j at a time,
-at most one per trial, so memory stays flat in n as well.  The public
-``support_function_gap``, ``matrix_ball_support_gap`` and
-``von_neumann_equality_witness`` are these same helpers on one input.
+The ``kyfan extremal`` targets run through :func:`_extremal_gaps`.  Block j
+of a section holds ``B = max(1, BLOCK_ENTRIES // n_max**2)`` trials (64 at
+n_max = 8) and is drawn from ``stream.offset(j).generator()``, each draw one
+call over the whole block, in this order:
+
+- n, as ``g.integers(2, n_max + 1, size=B)``;
+- for ``vector`` and ``matrix``, k as ``g.integers(1, n + 1)`` over the
+  block's n, then the weight: the ones-mask ``g.uniform(size=B) < 0.15``,
+  the entries ``g.uniform(0.05, 1, (B, n_max))``, the tail mask
+  ``g.uniform(size=B) < 0.5``.  Trial t's weight is k ones or its first k
+  entries sorted nonincreasing, followed by n - k zeros where k < n and the
+  tail mask is set, as ``random_weight`` builds it;
+- the normals of c, ``g.standard_normal((B, n_max))``, or of C or B,
+  ``g.standard_normal((B, 2, n_max, n_max))``;
+- for ``matrix``, once per sample index: each trial's family
+  ``g.integers(k)``, then the ``(B, 2, 2, n_max, n_max)`` normals of the
+  two Haar factors of its sampled candidate.
+
+Trial t of dimension n takes the leading n entries or n x n corners of its
+rows, which are iid.  As for the checkers, a block draws all B trials, so
+trial t's n, weight and C depend only on the seed, the section base, n_max
+and t, never on ``--trials`` or ``--samples``, and a section of T trials
+opens ``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)`` array of
+prefix sums; :class:`~kyfan.norms.Weight`'s checks run on it row by row.
+Every vector trial's families are checked against ``ENUMERATION_BUDGET``
+before any is scored, naming the first over-budget trial in trial order.
+
+``EXTREMAL_CHUNK_BLOCKS`` blocks are scored together, their trials grouped
+by n into ``(T, n, n)`` stacks: one ``svd`` of the C or B stack, one Haar QR
+per sample index, and the candidates ``U_j V_j* / scale`` built and scored
+one rank j at a time, Re tr(C* X) as one stacked sum over each candidate's
+entries.  The public ``support_function_gap``, ``matrix_ball_support_gap``
+and ``von_neumann_equality_witness`` are these same helpers on one input.
 Beyond the rules above:
 
-- ``np.vdot(C, X)`` stays one 1-D BLAS call per candidate;
+- each Re tr(C* X) is one contiguous last-axis sum, whose bits do not
+  depend on the stack;
 - the sign-matrix products of the vector target stay one matrix-vector
-  product per trial: a stacked ``S @ V.T`` changed the row maximum in 1345
-  of 8750 (n, j, vector) checks (n = 2..8, every j, 250 vectors each);
+  product per trial and family: a stacked ``S @ V.T`` changed the row
+  maximum in 1345 of 8750 (n, j, vector) checks (n = 2..8, every j, 250
+  vectors each);
 - ``abs`` of each equality trace is taken as a scalar;
 - the dual norm sorts and sums each row and forms the same quotients as
   the one-vector form, so its maximum is the same number.
@@ -94,19 +113,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import (
-    CHUNK_ENTRIES,
     GENERATOR_ID,
     SeededStream,
-    _check_enumeration_budget,
+    _aligned_gaps,
+    _check_enumeration_budgets,
     _contraction,
     _contraction_draw,
     _gaussian,
     _ginibre,
-    _matrix_gaps,
+    _sampled_values,
     _subunit,
     _subunit_draw,
     _support_gaps,
-    random_weight,
 )
 from .forms import EntrywiseForm, apply_form, fan_product, right_adjoint_apply
 from .matrixcore import (
@@ -117,7 +135,7 @@ from .matrixcore import (
     singular_values,
     svd,
 )
-from .norms import INEQUALITY_TOL
+from .norms import INEQUALITY_TOL, _check_weight_rows
 
 __all__ = [
     "Witness",
@@ -162,8 +180,8 @@ class CheckReport:
     witness: Witness | None = None
 
 #: a checker block holds max(1, BLOCK_ENTRIES // n**2) trials.  The block size
-#: is part of stream contract v2, so this constant moves every checker stream;
-#: it is not a memory knob like ensembles.CHUNK_ENTRIES
+#: is part of the stream contract, so this constant moves every checker and
+#: extremal stream; it is not a memory knob like ensembles.CHUNK_ENTRIES
 BLOCK_ENTRIES = 4096
 
 
@@ -613,6 +631,11 @@ def von_neumann_equality_witness(b) -> np.ndarray:
     a (T, n, n) stack, giving a stack of witnesses.
     """
     u, _, v = svd(b)
+    return _equality_witness(u, v)
+
+
+def _equality_witness(u, v):
+    """v1 u1* from the singular vectors of B (or of each B of a stack)."""
     return v[..., :, :1] * np.conj(u[..., :, 0])[..., None, :]
 
 
@@ -622,45 +645,65 @@ def von_neumann_equality_witness(b) -> np.ndarray:
 
 EXTREMAL_TARGETS = ("vector", "matrix", "equality")
 
-
-def _draw_weight(n, g):
-    return random_weight(n, int(g.integers(1, n + 1)), g)
-
-
-def _draw_vector(n, g):
-    w = _draw_weight(n, g)
-    # refuse an over-budget trial before later trials are drawn, naming the
-    # first such trial as a one-trial loop would
-    _check_enumeration_budget(n, w.k)
-    return w, g.standard_normal(n)
+#: blocks of extremal trials drawn and scored together.  A trial's draws
+#: depend only on its block, so this is a speed and memory knob, not part of
+#: the stream contract.  On ``perfbench/run.py --workload extremal`` (n_max = 8,
+#: 64 trials a block, 2-core x86_64 VM) 4 blocks ran about 2.2x the trials/s of
+#: one stream per trial at under 1 MB more peak RSS; 8 blocks ran about 20 %
+#: faster again but added 2.6 MB
+EXTREMAL_CHUNK_BLOCKS = 4
 
 
-def _draw_matrix(n, g):
-    """A weight, the Ginibre normals of C, and g itself to draw C's samples from."""
-    return _draw_weight(n, g), _gaussian(n, g), g
+def _draw_extremal(target, n_max, g, normals):
+    """Block RNG step of an extremal target: n, k, the weights, then the normals.
 
-
-_EXTREMAL_DRAWS = {"vector": _draw_vector, "matrix": _draw_matrix, "equality": _gaussian}
+    The block's trials are the rows of ``normals``, which receives the
+    normals of c, ``(size, n_max)``, or of C or B, ``(size, 2, n_max,
+    n_max)``.  Returns n and k as ``(size,)`` arrays and the weights as a
+    ``(size, n_max)`` table of prefix sums, checked as
+    :class:`~kyfan.norms.Weight` checks them.  ``equality`` draws no k or
+    weight.
+    """
+    size = len(normals)
+    n = g.integers(2, n_max + 1, size=size)
+    if target == "equality":
+        g.standard_normal(out=normals)
+        return n, None, None
+    k = g.integers(1, n + 1)
+    ones = g.uniform(size=size) < 0.15
+    entries = g.uniform(0.05, 1.0, (size, n_max))
+    tail = g.uniform(size=size) < 0.5
+    g.standard_normal(out=normals)
+    active = np.arange(n_max) < k[:, None]
+    # every drawn entry is at least 0.05, so a descending sort puts the k active ones first
+    rows = np.sort(np.where(active, entries, 0.0), axis=-1)[:, ::-1]
+    rows = np.where(active, np.where(ones[:, None], 1.0, rows), 0.0)
+    # the tail only sets the weight's length: its zero entries enter no norm
+    _check_weight_rows(rows, k, np.where(tail & (k < n), n, k))
+    return n, k, np.cumsum(rows, axis=-1)
 
 
 def _equality_gaps(b):
     """| |tr(AB)| - sigma_1(B) | for the rank-one witness A of each B of a stack."""
-    traces = np.trace(von_neumann_equality_witness(b) @ b, axis1=-2, axis2=-1)
-    # scalar abs of each trace: the array form changes last bits
-    return np.abs(np.array([abs(t) for t in traces]) - singular_values(b)[:, 0])
+    u, sig, v = svd(b)
+    traces = np.trace(_equality_witness(u, v) @ b, axis1=-2, axis2=-1)
+    # scalar abs of each trace: the array form's bits depend on the element's position
+    return np.abs(np.array([abs(t) for t in traces]) - sig[:, 0])
 
 
 def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.ndarray:
     """The gap of every trial of one extremal target, in trial order.
 
-    Trial t opens ``stream.offset(t).generator()`` and draws n from 2..n_max,
-    then for ``vector`` a weight and a real c, for ``matrix`` a weight, a
-    Ginibre C and ``samples`` random scaled partial isometries, for
-    ``equality`` a Ginibre B.  The gaps are those of
+    Block j of ``max(1, BLOCK_ENTRIES // n_max**2)`` trials is drawn from
+    ``stream.offset(j).generator()`` by :func:`_draw_extremal`, then, for
+    ``matrix``, once per sample index, each trial's family ``g.integers(k)``
+    and the ``(size, 2, 2, n_max, n_max)`` normals of its two Haar factors.
+    Trial t of dimension n takes the leading n entries or n x n corner of
+    its rows.  The gaps are those of
     :func:`~kyfan.ensembles.support_function_gap`,
     :func:`~kyfan.ensembles.matrix_ball_support_gap` and the trace bound at
-    :func:`von_neumann_equality_witness`, scored on stacks of the trials of a
-    chunk that share n.
+    :func:`von_neumann_equality_witness`, scored on stacks of the trials of
+    ``EXTREMAL_CHUNK_BLOCKS`` blocks that share n.
     """
     n_max, trials, samples = int(n_max), int(trials), int(samples)
     if n_max < 2:
@@ -669,25 +712,48 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
         raise ValueError("trials must be nonnegative")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    draw = _EXTREMAL_DRAWS[target]
     stream = _as_stream(s)
+    size = max(1, BLOCK_ENTRIES // (n_max * n_max))
     gaps = np.empty(trials)
-    chunk = max(1, CHUNK_ENTRIES // (n_max * n_max))
-    for start in range(0, trials, chunk):
-        by_n: dict[int, tuple[list, list]] = {}
-        for t in range(start, min(trials, start + chunk)):
-            g = stream.offset(t).generator()
-            n = int(g.integers(2, n_max + 1))
-            index, drawn = by_n.setdefault(n, ([], []))
-            index.append(t)
-            drawn.append(draw(n, g))
-        for index, drawn in by_n.values():
-            if target == "vector":
-                weights, c = zip(*drawn)
-                gaps[index] = _support_gaps(np.stack(c), weights)
-            elif target == "matrix":
-                weights, wc, generators = zip(*drawn)
-                gaps[index] = _matrix_gaps(_ginibre(np.stack(wc)), weights, samples, generators)
-            else:
-                gaps[index] = _equality_gaps(_ginibre(np.stack(drawn)))
+    shape = (n_max,) if target == "vector" else (2, n_max, n_max)
+    for first in range(0, -(-trials // size), EXTREMAL_CHUNK_BLOCKS):
+        start = first * size
+        count = min(EXTREMAL_CHUNK_BLOCKS * size, trials - start)
+        # a block draws all its trials even where the run ends inside it, so
+        # trial t's inputs depend on neither the trial nor the sample count
+        generators = [stream.offset(b).generator() for b in range(first, first - (-count // size))]
+        normals = np.empty((len(generators) * size, *shape))
+        blocks = [_draw_extremal(target, n_max, g, normals[row:row + size])
+                  for row, g in zip(range(0, len(normals), size), generators)]
+        n, k, ws = (None if column[0] is None else np.concatenate(column)[:count]
+                    for column in zip(*blocks))
+        if target == "vector":
+            # name the first over-budget trial before any is scored
+            _check_enumeration_budgets(n, k)
+        out = gaps[start:start + count]
+        groups = [(dim, np.flatnonzero(n == dim)) for dim in sorted(set(n.tolist()))]
+        if target == "vector":
+            for dim, idx in groups:
+                out[idx] = _support_gaps(normals[idx, :dim], ws[idx, :dim], k[idx])
+            continue
+        mats = [_ginibre(normals[idx, :, :dim, :dim]) for dim, idx in groups]
+        del normals  # the stacks hold what the trials use of it
+        if target == "equality":
+            for (_, idx), b in zip(groups, mats):
+                out[idx] = _equality_gaps(b)
+            continue
+        aligned = []
+        for (dim, idx), c in zip(groups, mats):
+            out[idx], best = _aligned_gaps(c, ws[idx, :dim], k[idx])
+            aligned.append(best)
+        drawn = np.empty((len(generators) * size, 2, *shape))
+        for _ in range(samples):
+            picks = np.empty(len(drawn), dtype=np.int64)
+            for row, g, block in zip(range(0, len(drawn), size), generators, blocks):
+                picks[row:row + size] = g.integers(block[1])
+                g.standard_normal(out=drawn[row:row + size])
+            for (dim, idx), c, best in zip(groups, mats, aligned):
+                values = _sampled_values(c, ws[idx, :dim], k[idx], picks[idx],
+                                         drawn[idx, :, :, :dim, :dim])
+                out[idx] = np.maximum(out[idx], values - best)
     return gaps

@@ -9,13 +9,12 @@ sections, so the whole gate is reproducible bit for bit.
 
 import numpy as np
 
+import extremal_reference as reference
 from kyfan.ensembles import (
     SeededStream,
     commuting_hermitian_pair,
     ginibre,
-    matrix_ball_support_gap,
     random_hermitian,
-    random_weight,
     support_function_gap,
 )
 from kyfan.forms import fan_form, fan_product, hadamard_form, phi, psi
@@ -47,25 +46,32 @@ def _announce(capsys, num: int, ok: bool, detail: str) -> None:
         print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
-def _public_extremal_gap(target, g):
-    """One trial's gap through the public functions, drawing n, the weight and C from g."""
-    n = int(g.integers(2, 9))
-    w = random_weight(n, int(g.integers(1, n + 1)), g)
-    if target == "vector":
-        return support_function_gap(g.standard_normal(n), w)
-    return matrix_ball_support_gap(ginibre(n, g), w, 2, g)
+def _per_trial_extremal_gaps(target, base, trials):
+    """The first trials' gaps, each drawn from the stream contract v3 text and scored alone.
+
+    A vector trial is scored by the public ``support_function_gap``.  A
+    matrix trial's samples come from its block's stacked draws, which the
+    public ``matrix_ball_support_gap`` cannot take, so it is scored by the
+    reference's spelled-out form of that function.
+    """
+    gaps = []
+    for _, w, x, draws in reference.trial_draws(target, base, 8, trials, 2):
+        if target == "vector":
+            gaps.append(support_function_gap(x, w))
+        else:
+            gaps.append(reference.matrix_gap(reference.ginibre(x), w, draws))
+    return np.array(gaps)
 
 
 def test_criterion_1_support_function_extreme_points(capsys):
-    # the extremal engine draws each trial as _public_extremal_gap does and
-    # scores stacks; its gaps are the public functions' to the bit
+    # the extremal engine draws blocks of trials and scores stacks; its gaps
+    # are those of trial-by-trial scoring to the bit
     vec_base = SeededStream(ACCEPTANCE_SEED, 1 * SECTION)
     mat_base = SeededStream(ACCEPTANCE_SEED, 1 * SECTION + STRIDE)
     vec_gaps = _extremal_gaps("vector", 8, 100_000, vec_base, 2)
     mat_gaps = _extremal_gaps("matrix", 8, 10_000, mat_base, 2)
     for target, base, gaps in (("vector", vec_base, vec_gaps), ("matrix", mat_base, mat_gaps)):
-        public = [_public_extremal_gap(target, base.offset(t).generator()) for t in range(1000)]
-        assert np.array_equal(gaps[:1000], public), target
+        assert np.array_equal(gaps[:1000], _per_trial_extremal_gaps(target, base, 1000)), target
     worst_vec = float(vec_gaps.max())
     worst_mat = float(mat_gaps.max())
     ok = worst_vec <= 1e-10 and worst_mat <= 1e-10

@@ -252,14 +252,14 @@ class TestExecution:
         assert all(r["violations"] == 0 for r in doc["results"])
 
     def test_extremal_over_the_enumeration_budget_exits_one(self, capsys):
-        # the first trial whose families exceed the budget is named, as the
-        # one-trial loop named it, and no report is written
+        # the first trial whose families exceed the budget is named (trial 1,
+        # n = 18, k = 11 under stream contract v3), and no report is written
         status = main(["extremal", "--target", "vector", "--n", "20", "--trials", "200",
                        "--seed", "271828"])
         assert status == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "family E9 in dimension 14 exceeds the enumeration budget" in captured.err
+        assert "family E6 in dimension 18 exceeds the enumeration budget" in captured.err
 
     def test_ptrace_reports_no_counterexample(self, tmp_path):
         out = tmp_path / "pt.json"

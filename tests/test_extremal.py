@@ -1,17 +1,20 @@
 """The extremal targets against a trial-by-trial reference loop.
 
-``_reference_gaps`` is a copy of the per-trial loop that ``kyfan extremal``
-ran before its trials were scored in stacks, with the gap formulas of
+``extremal_reference`` draws each trial from the stream contract v3 text,
+one block at a time, and scores it alone with the gap formulas of
 ``support_function_gap``, ``matrix_ball_support_gap`` and
-``von_neumann_equality_witness`` inlined as they were then.  Every gap the
-command reports must equal the loop's bit for bit.
+``von_neumann_equality_witness`` spelled out.  Every gap the command
+reports must equal the loop's bit for bit.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import kyfan.suite as suite
+from extremal_reference import block_size, matrix_gap, reference_gaps, vector_gap
 from kyfan.cli import STREAM_STRIDE, _execute_extremal, parse_arguments
 from kyfan.ensembles import (
     BudgetError,
@@ -21,72 +24,33 @@ from kyfan.ensembles import (
     ginibre,
     matrix_ball_support_gap,
     random_weight,
-    sample_partial_isometry,
-    sign_vectors,
     support_function_gap,
 )
-from kyfan.matrixcore import singular_values, svd
-from kyfan.norms import Weight, dual_weighted_vector_k_norm
+from kyfan.matrixcore import svd
+from kyfan.norms import Weight, _prefix_table
 from kyfan.suite import _extremal_gaps, von_neumann_equality_witness
 
 TARGETS = ("vector", "matrix", "equality")
 SEED = 7
 
-# every n_max and sample count at 1 and 20 trials, plus two runs that span
-# several trial chunks
+# every n_max and sample count at 1 and 20 trials, plus runs that span
+# several blocks and several chunks of blocks
 CONFIGS = [(n_max, samples, trials)
            for n_max in range(2, 9) for samples in (0, 1, 3) for trials in (1, 20)]
-CONFIGS += [(2, 1, 1100), (8, 3, 150)]
+CONFIGS += [(2, 1, 1100), (8, 3, 150), (8, 2, 600), (3, 1, 2000)]
 
 
-def _vector_gap(c, w):
-    n = c.size
-    ws = w.prefix_sums()
-    best = float((sign_vectors(n, n) @ c).max()) / ws[w.k - 1]
-    for j in range(1, w.k):
-        best = max(best, float((sign_vectors(n, j) @ c).max()) / ws[j - 1])
-    return abs(best - dual_weighted_vector_k_norm(c, w))
-
-
-def _matrix_gap(m, w, samples, g):
-    n = m.shape[0]
-    u, sig, v = svd(m)
-    ws = w.prefix_sums()
-    groups = [(j, ws[j - 1]) for j in range(1, w.k)] + [(n, ws[w.k - 1])]
-    aligned = -np.inf
-    for j, scale in groups:
-        x = (u[:, :j] @ v[:, :j].conj().T) / scale
-        aligned = max(aligned, float(np.real(np.vdot(m, x))))
-    gap = abs(aligned - dual_weighted_vector_k_norm(sig, w))
-    excess = 0.0
-    for _ in range(samples):
-        j, scale = groups[g.integers(len(groups))]
-        q = sample_partial_isometry(n, j, g) / scale
-        excess = max(excess, float(np.real(np.vdot(m, q))) - aligned)
-    return float(max(gap, excess))
-
-
-def _equality_gap(b):
-    u, _, v = svd(b)
-    a = np.outer(v[:, 0], u[:, 0].conj())
-    return abs(abs(np.trace(a @ b)) - singular_values(b)[0])
+def _base(target, seed=SEED):
+    return SeededStream(seed, TARGETS.index(target) * STREAM_STRIDE)
 
 
 def _reference_gaps(target, n_max, trials, samples, seed=SEED):
-    base = SeededStream(seed, TARGETS.index(target) * STREAM_STRIDE)
-    gaps = []
-    for t in range(trials):
-        g = base.offset(t).generator()
-        n = int(g.integers(2, n_max + 1))
-        if target == "vector":
-            w = random_weight(n, int(g.integers(1, n + 1)), g)
-            gaps.append(_vector_gap(g.standard_normal(n), w))
-        elif target == "matrix":
-            w = random_weight(n, int(g.integers(1, n + 1)), g)
-            gaps.append(_matrix_gap(ginibre(n, g), w, samples, g))
-        else:
-            gaps.append(_equality_gap(ginibre(n, g)))
-    return np.array(gaps, dtype=np.float64)
+    return reference_gaps(target, _base(target, seed), n_max, trials, samples)
+
+
+def _public_draws(w, n, samples, g):
+    """The sample draws ``matrix_ball_support_gap`` makes from g."""
+    return [(int(g.integers(w.k)), g.standard_normal((2, 2, n, n))) for _ in range(samples)]
 
 
 @pytest.mark.parametrize("n_max, samples, trials", CONFIGS)
@@ -102,12 +66,62 @@ def test_report_matches_the_reference_loop(n_max, samples, trials):
 
 
 @pytest.mark.parametrize("target", TARGETS)
-# the last run scores its samples in several blocks of the matrix engine
+# the last run draws many sample indices per block
 @pytest.mark.parametrize("n_max, samples, trials", CONFIGS + [(8, 20, 70)])
 def test_engine_gaps_match_the_reference_loop_trial_by_trial(target, n_max, samples, trials):
-    base = SeededStream(SEED, TARGETS.index(target) * STREAM_STRIDE)
-    gaps = _extremal_gaps(target, n_max, trials, base, samples)
+    gaps = _extremal_gaps(target, n_max, trials, _base(target), samples)
     assert gaps.tobytes() == _reference_gaps(target, n_max, trials, samples).tobytes()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_leading_trials_do_not_depend_on_the_trial_count(target):
+    long = _extremal_gaps(target, 8, 2000, _base(target), 2)
+    assert long[:50].tobytes() == _extremal_gaps(target, 8, 50, _base(target), 2).tobytes()
+
+
+def test_matrices_and_weights_do_not_depend_on_the_sample_count(monkeypatch):
+    seen = []
+
+    def recording(c, ws, ks):
+        seen[-1].append((c.tobytes(), ws.tobytes(), ks.tobytes()))
+        return aligned_gaps(c, ws, ks)
+
+    aligned_gaps = suite._aligned_gaps
+    monkeypatch.setattr(suite, "_aligned_gaps", recording)
+    for samples in (0, 1, 7):
+        seen.append([])
+        _extremal_gaps("matrix", 8, 300, _base("matrix"), samples)
+    assert len(seen[0]) > 1
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("n_max, trials", [(8, 2000), (3, 1000), (2, 1100)])
+def test_a_run_opens_one_stream_per_block(monkeypatch, n_max, trials):
+    opened = []
+    generator = SeededStream.generator
+
+    def counting(self):
+        opened.append(self.stream_index)
+        return generator(self)
+
+    monkeypatch.setattr(SeededStream, "generator", counting)
+    cfg = parse_arguments(["extremal", "--n", str(n_max), "--trials", str(trials),
+                           "--seed", str(SEED)])
+    _execute_extremal(cfg)
+    blocks = math.ceil(trials / block_size(n_max))
+    assert opened == [section * STREAM_STRIDE + j for section in range(3) for j in range(blocks)]
+
+
+def test_peak_memory_is_flat_in_the_sample_count():
+    peaks = []
+    for samples in (1, 16):
+        tracemalloc.start()
+        try:
+            _extremal_gaps("matrix", 8, 600, _base("matrix"), samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_engine_rejects_dimensions_below_two():
@@ -121,7 +135,7 @@ def test_vector_gaps_check_every_row_against_the_budget_before_enumerating():
     weights = [Weight.ones(1, 14), Weight.ones(10, 14)]
     _sign_matrix.cache_clear()
     with pytest.raises(BudgetError, match="family E9 in dimension 14"):
-        _support_gaps(rows, weights)
+        _support_gaps(rows, _prefix_table(weights, 14), np.array([1, 10]))
     assert _sign_matrix.cache_info().currsize == 0
 
 
@@ -141,7 +155,7 @@ def test_full_rank_weight_in_a_large_dimension_keeps_memory_quadratic():
     assert peak < 32 * n * n * 16
     ginibre(n, h)
     h.random(n)
-    assert gap == _matrix_gap(m, w, 2, h)
+    assert gap == matrix_gap(m, w, _public_draws(w, n, 2, h))
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -152,10 +166,11 @@ def test_public_gap_functions_match_the_reference_formulas(n, samples):
         w = random_weight(n, 1 + t % n, g)
         assert random_weight(n, 1 + t % n, h) == w
         c = g.standard_normal(n)
-        assert support_function_gap(c, w) == _vector_gap(h.standard_normal(n), w)
+        assert support_function_gap(c, w) == vector_gap(h.standard_normal(n), w)
         m = ginibre(n, g)
         assert ginibre(n, h).tobytes() == m.tobytes()
-        assert matrix_ball_support_gap(m, w, samples, g) == _matrix_gap(m, w, samples, h)
+        assert matrix_ball_support_gap(m, w, samples, g) == matrix_gap(
+            m, w, _public_draws(w, n, samples, h))
         a = von_neumann_equality_witness(m)
         u, _, v = svd(m)
         assert a.tobytes() == np.outer(v[:, 0], u[:, 0].conj()).tobytes()
