@@ -1,13 +1,11 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The hashes are those of stream contract v2 (``numpy-pcg64-seedseq-v2``, kyfan
-0.2.0), where the checker engine draws each block of trials from one
-generator.  Under contract v1 the search and ptrace hashes were recorded with
-the one-proposal-at-a-time search loop, and the extremal hashes with the
-per-trial extremal loop of the command line; those nine bodies kept their
-bytes under v2 except for the generator id and the tool version, because
-their streams did not move.  Every engine must reproduce every body byte for
-byte.
+The hashes are those of stream contract v3 (``numpy-pcg64-seedseq-v3``, kyfan
+0.3.0), where the checker engine and the extremal targets draw each block of
+trials from one generator.  The ten check, search and ptrace bodies kept
+their contract v2 bytes apart from the generator id and the tool version,
+because their streams did not move; the four extremal bodies moved with
+their streams.  Every engine must reproduce every body byte for byte.
 They hold for one numeric stack only: the generator id (stream contract and
 numpy version) plus the BLAS/LAPACK build and the machine architecture.  On
 another stack the test skips and names the stack it found, so new hashes can
@@ -34,35 +32,35 @@ def _numeric_stack() -> tuple[str, str, str]:
 
 
 GOLDEN = {
-    ("numpy-pcg64-seedseq-v2/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
+    ("numpy-pcg64-seedseq-v3/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "a7056944198c99a2aec14e7ce4715d3140fbd56418ae1eea093a5563528c1ebc",
+            "f8460efb2c951796683d0e16309193f552e1a47abd0f6061a0cc84a6f27a17bb",
         "check-all-trials50-seed161803":
-            "559ed3ae1ebd1360e5e972195c81a7275c4f0a2c28b3c98a493125469863791b",
+            "3a1407b0044c7f227da4aef24fb402a7e1c1a68a4e5a1d07226b70854f93f404",
         "check-all-n64-trials2":
-            "c91f0574a031e8b4aab98b2298c27cbcc833f82987cbf8317c40202becf529eb",
+            "1a999854a352b4b2ee745bb2b3f287d9ab26cd643abd13adeaf36a2c6aba5261",
         "lemma31-fan-witness":
-            "54238afb9733ad338a64db927f55454df2ef01b2d8135c1352deb2609ec37eba",
+            "ed08019e0148c02c5b0c3d3c4ebcb2ff8749bc4c58988264be51b26807966bdc",
         "hmn-fan-witness":
-            "cd273f0f6563d992d517d1241ba9a0434d427ee13a365ba929203aa250e6bc1b",
+            "da077a1fffc184a842a2ade7fd2e1a285c72b8ba0476add346f14080188744d5",
         "search-q2-n3-restarts8-budget3000":
-            "564981707e162e0883e8d129c203997ad9f009dcb1750790e5b5cdc4e5db7192",
+            "88001eaebea14729f928b1b229ee94dd0eff18fe1fa5497d3a92ff25645581fe",
         "search-q1-n4-commuting-budget800":
-            "d3e33968587fd0914726a62d403f30c57dc744202631ec9d297c4fb8d8b6792a",
+            "cf9e435e4dc32050a1c3330e6ce731c1fcc4110f7c28600759433ab5caf43d59",
         "search-q2-n3-k2-budget500":
-            "b89de034012af4eb52b9f80767729cbf2aaf9fde69ed4ae8ec2185dbf3dd724e",
+            "6964548c95cab772e7c86fb40edf4967cf2c4eebfb602b240be2356f0af6fe77",
         "ptrace-q2-n3-trials30-budget500":
-            "d3c672607a6a7b62c937a3c2820f2479587271e58d68a6f8f41634f20febbeef",
+            "42b6622f57087bcc45c146de18837a7e056a857e6fb0c0ca992d2f831f777e49",
         "search-q2-n3-witness-budget500":
-            "cffd827ba97c42c2565940fe11dc6ce0a13a8b3b5908467792ee92191393309e",
+            "1d019cec5630874033d08e3cc147534feb8aff10fa18f7f21b5fcb858491f3df",
         "extremal-all-trials300-seed271828":
-            "86ee8a73348aa9f70087c7f61e1038a365b6425541eaa40a52ca31eecc6cfc96",
+            "855a0fb33c3b7c95659ea8a3e4b355c3d1b69d12cad70309b3014ef99b60a84d",
         "extremal-all-trials300-seed161803":
-            "be88e1df6d18d34a397b84f41857c8e3148d4f763e8168b3142fd49ca14923c7",
+            "3b3831398079c95cf5cc094366284c26a0aba92c07dcdb58cab9fc1b1fa4d3e6",
         "extremal-matrix-n8-samples5":
-            "791bd5bdc911ff30e97ec5742e21ee021c9e29094c2ed5a03cd7cdc69baadaea",
+            "6f342ee48a0d623a70f64895c506ef88e6244685bbda53ab6af6fee35fb3e4bd",
         "extremal-n2-samples0":
-            "7e7d9a82dc2ec836958ca634757574356e384e7b20511c655248f4b26be22c64",
+            "6fa5ec04aea104eb4da0c585376744d8e1e8a4fb0672fcb8b88c6fa34d2b6199",
     },
 }
 
