@@ -285,6 +285,11 @@ def parse_arguments(argv) -> RunConfig:
             command="repro", target=args.target, tolerance=args.tolerance,
             output_path=args.output_path, format=args.format, **common,
         )
+    if args.command in ("ptrace", "search") and args.budget < args.restarts:
+        # a restart with no budget scores nothing; ptrace's --budget 0 runs no search at all
+        if args.command == "search" or args.budget > 0:
+            parser.error(f"--budget must be at least --restarts ({args.restarts}), "
+                         f"got {args.budget}")
     if args.command == "ptrace":
         return RunConfig(
             command="ptrace", question=args.question, n=args.n, k_spec=args.k_spec,
@@ -293,10 +298,6 @@ def parse_arguments(argv) -> RunConfig:
             output_path=args.output_path, format=args.format, **common,
         )
     if args.command == "search":
-        if args.budget < args.restarts:
-            # a restart with no budget scores nothing, and --budget 0 nothing at all
-            parser.error(f"--budget must be at least --restarts ({args.restarts}), "
-                         f"got {args.budget}")
         return RunConfig(
             command="search", question=args.question, n=args.n, k_spec=args.k_spec,
             budget=args.budget, restarts=args.restarts, strategy=args.strategy,

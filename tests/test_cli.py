@@ -106,6 +106,19 @@ class TestParsing:
                                "--restarts", restarts])
         assert cfg.budget == cfg.restarts == int(restarts)
 
+    @pytest.mark.parametrize("budget, restarts", [("3", "4"), ("1", "8")])
+    def test_ptrace_budget_below_restarts_rejected(self, budget, restarts, capsys):
+        # the search would silently run fewer restarts than asked
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(["ptrace", "--question", "1", "--n", "3", "--budget", budget,
+                             "--restarts", restarts])
+        assert err.value.code == 2
+        assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
+                in capsys.readouterr().err)
+        cfg = parse_arguments(["ptrace", "--question", "1", "--n", "3", "--budget", "0",
+                               "--restarts", restarts])
+        assert cfg.budget == 0 and cfg.restarts == int(restarts)
+
     def test_ptrace_and_search_parse(self):
         cfg = parse_arguments(["ptrace", "--question", "2", "--n", "4", "--budget", "10"])
         assert cfg.question == 2 and cfg.n == 4 and cfg.budget == 10
