@@ -636,20 +636,20 @@ def _re_inner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return products.reshape(len(products), -1).sum(axis=-1)
 
 
-def _candidate_values(c, trial, u, v, source, ranks, scales) -> np.ndarray:
-    """Re tr(C_t^* X_i) for each candidate i, with C_t = c[trial[i]].
+def _candidate_values(c, trial, u, v, ranks, scales) -> np.ndarray:
+    """Re tr(C_t^* X_i) for each candidate i, with t = trial[i].
 
-    X_i = (U[:, :j] @ V[:, :j]^*) / scales[i] for U = u[source[i]], V =
-    v[source[i]] and j = ranks[i].  The candidates are built one rank at a
-    time and scored straight away as one stacked :func:`_re_inner`, so at
-    most one rank group of them is held at once.
+    X_i = (U[:, :j] @ V[:, :j]^*) / scales[i] for U = u[t], V = v[t] and
+    j = ranks[i].  The candidates are built one rank at a time and scored
+    straight away as one stacked :func:`_re_inner`, so at most one rank group
+    of them is held at once.
     """
     out = np.empty(len(trial))
     for j in sorted(set(ranks.tolist())):  # not np.unique: it imports numpy.ma
         sel = np.flatnonzero(ranks == j)
-        pick = source[sel]
+        pick = trial[sel]
         x = (u[pick, :, :j] @ _adjoint(v[pick, :, :j])) / scales[sel, None, None]
-        out[sel] = _re_inner(c[trial[sel]], x)
+        out[sel] = _re_inner(c[pick], x)
     return out
 
 
@@ -670,8 +670,7 @@ def _aligned_gaps(c: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> tuple:
     trial = np.repeat(np.arange(trials), ks)
     starts = np.cumsum(ks) - ks
     family = np.arange(trial.size) - np.repeat(starts, ks)
-    values = _candidate_values(c, trial, u, v, trial, _ranks(family, ks[trial], n),
-                               ws[trial, family])
+    values = _candidate_values(c, trial, u, v, _ranks(family, ks[trial], n), ws[trial, family])
     aligned = np.maximum.reduceat(values, starts)
     return np.abs(aligned - _dual_norms(sig, ws, ks)), aligned
 
@@ -685,5 +684,5 @@ def _sampled_values(c, ws, ks, picks, normals) -> np.ndarray:
     """
     h = _haar(normals)
     trial = np.arange(len(c))
-    return _candidate_values(c, trial, h[:, 0], h[:, 1], trial,
-                             _ranks(picks, ks, c.shape[-1]), ws[trial, picks])
+    return _candidate_values(c, trial, h[:, 0], h[:, 1], _ranks(picks, ks, c.shape[-1]),
+                             ws[trial, picks])
