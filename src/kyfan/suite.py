@@ -716,17 +716,20 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
     size = max(1, BLOCK_ENTRIES // (n_max * n_max))
     gaps = np.empty(trials)
     shape = (n_max,) if target == "vector" else (2, n_max, n_max)
-    for first in range(0, -(-trials // size), EXTREMAL_CHUNK_BLOCKS):
-        start = first * size
-        count = min(EXTREMAL_CHUNK_BLOCKS * size, trials - start)
+    blocks = -(-trials // size)
+    for first in range(0, blocks, EXTREMAL_CHUNK_BLOCKS):
         # a block draws all its trials even where the run ends inside it, so
         # trial t's inputs depend on neither the trial nor the sample count
-        generators = [stream.offset(b).generator() for b in range(first, first - (-count // size))]
+        generators = [stream.offset(b).generator()
+                      for b in range(first, min(blocks, first + EXTREMAL_CHUNK_BLOCKS))]
+        rows = range(0, len(generators) * size, size)
+        start = first * size
+        count = min(len(generators) * size, trials - start)
         normals = np.empty((len(generators) * size, *shape))
-        blocks = [_draw_extremal(target, n_max, g, normals[row:row + size])
-                  for row, g in zip(range(0, len(normals), size), generators)]
+        draws = [_draw_extremal(target, n_max, g, normals[row:row + size])
+                 for row, g in zip(rows, generators)]
         n, k, ws = (None if column[0] is None else np.concatenate(column)[:count]
-                    for column in zip(*blocks))
+                    for column in zip(*draws))
         if target == "vector":
             # name the first over-budget trial before any is scored
             _check_enumeration_budgets(n, k)
@@ -746,14 +749,14 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
         for (dim, idx), c in zip(groups, mats):
             out[idx], best = _aligned_gaps(c, ws[idx, :dim], k[idx])
             aligned.append(best)
-        drawn = np.empty((len(generators) * size, 2, *shape))
+        picks = np.empty(len(generators) * size, dtype=np.int64)
+        haar_normals = np.empty((len(generators) * size, 2, *shape))
         for _ in range(samples):
-            picks = np.empty(len(drawn), dtype=np.int64)
-            for row, g, block in zip(range(0, len(drawn), size), generators, blocks):
-                picks[row:row + size] = g.integers(block[1])
-                g.standard_normal(out=drawn[row:row + size])
+            for row, g, (_, block_k, _) in zip(rows, generators, draws):
+                picks[row:row + size] = g.integers(block_k)
+                g.standard_normal(out=haar_normals[row:row + size])
             for (dim, idx), c, best in zip(groups, mats, aligned):
                 values = _sampled_values(c, ws[idx, :dim], k[idx], picks[idx],
-                                         drawn[idx, :, :, :dim, :dim])
+                                         haar_normals[idx, :, :, :dim, :dim])
                 out[idx] = np.maximum(out[idx], values - best)
     return gaps
