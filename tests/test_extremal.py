@@ -40,12 +40,13 @@ CONFIGS = [(n_max, samples, trials)
 CONFIGS += [(2, 1, 1100), (8, 3, 150), (8, 2, 600), (3, 1, 2000)]
 
 
-def _base(target, seed=SEED):
-    return SeededStream(seed, TARGETS.index(target) * STREAM_STRIDE)
+def _base(target):
+    """The section the command line runs ``target`` in."""
+    return SeededStream(SEED, TARGETS.index(target) * STREAM_STRIDE)
 
 
-def _reference_gaps(target, n_max, trials, samples, seed=SEED):
-    return reference_gaps(target, _base(target, seed), n_max, trials, samples)
+def _reference_gaps(target, n_max, trials, samples):
+    return reference_gaps(target, _base(target), n_max, trials, samples)
 
 
 def _public_draws(w, n, samples, g):
