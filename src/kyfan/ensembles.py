@@ -476,14 +476,10 @@ def _count_sign_vectors(n: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sign_matrix(n: int, j: int) -> np.ndarray:
-    count = _count_sign_vectors(n, j)
-    out = np.zeros((count, n))
-    row = 0
-    for support in combinations(range(n), j):
-        cols = list(support)
-        for signs in product((1.0, -1.0), repeat=j):
-            out[row, cols] = signs
-            row += 1
+    signs = np.array(list(product((1.0, -1.0), repeat=j)))
+    out = np.zeros((_count_sign_vectors(n, j), n))
+    for s, support in enumerate(combinations(range(n), j)):
+        out[s * len(signs) : (s + 1) * len(signs), support] = signs
     out.setflags(write=False)
     return out
 

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,18 @@ class TestSignVectors:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             sign_vectors(40, 20)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_the_support_then_sign_enumeration(self, n):
+        # supports in combinations order, each with its signs in product order
+        for j in range(1, n + 1):
+            rows = []
+            for support in combinations(range(n), j):
+                for signs in product((1.0, -1.0), repeat=j):
+                    row = np.zeros(n)
+                    row[list(support)] = signs
+                    rows.append(row)
+            assert sign_vectors(n, j).tobytes() == np.array(rows).tobytes()
 
 
 class TestCandidates:
