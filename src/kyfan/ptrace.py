@@ -28,32 +28,45 @@ Search engine
 A greedy step proposes one coordinate and one Gaussian move, drawn as
 ``g.integers(dim)`` then ``g.standard_normal()``.  Which proposals are
 drawn does not depend on which earlier ones were accepted; only the base
-point and the step size do.  The search therefore builds the next
+point and the step size do.  A restart therefore builds its next
 ``SEARCH_BATCH`` candidates at once, each from the current point with the
 step it would have if every earlier candidate of the batch were rejected,
-scores them as one stack, and replays the sequential accept/stall/halve
-rule over the scores.  The first acceptance ends the batch; the candidates
-after it are discarded and their proposals reused, from the new point, in
-the next batch.  Only consumed candidates count as evaluations, so the
-trajectory, the best margin and the witness are those of a loop that
-scores one proposal at a time.  Measured on numpy 2.4.6 with OpenBLAS
-0.3.31, this rests on stacked ``svd``, ``matmul`` and ``trace(axis1=-2,
-axis2=-1)`` giving the same bits as per-matrix calls, as elementwise
-arithmetic and ``cumsum`` over the last axis do.
+and replays the sequential accept/stall/halve rule over their scores.  The
+first acceptance ends the batch; the candidates after it are discarded and
+their proposals reused, from the new point, in the next batch.  Only
+consumed candidates count as evaluations, so the trajectory, the best
+margin and the witness are those of a loop that scores one proposal at a
+time.
+
+The restarts are independent, each drawing from its own generator
+``stream.offset(r).generator()``, so they run in lockstep: a round scores
+the start points of a group of restarts as one stack, then each round tops
+up every live restart's proposals, builds all their candidates in one call
+(under the commuting strategy each candidate in its own restart's basis),
+scores them as one stack and replays the rule on each restart's slice.  A
+restart leaves the rounds once its quota is used, and the best result is
+taken in restart order, so ties go to the earlier restart.  A group holds
+at most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
+restarts, which keeps every operand of a round within ``CHUNK_ENTRIES``
+entries.  Each generator is called in the same order as by a restart run
+alone.  Measured on numpy 2.4.6 with OpenBLAS 0.3.31, this rests on stacked
+``svd``, ``matmul`` and ``trace(axis1=-2, axis2=-1)`` giving the same bits
+as per-matrix calls, as elementwise arithmetic and ``cumsum`` over the last
+axis do.
 
 A candidate moves one coordinate, and the coordinates below ``dim // 2``
 parameterise A and the others B, for both strategies.  So a candidate moves
 A or B, never both, and the factor it leaves is built from the same numbers
 by the same calls as the current point's: it is bit-identical, and so are
 its singular values.  The search therefore carries sigma(A) and
-sigma(tr(B) I - n B) of the current point, takes a candidate's over when it
-is accepted, and scores a stack of K candidates with one SVD call on 2 K
-matrices (the K operators T and the K factors that moved) instead of 3 K.
-What is fixed for a whole search is set up once: the k set is validated
-when the search starts, the unpacking index maps and the identity are
-cached per n, and tr(B) is computed once per candidate for both T and
-tr(B) I - n B.  Each candidate stack is still validated as Hermitian and
-finite before its SVD.
+sigma(tr(B) I - n B) of each restart's current point, takes a candidate's
+over when it is accepted, and scores a stack of K candidates with one SVD
+call on 2 K matrices (the K operators T and the K factors that moved)
+instead of 3 K.  What is fixed for a whole search is set up once: the k set
+is validated when the search starts, the unpacking index maps and the
+identity are cached per n, and tr(B) is computed once per candidate for
+both T and tr(B) I - n B.  Each candidate stack is still validated as
+Hermitian and finite before its SVD.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import SeededStream, haar_unitary
+from .ensembles import CHUNK_ENTRIES, SeededStream, haar_unitary
 from .matrixcore import (
     _adjoint,
     as_matrix,
@@ -89,11 +102,12 @@ __all__ = [
     "search_counterexample",
 ]
 
-#: candidates one search step builds and scores as one stack.  ``kyfan search
-#: --question 2 --n 3 --budget 3000`` takes 755 stacks at 8 (1042 at 4, 668
-#: at 12).  With the half-split scoring, in-process searches of that size ran
-#: at 12.8k, 12.7k and 12.0k evaluations/s (medians of 12 interleaved rounds)
-#: at 6, 8 and 12, equal at 6 and 8 within noise
+#: candidates each restart of a search builds and scores per round.  ``kyfan
+#: search --question 2 --n 3 --budget 3000`` takes 755 stacks at 8 (1042 at
+#: 4, 668 at 12) when its restarts run one after another.  With the half-split
+#: scoring, such one-restart-at-a-time searches ran at 12.8k, 12.7k and 12.0k
+#: evaluations/s (medians of 12 interleaved rounds) at 6, 8 and 12, equal at 6
+#: and 8 within noise.  With its 8 restarts in lockstep it takes 109 stacks
 SEARCH_BATCH = 8
 
 
@@ -370,65 +384,93 @@ def _split_budget(budget: int, restarts: int) -> list[int]:
     return [base + (1 if r < rem else 0) for r in range(restarts)]
 
 
-def _builder(strategy: str, n: int, g):
-    """The map from ``(..., dim)`` parameter vectors to ``(..., 2, n, n)``
-    stacks of Hermitian pairs, and dim; the commuting strategy draws its
-    shared eigenbasis from ``g`` here.  Parameters below dim // 2 give A,
-    the others B."""
+def _builder(strategy: str, n: int, gens):
+    """The map ``build(theta, owner)`` from ``(K, dim)`` parameter vectors, row
+    i belonging to restart ``owner[i]``, to a ``(K, 2, n, n)`` stack of
+    Hermitian pairs, and dim; the commuting strategy draws each restart's
+    shared eigenbasis from its generator in ``gens`` here.  Parameters below
+    dim // 2 give A, the others B."""
     if strategy == "commuting":
-        basis = haar_unitary(n, g)
-        basis_h = _adjoint(basis)
+        bases = np.stack([haar_unitary(n, g) for g in gens])
 
-        def build(theta):
-            pair = (basis * theta.reshape(theta.shape[:-1] + (2, 1, n))) @ basis_h
+        def build(theta, owner):
+            basis = bases[owner][:, None]
+            pair = (basis * theta.reshape(len(theta), 2, 1, n)) @ _adjoint(basis)
             return (pair + _adjoint(pair)) / 2.0
 
         return build, 2 * n
-    return (lambda theta: _unpack_pair(theta, n)), 2 * n * n
+    return (lambda theta, owner: _unpack_pair(theta, n)), 2 * n * n
 
 
-def _climb(g, question: int, n: int, ks: np.ndarray, quota: int, strategy: str,
-           step_init: float, stall_limit: int):
-    """One restart of the greedy search, scoring ``quota`` pairs drawn from
-    ``g``.  Returns the final pair, its margin and k, and the carried spectra
-    of the final A and tr(B) I - n B."""
-    build, dim = _builder(strategy, n, g)
-    half = dim // 2
-    theta = g.standard_normal(dim)
-    values, value_ks, sa, sd = _best_margins(build(theta[None]), question, ks)
-    current, current_k, sa, sd = float(values[0]), int(value_ks[0]), sa[0], sd[0]
-    used = 1
-    step = step_init
-    stalls = 0
-    pending = []  # drawn (coordinate, normal) proposals not yet consumed
-    while used < quota:
-        while len(pending) < min(SEARCH_BATCH, quota - used):
-            pending.append((g.integers(dim), g.standard_normal()))
-        # the step of each candidate if every earlier one is rejected
+class _Restart:
+    """One restart's greedy state: its generator and quota, its point, step,
+    stall count and drawn (coordinate, normal) proposals not yet consumed."""
+
+    def __init__(self, g, quota: int, step: float, stall_limit: int):
+        self.g, self.quota, self.step, self.stall_limit = g, quota, step, stall_limit
+        self.used, self.stalls, self.pending = 1, 0, []
+
+    def propose(self, dim: int) -> list:
+        """Tops up the proposals to min(``SEARCH_BATCH``, quota - used) and
+        returns the step of each if every earlier one is rejected, leaving
+        step and stalls as they would be after rejecting them all."""
+        while len(self.pending) < min(SEARCH_BATCH, self.quota - self.used):
+            self.pending.append((self.g.integers(dim), self.g.standard_normal()))
         steps = []
-        for _ in pending:
-            steps.append(step)
-            stalls += 1
-            if stalls >= stall_limit:
-                step *= 0.5
-                stalls = 0
-        coords, normals = zip(*pending)
-        candidates = np.repeat(theta[None], len(pending), axis=0)
-        candidates[np.arange(len(pending)), coords] += np.multiply(steps, normals)
-        values, value_ks, sas, sds = _best_margins(build(candidates), question, ks,
-                                                 np.array(coords) >= half, sa, sd)
-        accepted = np.flatnonzero(values > current)
-        if accepted.size:
-            i = int(accepted[0])
-            theta, current, current_k = candidates[i], float(values[i]), int(value_ks[i])
-            sa, sd = sas[i], sds[i]
-            step, stalls = steps[i], 0
-            consumed = i + 1
-        else:
-            consumed = len(pending)
-        used += consumed
-        del pending[:consumed]
-    return build(theta), current, current_k, sa, sd
+        for _ in self.pending:
+            steps.append(self.step)
+            self.stalls += 1
+            if self.stalls >= self.stall_limit:
+                self.step *= 0.5
+                self.stalls = 0
+        return steps
+
+
+def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
+           step_init: float, stall_limit: int):
+    """Restarts of the greedy search run in lockstep, restart r scoring
+    ``quotas[r]`` >= 1 pairs drawn from ``gens[r]``.  Each round scores the
+    pending proposals of every live restart as one stack; see the module
+    docstring.  Returns, per restart, the final pair, its margin and k, and
+    the carried spectra of the final A and tr(B) I - n B."""
+    build, dim = _builder(strategy, n, gens)
+    half = dim // 2
+    every = np.arange(len(gens))
+    thetas = np.stack([g.standard_normal(dim) for g in gens])
+    values, value_ks, sa, sd = _best_margins(build(thetas, every), question, ks)
+    current, current_k = values.tolist(), value_ks.tolist()
+    restarts = [_Restart(g, quota, step_init, stall_limit) for g, quota in zip(gens, quotas)]
+    while True:
+        live = [r for r, restart in enumerate(restarts) if restart.used < restart.quota]
+        if not live:
+            break
+        steps = [restarts[r].propose(dim) for r in live]
+        sizes = [len(s) for s in steps]
+        owner = np.repeat(live, sizes)
+        coords, normals = zip(*(p for r in live for p in restarts[r].pending))
+        candidates = thetas[owner]
+        candidates[np.arange(len(owner)), coords] += np.multiply([x for s in steps for x in s], normals)
+        values, value_ks, sas, sds = _best_margins(
+            build(candidates, owner), question, ks, np.array(coords) >= half,
+            sa[owner], sd[owner])
+        better = (values > np.array(current)[owner]).tolist()
+        start = 0
+        for r, size, restart_steps in zip(live, sizes, steps):
+            restart = restarts[r]
+            try:
+                i = better.index(True, start, start + size)
+            except ValueError:
+                consumed = size
+            else:
+                thetas[r], sa[r], sd[r] = candidates[i], sas[i], sds[i]
+                current[r], current_k[r] = float(values[i]), int(value_ks[i])
+                consumed = i - start + 1
+                restart.step, restart.stalls = restart_steps[consumed - 1], 0
+            restart.used += consumed
+            del restart.pending[:consumed]
+            start += size
+    pairs = build(thetas, every)
+    return [(pairs[r], current[r], current_k[r], sa[r], sd[r]) for r in every]
 
 
 def search_counterexample(
@@ -454,8 +496,10 @@ def search_counterexample(
     evaluations across all restarts; ties in best margin resolve to the
     earlier restart.  A witness is attached only when the best pair fails
     :func:`kyfan.norms.inequality_holds` at its k under ``tolerance``; a
-    negative result never claims nonexistence.  Proposals are scored
-    ``SEARCH_BATCH`` at a time (see the module docstring).
+    negative result never claims nonexistence.  ``step_init`` must be finite
+    and positive and ``stall_limit`` an integer of at least 1.  The restarts
+    run in lockstep, each scoring its proposals ``SEARCH_BATCH`` at a time
+    (see the module docstring).
     """
     question = int(question)
     if question not in (1, 2):
@@ -471,6 +515,12 @@ def search_counterexample(
         raise ValueError("restarts must be positive")
     if strategy not in ("general", "commuting"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    step_init = float(step_init)
+    if not (math.isfinite(step_init) and step_init > 0):
+        raise ValueError(f"step_init must be finite and positive, got {step_init}")
+    if (not isinstance(stall_limit, (int, np.integer)) or isinstance(stall_limit, bool)
+            or stall_limit < 1):
+        raise ValueError(f"stall_limit must be an integer of at least 1, got {stall_limit!r}")
     if k_policy != "all":
         k_policy = int(k_policy)
         if not 1 <= k_policy <= n:
@@ -483,17 +533,18 @@ def search_counterexample(
     best_margin = -math.inf
     best_pair = None
     best_k = 1
-    evaluations = 0
-    for r, quota in enumerate(_split_budget(budget, restarts)):
-        if quota <= 0:
+    quotas = _split_budget(budget, restarts)
+    group = max(1, CHUNK_ENTRIES // (SEARCH_BATCH * n * n))
+    for first in range(0, restarts, group):
+        members = [r for r in range(first, min(restarts, first + group)) if quotas[r] > 0]
+        if not members:
             continue
-        pair, margin, k, _, _ = _climb(
-            stream.offset(r).generator(), question, n, ks, quota, strategy, step_init,
-            stall_limit,
-        )
-        evaluations += quota
-        if margin > best_margin:
-            best_margin, best_pair, best_k = margin, pair, k
+        finals = _climb([stream.offset(r).generator() for r in members],
+                        [quotas[r] for r in members], question, n, ks, strategy, step_init,
+                        stall_limit)
+        for pair, margin, k, _, _ in finals:
+            if margin > best_margin:
+                best_margin, best_pair, best_k = margin, pair, k
 
     witness = None
     if best_pair is not None and _violates(*best_pair, question, best_k, tolerance):
@@ -503,7 +554,7 @@ def search_counterexample(
     return SearchResult(
         best_margin=float(best_margin),
         witness=witness,
-        evaluations=evaluations,
+        evaluations=sum(quotas),
         strategy=strategy,
         master_seed=stream.master_seed,
         question=question,

@@ -3,6 +3,7 @@ import pytest
 
 from kyfan import ptrace
 from kyfan.ensembles import (
+    CHUNK_ENTRIES,
     SeededStream,
     commuting_hermitian_pair,
     ginibre,
@@ -271,6 +272,18 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_counterexample(1, 3, budget=10)  # seed required
 
+    @pytest.mark.parametrize("stall_limit", [0, -3, 2.5, True, "50"])
+    def test_rejects_a_bad_stall_limit(self, stall_limit):
+        # 0 or -3 would halve the step at every rejected candidate
+        with pytest.raises(ValueError, match="stall_limit"):
+            search_counterexample(1, 3, budget=10, s=SeededStream(58), stall_limit=stall_limit)
+
+    @pytest.mark.parametrize("step_init", [0.0, -0.5, np.inf, np.nan])
+    def test_rejects_a_bad_step_init(self, step_init):
+        # a zero step would spend the whole budget rescoring the start point
+        with pytest.raises(ValueError, match="step_init"):
+            search_counterexample(1, 3, budget=10, s=SeededStream(58), step_init=step_init)
+
     def test_witness_margin_reproduces(self):
         # force a "witness" by setting the bar below zero: any best pair attaches
         res = search_counterexample(
@@ -442,13 +455,113 @@ class TestSearchMatchesReference:
         assert {ONE_SIDED_CONFIGS[config] == "B"} in sides
 
 
+# the benchmark's search at its two seeds, more restarts than one round holds
+# (at n = 8 a round takes 4096 // (8 * 64) = 8 restarts), and the commuting
+# strategy, each basis its own restart's: (question, n, k_policy, budget,
+# restarts, strategy, stall_limit, seed)
+LOCKSTEP_CONFIGS = [
+    (2, 3, "all", 3000, 8, "general", 50, 271828),
+    (2, 3, "all", 3000, 8, "general", 50, 161803),
+    (2, 8, "all", 600, 12, "general", 50, 75),
+    (1, 8, "all", 600, 12, "commuting", 5, 76),
+    (1, 4, "all", 1200, 8, "commuting", 10, 77),
+    (2, 5, 3, 700, 6, "commuting", 50, 78),
+]
+
+
+class TestLockstepMatchesReference:
+    @pytest.mark.parametrize("config", LOCKSTEP_CONFIGS,
+                             ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}-seed{}".format(*c))
+    def test_bitwise(self, config):
+        question, n, k_policy, budget, restarts, strategy, stall_limit, seed = config
+        ref_margin, ref_evaluations, ref_pair, ref_k = _reference_search(
+            question, n, k_policy, budget, restarts, SeededStream(seed), strategy,
+            stall_limit=stall_limit,
+        )
+        res = search_counterexample(
+            question, n, k_policy, budget, restarts, SeededStream(seed),
+            strategy=strategy, stall_limit=stall_limit, tolerance=-np.inf,
+        )
+        assert res.evaluations == ref_evaluations
+        assert np.array_equal(res.best_margin, ref_margin)
+        assert res.witness.k == ref_k
+        assert np.array_equal(res.witness.A, ref_pair[0])
+        assert np.array_equal(res.witness.B, ref_pair[1])
+
+    @pytest.mark.parametrize("strategy", ["general", "commuting"])
+    def test_restarts_finishing_in_different_rounds(self, strategy):
+        # quota 1 scores only its start point; quota 5 ends in the first round
+        question, n, quotas, stall_limit = 2, 4, [300, 5, 1, 120, 41], 7
+        stream = SeededStream(73)
+        finals = ptrace._climb([stream.offset(r).generator() for r in range(len(quotas))],
+                               quotas, question, n, np.arange(1, n + 1), strategy, 0.5,
+                               stall_limit)
+        assert len(finals) == len(quotas)
+        for r, (quota, (pair, margin, k, _, _)) in enumerate(zip(quotas, finals)):
+            ref_margin, _, ref_pair, ref_k = _reference_search(
+                question, n, "all", quota, 1, stream.offset(r), strategy,
+                stall_limit=stall_limit,
+            )
+            assert np.array_equal(margin, ref_margin) and k == ref_k
+            assert np.array_equal(pair[0], ref_pair[0])
+            assert np.array_equal(pair[1], ref_pair[1])
+
+    @pytest.mark.parametrize("strategy", ["general", "commuting"])
+    def test_no_round_stack_exceeds_chunk_entries(self, monkeypatch, strategy):
+        n, restarts = 8, 12
+        real, stacks = ptrace._best_margins, []
+
+        def recording(pairs, *args):
+            stacks.append(pairs.shape[0])
+            return real(pairs, *args)
+
+        monkeypatch.setattr(ptrace, "_best_margins", recording)
+        search_counterexample(2, n, budget=restarts * 40, restarts=restarts,
+                              s=SeededStream(74), strategy=strategy)
+        # each operand (the Ts, the As, the Bs, the moved factors) holds one
+        # n x n matrix per pair; a full round of 8 restarts reaches the bound
+        assert all(size * n * n <= CHUNK_ENTRIES for size in stacks)
+        assert max(stacks) * n * n == CHUNK_ENTRIES
+
+
 class TestSearchKernel:
-    """The stacked scoring reuses the spectrum of the factor a candidate did
-    not move, so each stack of K candidates makes one SVD call on 2 K
+    """The restarts of a search run in lockstep: each round scores the
+    pending candidates of every live restart as one stack and reuses the
+    spectrum of the factor a candidate did not move, so a round of K_r
+    candidates from each live restart r makes one SVD call on 2 sum K_r
     matrices."""
+
+    @staticmethod
+    def _lone_stacks(monkeypatch, strategy, stream, quota):
+        """The stack sizes of one restart run alone, each checked to be
+        min(batch, quota - used) by replaying the accept rule on its scores."""
+        real, scores = ptrace._best_margins, []
+
+        def recording(pairs, *args):
+            out = real(pairs, *args)
+            scores.append(out[0])
+            return out
+
+        monkeypatch.setattr(ptrace, "_best_margins", recording)
+        search_counterexample(2, 3, budget=quota, restarts=1, s=stream, strategy=strategy)
+        monkeypatch.setattr(ptrace, "_best_margins", real)
+        current, used, sizes = scores[0][0], 1, []
+        for values in scores[1:]:
+            assert len(values) == min(ptrace.SEARCH_BATCH, quota - used)
+            accepted = np.flatnonzero(values > current)
+            if accepted.size:
+                current = values[accepted[0]]
+            used += int(accepted[0]) + 1 if accepted.size else len(values)
+            sizes.append(len(values))
+        assert used == quota
+        return sizes
 
     @pytest.mark.parametrize("strategy", ["general", "commuting"])
     def test_one_svd_call_on_2k_matrices_per_stack(self, monkeypatch, strategy):
+        restarts, quota, stream = 3, 101, SeededStream(71)
+        lone = [self._lone_stacks(monkeypatch, strategy, stream.offset(r), quota)
+                for r in range(restarts)]
+        assert len({len(stacks) for stacks in lone}) > 1  # they end in different rounds
         real, sizes = ptrace.singular_values, []
 
         def counting(a):
@@ -457,31 +570,24 @@ class TestSearchKernel:
             return real(a)
 
         monkeypatch.setattr(ptrace, "singular_values", counting)
-        restarts, budget = 3, 3 * 101
-        res = search_counterexample(2, 3, budget=budget, restarts=restarts,
-                                    s=SeededStream(71), strategy=strategy)
-        assert res.evaluations == budget
-        # each restart: its first point (T, tr(B) I - nB and A), then its
-        # stacks; last, the witness check of the best pair
-        assert sizes[-1] == 3
-        starts = [i for i, size in enumerate(sizes[:-1]) if size == 3]
-        assert starts[0] == 0 and len(starts) == restarts
-        for begin, end in zip(starts, starts[1:] + [len(sizes) - 1]):
-            stacks = [size // 2 for size in sizes[begin + 1 : end]]
-            assert all(size % 2 == 0 for size in sizes[begin + 1 : end])
-            assert stacks[0] == ptrace.SEARCH_BATCH
-            assert stacks == sorted(stacks, reverse=True)  # K = min(batch, quota - used)
-            assert sum(stacks) >= budget // restarts - 1
+        res = search_counterexample(2, 3, budget=restarts * quota, restarts=restarts,
+                                    s=stream, strategy=strategy)
+        assert res.evaluations == restarts * quota
+        # every start point (T, tr(B) I - nB and A), then round j with the
+        # j-th stack of each restart still live; last, the witness check
+        rounds = [2 * sum(stacks[j] for stacks in lone if j < len(stacks))
+                  for j in range(max(map(len, lone)))]
+        assert sizes == [3 * restarts] + rounds + [3]
 
     @pytest.mark.parametrize("strategy", ["general", "commuting"])
     @pytest.mark.parametrize("question", [1, 2])
     def test_carried_spectra_are_those_of_the_final_pair(self, strategy, question):
         n = 4
-        g = SeededStream(72).generator()
-        pair, margin, k, sa, sd = ptrace._climb(
-            g, question, n, np.arange(1, n + 1), 400, strategy, 0.5, 50
-        )
-        a, b = pair
-        assert sa.tobytes() == singular_values(a).tobytes()
-        assert sd.tobytes() == singular_values(trace_deviation(b)).tobytes()
-        assert (margin, k) == worst_question_margin(a, b, question)
+        gens = [SeededStream(72, r).generator() for r in range(3)]
+        finals = ptrace._climb(gens, [400, 150, 1], question, n, np.arange(1, n + 1),
+                               strategy, 0.5, 50)
+        assert len(finals) == 3
+        for (a, b), margin, k, sa, sd in finals:
+            assert sa.tobytes() == singular_values(a).tobytes()
+            assert sd.tobytes() == singular_values(trace_deviation(b)).tobytes()
+            assert (margin, k) == worst_question_margin(a, b, question)
