@@ -25,10 +25,11 @@ the repeats:
   scoring and aggregation.  Every repeat starts from a fresh section base.
 - ``search_stack_3``: one scoring stack of the counterexample search at
   n = 3, question 2, all k: the call ``search_counterexample`` makes for
-  each stack of ``SEARCH_BATCH`` candidates, each a copy of one parameter
+  one restart's ``SEARCH_BATCH`` candidates, each a copy of one parameter
   vector with one coordinate moved (building the pairs, validating them,
   one SVD call on the operators and the moved factors, and the margins).
-  Timed over ``--ops // SEARCH_BATCH`` stacks.
+  A search round stacks the candidates of every live restart in one such
+  call.  Timed over ``--ops // SEARCH_BATCH`` stacks.
 - ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
   restarts=8)`` in process, per evaluation; the row also gives the median
   in evaluations per second.

@@ -469,8 +469,7 @@ def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
             restart.used += consumed
             del restart.pending[:consumed]
             start += size
-    pairs = build(thetas, every)
-    return [(pairs[r], current[r], current_k[r], sa[r], sd[r]) for r in every]
+    return list(zip(build(thetas, every), current, current_k, sa, sd))
 
 
 def search_counterexample(
