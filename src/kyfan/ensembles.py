@@ -476,8 +476,8 @@ def _count_sign_vectors(n: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sign_matrix(n: int, j: int) -> np.ndarray:
-    signs = np.array(list(product((1.0, -1.0), repeat=j)))
     out = np.zeros((_count_sign_vectors(n, j), n))
+    signs = np.array(list(product((1.0, -1.0), repeat=j)))
     for s, support in enumerate(combinations(range(n), j)):
         out[s * len(signs) : (s + 1) * len(signs), support] = signs
     out.setflags(write=False)
