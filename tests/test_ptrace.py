@@ -490,7 +490,8 @@ class TestLockstepMatchesReference:
 
     @pytest.mark.parametrize("strategy", ["general", "commuting"])
     def test_restarts_finishing_in_different_rounds(self, strategy):
-        # quota 1 scores only its start point; quota 5 ends in the first round
+        # quota 1 scores only its start point and joins no round; the others
+        # leave the rounds at different times
         question, n, quotas, stall_limit = 2, 4, [300, 5, 1, 120, 41], 7
         stream = SeededStream(73)
         finals = ptrace._climb([stream.offset(r).generator() for r in range(len(quotas))],
