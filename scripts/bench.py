@@ -23,15 +23,16 @@ the repeats:
   1024 trials at n = 5 through ``check_ahj`` (given factors) and
   ``check_lemma32``, per trial: opening the streams, drawing, building,
   scoring and aggregation.  Every repeat starts from a fresh section base.
-- ``search_stack_3``: one scoring stack of the counterexample search at
-  n = 3, question 2, all k: the call ``search_counterexample`` makes for
-  one restart's ``SEARCH_BATCH`` candidates, each a copy of one parameter
-  vector with one coordinate moved (building the pairs, validating them,
-  one SVD call on the operators and the moved factors, and the margins).
-  A search round stacks the candidates of every live restart in one such
-  call.  Timed over ``--ops // SEARCH_BATCH`` stacks.
+- ``search_stack_3``: one lockstep round of the counterexample search at
+  n = 3, question 2, all k, with ``SEARCH_RESTARTS`` = 8 live restarts: the
+  one scoring call a round makes for ``SEARCH_BATCH`` candidates of each
+  restart, each a copy of its restart's parameter vector with one
+  coordinate moved (building the pairs, validating them, one SVD call on
+  the operators and the moved factors, and the margins), with each
+  restart's carried spectra repeated per candidate.  Timed per round, over
+  ``--ops // (SEARCH_RESTARTS * SEARCH_BATCH)`` rounds.
 - ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
-  restarts=8)`` in process, per evaluation; the row also gives the median
+  restarts=SEARCH_RESTARTS)`` in process, per evaluation; the row also gives the median
   in evaluations per second.
 - ``extremal_2000``: the ``kyfan extremal`` engine in process,
   ``suite._extremal_gaps`` for each of the three targets at n_max = 8 with
@@ -82,6 +83,7 @@ N = 5
 SECTION_TRIALS = 1024
 SEARCH_N = 3
 SEARCH_BUDGET = 3000
+SEARCH_RESTARTS = 8
 EXTREMAL_N = 8
 EXTREMAL_TRIALS = 2000
 EXTREMAL_SAMPLES = 2
@@ -161,21 +163,23 @@ def measure(ops: int, repeats: int) -> dict:
 
         return loop
 
-    theta = g.standard_normal(2 * SEARCH_N**2)
+    thetas = g.standard_normal((SEARCH_RESTARTS, 2 * SEARCH_N**2))
     ks = np.arange(1, SEARCH_N + 1)
-    _, _, sa, sd = _best_margins(_unpack_pair(theta[None], SEARCH_N), 2, ks)
-    candidates = np.repeat(theta[None], SEARCH_BATCH, axis=0)
-    moved = g.integers(theta.size, size=SEARCH_BATCH)
-    candidates[np.arange(SEARCH_BATCH), moved] += 0.5 * g.standard_normal(SEARCH_BATCH)
+    _, _, sa, sd = _best_margins(_unpack_pair(thetas, SEARCH_N), 2, ks)
+    owner = np.repeat(np.arange(SEARCH_RESTARTS), SEARCH_BATCH)
+    candidates = thetas[owner]
+    moved = g.integers(thetas.shape[1], size=len(owner))
+    candidates[np.arange(len(owner)), moved] += 0.5 * g.standard_normal(len(owner))
     moved_b = moved >= SEARCH_N**2
-    stacks = max(1, ops // SEARCH_BATCH)
+    rounds = max(1, ops // len(owner))
 
-    def search_stack(rep):
-        for _ in range(stacks):
-            _best_margins(_unpack_pair(candidates, SEARCH_N), 2, ks, moved_b, sa[0], sd[0])
+    def search_round(rep):
+        for _ in range(rounds):
+            _best_margins(_unpack_pair(candidates, SEARCH_N), 2, ks, moved_b,
+                          sa[owner], sd[owner])
 
     def search_q2(rep):
-        search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=8,
+        search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=SEARCH_RESTARTS,
                               s=SeededStream(SEED))
 
     def extremal(rep):
@@ -191,7 +195,7 @@ def measure(ops: int, repeats: int) -> dict:
         "svd_5_stacked": (svd_stacked, ops),
         "checker_trial_ahj_5": (checker_section(check_ahj), SECTION_TRIALS),
         "checker_trial_lemma32_5": (checker_section(check_lemma32), SECTION_TRIALS),
-        "search_stack_3": (search_stack, stacks),
+        "search_stack_3": (search_round, rounds),
         "search_q2_3000": (search_q2, SEARCH_BUDGET),
         "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
     }
