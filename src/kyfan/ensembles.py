@@ -4,10 +4,11 @@ Sampling is driven by explicit streams: a :class:`SeededStream` is a
 (master_seed, stream_index) pair that deterministically opens a PCG64
 generator, so results are independent of scheduling.  A run section based
 at stream index ``base`` maps its trials to streams by the stream contract
-named in ``GENERATOR_ID``.  Under contract v3 the checker engine and the
+named in ``GENERATOR_ID``.  Under contract v4 the checker engine and the
 ``extremal`` targets draw block b of their trials from stream ``base + b``
 (see :mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
-stream per trial or restart, base + t.  Every sampler also accepts an
+stream per trial or restart, base + t, and a search restart draws its
+proposals in blocks (see :mod:`kyfan.ptrace`).  Every sampler also accepts an
 already-open ``numpy.random.Generator`` so several draws inside one trial
 chain off a single stream instead of each restarting it.
 
@@ -64,9 +65,10 @@ __all__ = [
 ]
 
 #: recorded in every report so a replay can verify it uses the same bit source:
-#: the generator family, the stream contract (v3: block-drawn checker and
-#: extremal trials, see kyfan.suite) and the numpy version
-GENERATOR_ID = f"numpy-pcg64-seedseq-v3/{np.__version__}"
+#: the generator family, the stream contract (v4: block-drawn checker and
+#: extremal trials, see kyfan.suite, and block-drawn search proposals, see
+#: kyfan.ptrace) and the numpy version
+GENERATOR_ID = f"numpy-pcg64-seedseq-v4/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
@@ -322,7 +324,7 @@ def as_generator(s) -> np.random.Generator:
 # the stacked results of many trials, ``(..., n, n)`` arrays, to the sampled
 # matrices.  The public sampler is the transform of a batch of one.  Given a
 # block size, an RNG step makes each of its calls once for the whole block,
-# with a leading block axis (stream contract v3, see kyfan.suite).
+# with a leading block axis (the block rule of kyfan.suite).
 # ---------------------------------------------------------------------------
 
 

@@ -25,31 +25,42 @@ stacks of pairs, and on a stack give the same bits as pair by pair.
 
 Search engine
 -------------
-A greedy step proposes one coordinate and one Gaussian move, drawn as
-``g.integers(dim)`` then ``g.standard_normal()``.  Which proposals are
-drawn does not depend on which earlier ones were accepted; only the base
-point and the step size do.  A restart therefore builds its next
-``SEARCH_BATCH`` candidates at once, each from the current point with the
-step it would have if every earlier candidate of the batch were rejected,
-and replays the sequential accept/stall/halve rule over their scores.  The
-first acceptance ends the batch; the candidates after it are discarded and
-their proposals reused, from the new point, in the next batch.  Only
-consumed candidates count as evaluations, so the trajectory, the best
-margin and the witness are those of a loop that scores one proposal at a
-time.
+A greedy step proposes one coordinate and one Gaussian move.  Under stream
+contract v4 restart r draws from its own generator
+``stream.offset(r).generator()``: the shared eigenbasis first (commuting
+strategy only), then its start point ``g.standard_normal(dim)``, then its
+proposals in blocks of ``PROPOSAL_BLOCK`` = 256, each block two calls,
+``g.integers(dim, size=PROPOSAL_BLOCK)`` then
+``g.standard_normal(PROPOSAL_BLOCK)``.  Proposal i is entry i mod 256 of
+block i // 256.  A restart draws a block only when it needs the block's
+first proposal, and always draws all of it, so proposal i depends only on
+the seed, r, dim and i, never on the budget or the restart count.
+
+Which proposals are drawn does not depend on which earlier ones were
+accepted; only the base point and the step size do.  A restart therefore
+builds its next ``SEARCH_BATCH`` candidates at once from slices of its
+drawn block, each from the current point with the step it would have if
+every earlier candidate of the batch were rejected, and replays the
+sequential accept/stall/halve rule over their scores.  The step is halved
+one candidate at a time, so it keeps the bits of the sequential rule once
+it is subnormal too.  The first acceptance ends the batch; the candidates
+after it are discarded and their proposals reused, from the new point, in
+the next batch.  Only consumed candidates count as evaluations, so the
+trajectory, the best margin and the witness are those of a loop that
+scores one proposal at a time.
 
 The restarts are independent, each drawing from its own generator
 ``stream.offset(r).generator()``, so they run in lockstep: a round scores
-the start points of a group of restarts as one stack, then each round tops
-up every live restart's proposals, builds all their candidates in one call
+the start points of a group of restarts as one stack, then each round takes
+the next proposals of every live restart, builds all their candidates in one call
 (under the commuting strategy each candidate in its own restart's basis),
 scores them as one stack and replays the rule on each restart's slice.  A
 restart leaves the rounds once its quota is used, and the best result is
 taken in restart order, so ties go to the earlier restart.  A group holds
 at most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
 restarts, which keeps every operand of a round within ``CHUNK_ENTRIES``
-entries.  Each generator is called in the same order as by a restart run
-alone.  Measured on numpy 2.4.6 with OpenBLAS 0.3.31, this rests on stacked
+entries.  Each generator makes the same calls as for a restart run alone.
+Measured on numpy 2.4.6 with OpenBLAS 0.3.31, this rests on stacked
 ``svd``, ``matmul`` and ``trace(axis1=-2, axis2=-1)`` giving the same bits
 as per-matrix calls, as elementwise arithmetic and ``cumsum`` over the last
 axis do.
@@ -103,12 +114,17 @@ __all__ = [
 ]
 
 #: candidates each restart of a search builds and scores per round.  ``kyfan
-#: search --question 2 --n 3 --budget 3000`` takes 755 stacks at 8 (1042 at
-#: 4, 668 at 12) when its restarts run one after another.  With the half-split
-#: scoring, such one-restart-at-a-time searches ran at 12.8k, 12.7k and 12.0k
-#: evaluations/s (medians of 12 interleaved rounds) at 6, 8 and 12, equal at 6
-#: and 8 within noise.  With its 8 restarts in lockstep it takes 109 stacks
-SEARCH_BATCH = 8
+#: search --question 2 --n 3 --budget 3000``, its 8 restarts in lockstep,
+#: scores 4057 candidates in 137 rounds at 4, 4425 in 120 at 5, 4803 in 109 at
+#: 6 and 5651 in 98 at 8.  Run in process, interleaved 24 times, it made
+#: 31.4k, 31.5k, 31.4k and 28.6k evaluations/s at 4, 5, 6 and 8 (medians;
+#: 33.3k, 32.7k, 30.9k and 29.2k at seed 161803): 4 to 6 are equal within
+#: noise and 8 is slower.  Report bytes do not depend on it.
+SEARCH_BATCH = 5
+
+#: proposals a search restart draws per pair of generator calls, part of the
+#: stream contract (see the module docstring); at least ``SEARCH_BATCH``
+PROPOSAL_BLOCK = 256
 
 
 def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
@@ -403,27 +419,36 @@ def _builder(strategy: str, n: int, gens):
 
 
 class _Restart:
-    """One restart's greedy state: its generator and quota, its point, step,
-    stall count and drawn (coordinate, normal) proposals not yet consumed."""
+    """One restart's greedy state: its generator and quota, its point's step
+    and stall count, and its drawn proposals, whose coordinates and normals
+    from ``next`` on are not yet consumed."""
 
     def __init__(self, g, quota: int, step: float, stall_limit: int):
         self.g, self.quota, self.step, self.stall_limit = g, quota, step, stall_limit
-        self.used, self.stalls, self.pending = 1, 0, []
+        self.used, self.stalls, self.next = 1, 0, 0
+        self.coords, self.normals = np.empty(0, dtype=np.int64), np.empty(0)
 
-    def propose(self, dim: int) -> list:
-        """Tops up the proposals to min(``SEARCH_BATCH``, quota - used) and
-        returns the step of each if every earlier one is rejected, leaving
-        step and stalls as they would be after rejecting them all."""
-        while len(self.pending) < min(SEARCH_BATCH, self.quota - self.used):
-            self.pending.append((self.g.integers(dim), self.g.standard_normal()))
+    def propose(self, dim: int):
+        """The coordinates and normals of the next min(``SEARCH_BATCH``,
+        quota - used) proposals and the step of each if every earlier one is
+        rejected, leaving step and stalls as they would be after rejecting
+        them all.  Draws the next block of ``PROPOSAL_BLOCK`` proposals when
+        these reach its first one."""
+        size = min(SEARCH_BATCH, self.quota - self.used)
+        if self.next + size > len(self.coords):
+            coords, normals = self.coords[self.next:], self.normals[self.next:]
+            self.coords = np.concatenate([coords, self.g.integers(dim, size=PROPOSAL_BLOCK)])
+            self.normals = np.concatenate([normals, self.g.standard_normal(PROPOSAL_BLOCK)])
+            self.next = 0
         steps = []
-        for _ in self.pending:
+        for _ in range(size):  # halved one step at a time, exact when subnormal too
             steps.append(self.step)
             self.stalls += 1
             if self.stalls >= self.stall_limit:
                 self.step *= 0.5
                 self.stalls = 0
-        return steps
+        window = slice(self.next, self.next + size)
+        return self.coords[window], self.normals[window], steps
 
 
 def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
@@ -444,15 +469,15 @@ def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
         live = [r for r, restart in enumerate(restarts) if restart.used < restart.quota]
         if not live:
             break
-        steps = [restarts[r].propose(dim) for r in live]
+        coords, normals, steps = zip(*(restarts[r].propose(dim) for r in live))
         sizes = [len(s) for s in steps]
         owner = np.repeat(live, sizes)
-        coords, normals = zip(*(p for r in live for p in restarts[r].pending))
+        coords = np.concatenate(coords)
         candidates = thetas[owner]
-        candidates[np.arange(len(owner)), coords] += np.multiply([x for s in steps for x in s], normals)
+        moves = np.concatenate(steps) * np.concatenate(normals)
+        candidates[np.arange(len(owner)), coords] += moves
         values, value_ks, sas, sds = _best_margins(
-            build(candidates, owner), question, ks, np.array(coords) >= half,
-            sa[owner], sd[owner])
+            build(candidates, owner), question, ks, coords >= half, sa[owner], sd[owner])
         better = (values > np.array(current)[owner]).tolist()
         start = 0
         for r, size, restart_steps in zip(live, sizes, steps):
@@ -467,7 +492,7 @@ def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
                 consumed = i - start + 1
                 restart.step, restart.stalls = restart_steps[consumed - 1], 0
             restart.used += consumed
-            del restart.pending[:consumed]
+            restart.next += consumed
             start += size
     return list(zip(build(thetas, every), current, current_k, sa, sd))
 

@@ -10,7 +10,7 @@ Checker ids double as report ids: von-neumann, product-family,
 hadamard-family, ahj-given, ahj-sqrt, lemma31, lemma32, hmn-<mask>,
 fan-sigma1.
 
-Trial engine (stream contract v3)
+Trial engine (stream contract v4)
 ---------------------------------
 The trials of a run section based at stream index ``base`` come in blocks
 of ``B_n = max(1, BLOCK_ENTRIES // n**2)`` trials, ``BLOCK_ENTRIES = 4096``.
@@ -28,7 +28,8 @@ trial t's inputs depend only on the seed, the section base, n and t, never
 on the trial count.  A section of T trials opens ``ceil(T / B_n)`` streams,
 at ``base`` up to ``base + ceil(T / B_n) - 1``.  The ``extremal`` engine
 below draws by the same block rule; the ``ptrace`` loops and the searches
-keep one stream per trial or restart.
+keep one stream per trial or restart, and a search restart draws its
+proposals in blocks of its own (see :mod:`kyfan.ptrace`).
 
 Everything after the draws runs on the block's stacks: the block is
 transformed, evaluated and scored as ``(T, n, n)`` arrays of at most

@@ -360,8 +360,12 @@ def _reference_search(question, n, k_policy, budget, restarts, stream, strategy,
         current, current_k = margin_of(theta)
         used, step, stalls = 1, step_init, 0
         while used < quota:
+            i = (used - 1) % ptrace.PROPOSAL_BLOCK  # proposal used - 1 of the restart
+            if i == 0:
+                coords = g.integers(dim, size=ptrace.PROPOSAL_BLOCK)
+                normals = g.standard_normal(ptrace.PROPOSAL_BLOCK)
             candidate = theta.copy()
-            candidate[g.integers(dim)] += step * g.standard_normal()
+            candidate[coords[i]] += step * normals[i]
             value, value_k = margin_of(candidate)
             used += 1
             if value > current:
@@ -411,7 +415,10 @@ QUESTION1_CONFIGS = [
     (1, 4, "all", 450, 2, "general", 10),
     (1, 4, 4, 333, 3, "commuting", 50),
 ]
-REFERENCE_CONFIGS += HALF_SPLIT_CONFIGS + list(ONE_SIDED_CONFIGS) + QUESTION1_CONFIGS
+# every rejection halves the step, which passes through the subnormals to 0
+SUBNORMAL_CONFIGS = [(2, 3, "all", 1400, 1, "general", 1)]
+REFERENCE_CONFIGS += (HALF_SPLIT_CONFIGS + list(ONE_SIDED_CONFIGS) + QUESTION1_CONFIGS
+                      + SUBNORMAL_CONFIGS)
 
 
 class TestSearchMatchesReference:
@@ -456,14 +463,14 @@ class TestSearchMatchesReference:
 
 
 # the benchmark's search at its two seeds, more restarts than one round holds
-# (at n = 8 a round takes 4096 // (8 * 64) = 8 restarts), and the commuting
+# (at n = 8 a round takes 4096 // (5 * 64) = 12 restarts), and the commuting
 # strategy, each basis its own restart's: (question, n, k_policy, budget,
 # restarts, strategy, stall_limit, seed)
 LOCKSTEP_CONFIGS = [
     (2, 3, "all", 3000, 8, "general", 50, 271828),
     (2, 3, "all", 3000, 8, "general", 50, 161803),
-    (2, 8, "all", 600, 12, "general", 50, 75),
-    (1, 8, "all", 600, 12, "commuting", 5, 76),
+    (2, 8, "all", 600, 16, "general", 50, 75),
+    (1, 8, "all", 600, 16, "commuting", 5, 76),
     (1, 4, "all", 1200, 8, "commuting", 10, 77),
     (2, 5, 3, 700, 6, "commuting", 50, 78),
 ]
@@ -509,7 +516,9 @@ class TestLockstepMatchesReference:
 
     @pytest.mark.parametrize("strategy", ["general", "commuting"])
     def test_no_round_stack_exceeds_chunk_entries(self, monkeypatch, strategy):
-        n, restarts = 8, 12
+        n = 8
+        group = CHUNK_ENTRIES // (ptrace.SEARCH_BATCH * n * n)  # restarts a round takes
+        restarts = group + 4
         real, stacks = ptrace._best_margins, []
 
         def recording(pairs, *args):
@@ -520,9 +529,9 @@ class TestLockstepMatchesReference:
         search_counterexample(2, n, budget=restarts * 40, restarts=restarts,
                               s=SeededStream(74), strategy=strategy)
         # each operand (the Ts, the As, the Bs, the moved factors) holds one
-        # n x n matrix per pair; a full round of 8 restarts reaches the bound
+        # n x n matrix per pair; a full round of a full group is the largest
         assert all(size * n * n <= CHUNK_ENTRIES for size in stacks)
-        assert max(stacks) * n * n == CHUNK_ENTRIES
+        assert max(stacks) == group * ptrace.SEARCH_BATCH
 
 
 class TestSearchKernel:
@@ -592,3 +601,86 @@ class TestSearchKernel:
             assert sa.tobytes() == singular_values(a).tobytes()
             assert sd.tobytes() == singular_values(trace_deviation(b)).tobytes()
             assert (margin, k) == worst_question_margin(a, b, question)
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that keeps the arguments and results of its draws."""
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.calls.append(("integers", args, kwargs, out))
+        return out
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        self.calls.append(("standard_normal", args, kwargs, out))
+        return out
+
+
+def _recording(g):
+    g = _RecordingGenerator(g.bit_generator)
+    g.calls = []
+    return g
+
+
+class TestProposalBlocks:
+    """Stream contract v4: after its start point (and, under the commuting
+    strategy, its basis before that) a restart draws its proposals in blocks
+    of ``PROPOSAL_BLOCK``, each ``g.integers(dim, size=P)`` then
+    ``g.standard_normal(P)``, and only when it needs a block's first one."""
+
+    @staticmethod
+    def _draws(monkeypatch, strategy, budget, restarts):
+        """Each restart's generator calls in one search, by restart."""
+        gens = {}
+        real = SeededStream.generator
+
+        def recording(stream):
+            gens[stream.stream_index] = g = _recording(real(stream))
+            return g
+
+        monkeypatch.setattr(SeededStream, "generator", recording)
+        search_counterexample(2, 3, budget=budget, restarts=restarts, s=SeededStream(78),
+                              strategy=strategy)
+        monkeypatch.setattr(SeededStream, "generator", real)
+        return {r: g.calls for r, g in gens.items()}
+
+    @pytest.mark.parametrize("strategy", ["general", "commuting"])
+    def test_proposals_do_not_depend_on_budget_or_restarts(self, monkeypatch, strategy):
+        p = ptrace.PROPOSAL_BLOCK
+        dim = 18 if strategy == "general" else 6
+        head = 2 if strategy == "commuting" else 1  # the basis normals, the start point
+        # quotas of restarts 0 and 1: 375 (2 blocks), 601 (3 blocks), 100 (1 block)
+        runs = [self._draws(monkeypatch, strategy, budget, restarts)
+                for budget, restarts in [(3000, 8), (1202, 2), (200, 2)]]
+        for r in (0, 1):
+            calls = [run[r] for run in runs]
+            assert [len(c) for c in calls] == [head + 2 * 2, head + 2 * 3, head + 2 * 1]
+            longest = calls[1]
+            for shorter in calls:
+                for (name, args, kwargs, out), (name2, args2, kwargs2, out2) in zip(shorter,
+                                                                                    longest):
+                    assert (name, args, kwargs) == (name2, args2, kwargs2)
+                    assert np.array_equal(out, out2)
+            assert [(name, args, kwargs) for name, args, kwargs, _ in longest[head:]] == [
+                ("integers", (dim,), {"size": p}), ("standard_normal", (p,), {})] * 3
+
+    @pytest.mark.parametrize("strategy", ["general", "commuting"])
+    def test_a_block_is_drawn_when_its_first_proposal_is_needed(self, strategy):
+        # quota q scores its start point and q - 1 proposals
+        p, n = ptrace.PROPOSAL_BLOCK, 2
+        quotas = [1, 2, p + 1, p + 2, 2 * p + 1]
+        gens = [_recording(SeededStream(79, r).generator()) for r in range(len(quotas))]
+        ptrace._climb(gens, quotas, 2, n, np.arange(1, n + 1), strategy, 0.5, 50)
+        head = 2 if strategy == "commuting" else 1
+        assert [(len(g.calls) - head) // 2 for g in gens] == [0, 1, 1, 2, 2]
+
+    def test_step_halving_stays_exact_when_subnormal(self):
+        # 5 ulp of the smallest subnormal u halved one candidate at a time is
+        # 2u (2.5u rounds to even), u, then 0 (0.5u rounds to even); a single
+        # product 5u * 0.5**3 would round 0.625u to u
+        u = 2.0**-1074
+        restart = ptrace._Restart(SeededStream(80).generator(), 50, 5 * u, 1)
+        _, _, steps = restart.propose(8)
+        assert steps == [5 * u, 2 * u, u, 0.0, 0.0, 0.0][: ptrace.SEARCH_BATCH]
+        assert restart.step == 0.0 and restart.stalls == 0
