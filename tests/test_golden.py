@@ -1,11 +1,12 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The hashes are those of stream contract v3 (``numpy-pcg64-seedseq-v3``, kyfan
-0.3.0), where the checker engine and the extremal targets draw each block of
-trials from one generator.  The ten check, search and ptrace bodies kept
-their contract v2 bytes apart from the generator id and the tool version,
-because their streams did not move; the four extremal bodies moved with
-their streams.  Every engine must reproduce every body byte for byte.
+The hashes are those of stream contract v4 (``numpy-pcg64-seedseq-v4``, kyfan
+0.4.0), where the checker engine and the extremal targets draw each block of
+trials from one generator and each search restart draws its proposals in
+blocks.  The nine check and extremal bodies kept their contract v3 bytes
+apart from the generator id and the tool version, because their streams did
+not move; the four search bodies and the ptrace body moved with the
+proposal streams.  Every engine must reproduce every body byte for byte.
 They hold for one numeric stack only: the generator id (stream contract and
 numpy version) plus the BLAS/LAPACK build and the machine architecture.  On
 another stack the test skips and names the stack it found, so new hashes can
@@ -32,35 +33,35 @@ def _numeric_stack() -> tuple[str, str, str]:
 
 
 GOLDEN = {
-    ("numpy-pcg64-seedseq-v3/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
+    ("numpy-pcg64-seedseq-v4/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "f8460efb2c951796683d0e16309193f552e1a47abd0f6061a0cc84a6f27a17bb",
+            "4eba4c406df4f6d5563cbd2b1fc6db79ab28e59834a01de2d52a8193a0358bd5",
         "check-all-trials50-seed161803":
-            "3a1407b0044c7f227da4aef24fb402a7e1c1a68a4e5a1d07226b70854f93f404",
+            "31c7b36b475a6034fc802c4043ba8593f7f7f2428fd2b1df300f3b49f865633b",
         "check-all-n64-trials2":
-            "1a999854a352b4b2ee745bb2b3f287d9ab26cd643abd13adeaf36a2c6aba5261",
+            "f8a5cb4e0e0a552efb28ee0df68e59f61a3afeb639b11b02d54712d1f02db02a",
         "lemma31-fan-witness":
-            "ed08019e0148c02c5b0c3d3c4ebcb2ff8749bc4c58988264be51b26807966bdc",
+            "426b8ee09219db5feecdbb98a59593257a544406a500fe2cc3e8f60b24d8f01f",
         "hmn-fan-witness":
-            "da077a1fffc184a842a2ade7fd2e1a285c72b8ba0476add346f14080188744d5",
+            "855a8e1b48159a19958278110a303d2c31e6b78211493aefd0fc59590514558f",
         "search-q2-n3-restarts8-budget3000":
-            "88001eaebea14729f928b1b229ee94dd0eff18fe1fa5497d3a92ff25645581fe",
+            "a2c46f2052c3718188acf0a907ec354548a79bb39c73f75cc654cd3568cf1cb1",
         "search-q1-n4-commuting-budget800":
-            "cf9e435e4dc32050a1c3330e6ce731c1fcc4110f7c28600759433ab5caf43d59",
+            "ccd6c943cdfe49b5b67dc82616b6609c690cf2aed97c9314588337a8c37208ae",
         "search-q2-n3-k2-budget500":
-            "6964548c95cab772e7c86fb40edf4967cf2c4eebfb602b240be2356f0af6fe77",
+            "0764895c72c565475b3acb004df3d50c891ae3997966a3e3cccbdcc2e4685be7",
         "ptrace-q2-n3-trials30-budget500":
-            "42b6622f57087bcc45c146de18837a7e056a857e6fb0c0ca992d2f831f777e49",
+            "84a5b31209e6290532a5fe2d7aa7d9310b222a340fbb2621ba70702785108898",
         "search-q2-n3-witness-budget500":
-            "1d019cec5630874033d08e3cc147534feb8aff10fa18f7f21b5fcb858491f3df",
+            "9cb7e6bf1441d34a1cfb4ad7cb405c636034a6c96f3ac409b08bd9922819fe6c",
         "extremal-all-trials300-seed271828":
-            "855a0fb33c3b7c95659ea8a3e4b355c3d1b69d12cad70309b3014ef99b60a84d",
+            "33428b7b0a61846aa090f7e79508b3e78122e96b8b319185e8dcc9270d09d740",
         "extremal-all-trials300-seed161803":
-            "3b3831398079c95cf5cc094366284c26a0aba92c07dcdb58cab9fc1b1fa4d3e6",
+            "de20f1ebedf862d454345e20bd70abbc3a6ddcfc76ea30c5e3bee5003a9e6c3b",
         "extremal-matrix-n8-samples5":
-            "6f342ee48a0d623a70f64895c506ef88e6244685bbda53ab6af6fee35fb3e4bd",
+            "789146ae67d2a180dcf6e52abadaa645013fe5bf0ca1fdc3e43ae2b739bba105",
         "extremal-n2-samples0":
-            "6fa5ec04aea104eb4da0c585376744d8e1e8a4fb0672fcb8b88c6fa34d2b6199",
+            "e77716f4231fe6863c281f55572b822405e51d257ca6912bead48702fc4b1a2c",
     },
 }
 
