@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ptrace.add_argument("--trials", type=_trial_count, default=200,
                         help="commuting pairs in the regression (default 200)")
     ptrace.add_argument("--budget", type=_nonnegative_int, default=0,
-                        help="margin evaluations for the bounded search (default 0)")
+                        help="margin evaluations for the bounded search (default 0: no search)")
     ptrace.add_argument("--restarts", type=_positive_int, default=4)
     ptrace.add_argument("--strategy", choices=("general", "commuting"), default="general")
     ptrace.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
@@ -506,27 +506,32 @@ def _execute_ptrace(cfg: RunConfig):
         }
     )
 
-    # bounded search
-    search = search_counterexample(
-        cfg.question, n, cfg.k_spec if cfg.k_spec == "all" else int(cfg.k_spec),
-        cfg.budget, cfg.restarts, SeededStream(cfg.seed, 2 * STREAM_STRIDE),
-        strategy=cfg.strategy, tolerance=cfg.tolerance,
-    )
-    findings, note = _search_findings(search)
-    results.append(
-        {
-            "target": "bounded-search",
-            "question": cfg.question,
-            "strategy": search.strategy,
-            "budget": cfg.budget,
-            "evaluations": search.evaluations,
-            "best_margin": search.best_margin,
-            **findings,
-        }
-    )
-    notes.append(note)
+    # bounded search; a zero budget scores nothing, so it writes no section
+    search_violations = 0
+    if cfg.budget == 0:
+        notes.append("bounded search skipped: --budget 0")
+    else:
+        search = search_counterexample(
+            cfg.question, n, cfg.k_spec if cfg.k_spec == "all" else int(cfg.k_spec),
+            cfg.budget, cfg.restarts, SeededStream(cfg.seed, 2 * STREAM_STRIDE),
+            strategy=cfg.strategy, tolerance=cfg.tolerance,
+        )
+        findings, note = _search_findings(search)
+        results.append(
+            {
+                "target": "bounded-search",
+                "question": cfg.question,
+                "strategy": search.strategy,
+                "budget": cfg.budget,
+                "evaluations": search.evaluations,
+                "best_margin": search.best_margin,
+                **findings,
+            }
+        )
+        notes.append(note)
+        search_violations = findings["violations"]
 
-    total_violations = reg_violations + findings["violations"]
+    total_violations = reg_violations + search_violations
     status = 2 if total_violations else 0
     return status, results, total_violations, notes
 
