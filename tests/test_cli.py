@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -336,8 +337,6 @@ class TestExecution:
         assert b"elapsed_seconds" not in first
 
     def test_determinism_on_stdout(self, capsys):
-        import json
-
         argv = ["ptrace", "--question", "2", "--n", "3", "--trials", "15",
                 "--budget", "40", "--restarts", "2", "--seed", "41"]
         main(argv)
@@ -345,6 +344,16 @@ class TestExecution:
         main(argv)
         second = json.loads(capsys.readouterr().out)
         assert report_body_bytes(first) == report_body_bytes(second)
+
+    def test_python_m_kyfan_runs_the_command_line(self, capsys):
+        argv = ["check", "--ineq", "von-neumann", "--n", "3", "--trials", "5", "--seed", "7"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-m", "kyfan", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        main(argv)
+        in_process = json.loads(capsys.readouterr().out)
+        assert report_body_bytes(json.loads(done.stdout)) == report_body_bytes(in_process)
 
     def test_unwritable_output_returns_one(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "r.json"
