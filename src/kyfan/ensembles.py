@@ -579,19 +579,35 @@ def _support_gaps(c: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
     Row t is taken under the weight with prefix sums ``ws[t]`` (a
     :func:`~kyfan.norms._prefix_table` row) and active length ``ks[t]``.
     Every row's families are checked against ``ENUMERATION_BUDGET`` before
-    any sign matrix is built.  The sign-matrix products stay one
-    matrix-vector product per row: a stacked product changes the last bits
-    of the row maxima.
+    any sign matrix is built.  Each family is scored over all the rows that
+    use it by :func:`_sign_maxima`, with the bits of one matrix-vector
+    product per row.
     """
     n = c.shape[-1]
     _check_enumeration_budgets(np.full(len(ks), n), ks)
-    best = np.empty(len(c))
-    for t, (vec, k) in enumerate(zip(c, ks.tolist())):
-        top = float((_sign_matrix(n, n) @ vec).max()) / ws[t, k - 1]
-        for j in range(1, k):
-            top = max(top, float((_sign_matrix(n, j) @ vec).max()) / ws[t, j - 1])
-        best[t] = top
+    best = _sign_maxima(c, n) / ws[np.arange(len(c)), ks - 1]
+    for j in range(1, int(ks.max(initial=1))):
+        rows = np.flatnonzero(ks > j)
+        best[rows] = np.maximum(best[rows], _sign_maxima(c[rows], j) / ws[rows, j - 1])
     return np.abs(best - _dual_norms(c, ws, ks))
+
+
+def _sign_maxima(c: np.ndarray, j: int) -> np.ndarray:
+    """max of ``S @ vec`` for each row vec of a (T, n) stack, S the sign
+    matrix of family Ej in dimension n.
+
+    One broadcast ``np.matmul(S, rows[:, :, None])`` per chunk of rows,
+    which numpy runs as one matrix-vector product per row and so gives the
+    bits of ``S @ vec`` (one ``S @ C.T`` does not); a chunk's product holds
+    at most ``ENUMERATION_BUDGET`` entries.
+    """
+    signs = _sign_matrix(c.shape[-1], j)
+    chunk = max(1, ENUMERATION_BUDGET // len(signs))
+    out = np.empty(len(c))
+    for start in range(0, len(c), chunk):
+        rows = c[start:start + chunk, :, None]
+        out[start:start + chunk] = np.matmul(signs, rows).max(axis=(1, 2))
+    return out
 
 
 def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:

@@ -92,10 +92,12 @@ Beyond the rules above:
 
 - each Re tr(C* X) is one contiguous last-axis sum, whose bits do not
   depend on the stack;
-- the sign-matrix products of the vector target stay one matrix-vector
-  product per trial and family: a stacked ``S @ V.T`` changed the row
-  maximum in 1345 of 8750 (n, j, vector) checks (n = 2..8, every j, 250
-  vectors each);
+- the sign-matrix products of the vector target are one broadcast
+  ``np.matmul(S, C[:, :, None])`` per family over the trials that use it,
+  at most ``ENUMERATION_BUDGET`` entries a product, which numpy runs as one
+  matrix-vector product per trial: no row maximum changed in 17,500
+  (n, j, vector) checks (n = 2..8, every j, 250 vectors each, twice),
+  where one matrix-matrix product ``S @ C.T`` changed 1345 of 8750;
 - ``abs`` of each equality trace is taken as a scalar;
 - the dual norm sorts and sums each row and forms the same quotients as
   the one-vector form, so its maximum is the same number.

@@ -17,9 +17,11 @@ import kyfan.suite as suite
 from extremal_reference import block_size, matrix_gap, reference_gaps, vector_gap
 from kyfan.cli import STREAM_STRIDE, _execute_extremal, parse_arguments
 from kyfan.ensembles import (
+    ENUMERATION_BUDGET,
     BudgetError,
     SeededStream,
     _sign_matrix,
+    _sign_maxima,
     _support_gaps,
     ginibre,
     matrix_ball_support_gap,
@@ -139,6 +141,34 @@ def test_vector_gaps_check_every_row_against_the_budget_before_enumerating():
     with pytest.raises(BudgetError, match="family E9 in dimension 14"):
         _support_gaps(rows, _prefix_table(weights, 14), np.array([1, 10]))
     assert _sign_matrix.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sign_maxima_match_one_matrix_vector_product_per_row(n):
+    c = SeededStream(14, n).generator().standard_normal((250, n))
+    for j in range(1, n + 1):
+        signs = _sign_matrix(n, j)
+        reference = np.array([float((signs @ vec).max()) for vec in c])
+        assert _sign_maxima(c, j).tobytes() == reference.tobytes()
+
+
+def test_vector_gaps_hold_at_most_the_enumeration_budget_per_product():
+    # E13 holds 8192 sign vectors, so one product over 1000 rows would hold
+    # 8.2e6 entries; each holds at most ENUMERATION_BUDGET = 10^6 (8 MB)
+    n, count = 13, 1000
+    g = SeededStream(15).generator()
+    c = g.standard_normal((count, n))
+    weights = [random_weight(n, 1 + t % 2, g) for t in range(count)]
+    ws, ks = _prefix_table(weights, n), np.array([w.k for w in weights])
+    _support_gaps(c[:2], ws[:2], ks[:2])  # builds the sign matrices of E1 and E13
+    tracemalloc.start()
+    try:
+        gaps = _support_gaps(c, ws, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * ENUMERATION_BUDGET, peak
+    assert gaps.tobytes() == np.array([vector_gap(vec, w) for vec, w in zip(c, weights)]).tobytes()
 
 
 def test_full_rank_weight_in_a_large_dimension_keeps_memory_quadratic():
