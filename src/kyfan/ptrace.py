@@ -49,12 +49,12 @@ the next batch.  Only consumed candidates count as evaluations, so the
 trajectory, the best margin and the witness are those of a loop that
 scores one proposal at a time.
 
-The restarts are independent, each drawing from its own generator
-``stream.offset(r).generator()``, so they run in lockstep: a round scores
-the start points of a group of restarts as one stack, then each round takes
-the next proposals of every live restart, builds all their candidates in one call
-(under the commuting strategy each candidate in its own restart's basis),
-scores them as one stack and replays the rule on each restart's slice.  A
+The restarts are independent, each drawing from its own generator, so
+they run in lockstep: a round scores the start points of a group of
+restarts as one stack, then each round takes the next proposals of every
+live restart, builds all their candidates in one call (under the commuting
+strategy each candidate in its own restart's basis), scores them as one
+stack and replays the rule on each restart's slice.  A
 restart leaves the rounds once its quota is used, and the best result is
 taken in restart order, so ties go to the earlier restart.  A group holds
 at most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
