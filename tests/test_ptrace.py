@@ -462,13 +462,15 @@ class TestSearchMatchesReference:
         assert {ONE_SIDED_CONFIGS[config] == "B"} in sides
 
 
-# the benchmark's search at its two seeds, more restarts than one round holds
-# (at n = 8 a round takes 4096 // (5 * 64) = 12 restarts), and the commuting
-# strategy, each basis its own restart's: (question, n, k_policy, budget,
-# restarts, strategy, stall_limit, seed)
+# the benchmark's search at its two seeds, a full round and more restarts
+# than one round holds (at n = 8 a round takes 4096 // (5 * 64) = 12
+# restarts), and the commuting strategy, each basis its own restart's:
+# (question, n, k_policy, budget, restarts, strategy, stall_limit, seed)
 LOCKSTEP_CONFIGS = [
     (2, 3, "all", 3000, 8, "general", 50, 271828),
     (2, 3, "all", 3000, 8, "general", 50, 161803),
+    (2, 8, "all", 600, 12, "general", 50, 75),
+    (1, 8, "all", 600, 12, "commuting", 5, 76),
     (2, 8, "all", 600, 16, "general", 50, 75),
     (1, 8, "all", 600, 16, "commuting", 5, 76),
     (1, 4, "all", 1200, 8, "commuting", 10, 77),
@@ -676,7 +678,7 @@ class TestProposalBlocks:
         assert [(len(g.calls) - head) // 2 for g in gens] == [0, 1, 1, 2, 2]
 
     def test_step_halving_stays_exact_when_subnormal(self):
-        # 5 ulp of the smallest subnormal u halved one candidate at a time is
+        # five times the smallest subnormal u, halved one candidate at a time, is
         # 2u (2.5u rounds to even), u, then 0 (0.5u rounds to even); a single
         # product 5u * 0.5**3 would round 0.625u to u
         u = 2.0**-1074
