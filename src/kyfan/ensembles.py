@@ -4,7 +4,7 @@ Sampling is driven by explicit streams: a :class:`SeededStream` is a
 (master_seed, stream_index) pair that deterministically opens a PCG64
 generator, so results are independent of scheduling.  A run section based
 at stream index ``base`` maps its trials to streams by the stream contract
-named in ``GENERATOR_ID``.  Under contract v4 the checker engine and the
+named in ``GENERATOR_ID``.  Under contract v5 the checker engine and the
 ``extremal`` targets draw block b of their trials from stream ``base + b``
 (see :mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
 stream per trial or restart, base + t, and a search restart draws its
@@ -65,10 +65,10 @@ __all__ = [
 ]
 
 #: recorded in every report so a replay can verify it uses the same bit source:
-#: the generator family, the stream contract (v4: block-drawn checker and
-#: extremal trials, see kyfan.suite, and block-drawn search proposals, see
-#: kyfan.ptrace) and the numpy version
-GENERATOR_ID = f"numpy-pcg64-seedseq-v4/{np.__version__}"
+#: the generator family, the stream contract (v5: block-drawn checker trials
+#: and exact-size extremal draws scored through diag(U* C V), see kyfan.suite,
+#: and block-drawn search proposals, see kyfan.ptrace) and the numpy version
+GENERATOR_ID = f"numpy-pcg64-seedseq-v5/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
@@ -476,8 +476,28 @@ def _count_sign_vectors(n: int, j: int) -> int:
     return math.comb(n, j) * 2**j
 
 
+#: largest sign-vector table, in entries, that :func:`_sign_matrix` keeps for
+#: the life of the process.  Every family of dimension n <= 8 fits (the
+#: largest, E5 and E6 at n = 8, holds 14336 entries), and all the tables that
+#: fit come to 5.6 MB at most; a larger table is built per call and freed
+#: after it, so an n = 13 gap no longer leaves 166 MB behind
+SIGN_CACHE_ENTRIES = 2**14
+
+
+def _signs(n: int, j: int) -> np.ndarray:
+    """The read-only sign matrix of family Ej in dimension n, cached if it is small."""
+    if _count_sign_vectors(n, j) * n <= SIGN_CACHE_ENTRIES:
+        return _sign_matrix(n, j)
+    return _build_sign_matrix(n, j)
+
+
 @lru_cache(maxsize=None)
 def _sign_matrix(n: int, j: int) -> np.ndarray:
+    """The cache of :func:`_signs`: only tables of at most ``SIGN_CACHE_ENTRIES`` entries."""
+    return _build_sign_matrix(n, j)
+
+
+def _build_sign_matrix(n: int, j: int) -> np.ndarray:
     out = np.zeros((_count_sign_vectors(n, j), n))
     signs = np.array(list(product((1.0, -1.0), repeat=j)))
     for s, support in enumerate(combinations(range(n), j)):
@@ -500,7 +520,7 @@ def sign_vectors(n: int, j: int) -> np.ndarray:
         raise BudgetError(
             f"enumerating {count} sign vectors exceeds the budget of {ENUMERATION_BUDGET}"
         )
-    return _sign_matrix(n, j).copy()
+    return _signs(n, j).copy()
 
 
 @dataclass(frozen=True)
@@ -598,11 +618,11 @@ def _sign_maxima(c: np.ndarray, j: int) -> np.ndarray:
 
     One broadcast ``np.matmul(S, rows[:, :, None])`` per chunk of rows,
     which numpy runs as one matrix-vector product per row and so gives the
-    bits of ``S @ vec`` (one ``S @ C.T`` does not); a chunk's product holds
-    at most ``ENUMERATION_BUDGET`` entries.
+    bits of ``S @ vec`` (one ``S @ C.T`` does not); a chunk's product and S
+    together hold at most ``ENUMERATION_BUDGET`` entries where S allows.
     """
-    signs = _sign_matrix(c.shape[-1], j)
-    chunk = max(1, ENUMERATION_BUDGET // len(signs))
+    signs = _signs(c.shape[-1], j)
+    chunk = max(1, (ENUMERATION_BUDGET - signs.size) // len(signs))
     out = np.empty(len(c))
     for start in range(0, len(c), chunk):
         rows = c[start:start + chunk, :, None]
@@ -640,31 +660,14 @@ def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
     return float(gaps[0])
 
 
-def _re_inner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re tr(C_t^* X_t) of each pair of a (T, n, n) stack: a row-major sum of entries.
+def _diagonal_inner(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """diag(U_t^* C_t V_t) of each matrix of a (T, n, n) stack, as a (T, n) view.
 
-    Each row is one contiguous last-axis sum, so a row's bits do not depend
-    on the stack it is in.
+    Two stacked matmuls, ``(U^* C) V``, then the diagonal.  Entry i is
+    u_i^* C v_i, so for a partial isometry X = U_j V_j^* the cumulative sum
+    of the real parts up to j is Re tr(C^* X): no candidate is formed.
     """
-    products = c.real * x.real + c.imag * x.imag
-    return products.reshape(len(products), -1).sum(axis=-1)
-
-
-def _candidate_values(c, trial, u, v, ranks, scales) -> np.ndarray:
-    """Re tr(C_t^* X_i) for each candidate i, with t = trial[i].
-
-    X_i = (U[:, :j] @ V[:, :j]^*) / scales[i] for U = u[t], V = v[t] and
-    j = ranks[i].  The candidates are built one rank at a time and scored
-    straight away as one stacked :func:`_re_inner`, so at most one rank group
-    of them is held at once.
-    """
-    out = np.empty(len(trial))
-    for j in sorted(set(ranks.tolist())):  # not np.unique: it imports numpy.ma
-        sel = np.flatnonzero(ranks == j)
-        pick = trial[sel]
-        x = (u[pick, :, :j] @ _adjoint(v[pick, :, :j])) / scales[sel, None, None]
-        out[sel] = _re_inner(c[pick], x)
-    return out
+    return np.diagonal(_adjoint(u) @ c @ v, axis1=-2, axis2=-1)
 
 
 def _ranks(families: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
@@ -676,16 +679,18 @@ def _aligned_gaps(c: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> tuple:
     """The aligned gap of each matrix of a (T, n, n) stack, and its best aligned value.
 
     Matrix t is taken under the weight with prefix sums ``ws[t]`` and active
-    length ``ks[t]``; its family p < k is scored at the candidate built from
-    its own singular vectors, of rank :func:`_ranks` and scaled by ws[t, p].
+    length ``ks[t]``.  Its family p < k is scored at the candidate built from
+    its own singular vectors, of rank j = :func:`_ranks` and scaled by
+    ws[t, p]: the value is the j-th cumulative sum of Re diag(U^* C V)
+    divided by ws[t, p].
     """
-    trials, n = c.shape[0], c.shape[-1]
+    n = c.shape[-1]
     u, sig, v = svd(c)
-    trial = np.repeat(np.arange(trials), ks)
-    starts = np.cumsum(ks) - ks
-    family = np.arange(trial.size) - np.repeat(starts, ks)
-    values = _candidate_values(c, trial, u, v, _ranks(family, ks[trial], n), ws[trial, family])
-    aligned = np.maximum.reduceat(values, starts)
+    sums = np.cumsum(_diagonal_inner(c, u, v).real, axis=-1)
+    families = np.arange(n)
+    ranks = _ranks(families, ks[:, None], n)
+    values = np.take_along_axis(sums, ranks - 1, axis=-1) / ws
+    aligned = np.where(families < ks[:, None], values, -np.inf).max(axis=-1)
     return np.abs(aligned - _dual_norms(sig, ws, ks)), aligned
 
 
@@ -697,6 +702,6 @@ def _sampled_values(c, ws, ks, picks, normals) -> np.ndarray:
     candidate of that family; one QR call covers the stack.
     """
     h = _haar(normals)
+    sums = np.cumsum(_diagonal_inner(c, h[:, 0], h[:, 1]).real, axis=-1)
     trial = np.arange(len(c))
-    return _candidate_values(c, trial, h[:, 0], h[:, 1], _ranks(picks, ks, c.shape[-1]),
-                             ws[trial, picks])
+    return sums[trial, _ranks(picks, ks, c.shape[-1]) - 1] / ws[trial, picks]

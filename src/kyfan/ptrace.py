@@ -25,7 +25,7 @@ stacks of pairs, and on a stack give the same bits as pair by pair.
 
 Search engine
 -------------
-A greedy step proposes one coordinate and one Gaussian move.  Under stream
+A greedy step proposes one coordinate and one Gaussian move.  Since stream
 contract v4 restart r draws from its own generator
 ``stream.offset(r).generator()``: the shared eigenbasis first (commuting
 strategy only), then its start point ``g.standard_normal(dim)``, then its

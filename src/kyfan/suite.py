@@ -10,7 +10,7 @@ Checker ids double as report ids: von-neumann, product-family,
 hadamard-family, ahj-given, ahj-sqrt, lemma31, lemma32, hmn-<mask>,
 fan-sigma1.
 
-Trial engine (stream contract v4)
+Trial engine (stream contract v5)
 ---------------------------------
 The trials of a run section based at stream index ``base`` come in blocks
 of ``B_n = max(1, BLOCK_ENTRIES // n**2)`` trials, ``BLOCK_ENTRIES = 4096``.
@@ -53,8 +53,8 @@ Aggregation is that of a trial-by-trial loop: a violation is
 margin is the first strict maximum in trial order, then k order; extra
 trials are scored after the drawn ones.
 
-Extremal engine
----------------
+Extremal engine (stream contract v5)
+------------------------------------
 The ``kyfan extremal`` targets run through :func:`_extremal_gaps`.  Block j
 of a section holds ``B = max(1, BLOCK_ENTRIES // n_max**2)`` trials (64 at
 n_max = 8) and is drawn from ``stream.offset(j).generator()``, each draw one
@@ -67,37 +67,56 @@ call over the whole block, in this order:
   ``g.uniform(size=B) < 0.5``.  Trial t's weight is k ones or its first k
   entries sorted nonincreasing, followed by n - k zeros where k < n and the
   tail mask is set, as ``random_weight`` builds it;
-- the normals of c, ``g.standard_normal((B, n_max))``, or of C or B,
-  ``g.standard_normal((B, 2, n_max, n_max))``;
+- the normals, exact-size, one flat draw whose runs are the trials' in
+  order: ``g.standard_normal(sum(n))``, trial t's n entries of c, or
+  ``g.standard_normal(2 * sum(n**2))``, trial t's n x n real part of C or
+  B, then its n x n imaginary part, both row-major;
 - for ``matrix``, once per sample index: each trial's family
-  ``g.integers(k)``, then the ``(B, 2, 2, n_max, n_max)`` normals of the
-  two Haar factors of its sampled candidate.
+  ``g.integers(k)``, then ``g.standard_normal(4 * sum(n**2))``, trial t's
+  (2, 2, n, n) normals of the two Haar factors U and V of its sampled
+  candidate (U's real and imaginary parts, then V's).
 
-Trial t of dimension n takes the leading n entries or n x n corners of its
-rows, which are iid.  As for the checkers, a block draws all B trials, so
-trial t's n, weight and C depend only on the seed, the section base, n_max
-and t, never on ``--trials`` or ``--samples``, and a section of T trials
-opens ``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)`` array of
-prefix sums; :class:`~kyfan.norms.Weight`'s checks run on it row by row.
-Every vector trial's families are checked against ``ENUMERATION_BUDGET``
-before any is scored, naming the first over-budget trial in trial order.
+Trial t uses exactly its own runs.  As for the checkers, a block draws all
+B trials, so trial t's n, weight and C depend only on the seed, the section
+base, n_max and t, never on ``--trials`` or ``--samples``, and a section of
+T trials opens ``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)``
+array of prefix sums; :class:`~kyfan.norms.Weight`'s checks run on it row by
+row.  Every vector trial's families are checked against
+``ENUMERATION_BUDGET`` before any is scored, naming the first over-budget
+trial in trial order.  (Contracts v3 and v4 drew ``(B, n_max)`` and
+``(B, 2, n_max, n_max)`` normals, of which a trial used the leading n
+entries or n x n corner.)
 
 ``EXTREMAL_CHUNK_BLOCKS`` blocks are scored together, their trials grouped
-by n into ``(T, n, n)`` stacks: one ``svd`` of the C or B stack, one Haar QR
-per sample index, and the candidates ``U_j V_j* / scale`` built and scored
-one rank j at a time, Re tr(C* X) as one stacked sum over each candidate's
-entries.  The public ``support_function_gap``, ``matrix_ball_support_gap``
-and ``von_neumann_equality_witness`` are these same helpers on one input.
+by n into ``(T, n, n)`` stacks: one ``svd`` of the C or B stack and one Haar
+QR per sample index.  No candidate matrix is formed.  For a partial
+isometry X = U_j V_j* the value Re tr(C* X) equals the sum of the real parts
+of the first j entries of diag(U* C V), so every candidate is scored
+through ``_diagonal_inner``, two stacked matmuls ``(U* C) V`` and their
+diagonal:
+
+- aligned: U and V are C's singular vectors, and family p < k scores
+  ``cumsum(diag.real)[rank - 1] / ws[p]``, rank p + 1 for p < k - 1 and n
+  for p = k - 1;
+- sampled: U and V are the two Haar factors, scored the same way at the
+  trial's drawn family;
+- equality: the gap is | abs(u1* B v1) - sigma_1(B) |, u1* B v1 being the
+  first diagonal entry and tr(AB) at A = ``von_neumann_equality_witness(B)``.
+
+The public ``support_function_gap``, ``matrix_ball_support_gap`` and
+``von_neumann_equality_witness`` are these same helpers on one input.
 Beyond the rules above:
 
-- each Re tr(C* X) is one contiguous last-axis sum, whose bits do not
-  depend on the stack;
+- each diagonal comes from stacked matmuls and each cumulative sum runs
+  over the last axis, so a trial's value does not depend on its stack: the
+  reference loop of the tests, which scores every trial alone in 2-D, gets
+  the same bits;
 - the sign-matrix products of the vector target are one broadcast
   ``np.matmul(S, C[:, :, None])`` per family over the trials that use it,
-  at most ``ENUMERATION_BUDGET`` entries a product, which numpy runs as one
-  matrix-vector product per trial: no row maximum changed in 17,500
-  (n, j, vector) checks (n = 2..8, every j, 250 vectors each, twice),
-  where one matrix-matrix product ``S @ C.T`` changed 1345 of 8750;
+  at most ``ENUMERATION_BUDGET`` entries a product with S, which numpy
+  runs as one matrix-vector product per trial: no row maximum changed in
+  17,500 (n, j, vector) checks (n = 2..8, every j, 250 vectors each,
+  twice), where one matrix-matrix product ``S @ C.T`` changed 1345 of 8750;
 - ``abs`` of each equality trace is taken as a scalar;
 - the dual norm sorts and sums each row and forms the same quotients as
   the one-vector form, so its maximum is the same number.
@@ -120,6 +139,7 @@ from .ensembles import (
     SeededStream,
     _aligned_gaps,
     _check_enumeration_budgets,
+    _diagonal_inner,
     _contraction,
     _contraction_draw,
     _gaussian,
@@ -634,11 +654,6 @@ def von_neumann_equality_witness(b) -> np.ndarray:
     a (T, n, n) stack, giving a stack of witnesses.
     """
     u, _, v = svd(b)
-    return _equality_witness(u, v)
-
-
-def _equality_witness(u, v):
-    """v1 u1* from the singular vectors of B (or of each B of a stack)."""
     return v[..., :, :1] * np.conj(u[..., :, 0])[..., None, :]
 
 
@@ -650,46 +665,52 @@ EXTREMAL_TARGETS = ("vector", "matrix", "equality")
 
 #: blocks of extremal trials drawn and scored together.  A trial's draws
 #: depend only on its block, so this is a speed and memory knob, not part of
-#: the stream contract.  On ``perfbench/run.py --workload extremal`` (n_max = 8,
-#: 64 trials a block, 2-core x86_64 VM) 4 blocks ran about 2.2x the trials/s of
-#: one stream per trial at under 1 MB more peak RSS; 8 blocks ran about 20 %
-#: faster again but added 2.6 MB
-EXTREMAL_CHUNK_BLOCKS = 4
+#: the stream contract.  On ``perfbench/run.py --workload extremal`` (n_max =
+#: 8, 64 trials a block, 2-vCPU x86_64 VM, 4 alternated 10 s runs each) 4, 8
+#: and 16 blocks ran 42.9k-45.2k, 47.6k-50.5k and 49.2k-51.3k trials/s at
+#: 39.75, 40.8 and 42.4 MB peak RSS, against 40.5 MB for contract v4's
+#: engine at 4 blocks: 8 is the largest of these within 1 MB of it
+EXTREMAL_CHUNK_BLOCKS = 8
 
 
-def _draw_extremal(target, n_max, g, normals):
+def _draw_extremal(target, n_max, size, g):
     """Block RNG step of an extremal target: n, k, the weights, then the normals.
 
-    The block's trials are the rows of ``normals``, which receives the
-    normals of c, ``(size, n_max)``, or of C or B, ``(size, 2, n_max,
-    n_max)``.  Returns n and k as ``(size,)`` arrays and the weights as a
-    ``(size, n_max)`` table of prefix sums, checked as
-    :class:`~kyfan.norms.Weight` checks them.  ``equality`` draws no k or
-    weight.
+    Returns n and k as ``(size,)`` arrays, the weights as a ``(size, n_max)``
+    table of prefix sums, checked as :class:`~kyfan.norms.Weight` checks
+    them, and the block's normals as one flat array: trial t's n entries of
+    c, or its 2 n**2 entries of C or B (the n x n real part, then the
+    imaginary part), follow those of trial t - 1.  ``equality`` draws no k
+    or weight.
     """
-    size = len(normals)
     n = g.integers(2, n_max + 1, size=size)
+    lengths = n if target == "vector" else 2 * n * n
     if target == "equality":
-        g.standard_normal(out=normals)
-        return n, None, None
+        return n, None, None, g.standard_normal(int(lengths.sum()))
     k = g.integers(1, n + 1)
     ones = g.uniform(size=size) < 0.15
     entries = g.uniform(0.05, 1.0, (size, n_max))
     tail = g.uniform(size=size) < 0.5
-    g.standard_normal(out=normals)
+    normals = g.standard_normal(int(lengths.sum()))
     active = np.arange(n_max) < k[:, None]
     # every drawn entry is at least 0.05, so a descending sort puts the k active ones first
     rows = np.sort(np.where(active, entries, 0.0), axis=-1)[:, ::-1]
     rows = np.where(active, np.where(ones[:, None], 1.0, rows), 0.0)
     # the tail only sets the weight's length: its zero entries enter no norm
     _check_weight_rows(rows, k, np.where(tail & (k < n), n, k))
-    return n, k, np.cumsum(rows, axis=-1)
+    return n, k, np.cumsum(rows, axis=-1), normals
+
+
+def _gather(flat, starts, shape):
+    """The trials' contiguous runs of ``flat`` from ``starts``, as a (T, *shape) stack."""
+    return flat[starts[:, None] + np.arange(math.prod(shape))].reshape(-1, *shape)
 
 
 def _equality_gaps(b):
-    """| |tr(AB)| - sigma_1(B) | for the rank-one witness A of each B of a stack."""
+    """| |u1* B v1| - sigma_1(B) | for each B of a stack: the trace bound at
+    :func:`von_neumann_equality_witness`, whose tr(AB) is u1* B v1."""
     u, sig, v = svd(b)
-    traces = np.trace(_equality_witness(u, v) @ b, axis1=-2, axis2=-1)
+    traces = _diagonal_inner(b, u, v)[:, 0]
     # scalar abs of each trace: the array form's bits depend on the element's position
     return np.abs(np.array([abs(t) for t in traces]) - sig[:, 0])
 
@@ -700,9 +721,8 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
     Block j of ``max(1, BLOCK_ENTRIES // n_max**2)`` trials is drawn from
     ``stream.offset(j).generator()`` by :func:`_draw_extremal`, then, for
     ``matrix``, once per sample index, each trial's family ``g.integers(k)``
-    and the ``(size, 2, 2, n_max, n_max)`` normals of its two Haar factors.
-    Trial t of dimension n takes the leading n entries or n x n corner of
-    its rows.  The gaps are those of
+    and one flat draw of the 4 n**2 normals of each trial's two Haar
+    factors, trial after trial.  The gaps are those of
     :func:`~kyfan.ensembles.support_function_gap`,
     :func:`~kyfan.ensembles.matrix_ball_support_gap` and the trace bound at
     :func:`von_neumann_equality_witness`, scored on stacks of the trials of
@@ -718,31 +738,34 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
     stream = _as_stream(s)
     size = max(1, BLOCK_ENTRIES // (n_max * n_max))
     gaps = np.empty(trials)
-    shape = (n_max,) if target == "vector" else (2, n_max, n_max)
     blocks = -(-trials // size)
     for first in range(0, blocks, EXTREMAL_CHUNK_BLOCKS):
         # a block draws all its trials even where the run ends inside it, so
         # trial t's inputs depend on neither the trial nor the sample count
         generators = [stream.offset(b).generator()
                       for b in range(first, min(blocks, first + EXTREMAL_CHUNK_BLOCKS))]
-        rows = range(0, len(generators) * size, size)
+        draws = [_draw_extremal(target, n_max, size, g) for g in generators]
+        # per sample index, each block draws the 4 n**2 Haar normals of all its trials
+        sampling = [(g, k, 4 * int((n * n).sum())) for g, (n, k, _, _) in zip(generators, draws)]
+        n, k, ws, normals = (None if column[0] is None else np.concatenate(column)
+                             for column in zip(*draws))
+        del draws
         start = first * size
-        count = min(len(generators) * size, trials - start)
-        normals = np.empty((len(generators) * size, *shape))
-        draws = [_draw_extremal(target, n_max, g, normals[row:row + size])
-                 for row, g in zip(rows, generators)]
-        n, k, ws = (None if column[0] is None else np.concatenate(column)[:count]
-                    for column in zip(*draws))
+        count = min(len(n), trials - start)
+        n = n[:count]
         if target == "vector":
             # name the first over-budget trial before any is scored
-            _check_enumeration_budgets(n, k)
+            _check_enumeration_budgets(n, k[:count])
+        per_trial = n if target == "vector" else 2 * n * n
+        starts = np.cumsum(per_trial) - per_trial
         out = gaps[start:start + count]
         groups = [(dim, np.flatnonzero(n == dim)) for dim in sorted(set(n.tolist()))]
         if target == "vector":
             for dim, idx in groups:
-                out[idx] = _support_gaps(normals[idx, :dim], ws[idx, :dim], k[idx])
+                out[idx] = _support_gaps(_gather(normals, starts[idx], (dim,)),
+                                         ws[idx, :dim], k[idx])
             continue
-        mats = [_ginibre(normals[idx, :, :dim, :dim]) for dim, idx in groups]
+        mats = [_ginibre(_gather(normals, starts[idx], (2, dim, dim))) for dim, idx in groups]
         del normals  # the stacks hold what the trials use of it
         if target == "equality":
             for (_, idx), b in zip(groups, mats):
@@ -752,14 +775,13 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
         for (dim, idx), c in zip(groups, mats):
             out[idx], best = _aligned_gaps(c, ws[idx, :dim], k[idx])
             aligned.append(best)
-        picks = np.empty(len(generators) * size, dtype=np.int64)
-        haar_normals = np.empty((len(generators) * size, 2, *shape))
         for _ in range(samples):
-            for row, g, (_, block_k, _) in zip(rows, generators, draws):
-                picks[row:row + size] = g.integers(block_k)
-                g.standard_normal(out=haar_normals[row:row + size])
+            picks, haar = zip(*((g.integers(block_k), g.standard_normal(entries))
+                                for g, block_k, entries in sampling))
+            picks, haar = np.concatenate(picks), np.concatenate(haar)
             for (dim, idx), c, best in zip(groups, mats, aligned):
+                # a trial's Haar normals start at twice the offset of its normals of C
                 values = _sampled_values(c, ws[idx, :dim], k[idx], picks[idx],
-                                         haar_normals[idx, :, :, :dim, :dim])
+                                         _gather(haar, 2 * starts[idx], (2, 2, dim, dim)))
                 out[idx] = np.maximum(out[idx], values - best)
     return gaps

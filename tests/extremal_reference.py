@@ -1,15 +1,17 @@
-"""Trial-by-trial reference for the extremal targets under stream contract v3.
+"""Trial-by-trial reference for the extremal targets under stream contract v5.
 
 Written from the contract text in ``kyfan.suite``, not from the engine:
 block j of ``max(1, BLOCK_ENTRIES // n_max**2)`` trials is drawn from
 ``base.offset(j).generator()`` as n, k, the weight's ones-mask, entries and
-tail mask, then the normals of c, C or B, then, for the matrix target, once
-per sample index the families and the normals of the two Haar factors.
-Trial t takes row ``t % size`` of its block and the leading n entries or
-n x n corner of it.  Each trial then gets a :class:`~kyfan.norms.Weight` of
-its own and is scored alone by the gap formulas below, which spell out
+tail mask, then one flat draw of the normals of c, C or B, the trials'
+exact-size runs one after another, then, for the matrix target, once per
+sample index the families and one flat draw of the trials' Haar normals.
+Trial t takes row ``t % size`` of its block and its own run of each flat
+draw.  Each trial then gets a :class:`~kyfan.norms.Weight` of its own and
+is scored alone, in 2-D, by the gap formulas below, which spell out
 ``support_function_gap``, ``matrix_ball_support_gap`` and the trace bound
-at ``von_neumann_equality_witness``.
+at ``von_neumann_equality_witness``: a candidate U_j V_j^* / scale is
+scored as the j-th cumulative sum of Re diag(U^* C V), divided by scale.
 """
 
 import numpy as np
@@ -22,6 +24,11 @@ from kyfan.suite import BLOCK_ENTRIES
 
 def block_size(n_max):
     return max(1, BLOCK_ENTRIES // (n_max * n_max))
+
+
+def split(flat, lengths):
+    """``flat`` cut into consecutive runs of the given lengths."""
+    return np.split(flat, np.cumsum(lengths)[:-1])
 
 
 def trial_draws(target, base, n_max, trials, samples):
@@ -39,19 +46,19 @@ def trial_draws(target, base, n_max, trials, samples):
             ones = g.uniform(size=size) < 0.15
             entries = g.uniform(0.05, 1.0, (size, n_max))
             tail = g.uniform(size=size) < 0.5
-        shape = (size, n_max) if target == "vector" else (size, 2, n_max, n_max)
-        normals = g.standard_normal(shape)
+        lengths = n if target == "vector" else 2 * n * n
+        normals = split(g.standard_normal(lengths.sum()), lengths)
         sampled = []
         if target == "matrix":
             for _ in range(samples):
                 families = g.integers(k)
-                sampled.append((families, g.standard_normal((size, 2, 2, n_max, n_max))))
+                sampled.append((families, split(g.standard_normal(4 * (n * n).sum()), 4 * n * n)))
         for row in range(min(size, trials - block * size)):
             dim = int(n[row])
             if target == "vector":
-                x = normals[row, :dim]
+                x = normals[row]
             else:
-                x = normals[row, :, :dim, :dim]
+                x = normals[row].reshape(2, dim, dim)
             if target == "equality":
                 yield dim, None, x, []
                 continue
@@ -62,7 +69,7 @@ def trial_draws(target, base, n_max, trials, samples):
                 weight = tuple(np.sort(entries[row, :kr])[::-1])
             if kr < dim and tail[row]:
                 weight += (0.0,) * (dim - kr)
-            draws = [(int(f[row]), s[row, :, :, :dim, :dim]) for f, s in sampled]
+            draws = [(int(f[row]), s[row].reshape(2, 2, dim, dim)) for f, s in sampled]
             yield dim, Weight(weight, kr), x, draws
 
 
@@ -77,9 +84,9 @@ def haar(w):
     return q * (d / np.abs(d))
 
 
-def re_inner(m, x):
-    """Re tr(M^* X), summed over the entries in row-major order."""
-    return float(np.sum(m.real * x.real + m.imag * x.imag))
+def diagonal(m, u, v):
+    """diag(U^* M V): entry i is u_i^* M v_i."""
+    return np.diagonal(u.conj().T @ m @ v)
 
 
 def vector_gap(c, w):
@@ -97,19 +104,20 @@ def matrix_gap(m, w, draws):
     u, sig, v = svd(m)
     ws = w.prefix_sums()
     groups = [(j, ws[j - 1]) for j in range(1, w.k)] + [(n, ws[w.k - 1])]
-    aligned = max(re_inner(m, (u[:, :j] @ v[:, :j].conj().T) / scale) for j, scale in groups)
+    sums = np.cumsum(diagonal(m, u, v).real)
+    aligned = max(sums[j - 1] / scale for j, scale in groups)
     gap = abs(aligned - dual_weighted_vector_k_norm(sig, w))
     for family, normals in draws:
         j, scale = groups[family]
-        q = (haar(normals[0])[:, :j] @ haar(normals[1])[:, :j].conj().T) / scale
-        gap = max(gap, re_inner(m, q) - aligned)
+        sums = np.cumsum(diagonal(m, haar(normals[0]), haar(normals[1])).real)
+        gap = max(gap, sums[j - 1] / scale - aligned)
     return float(gap)
 
 
 def equality_gap(b):
+    """| |tr(AB)| - sigma_1(B) | at A = v1 u1^*, whose tr(AB) is u1^* B v1."""
     u, sig, v = svd(b)
-    a = np.outer(v[:, 0], u[:, 0].conj())
-    return abs(abs(np.trace(a @ b)) - sig[0])
+    return abs(abs(diagonal(b, u, v)[0]) - sig[0])
 
 
 def reference_gaps(target, base, n_max, trials, samples):

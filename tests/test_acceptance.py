@@ -47,7 +47,7 @@ def _announce(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 def _per_trial_extremal_gaps(target, base, trials):
-    """The first trials' gaps, each drawn from the stream contract v3 text and scored alone.
+    """The first trials' gaps, each drawn from the stream contract v5 text and scored alone.
 
     A vector trial is scored by the public ``support_function_gap``.  A
     matrix trial's samples come from its block's stacked draws, which the

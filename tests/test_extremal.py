@@ -1,7 +1,7 @@
 """The extremal targets against a trial-by-trial reference loop.
 
-``extremal_reference`` draws each trial from the stream contract v3 text,
-one block at a time, and scores it alone with the gap formulas of
+``extremal_reference`` draws each trial from the stream contract v5 text,
+one block at a time, and scores it alone in 2-D with the gap formulas of
 ``support_function_gap``, ``matrix_ball_support_gap`` and
 ``von_neumann_equality_witness`` spelled out.  Every gap the command
 reports must equal the loop's bit for bit.
@@ -20,6 +20,8 @@ from kyfan.ensembles import (
     ENUMERATION_BUDGET,
     BudgetError,
     SeededStream,
+    _diagonal_inner,
+    _haar,
     _sign_matrix,
     _sign_maxima,
     _support_gaps,
@@ -28,7 +30,7 @@ from kyfan.ensembles import (
     random_weight,
     support_function_gap,
 )
-from kyfan.matrixcore import svd
+from kyfan.matrixcore import _adjoint, svd
 from kyfan.norms import Weight, _prefix_table
 from kyfan.suite import _extremal_gaps, von_neumann_equality_witness
 
@@ -143,6 +145,19 @@ def test_vector_gaps_check_every_row_against_the_budget_before_enumerating():
     assert _sign_matrix.cache_info().currsize == 0
 
 
+def test_large_sign_tables_are_not_kept_after_the_call():
+    # the families E1..E11 and E12 of n = 12 hold (3^12 - 1) * 12 entries,
+    # 51 MB; only those of at most SIGN_CACHE_ENTRIES entries stay cached
+    c = SeededStream(16).generator().standard_normal(12)
+    tracemalloc.start()
+    try:
+        support_function_gap(c, Weight.ones(12, 12))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 5 * 2**20, current
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sign_maxima_match_one_matrix_vector_product_per_row(n):
     c = SeededStream(14, n).generator().standard_normal((250, n))
@@ -206,3 +221,53 @@ def test_public_gap_functions_match_the_reference_formulas(n, samples):
         a = von_neumann_equality_witness(m)
         u, _, v = svd(m)
         assert a.tobytes() == np.outer(v[:, 0], u[:, 0].conj()).tobytes()
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u) for double precision, u = 2^-53."""
+    u = 2.0**-53
+    return m * u / (1 - m * u)
+
+
+@pytest.mark.parametrize("factors", ["svd", "haar"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_diagonal_sums_equal_the_explicit_candidate_values(n, factors):
+    """The v5 value of rank j, the j-th cumulative sum of Re diag(U^* C V),
+    against Re tr(C^* X) with X = U_j V_j^* formed explicitly (the v4 formula).
+
+    Both are V_j = sum over i <= j and entries a, b of
+    Re(conj(u_ai) c_ab v_bi), exactly, for the stored U, C and V, by the
+    cyclic trace identity.  They differ only in rounding.  With u = 2^-53,
+    gamma_m = m u / (1 - m u) and a complex inner product of length m
+    rounded within gamma_(m+2) of the sum of its term moduli (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sections 3.1 and
+    3.6), and with S_j = sum over i <= j of (|U|^T |C| |V|)_ii:
+
+    - v5 forms U^* C and then (U^* C) V, two inner products of length n,
+      and sums j real parts: within gamma_(2n+j+4) S_j of V_j;
+    - v4 forms X, inner products of length j, multiplies each entry by C's
+      (two products and a sum) and sums the n^2 results: within
+      gamma_(n^2+j+4) S_j of V_j.
+
+    So |v5 - v4| <= (gamma_(2n+j+4) + gamma_(n^2+j+4)) S_j.  S_j is itself
+    summed from nonnegative terms, within gamma_(2n+j) of its exact value,
+    so the computed bound is inflated by 1 + gamma_(2n+j).
+    """
+    g = SeededStream(17, n).generator()
+    w = g.standard_normal((200, 2, n, n))
+    c = (w[:, 0] + 1j * w[:, 1]) / np.sqrt(2.0)
+    if factors == "svd":
+        u, _, v = svd(c)
+    else:
+        h = _haar(g.standard_normal((200, 2, 2, n, n)))
+        u, v = h[:, 0], h[:, 1]
+    sums = np.cumsum(_diagonal_inner(c, u, v).real, axis=-1)
+    moduli = np.cumsum(np.diagonal(np.abs(_adjoint(u)) @ np.abs(c) @ np.abs(v),
+                                   axis1=-2, axis2=-1), axis=-1)
+    for j in range(1, n + 1):
+        x = u[:, :, :j] @ _adjoint(v[:, :, :j])
+        explicit = (c.real * x.real + c.imag * x.imag).reshape(len(c), -1).sum(axis=-1)
+        bound = ((_gamma(2 * n + j + 4) + _gamma(n * n + j + 4)) * (1 + _gamma(2 * n + j))
+                 * moduli[:, j - 1])
+        excess = np.abs(sums[:, j - 1] - explicit) / bound
+        assert excess.max() <= 1.0, (j, excess.max())
