@@ -1,16 +1,18 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The hashes are those of stream contract v4 (``numpy-pcg64-seedseq-v4``, kyfan
-0.4.0), where the checker engine and the extremal targets draw each block of
-trials from one generator and each search restart draws its proposals in
-blocks.  The nine check and extremal bodies kept their contract v3 bytes
-apart from the generator id and the tool version, because their streams did
-not move; the four search bodies and the ptrace body moved with the
-proposal streams.  Every engine must reproduce every body byte for byte.
-They hold for one numeric stack only: the generator id (stream contract and
-numpy version) plus the BLAS/LAPACK build and the machine architecture.  On
-another stack the test skips and names the stack it found, so new hashes can
-be recorded there from a trusted checkout.
+The hashes are those of stream contract v5 (``numpy-pcg64-seedseq-v5``, kyfan
+0.5.0), where the checker engine and the extremal targets draw each block of
+trials from one generator, the extremal targets draw exactly the normals
+their trials use and score every candidate through diag(U* C V), and each
+search restart draws its proposals in blocks.  The five check bodies, the
+four search bodies and the ptrace body kept their contract v4 bytes apart
+from the generator id and the tool version, because their streams did not
+move; the four extremal bodies differ from v4's only in ``worst_gap``,
+each at most 1e-12, with 0 violations.  Every engine must reproduce every
+body byte for byte.  They hold for one numeric stack only: the generator
+id (stream contract and numpy version) plus the BLAS/LAPACK build and the
+machine architecture.  On another stack the test skips and names the stack
+it found, so new hashes can be recorded there from a trusted checkout.
 """
 
 import hashlib
@@ -33,35 +35,35 @@ def _numeric_stack() -> tuple[str, str, str]:
 
 
 GOLDEN = {
-    ("numpy-pcg64-seedseq-v4/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
+    ("numpy-pcg64-seedseq-v5/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "4eba4c406df4f6d5563cbd2b1fc6db79ab28e59834a01de2d52a8193a0358bd5",
+            "80f0c8caf912c940f5c2857963f29d0150409e6155d921544ce8eef3bf6afca0",
         "check-all-trials50-seed161803":
-            "31c7b36b475a6034fc802c4043ba8593f7f7f2428fd2b1df300f3b49f865633b",
+            "0466473d85f9e97dd242da4f259c98a7962f8a03d39717509516e31bc7e2c24d",
         "check-all-n64-trials2":
-            "f8a5cb4e0e0a552efb28ee0df68e59f61a3afeb639b11b02d54712d1f02db02a",
+            "c1fed5ec7ec3a4b710f44405c24ab7a7abdbf100a9f43bbf592324068005bb1d",
         "lemma31-fan-witness":
-            "426b8ee09219db5feecdbb98a59593257a544406a500fe2cc3e8f60b24d8f01f",
+            "352d3f2e082669298a70f7a4b0743bde29f19ac19c9fc8d5ab4d21ccc47e0ee5",
         "hmn-fan-witness":
-            "855a8e1b48159a19958278110a303d2c31e6b78211493aefd0fc59590514558f",
+            "401ee90719de65909171eecd4b0db05f5b4db8e577d2ba0b7d161235715a3768",
         "search-q2-n3-restarts8-budget3000":
-            "a2c46f2052c3718188acf0a907ec354548a79bb39c73f75cc654cd3568cf1cb1",
+            "764a9b3719b804412edf500ce58fac6a7a862fe8b111118328a1b7002f8a5a65",
         "search-q1-n4-commuting-budget800":
-            "ccd6c943cdfe49b5b67dc82616b6609c690cf2aed97c9314588337a8c37208ae",
+            "00012d2543e5594af7a3e2bb45f0a849dc787a5027e60c9b98b7a44d868b95ca",
         "search-q2-n3-k2-budget500":
-            "0764895c72c565475b3acb004df3d50c891ae3997966a3e3cccbdcc2e4685be7",
+            "8d09318e964e6d04aaefdda3fb55dc707ef116f37af32be0219c9c94987ef7d3",
         "ptrace-q2-n3-trials30-budget500":
-            "84a5b31209e6290532a5fe2d7aa7d9310b222a340fbb2621ba70702785108898",
+            "57259967b4ffff86f9040c1430226c2397abeec2ce907f8e009624aa9ca14473",
         "search-q2-n3-witness-budget500":
-            "9cb7e6bf1441d34a1cfb4ad7cb405c636034a6c96f3ac409b08bd9922819fe6c",
+            "c93a6fb959d464eb135a9157575991e3a0c343866397629d621b71a7a3806633",
         "extremal-all-trials300-seed271828":
-            "33428b7b0a61846aa090f7e79508b3e78122e96b8b319185e8dcc9270d09d740",
+            "8fbd46213e0f80fd6d88e4055d0535d149150088655143af918933be43e66136",
         "extremal-all-trials300-seed161803":
-            "de20f1ebedf862d454345e20bd70abbc3a6ddcfc76ea30c5e3bee5003a9e6c3b",
+            "47687ca70026591dec222ad14d270d89c48fb2b804dd9af9cc25266f071a34e7",
         "extremal-matrix-n8-samples5":
-            "789146ae67d2a180dcf6e52abadaa645013fe5bf0ca1fdc3e43ae2b739bba105",
+            "b051c29423db36b056c82dba0efe04b7703d0fff602dd14a22e6c65b2a1540c8",
         "extremal-n2-samples0":
-            "e77716f4231fe6863c281f55572b822405e51d257ca6912bead48702fc4b1a2c",
+            "9d82728fdb0d2b7e9f19e3a8836599a2aa03c89a98bdeee33086feb799541285",
     },
 }
 
