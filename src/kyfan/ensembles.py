@@ -479,8 +479,8 @@ def _count_sign_vectors(n: int, j: int) -> int:
 #: largest sign-vector table, in entries, that :func:`_sign_matrix` keeps for
 #: the life of the process.  Every family of dimension n <= 8 fits (the
 #: largest, E5 and E6 at n = 8, holds 14336 entries), and all the tables that
-#: fit come to 5.6 MB at most; a larger table is built per call and freed
-#: after it, so an n = 13 gap no longer leaves 166 MB behind
+#: fit come to 5.6 MB at most.  A larger table is built per call and freed
+#: after it: the families of one n = 13 gap hold 166 MB
 SIGN_CACHE_ENTRIES = 2**14
 
 
@@ -488,16 +488,12 @@ def _signs(n: int, j: int) -> np.ndarray:
     """The read-only sign matrix of family Ej in dimension n, cached if it is small."""
     if _count_sign_vectors(n, j) * n <= SIGN_CACHE_ENTRIES:
         return _sign_matrix(n, j)
-    return _build_sign_matrix(n, j)
+    return _sign_matrix.__wrapped__(n, j)
 
 
 @lru_cache(maxsize=None)
 def _sign_matrix(n: int, j: int) -> np.ndarray:
-    """The cache of :func:`_signs`: only tables of at most ``SIGN_CACHE_ENTRIES`` entries."""
-    return _build_sign_matrix(n, j)
-
-
-def _build_sign_matrix(n: int, j: int) -> np.ndarray:
+    """Call through :func:`_signs`, which caches only the small tables."""
     out = np.zeros((_count_sign_vectors(n, j), n))
     signs = np.array(list(product((1.0, -1.0), repeat=j)))
     for s, support in enumerate(combinations(range(n), j)):
@@ -636,12 +632,12 @@ def matrix_ball_support_gap(c, w: Weight, samples: int, s) -> float:
     Candidates are rank-j partial isometries scaled by 1/(w1+...+wj) for
     j < k plus full-rank ones scaled by 1/(w1+...+wk).  The best aligned
     candidate in each family is built from C's own singular vectors and
-    scored via Re tr(C* X); the closed-form reference is the dual weighted
-    k-norm of the singular value vector.  Additionally ``samples`` random
-    scaled partial isometries are drawn and must not beat the aligned
-    maximum: each draws ``g.integers(k)``, its family, then the (2, 2, n, n)
-    normals of its two Haar factors.  Returns the largest discrepancy
-    observed (either route).
+    scored via Re tr(C* X), read off diag(U* C V) without forming X; the
+    closed-form reference is the dual weighted k-norm of the singular value
+    vector.  Additionally ``samples`` random scaled partial isometries are
+    drawn and must not beat the aligned maximum: each draws
+    ``g.integers(k)``, its family, then the (2, 2, n, n) normals of its two
+    Haar factors.  Returns the largest discrepancy observed (either route).
     """
     m = as_matrix(c, square=True, name="C")
     n = m.shape[0]

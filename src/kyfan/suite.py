@@ -83,9 +83,7 @@ T trials opens ``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)``
 array of prefix sums; :class:`~kyfan.norms.Weight`'s checks run on it row by
 row.  Every vector trial's families are checked against
 ``ENUMERATION_BUDGET`` before any is scored, naming the first over-budget
-trial in trial order.  (Contracts v3 and v4 drew ``(B, n_max)`` and
-``(B, 2, n_max, n_max)`` normals, of which a trial used the leading n
-entries or n x n corner.)
+trial in trial order.
 
 ``EXTREMAL_CHUNK_BLOCKS`` blocks are scored together, their trials grouped
 by n into ``(T, n, n)`` stacks: one ``svd`` of the C or B stack and one Haar
