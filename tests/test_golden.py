@@ -8,7 +8,8 @@ search restart draws its proposals in blocks.  The five check bodies, the
 four search bodies and the ptrace body kept their contract v4 bytes apart
 from the generator id and the tool version, because their streams did not
 move; the four extremal bodies differ from v4's only in ``worst_gap``,
-each at most 1e-12, with 0 violations.  Every engine must reproduce every
+each at most 1e-12, with 0 violations.  The repro body draws from no
+stream.  Every engine must reproduce every
 body byte for byte.  They hold for one numeric stack only: the generator
 id (stream contract and numpy version) plus the BLAS/LAPACK build and the
 machine architecture.  On another stack the test skips and names the stack
@@ -22,7 +23,7 @@ import platform
 import numpy as np
 import pytest
 
-from kyfan.cli import execute, parse_arguments
+from kyfan.cli import SEED_ENV_VAR, execute, parse_arguments
 from kyfan.ensembles import GENERATOR_ID, SeededStream
 from kyfan.forms import fan_form
 from kyfan.reports import check_report_document, report_body_bytes
@@ -64,6 +65,8 @@ GOLDEN = {
             "b051c29423db36b056c82dba0efe04b7703d0fff602dd14a22e6c65b2a1540c8",
         "extremal-n2-samples0":
             "9d82728fdb0d2b7e9f19e3a8836599a2aa03c89a98bdeee33086feb799541285",
+        "repro-fan-counterexample":
+            "094fe68ca7004544a066e04df508896c66e1afe45bf8cd74ae57aaf7e24c859f",
     },
 }
 
@@ -111,11 +114,15 @@ CASES = {
          "--seed", "271828"], capsys),
     "extremal-n2-samples0": lambda capsys: _cli_body(
         ["extremal", "--n", "2", "--samples", "0", "--seed", "271828"], capsys),
+    # takes no --seed, so the body records the default seed and its source
+    "repro-fan-counterexample": lambda capsys: _cli_body(["repro", "fan-counterexample"],
+                                                         capsys),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_body_matches_golden_hash(case, capsys):
+def test_report_body_matches_golden_hash(case, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     stack = _numeric_stack()
     if stack not in GOLDEN:
         pytest.skip("golden hashes not recorded for numeric stack "
