@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from kyfan.cli import _trial_count
+from kyfan.cli import _nonnegative_int, _trial_count
 from kyfan.cli import main as kyfan_main
 
 
@@ -34,7 +34,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="reports",
                         help="directory for per-section report files (default: reports/)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_nonnegative_int, default=None,
                         help="master seed forwarded to every section")
     parser.add_argument("--trials", type=_trial_count, default=2000,
                         help="trials per checker/section (default 2000)")

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from kyfan.cli import STREAM_STRIDE
+from kyfan.cli import STREAM_STRIDE, _nonnegative_int
 from kyfan.ensembles import SeededStream
 from kyfan.fileformat import write_matrix
 from kyfan.ptrace import question_margin, search_counterexample
@@ -44,7 +44,7 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=20000,
                         help="margin evaluations per (question, n, strategy) cell")
     parser.add_argument("--restarts", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=271828)
+    parser.add_argument("--seed", type=_nonnegative_int, default=271828)
     parser.add_argument("--out-dir", default="found",
                         help="where witness matrices are written if a candidate appears")
     args = parser.parse_args()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 import time
@@ -38,7 +39,6 @@ from .ensembles import (
     random_hermitian,
 )
 from .fileformat import dump_document, write_text
-from .forms import fan_form, hadamard_form
 from .matrixcore import kronecker, partial_trace_first, singular_values
 from .norms import INEQUALITY_TOL, RESIDUAL_TOL
 from .ptrace import (
@@ -54,9 +54,12 @@ from .reports import (
     run_document,
     witness_document,
 )
-from .suite import (
+# each check_* is called by name, through _check_section
+from .suite import (  # noqa: F401
     EXTREMAL_TARGETS,
+    FAMILIES,
     Witness,
+    _check,
     _extremal_gaps,
     check_ahj,
     check_fan_sigma1,
@@ -77,18 +80,7 @@ SEED_ENV_VAR = "KYFAN_SEED"
 STREAM_STRIDE = 2**24
 DEFAULT_NS = (2, 3, 4, 5, 6, 7, 8)
 
-INEQUALITY_HELP = {
-    "von-neumann": "|tr(AB)| <= sum_i s_i(A) s_i(B)",
-    "product-family": "sum_{i<=k} s_i(AB) <= sum_{i<=k} s_i(A) s_i(B), every k",
-    "hadamard-family": "sum_{i<=k} s_i(A o B) <= sum_{i<=k} s_i(A) s_i(B), every k",
-    "ahj": "sum_{i<=k} s_i(X*Y o B) <= sum_{i<=k} c_i(X) c_i(Y) s_i(B); runs both factor modes",
-    "lemma31": "s_1((X*Y) o S) <= 1 for subunit-column X, Y and a contraction S",
-    "lemma32": "trace norm of (X*Y) o (u v*) <= 1 for unit-column X, Y and unit u, v",
-    "hmn-hadamard": "s_1-ratio probe plus the k-family for the all-ones mask",
-    "hmn-fan": "s_1-ratio probe plus the k-family for the diagonal-negated mask",
-    "fan-sigma1": "s_1 of the diagonal-negated product <= s_1(A) s_1(B), also with A transposed",
-}
-INEQUALITY_IDS = tuple(INEQUALITY_HELP)
+INEQUALITY_IDS = tuple(dict.fromkeys(family.ineq for family in FAMILIES.values()))
 
 
 @dataclass(frozen=True)
@@ -152,6 +144,45 @@ def _all_or_positive_int(text: str):
     return _positive_int(text)
 
 
+def _all_or_dimension(text: str):
+    """``check --n``: one dimension, or None for n = 2..8."""
+    return None if text == "all" else _positive_int(text)
+
+
+#: the options that several subcommands take, each defined once: flag ->
+#: ``add_argument`` keywords.  A subcommand takes them through ``_add_options``
+_OPTIONS = {
+    "--seed": dict(type=_nonnegative_int, default=None),
+    "--out": dict(dest="output_path", default=None),
+    "--format": dict(choices=("structured-text", "table"), default="structured-text"),
+    "--tolerance": dict(type=float, default=INEQUALITY_TOL),
+    "--k": dict(dest="k_spec", type=_all_or_positive_int, default="all",
+                help="score one k only (default: all k)"),
+    "--trials": dict(type=_trial_count, help="trials per section (default %(default)s)"),
+    "--question": dict(type=int, choices=(1, 2), required=True),
+    "--n": dict(type=_positive_int, default=3),
+    "--budget": dict(type=_nonnegative_int,
+                     help="margin evaluations of the search (default %(default)s; "
+                          "ptrace's 0 runs none)"),
+    "--restarts": dict(type=_positive_int),
+    "--strategy": dict(choices=("general", "commuting"), default="general"),
+}
+_SEARCH = ("--question", "--n", "--k", "--budget", "--restarts", "--strategy", "--tolerance",
+           "--seed", "--out", "--format")
+
+
+def _add_options(parser, *flags, **defaults) -> None:
+    """Give one subcommand's parser ``flags`` of ``_OPTIONS``, and its ``defaults``.
+
+    Each subcommand gets actions of its own: subparsers built from one shared
+    parent parser would share its actions, so one subcommand's defaults would
+    become another's.
+    """
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(**defaults)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kyfan",
@@ -160,34 +191,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # options shared by subcommands, defined once
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_nonnegative_int, default=None)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", dest="output_path", default=None)
-    output.add_argument("--format", choices=("structured-text", "table"),
-                        default="structured-text")
-
-    id_lines = "\n".join(f"  {name}: {text}" for name, text in INEQUALITY_HELP.items())
+    id_lines = "\n".join(f"  {f.ineq}: {f.help}" for f in FAMILIES.values() if f.help)
     check = sub.add_parser(
         "check",
-        parents=[seeded, output],
         help="run a randomized inequality suite",
         description="Inequality ids:\n" + id_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    check.add_argument("--ineq", required=True, choices=INEQUALITY_IDS + ("all",),
+    check.add_argument("--ineq", dest="inequality_id", required=True,
+                       choices=INEQUALITY_IDS + ("all",),
                        help="inequality id, or 'all' for the full theorem sweep")
-    check.add_argument("--n", type=_all_or_positive_int, default="all",
+    check.add_argument("--n", type=_all_or_dimension, default=None,
                        help="matrix dimension, or 'all' for n = 2..8 (default)")
-    check.add_argument("--k", dest="k_spec", type=_all_or_positive_int, default="all",
-                       help="score one k only, with a single --ineq (default: all k)")
-    check.add_argument("--trials", type=_trial_count, default=10000)
-    check.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
+    _add_options(check, "--k", "--trials", "--tolerance", "--seed", "--out", "--format",
+                 trials=10000)
 
     extremal = sub.add_parser(
         "extremal",
-        parents=[seeded, output],
         help="support-function and trace-equality validation",
         description=(
             "Targets: vector (sign-vector candidates vs the dual-norm closed form), "
@@ -197,49 +217,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     extremal.add_argument("--target", choices=EXTREMAL_TARGETS + ("all",),
                           default="all")
-    extremal.add_argument("--trials", type=_trial_count, default=1000)
     extremal.add_argument("--n", type=_extremal_dimension, default=8,
                           help="maximum dimension sampled (default 8)")
     extremal.add_argument("--samples", type=_nonnegative_int, default=2,
                           help="random candidates cross-checked per matrix trial")
+    _add_options(extremal, "--trials", "--seed", "--out", "--format",
+                 trials=1000, tolerance=RESIDUAL_TOL)
 
     repro = sub.add_parser(
-        "repro",
-        parents=[output],
-        help="reproduce the exact 3x3 contraction-norm violation (exits 2)",
+        "repro", help="reproduce the exact 3x3 contraction-norm violation (exits 2)",
     )
     repro.add_argument("target", choices=("fan-counterexample",))
-    repro.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
+    _add_options(repro, "--tolerance", "--out", "--format")
 
     ptrace = sub.add_parser(
-        "ptrace",
-        parents=[seeded, output],
-        help="partial-trace lab: identities, commuting regression, bounded search",
+        "ptrace", help="partial-trace lab: identities, commuting regression, bounded search",
     )
-    ptrace.add_argument("--question", type=int, choices=(1, 2), required=True)
-    ptrace.add_argument("--n", type=_positive_int, default=3)
-    ptrace.add_argument("--k", dest="k_spec", type=_all_or_positive_int, default="all")
-    ptrace.add_argument("--trials", type=_trial_count, default=200,
-                        help="commuting pairs in the regression (default 200)")
-    ptrace.add_argument("--budget", type=_nonnegative_int, default=0,
-                        help="margin evaluations for the bounded search (default 0: no search)")
-    ptrace.add_argument("--restarts", type=_positive_int, default=4)
-    ptrace.add_argument("--strategy", choices=("general", "commuting"), default="general")
-    ptrace.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
-
+    _add_options(ptrace, "--trials", *_SEARCH, trials=200, budget=0, restarts=4)
     search = sub.add_parser(
-        "search",
-        parents=[seeded, output],
-        help="multi-restart counterexample search for one open question",
+        "search", help="multi-restart counterexample search for one open question",
     )
-    search.add_argument("--question", type=int, choices=(1, 2), required=True)
-    search.add_argument("--n", type=_positive_int, default=3)
-    search.add_argument("--k", dest="k_spec", type=_all_or_positive_int, default="all")
-    search.add_argument("--budget", type=_nonnegative_int, default=20000)
-    search.add_argument("--restarts", type=_positive_int, default=8)
-    search.add_argument("--strategy", choices=("general", "commuting"), default="general")
-    search.add_argument("--tolerance", type=float, default=INEQUALITY_TOL)
-
+    _add_options(search, *_SEARCH, budget=20000, restarts=8)
     return parser
 
 
@@ -261,50 +259,18 @@ def _resolve_seed(parser: argparse.ArgumentParser, flag_value) -> tuple[int, str
 def parse_arguments(argv) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(list(argv))
-    seed, seed_source = _resolve_seed(parser, getattr(args, "seed", None))
-    common = dict(seed=seed, seed_source=seed_source)
-    if args.command == "check":
-        if args.ineq == "all" and args.k_spec != "all":
-            # each family scores its own k values, so no one k suits them all
-            parser.error("--k needs a single --ineq: with --ineq all, every family scores "
-                         "its own k values")
-        n = None if args.n == "all" else int(args.n)
-        return RunConfig(
-            command="check", inequality_id=args.ineq, n=n, k_spec=args.k_spec,
-            trials=args.trials, tolerance=args.tolerance,
-            output_path=args.output_path, format=args.format, **common,
-        )
-    if args.command == "extremal":
-        return RunConfig(
-            command="extremal", target=args.target, n=args.n, trials=args.trials,
-            samples=args.samples, output_path=args.output_path, format=args.format,
-            tolerance=RESIDUAL_TOL, **common,
-        )
-    if args.command == "repro":
-        return RunConfig(
-            command="repro", target=args.target, tolerance=args.tolerance,
-            output_path=args.output_path, format=args.format, **common,
-        )
+    if args.command == "check" and args.inequality_id == "all" and args.k_spec != "all":
+        # each family scores its own k values, so no one k suits them all
+        parser.error("--k needs a single --ineq: with --ineq all, every family scores "
+                     "its own k values")
     if args.command in ("ptrace", "search") and args.budget < args.restarts:
         # a restart with no budget scores nothing; ptrace's --budget 0 runs no search at all
         if args.command == "search" or args.budget > 0:
             parser.error(f"--budget must be at least --restarts ({args.restarts}), "
                          f"got {args.budget}")
-    if args.command == "ptrace":
-        return RunConfig(
-            command="ptrace", question=args.question, n=args.n, k_spec=args.k_spec,
-            trials=args.trials, budget=args.budget, restarts=args.restarts,
-            strategy=args.strategy, tolerance=args.tolerance,
-            output_path=args.output_path, format=args.format, **common,
-        )
-    if args.command == "search":
-        return RunConfig(
-            command="search", question=args.question, n=args.n, k_spec=args.k_spec,
-            budget=args.budget, restarts=args.restarts, strategy=args.strategy,
-            tolerance=args.tolerance, output_path=args.output_path,
-            format=args.format, **common,
-        )
-    parser.error(f"unknown command {args.command!r}")
+    args.seed, args.seed_source = _resolve_seed(parser, getattr(args, "seed", None))
+    # every parsed option is a RunConfig field: a flag without one fails here
+    return RunConfig(**vars(args))
 
 
 # ---------------------------------------------------------------------------
@@ -312,87 +278,44 @@ def parse_arguments(argv) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _checker_runs(inequality_id: str):
-    """(report id, run, scored k values at n) for each checker ``inequality_id`` runs."""
+def _check_section(family, n, trials, stream, tolerance, k_values):
+    """One section: ``family`` at n, run through its public ``check_*`` function.
 
-    def lemma31_hadamard(n, trials, s, tolerance, k_values):
-        return check_lemma31(hadamard_form(n), n, trials, s,
-                             tolerance=tolerance, k_values=k_values)
-
-    def hmn_hadamard(n, trials, s, tolerance, k_values):
-        return check_hmn(hadamard_form(n), n, trials, s,
-                         tolerance=tolerance, k_values=k_values)
-
-    def hmn_fan(n, trials, s, tolerance, k_values):
-        return check_hmn(fan_form(n), n, trials, s,
-                         tolerance=tolerance, k_values=k_values)
-
-    def ahj(mode):
-        def run(n, trials, s, tolerance, k_values):
-            return check_ahj(n, trials, s, mode, tolerance=tolerance, k_values=k_values)
-
-        return run
-
-    def plain(fn):
-        def run(n, trials, s, tolerance, k_values):
-            return fn(n, trials, s, tolerance=tolerance, k_values=k_values)
-
-        return run
-
-    def every_k(n):
-        return range(1, n + 1)
-
-    def top_k(n):
-        return (1,)
-
-    def last_k(n):
-        return (n,)
-
-    table = {
-        "von-neumann": [("von-neumann", plain(check_von_neumann), last_k)],
-        "product-family": [("product-family", plain(check_product_family), every_k)],
-        "hadamard-family": [("hadamard-family", plain(check_hadamard_family), every_k)],
-        "ahj": [("ahj-given", ahj("given"), every_k), ("ahj-sqrt", ahj("sqrt"), every_k)],
-        "lemma31": [("lemma31", lemma31_hadamard, top_k)],
-        "lemma32": [("lemma32", plain(check_lemma32), top_k)],
-        "hmn-hadamard": [("hmn-hadamard", hmn_hadamard, every_k)],
-        "hmn-fan": [("hmn-fan", hmn_fan, every_k)],
-        "fan-sigma1": [("fan-sigma1", plain(check_fan_sigma1), top_k)],
-    }
-    if inequality_id == "all":
-        runs = []
-        for name in INEQUALITY_IDS:
-            runs.extend(table[name])
-        return runs
-    return table[inequality_id]
+    The function is looked up by name as the section runs, so that a wrapper
+    put on the name after import (a tracer's) sees the section.  A masked
+    family's checker is named by its id's stem and takes the form first; one
+    of an ``--ineq`` group's several families, by the group, taking the rest
+    of its id last; any other family's, by its id.  A family with no such
+    function runs through the engine directly.
+    """
+    stem, _, variant = family.id.partition("-")
+    form = None if family.form is None else family.form(n)
+    if form is not None:
+        name, args = f"check_{stem}", (form, n, trials, stream)
+    elif family.ineq != family.id:
+        name, args = f"check_{family.ineq}", (n, trials, stream, variant)
+    else:
+        name, args = "check_" + family.id.replace("-", "_"), (n, trials, stream)
+    if name not in globals():
+        return _check(family.id, n, trials, stream, form, tolerance=tolerance,
+                      k_values=k_values)
+    return globals()[name](*args, tolerance=tolerance, k_values=k_values)
 
 
 def _execute_check(cfg: RunConfig):
-    runs = _checker_runs(cfg.inequality_id)
+    families = [f for f in FAMILIES.values() if cfg.inequality_id in ("all", f.ineq)]
     ns = DEFAULT_NS if cfg.n is None else (cfg.n,)
     k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
-    if k_values is not None:
-        for name, _, scored_ks in runs:
-            for n in ns:
-                if k_values[0] not in scored_ks(n):
-                    raise ValueError(
-                        f"--k {k_values[0]} scores no margin for {name} at n={n} "
-                        f"(it scores k in {list(scored_ks(n))})"
-                    )
+    for family, n in itertools.product(families, ns):
+        if k_values is not None and k_values[0] not in family.scored_ks(n):
+            raise ValueError(f"--k {k_values[0]} scores no margin for {family.id} at n={n} "
+                             f"(it scores k in {list(family.scored_ks(n))})")
     results = []
-    total_violations = 0
-    section = 0
-    for _, fn, _ in runs:
-        for n in ns:
-            stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
-            report = fn(n, cfg.trials, stream, cfg.tolerance, k_values)
-            results.append(
-                check_report_document(report, include_witness=report.violations > 0)
-            )
-            total_violations += report.violations
-            section += 1
-    status = 0 if total_violations == 0 else 2
-    return status, results, total_violations, []
+    for section, (family, n) in enumerate(itertools.product(families, ns)):
+        stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
+        report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
+        results.append(check_report_document(report, include_witness=report.violations > 0))
+    return results, sum(r["violations"] for r in results), []
 
 
 def _execute_extremal(cfg: RunConfig):
@@ -413,9 +336,7 @@ def _execute_extremal(cfg: RunConfig):
                 "violations": int(np.count_nonzero(gaps > cfg.tolerance)),
             }
         )
-    total_violations = sum(r["violations"] for r in results)
-    status = 0 if total_violations == 0 else 2
-    return status, results, total_violations, []
+    return results, sum(r["violations"] for r in results), []
 
 
 def _execute_repro(cfg: RunConfig):
@@ -424,7 +345,6 @@ def _execute_repro(cfg: RunConfig):
     spectrum = singular_values(product)
     s_mat = witness.matrices["S"]
     unitary_residual = float(np.linalg.norm(s_mat.conj().T @ s_mat - np.eye(3)))
-    violated = witness.margin > cfg.tolerance
     result = {
         "target": "fan-counterexample",
         "k": witness.k,
@@ -432,11 +352,11 @@ def _execute_repro(cfg: RunConfig):
         "top_singular_value": float(spectrum[0]),
         "spectrum": [float(v) for v in spectrum],
         "unitary_residual": unitary_residual,
-        "violations": 1 if violated else 0,
+        "violations": int(witness.margin > cfg.tolerance),
         "witness": witness_document(witness),
     }
     notes = ["the contraction bound fails on this input, as constructed"]
-    return (2 if violated else 0), [result], result["violations"], notes
+    return [result], result["violations"], notes
 
 
 def _execute_ptrace(cfg: RunConfig):
@@ -531,9 +451,7 @@ def _execute_ptrace(cfg: RunConfig):
         notes.append(note)
         search_violations = findings["violations"]
 
-    total_violations = reg_violations + search_violations
-    status = 2 if total_violations else 0
-    return status, results, total_violations, notes
+    return results, reg_violations + search_violations, notes
 
 
 def _execute_search(cfg: RunConfig):
@@ -554,8 +472,7 @@ def _execute_search(cfg: RunConfig):
         "best_margin": result.best_margin,
         **findings,
     }
-    status = 2 if findings["violations"] else 0
-    return status, [doc], findings["violations"], [note]
+    return [doc], findings["violations"], [note]
 
 
 def _search_findings(result) -> tuple[dict, str]:
@@ -580,7 +497,8 @@ _EXECUTORS = {
 def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
-    status, results, total_violations, notes = _EXECUTORS[cfg.command](cfg)
+    results, total_violations, notes = _EXECUTORS[cfg.command](cfg)
+    status = 2 if total_violations else 0
     doc = run_document(
         cfg.command,
         config=dataclasses.asdict(cfg),

@@ -6,9 +6,10 @@ a trial violates when lhs - rhs > tol * max(1, rhs).  Margins are lhs - rhs,
 so positive beyond tolerance means "violated".  The worst trial is kept as a
 :class:`Witness` whose matrices re-evaluate to the recorded margin.
 
-Checker ids double as report ids: von-neumann, product-family,
-hadamard-family, ahj-given, ahj-sqrt, lemma31, lemma32, hmn-<mask>,
-fan-sigma1.
+Each inequality family is declared once, by its entry in :data:`FAMILIES`:
+its report id, ``check --ineq`` group, help line, draw, build and parts
+functions, scored k values and form.  ``kyfan check``, its help text and
+:func:`reevaluate_margin` read the table, so a family is added by one entry.
 
 Trial engine (stream contract v5)
 ---------------------------------
@@ -128,6 +129,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +149,14 @@ from .ensembles import (
     _subunit_draw,
     _support_gaps,
 )
-from .forms import EntrywiseForm, apply_form, fan_product, right_adjoint_apply
+from .forms import (
+    EntrywiseForm,
+    apply_form,
+    fan_form,
+    fan_product,
+    hadamard_form,
+    right_adjoint_apply,
+)
 from .matrixcore import (
     _adjoint,
     as_matrix,
@@ -172,7 +181,8 @@ __all__ = [
     "reproduce_fan_counterexample",
     "von_neumann_equality_witness",
     "reevaluate_margin",
-    "PARTS_BY_ID",
+    "Family",
+    "FAMILIES",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -452,26 +462,91 @@ def _parts_fan_sigma1(mats):
     return (1,), lhs, rhs
 
 
-PARTS_BY_ID = {
-    "von-neumann": _parts_von_neumann,
-    "product-family": _parts_product_family,
-    "hadamard-family": _parts_hadamard_family,
-    "ahj-given": _parts_ahj,
-    "ahj-sqrt": _parts_ahj,
-    "lemma31": _parts_lemma31,
-    "lemma31-fan": _parts_lemma31,
-    "lemma32": _parts_lemma32,
-    "hmn-hadamard": _parts_hmn,
-    "hmn-fan": _parts_hmn,
-    "hmn-masked": _parts_hmn,
-    "fan-sigma1": _parts_fan_sigma1,
-}
+def _every_k(n):
+    return range(1, n + 1)
+
+
+def _top_k(n):
+    return (1,)
+
+
+def _last_k(n):
+    return (n,)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One checked inequality, declared once.
+
+    ``id`` is its report id and ``ineq`` the ``check --ineq`` group that runs
+    it; a group's help line is its first family's.  ``draw``, ``build`` and
+    ``parts`` are the engine's block RNG step, stacked transform and
+    evaluator (see :func:`_run_checker`); a section at n scores the k values
+    ``scored_ks(n)``.  Where ``form`` is set, the family runs with the mask of
+    ``form(n)``, shared by every trial.
+    """
+
+    id: str
+    ineq: str
+    help: str | None
+    draw: Callable
+    build: Callable
+    parts: Callable
+    scored_ks: Callable
+    form: Callable | None = None
+
+
+#: every checked family, in ``check --ineq all`` order, by report id
+FAMILIES = {family.id: family for family in (
+    Family("von-neumann", "von-neumann", "|tr(AB)| <= sum_i s_i(A) s_i(B)",
+           _draw_two, _ginibre_pair, _parts_von_neumann, _last_k),
+    Family("product-family", "product-family",
+           "sum_{i<=k} s_i(AB) <= sum_{i<=k} s_i(A) s_i(B), every k",
+           _draw_two, _ginibre_pair, _parts_product_family, _every_k),
+    Family("hadamard-family", "hadamard-family",
+           "sum_{i<=k} s_i(A o B) <= sum_{i<=k} s_i(A) s_i(B), every k",
+           _draw_two, _ginibre_pair, _parts_hadamard_family, _every_k),
+    Family("ahj-given", "ahj",
+           "sum_{i<=k} s_i(X*Y o B) <= sum_{i<=k} c_i(X) c_i(Y) s_i(B); runs both factor modes",
+           _draw_three, _ahj_given, _parts_ahj, _every_k),
+    Family("ahj-sqrt", "ahj", None, _draw_two, _ahj_sqrt, _parts_ahj, _every_k),
+    Family("lemma31", "lemma31",
+           "s_1((X*Y) o S) <= 1 for subunit-column X, Y and a contraction S",
+           _draw_lemma31, _lemma31_inputs, _parts_lemma31, _top_k, hadamard_form),
+    Family("lemma32", "lemma32",
+           "trace norm of (X*Y) o (u v*) <= 1 for unit-column X, Y and unit u, v",
+           _draw_lemma32, _lemma32_inputs, _parts_lemma32, _top_k),
+    Family("hmn-hadamard", "hmn-hadamard",
+           "s_1-ratio probe plus the k-family for the all-ones mask",
+           _draw_contractions, _contraction_pair, _parts_hmn, _every_k, hadamard_form),
+    Family("hmn-fan", "hmn-fan",
+           "s_1-ratio probe plus the k-family for the diagonal-negated mask",
+           _draw_contractions, _contraction_pair, _parts_hmn, _every_k, fan_form),
+    Family("fan-sigma1", "fan-sigma1",
+           "s_1 of the diagonal-negated product <= s_1(A) s_1(B), also with A transposed",
+           _draw_two, _ginibre_pair, _parts_fan_sigma1, _top_k),
+)}
+
+
+def _family(report_id: str) -> Family:
+    """The family whose checker writes reports named ``report_id``.
+
+    A masked checker names its report after its form (``hmn-<form>``,
+    ``lemma31-<form>``), so an id outside the table resolves to the masked
+    family of the same stem.
+    """
+    if report_id in FAMILIES:
+        return FAMILIES[report_id]
+    stem = report_id.partition("-")[0]
+    for family in FAMILIES.values():
+        if family.form is not None and family.id.partition("-")[0] == stem:
+            return family
+    raise KeyError(f"no inequality family writes report id {report_id!r}")
 
 
 def reevaluate_margin(inequality_id: str, witness: Witness) -> float:
     """Recompute a stored witness's margin from its matrices."""
-    parts = PARTS_BY_ID[inequality_id]
-    ks, lhs, rhs = parts(witness.matrices)
+    ks, lhs, rhs = _family(inequality_id).parts(witness.matrices)
     for i, k in enumerate(ks):
         if int(k) == witness.k:
             return float(lhs[i]) - float(rhs[i])
@@ -479,32 +554,32 @@ def reevaluate_margin(inequality_id: str, witness: Witness) -> float:
 
 
 # ---------------------------------------------------------------------------
-# checkers
+# checkers: each runs the table's family through the engine
 # ---------------------------------------------------------------------------
+
+
+def _check(report_id, n, trials, s, form=None, **options) -> CheckReport:
+    """Run the family of ``report_id``; a ``form``'s mask is shared by every trial."""
+    if form is not None and int(n) != form.n:
+        raise ValueError(f"form is {form.n} x {form.n} but n={n}")
+    family = _family(report_id)
+    return _run_checker(report_id, n, trials, s, family.draw, family.build, family.parts,
+                        shared=None if form is None else {"mask": form.mask}, **options)
 
 
 def check_von_neumann(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """|tr(AB)| <= sum_i sigma_i(A) sigma_i(B) on complex Gaussian pairs."""
-    return _run_checker(
-        "von-neumann", n, trials, s, _draw_two, _ginibre_pair, _parts_von_neumann,
-        tolerance=tolerance, k_values=k_values,
-    )
+    return _check("von-neumann", n, trials, s, tolerance=tolerance, k_values=k_values)
 
 
 def check_product_family(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """sum_{i<=k} sigma_i(AB) <= sum_{i<=k} sigma_i(A) sigma_i(B), every k."""
-    return _run_checker(
-        "product-family", n, trials, s, _draw_two, _ginibre_pair, _parts_product_family,
-        tolerance=tolerance, k_values=k_values,
-    )
+    return _check("product-family", n, trials, s, tolerance=tolerance, k_values=k_values)
 
 
 def check_hadamard_family(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """sum_{i<=k} sigma_i(A o B) <= sum_{i<=k} sigma_i(A) sigma_i(B), every k."""
-    return _run_checker(
-        "hadamard-family", n, trials, s, _draw_two, _ginibre_pair, _parts_hadamard_family,
-        tolerance=tolerance, k_values=k_values,
-    )
+    return _check("hadamard-family", n, trials, s, tolerance=tolerance, k_values=k_values)
 
 
 def check_ahj(n, trials, s, factorization="given", *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
@@ -516,11 +591,7 @@ def check_ahj(n, trials, s, factorization="given", *, tolerance=INEQUALITY_TOL, 
     """
     if factorization not in ("given", "sqrt"):
         raise ValueError(f"unknown factorization {factorization!r}")
-    draw, build = (_draw_three, _ahj_given) if factorization == "given" else (_draw_two, _ahj_sqrt)
-    return _run_checker(
-        f"ahj-{factorization}", n, trials, s, draw, build, _parts_ahj,
-        tolerance=tolerance, k_values=k_values,
-    )
+    return _check(f"ahj-{factorization}", n, trials, s, tolerance=tolerance, k_values=k_values)
 
 
 def check_lemma31(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
@@ -531,22 +602,14 @@ def check_lemma31(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL
     violations exist, and deterministic inputs (e.g. the known 3x3 violating
     triple) can be appended through ``extra_trials`` as {"X","Y","S"} dicts.
     """
-    if int(n) != form.n:
-        raise ValueError(f"form is {form.n} x {form.n} but n={n}")
-    ineq_id = "lemma31" if form.name == "hadamard" else f"lemma31-{form.name}"
-    return _run_checker(
-        ineq_id, n, trials, s, _draw_lemma31, _lemma31_inputs, _parts_lemma31,
-        tolerance=tolerance, k_values=k_values, shared={"mask": form.mask},
-        extra_trials=extra_trials,
-    )
+    return _check("lemma31" if form.name == "hadamard" else f"lemma31-{form.name}",
+                  n, trials, s, form, tolerance=tolerance, k_values=k_values,
+                  extra_trials=extra_trials)
 
 
 def check_lemma32(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """trace norm of (X*Y) o (u v*) <= 1 for unit-column X, Y and unit u, v."""
-    return _run_checker(
-        "lemma32", n, trials, s, _draw_lemma32, _lemma32_inputs, _parts_lemma32,
-        tolerance=tolerance, k_values=k_values,
-    )
+    return _check("lemma32", n, trials, s, tolerance=tolerance, k_values=k_values)
 
 
 def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
@@ -560,8 +623,6 @@ def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
     The report's details flag whether the observations are consistent with
     "ratios stay <= 1 exactly when the family holds" — observed, not proved.
     """
-    if int(n) != form.n:
-        raise ValueError(f"form is {form.n} x {form.n} but n={n}")
     hyp = {"max_sigma1_ratio": 0.0, "max_adjoint_sigma1_ratio": 0.0}
 
     def observe(mats, lhs, rhs):
@@ -577,11 +638,8 @@ def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
         hyp["max_sigma1_ratio"] = max(hyp["max_sigma1_ratio"], float(fwd.max()))
         hyp["max_adjoint_sigma1_ratio"] = max(hyp["max_adjoint_sigma1_ratio"], float(adj.max()))
 
-    report = _run_checker(
-        f"hmn-{form.name}", n, trials, s, _draw_contractions, _contraction_pair, _parts_hmn,
-        tolerance=tolerance, k_values=k_values, shared={"mask": form.mask},
-        extra_trials=extra_trials, observe=observe,
-    )
+    report = _check(f"hmn-{form.name}", n, trials, s, form, tolerance=tolerance,
+                    k_values=k_values, extra_trials=extra_trials, observe=observe)
     hypothesis_ok = (
         hyp["max_sigma1_ratio"] <= 1.0 + tolerance
         and hyp["max_adjoint_sigma1_ratio"] <= 1.0 + tolerance
@@ -598,10 +656,7 @@ def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
 def check_fan_sigma1(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:
     """Top singular value of the diagonal-negated product stays below
     sigma_1(A) sigma_1(B), applied both to (A, B) and to (A^T, B)."""
-    return _run_checker(
-        "fan-sigma1", n, trials, s, _draw_two, _ginibre_pair, _parts_fan_sigma1,
-        tolerance=tolerance, k_values=k_values,
-    )
+    return _check("fan-sigma1", n, trials, s, tolerance=tolerance, k_values=k_values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,12 +16,13 @@ from kyfan.cli import (
     STREAM_STRIDE,
     RunConfig,
     _build_parser,
-    _checker_runs,
+    _check_section,
     execute,
     main,
     parse_arguments,
 )
 from kyfan.ensembles import SeededStream
+from kyfan.suite import FAMILIES
 from kyfan.norms import INEQUALITY_TOL, RESIDUAL_TOL
 from kyfan.fileformat import load_document
 from kyfan.reports import SCHEMA_ID, report_body_bytes
@@ -173,6 +175,18 @@ class TestParsing:
     def test_output_flags_parse_for_every_subcommand(self, command):
         cfg = parse_arguments(command + ["--out", "r.json", "--format", "table"])
         assert cfg.output_path == "r.json" and cfg.format == "table"
+
+    def test_check_help_lists_every_inequality_id_once(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(["check", "--help"])
+        assert err.value.code == 0
+        listed = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  ") and not line.lstrip().startswith("-")
+                  and ": " in line]
+        assert listed == list(INEQUALITY_IDS) == [
+            "von-neumann", "product-family", "hadamard-family", "ahj", "lemma31", "lemma32",
+            "hmn-hadamard", "hmn-fan", "fan-sigma1",
+        ]
 
     def test_parsing_leaves_numpy_random_unimported(self):
         # numpy.random is imported when the first stream opens, not before
@@ -364,6 +378,21 @@ class TestExecution:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_family_is_added_by_one_table_entry(self, monkeypatch, capsys):
+        # a new id on the product family's draw and evaluator, with no check_* function
+        family = dataclasses.replace(FAMILIES["product-family"], id="product-copy",
+                                     ineq="product-copy")
+        monkeypatch.setitem(FAMILIES, family.id, family)
+        results = []
+        for ineq in ("product-family", "product-copy"):
+            cfg = RunConfig(command="check", inequality_id=ineq, n=3, trials=5, seed=7)
+            assert execute(cfg) == 0
+            (result,) = json.loads(capsys.readouterr().out)["results"]
+            assert result["inequality_id"] == ineq
+            results.append({key: result[key] for key in ("k_range", "worst_margin",
+                                                         "per_k_worst", "trials")})
+        assert results[0] == results[1]
+
     def test_execute_accepts_config_object(self, capsys):
         cfg = RunConfig(command="repro", target="fan-counterexample")
         assert execute(cfg) == 2
@@ -402,7 +431,7 @@ class TestKRejection:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_declared_k_values_match_the_reports(self, n):
-        for ineq in INEQUALITY_IDS:
-            for name, run, scored_ks in _checker_runs(ineq):
-                report = run(n, 1, SeededStream(3), 1e-8, None)
-                assert report.k_range == tuple(scored_ks(n)), (name, n)
+        for family in FAMILIES.values():
+            report = _check_section(family, n, 1, SeededStream(3), 1e-8, None)
+            assert report.inequality_id == family.id
+            assert report.k_range == tuple(family.scored_ks(n)), (family.id, n)

@@ -61,6 +61,18 @@ def test_search_script_rejects_a_budget_below_the_restarts(monkeypatch, capsys, 
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("name", ["search_open_questions", "run_full_suite"])
+def test_scripts_refuse_a_negative_seed_at_parse_time(monkeypatch, capsys, tmp_path, name):
+    script = _load(name)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--seed", "-3",
+                                      "--out-dir", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as err:
+        script.main()
+    assert err.value.code == 2
+    assert "argument --seed: expected a nonnegative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_full_suite_quick_run_passes_every_section(monkeypatch, capsys, tmp_path):
     script = _load("run_full_suite")
     monkeypatch.setattr(sys, "argv", ["run_full_suite.py", "--quick",

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kyfan import suite
 from kyfan.ensembles import GENERATOR_ID, SeededStream, ginibre
-from kyfan.forms import fan_form, hadamard_form
+from kyfan.forms import EntrywiseForm, fan_form, hadamard_form
 from kyfan.matrixcore import factor_sqrt, singular_values
 from kyfan.suite import (
     BLOCK_ENTRIES,
-    PARTS_BY_ID,
     CheckReport,
     Witness,
     check_ahj,
@@ -25,6 +25,7 @@ from kyfan.suite import (
     von_neumann_equality_witness,
     _ahj_given,
     _ahj_sqrt,
+    _family,
     _contraction_pair,
     _draw_contractions,
     _draw_lemma31,
@@ -106,7 +107,7 @@ class TestCheckersHold:
 class TestEqualityCases:
     def test_product_family_identity_pair_margin_zero(self):
         eye = np.eye(3, dtype=complex)
-        ks, lhs, rhs = PARTS_BY_ID["product-family"]({"A": eye, "B": eye})
+        ks, lhs, rhs = _family("product-family").parts({"A": eye, "B": eye})
         assert np.array_equal(np.asarray(lhs), np.asarray(rhs))
 
     def test_von_neumann_witness_attains_bound(self):
@@ -119,7 +120,7 @@ class TestEqualityCases:
 
     def test_hadamard_family_diagonal_equality(self):
         d = np.diag([3.0, 2.0, 1.0]).astype(complex)
-        ks, lhs, rhs = PARTS_BY_ID["hadamard-family"]({"A": d, "B": d})
+        ks, lhs, rhs = _family("hadamard-family").parts({"A": d, "B": d})
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -171,12 +172,23 @@ class TestWitnessRoundTrip:
             "lemma32": lambda: check_lemma32(4, 50, SeededStream(16)),
             "hmn-fan": lambda: check_hmn(fan_form(4), 4, 50, SeededStream(17)),
             "fan-sigma1": lambda: check_fan_sigma1(4, 50, SeededStream(18)),
+            # a form's checker names the report after the form
+            "hmn-double": lambda: check_hmn(
+                EntrywiseForm(np.full((4, 4), 2.0), name="double"), 4, 50, SeededStream(23)),
+            "lemma31-masked": lambda: check_lemma31(
+                EntrywiseForm(np.eye(4) + 0.5), 4, 50, SeededStream(24)),
         }.items():
             report = runner()
             assert report.inequality_id == ineq_id
             assert report.witness is not None
             again = reevaluate_margin(ineq_id, report.witness)
             assert abs(again - report.witness.margin) <= 1e-12, ineq_id
+
+    def test_reevaluate_rejects_an_id_no_family_writes(self):
+        w = Witness(matrices={"A": np.eye(2, dtype=complex), "B": np.eye(2, dtype=complex)},
+                    k=1, margin=0.0)
+        with pytest.raises(KeyError):
+            reevaluate_margin("ahj-cube", w)
 
     def test_reevaluate_rejects_foreign_k(self):
         w = Witness(matrices={"A": np.eye(2, dtype=complex), "B": np.eye(2, dtype=complex)}, k=9, margin=0.0)
@@ -200,8 +212,6 @@ class TestHmnDetails:
     def test_doubling_mask_flags_both_sides(self):
         # mask of all 2s scales sigma_1 by 2: hypothesis fails and the family
         # is violated, so the observed iff-link still holds
-        from kyfan.forms import EntrywiseForm
-
         e1 = np.zeros((3, 3), dtype=complex)
         e1[0, 0] = 1.0
         report = check_hmn(
@@ -254,10 +264,11 @@ def _stack(trials):
 
 
 class TestStackedEngine:
-    @pytest.mark.parametrize("ineq_id", sorted(PARTS_BY_ID))
+    # the masked evaluators also run under the masks of lemma31-fan and hmn-masked
+    @pytest.mark.parametrize("ineq_id", sorted([*suite.FAMILIES, "lemma31-fan", "hmn-masked"]))
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_parts_of_a_stack_are_the_parts_of_each_trial(self, ineq_id, n):
-        parts = PARTS_BY_ID[ineq_id]
+        parts = _family(ineq_id).parts
         trials = [_trial_inputs(ineq_id, n, SeededStream(50, t).generator()) for t in range(7)]
         ks, lhs, rhs = parts(_stack(trials))
         assert lhs.shape == rhs.shape == (7, len(ks))
@@ -346,7 +357,7 @@ FAMILIES = {
 def _run_family(ineq_id, n, trials, stream, **kwargs):
     draw, build, masked = FAMILIES[ineq_id]
     shared = {"mask": _mask(ineq_id, n)} if masked else None
-    return _run_checker(ineq_id, n, trials, stream, draw, build, PARTS_BY_ID[ineq_id],
+    return _run_checker(ineq_id, n, trials, stream, draw, build, _family(ineq_id).parts,
                         shared=shared, **kwargs)
 
 
@@ -408,7 +419,7 @@ def _assert_report_is_the_reference(report, ineq_id, n, trials, stream, toleranc
     """Block b draws from stream base + b by the documented calls; each trial is scored alone."""
     size = _block_size(n)
     calls = DOCUMENTED_CALLS[FAMILIES[ineq_id][0]]
-    parts = PARTS_BY_ID[ineq_id]
+    parts = _family(ineq_id).parts
     violations, worst, worst_k, worst_mats, per_k = 0, -np.inf, 0, None, {}
     for block in range(-(-trials // size)):
         drawn = calls(n, size, stream.offset(block).generator())
