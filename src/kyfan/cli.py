@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import os
 import sys
 import time
@@ -40,13 +41,12 @@ from .ensembles import (
 )
 from .fileformat import dump_document, write_text
 from .matrixcore import kronecker, partial_trace_first, singular_values
-from .norms import INEQUALITY_TOL, RESIDUAL_TOL
+from .norms import INEQUALITY_TOL, RESIDUAL_TOL, _violated, residual_vanishes
 from .ptrace import (
-    _violates,
+    _worst_margins,
     lhs_operator,
     lhs_operator_brute,
     search_counterexample,
-    worst_question_margin,
 )
 from .reports import (
     check_report_document,
@@ -138,6 +138,13 @@ def _extremal_dimension(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _all_or_positive_int(text: str):
     if text == "all":
         return "all"
@@ -155,7 +162,7 @@ _OPTIONS = {
     "--seed": dict(type=_nonnegative_int, default=None),
     "--out": dict(dest="output_path", default=None),
     "--format": dict(choices=("structured-text", "table"), default="structured-text"),
-    "--tolerance": dict(type=float, default=INEQUALITY_TOL),
+    "--tolerance": dict(type=_finite_float, default=INEQUALITY_TOL),
     "--k": dict(dest="k_spec", type=_all_or_positive_int, default="all",
                 help="score one k only (default: all k)"),
     "--trials": dict(type=_trial_count, help="trials per section (default %(default)s)"),
@@ -333,7 +340,7 @@ def _execute_extremal(cfg: RunConfig):
                 "max_dimension": n_max,
                 "worst_gap": float(gaps.max(initial=0.0)),
                 "tolerance": cfg.tolerance,
-                "violations": int(np.count_nonzero(gaps > cfg.tolerance)),
+                "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
             }
         )
     return results, sum(r["violations"] for r in results), []
@@ -352,7 +359,8 @@ def _execute_repro(cfg: RunConfig):
         "top_singular_value": float(spectrum[0]),
         "spectrum": [float(v) for v in spectrum],
         "unitary_residual": unitary_residual,
-        "violations": int(witness.margin > cfg.tolerance),
+        # the contraction bound the construction breaks is sigma_1 <= 1
+        "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
         "witness": witness_document(witness),
     }
     notes = ["the contraction bound fails on this input, as constructed"]
@@ -370,25 +378,14 @@ def _execute_ptrace(cfg: RunConfig):
     # closed form vs the Kronecker route, plus the basic partial-trace identity
     identity_stream = SeededStream(cfg.seed, 0)
     identity_trials = min(cfg.trials, 50)
-    worst_closed = 0.0
-    worst_kron = 0.0
+    worst_closed = worst_kron = 0.0
     for t in range(identity_trials):
         g = identity_stream.offset(t).generator()
-        a = random_hermitian(n, g)
-        b = random_hermitian(n, g)
-        closed = lhs_operator(a, b, cross_check=False)
-        worst_closed = max(
-            worst_closed, float(np.linalg.norm(lhs_operator_brute(a, b) - closed))
-        )
-        worst_kron = max(
-            worst_kron,
-            float(
-                np.linalg.norm(
-                    partial_trace_first(kronecker(a, b), n) - np.trace(a) * b
-                )
-            ),
-        )
-    if worst_closed > RESIDUAL_TOL * 100 or worst_kron > RESIDUAL_TOL * 100:
+        a, b = random_hermitian(n, g), random_hermitian(n, g)
+        closed = np.linalg.norm(lhs_operator_brute(a, b) - lhs_operator(a, b, cross_check=False))
+        kron = np.linalg.norm(partial_trace_first(kronecker(a, b), n) - np.trace(a) * b)
+        worst_closed, worst_kron = max(worst_closed, float(closed)), max(worst_kron, float(kron))
+    if not residual_vanishes(max(worst_closed, worst_kron), tol=RESIDUAL_TOL * 100):
         raise ArithmeticError(
             f"partial-trace identities failed: closed-form residual {worst_closed:.3e}, "
             f"kron identity residual {worst_kron:.3e}"
@@ -412,9 +409,9 @@ def _execute_ptrace(cfg: RunConfig):
         pairs = [commuting_hermitian_pair(n, regression_stream.offset(t).generator())
                  for t in range(start, min(cfg.trials, start + chunk))]
         a, b = (np.stack(side) for side in zip(*pairs))
-        margins, ks = worst_question_margin(a, b, cfg.question, k_values)
+        margins, _, violated = _worst_margins(a, b, cfg.question, k_values, cfg.tolerance)
         reg_worst = max(reg_worst, float(margins.max()))
-        reg_violations += int(np.count_nonzero(_violates(a, b, cfg.question, ks, cfg.tolerance)))
+        reg_violations += int(np.count_nonzero(violated))
     results.append(
         {
             "target": "commuting-regression",
@@ -427,16 +424,10 @@ def _execute_ptrace(cfg: RunConfig):
     )
 
     # bounded search; a zero budget scores nothing, so it writes no section
-    search_violations = 0
     if cfg.budget == 0:
         notes.append("bounded search skipped: --budget 0")
     else:
-        search = search_counterexample(
-            cfg.question, n, cfg.k_spec if cfg.k_spec == "all" else int(cfg.k_spec),
-            cfg.budget, cfg.restarts, SeededStream(cfg.seed, 2 * STREAM_STRIDE),
-            strategy=cfg.strategy, tolerance=cfg.tolerance,
-        )
-        findings, note = _search_findings(search)
+        search, findings, note = _search(cfg, SeededStream(cfg.seed, 2 * STREAM_STRIDE))
         results.append(
             {
                 "target": "bounded-search",
@@ -449,18 +440,11 @@ def _execute_ptrace(cfg: RunConfig):
             }
         )
         notes.append(note)
-        search_violations = findings["violations"]
-
-    return results, reg_violations + search_violations, notes
+    return results, sum(r["violations"] for r in results), notes
 
 
 def _execute_search(cfg: RunConfig):
-    result = search_counterexample(
-        cfg.question, cfg.n, cfg.k_spec if cfg.k_spec == "all" else int(cfg.k_spec),
-        cfg.budget, cfg.restarts, SeededStream(cfg.seed),
-        strategy=cfg.strategy, tolerance=cfg.tolerance,
-    )
-    findings, note = _search_findings(result)
+    result, findings, note = _search(cfg, SeededStream(cfg.seed))
     doc = {
         "target": "counterexample-search",
         "question": cfg.question,
@@ -475,13 +459,16 @@ def _execute_search(cfg: RunConfig):
     return [doc], findings["violations"], [note]
 
 
-def _search_findings(result) -> tuple[dict, str]:
-    """The violation count and witness document of one search, and its note."""
+def _search(cfg: RunConfig, stream):
+    """The configured search from ``stream``: its result, its violation count
+    and witness document, and its note."""
+    result = search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget, cfg.restarts,
+                                   stream, strategy=cfg.strategy, tolerance=cfg.tolerance)
     if result.witness is None:
-        return {"violations": 0}, "no counterexample found within budget"
+        return result, {"violations": 0}, "no counterexample found within budget"
     w = result.witness
     witness = Witness(matrices={"A": w.A, "B": w.B}, k=w.k, margin=result.best_margin)
-    return ({"violations": 1, "witness": witness_document(witness)},
+    return (result, {"violations": 1, "witness": witness_document(witness)},
             "counterexample candidate found — inspect the witness")
 
 

@@ -130,6 +130,15 @@ class SeededStream:
         return SeededStream(self.master_seed, self.stream_index + int(delta))
 
 
+def _as_stream(s) -> SeededStream:
+    """``s``, or ``SeededStream(s)`` of an int master seed (not a bool, float or str)."""
+    if isinstance(s, SeededStream):
+        return s
+    if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
+        return SeededStream(int(s))
+    raise TypeError(f"expected a SeededStream or an int master seed, got {type(s).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # stream seeding
 #
@@ -309,11 +318,7 @@ def as_generator(s) -> np.random.Generator:
     """Open a generator from a SeededStream, an int master seed, or pass one through."""
     if isinstance(s, np.random.Generator):
         return s
-    if isinstance(s, SeededStream):
-        return s.generator()
-    if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
-        return SeededStream(int(s)).generator()
-    raise TypeError(f"expected SeededStream, Generator, or int, got {type(s).__name__}")
+    return _as_stream(s).generator()
 
 
 # ---------------------------------------------------------------------------

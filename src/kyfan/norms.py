@@ -10,6 +10,18 @@ beyond position k are allowed).  The three norm families are
 and ``dual_weighted_vector_k_norm`` evaluates the dual of the first family in
 closed form.  The closed form is cross-validated against explicit candidate
 enumeration in :mod:`kyfan.ensembles`, not assumed.
+
+Tolerance rule
+--------------
+Every verdict kyfan reports is decided here.  An inequality lhs <= rhs is
+violated when its margin exceeds the tolerance,
+
+    lhs - rhs > tol * max(1, rhs),
+
+an absolute slack up to rhs = 1 and a relative one above it
+(``INEQUALITY_TOL`` = 1e-8 by default); :func:`inequality_holds` is the exact
+negation.  A residual, such as the gap between two routes that must agree,
+vanishes when residual <= tol * (1 + scale) (``RESIDUAL_TOL`` = 1e-10).
 """
 
 from __future__ import annotations
@@ -34,19 +46,23 @@ __all__ = [
     "trace_norm",
 ]
 
-# Repo-wide tolerance policy: an inequality "holds" when
-# lhs <= rhs + INEQUALITY_TOL * max(1, rhs); a residual "vanishes" below
-# RESIDUAL_TOL * (1 + scale).
 INEQUALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 
 
+def _violated(margin, rhs, tol: float = INEQUALITY_TOL):
+    """margin > tol * max(1, rhs), elementwise: the tolerance rule above."""
+    return margin > tol * np.maximum(1.0, rhs)
+
+
 def inequality_holds(lhs, rhs, tol: float = INEQUALITY_TOL):
-    """lhs <= rhs + tol * max(1, rhs), elementwise over arrays."""
-    return lhs <= rhs + tol * np.maximum(1.0, rhs)
+    """Whether lhs <= rhs holds within ``tol``, elementwise: the exact negation
+    of lhs - rhs > tol * max(1, rhs)."""
+    return ~_violated(lhs - rhs, rhs, tol)
 
 
-def residual_vanishes(residual: float, scale: float = 0.0, tol: float = RESIDUAL_TOL) -> bool:
+def residual_vanishes(residual, scale=0.0, tol: float = RESIDUAL_TOL):
+    """residual <= tol * (1 + scale), elementwise."""
     return residual <= tol * (1.0 + scale)
 
 

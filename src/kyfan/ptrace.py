@@ -15,13 +15,15 @@ The two open questions ask whether the k-norm of T is bounded by
     question 1:  2 sigma_1(A) ||tr(B) I - n B||_(k)
     question 2:  2 sum_{i<=k} sigma_i(A) sigma_i(tr(B) I - n B)
 
-A pair is a counterexample candidate when its worst margin (lhs - rhs) and
-the rhs at that k fail :func:`kyfan.norms.inequality_holds`, the tolerance
-rule the checkers use; the searches only ever report "no counterexample
-found within budget", never nonexistence.
+A pair is a counterexample candidate when its worst margin (lhs - rhs)
+breaks the tolerance rule of :mod:`kyfan.norms` at that k, as a checker's
+entry does; the searches only ever report "no counterexample found within
+budget", never nonexistence.
 
 The margin primitives take one pair of n x n matrices or ``(..., n, n)``
-stacks of pairs, and on a stack give the same bits as pair by pair.
+stacks of pairs, and on a stack give the same bits as pair by pair.  They,
+the commuting regression and the search score through one kernel,
+:func:`_pair_sides`: validate, closed form, one SVD call, sides.
 
 Search engine
 -------------
@@ -88,7 +90,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import CHUNK_ENTRIES, SeededStream, haar_unitary
+from .ensembles import CHUNK_ENTRIES, _as_stream, haar_unitary
 from .matrixcore import (
     _adjoint,
     as_matrix,
@@ -96,7 +98,7 @@ from .matrixcore import (
     partial_trace_first,
     singular_values,
 )
-from .norms import INEQUALITY_TOL, inequality_holds
+from .norms import INEQUALITY_TOL, _violated, residual_vanishes
 
 __all__ = [
     "QuestionInstance",
@@ -126,6 +128,9 @@ SEARCH_BATCH = 5
 #: stream contract (see the module docstring); at least ``SEARCH_BATCH``
 PROPOSAL_BLOCK = 256
 
+#: the Gaussian step a search restart starts from
+STEP_INIT = 0.5
+
 
 def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
     """Validate a Hermitian matrix, or each matrix of a ``(..., n, n)`` stack."""
@@ -134,7 +139,7 @@ def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndar
     if not difference.any():  # exactly Hermitian, whatever the scale
         return m
     deviation = np.linalg.norm(difference, axis=(-2, -1))
-    bad = np.ravel(deviation > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1))))
+    bad = np.ravel(~residual_vanishes(deviation, np.linalg.norm(m, axis=(-2, -1)), tol))
     if bad.any():
         first = int(np.argmax(bad))
         where = "" if m.ndim == 2 else f" (matrix {first} of the stack)"
@@ -142,6 +147,14 @@ def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndar
             f"{name} is not Hermitian{where} (deviation {np.ravel(deviation)[first]:.3e})"
         )
     return m
+
+
+def _hermitian_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and B validated as Hermitian matrices or stacks of one shape."""
+    a, b = require_hermitian(a, name="A"), require_hermitian(b, name="B")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +168,7 @@ class QuestionInstance:
     k: int
 
     def __post_init__(self):
-        a = require_hermitian(as_matrix(self.A, name="A"), name="A")
-        b = require_hermitian(as_matrix(self.B, name="B"), name="B")
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+        a, b = _hermitian_pair(as_matrix(self.A, name="A"), as_matrix(self.B, name="B"))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "n", int(self.n))
@@ -221,36 +231,44 @@ def lhs_operator(a, b, *, cross_check: bool = True) -> np.ndarray:
     """tr(AB) I - tr(A) B + tr(B) A - n AB, optionally verified against the
     brute-force Kronecker/partial-trace route.
 
-    With ``cross_check`` the two independently computed operators must agree
-    within 1e-10 * (1 + scale) or an ArithmeticError is raised; search loops
-    pass ``cross_check=False`` and rely on the suite-level verification.
+    With ``cross_check`` their residual must vanish at the scale of the closed
+    form's norm, or an ArithmeticError is raised; search loops pass
+    ``cross_check=False`` and rely on the suite-level verification.
     """
-    a = require_hermitian(a, name="A")
-    b = require_hermitian(b, name="B")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = _hermitian_pair(a, b)
     closed = _closed_form(a, b)[0]
     if cross_check:
         brute = lhs_operator_brute(a, b)
         residual = float(np.linalg.norm(brute - closed))
-        if residual > 1e-10 * (1.0 + float(np.linalg.norm(closed))):
+        if not residual_vanishes(residual, float(np.linalg.norm(closed))):
             raise ArithmeticError(
                 f"closed form disagrees with the Kronecker route: residual {residual:.3e}"
             )
     return closed
 
 
-def _question_sides(a, b, question: int) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs for k = 1..n (index k-1), shape ``(..., n)``."""
-    a = require_hermitian(a, name="A")
-    b = require_hermitian(b, name="B")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    question = int(question)
-    if question not in (1, 2):
-        raise ValueError("question must be 1 or 2")
-    st, sd, sa = singular_values(np.stack([*_closed_form(a, b), a]))
-    return _sides(st, sa, sd, question)
+def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
+    """lhs and rhs for k = 1..n (index k-1) of each pair of a ``(..., 2, n, n)``
+    stack, and the singular values of its A and tr(B) I - n B, all of shape
+    ``(..., n)``, from one SVD call on 3 K matrices for K pairs.  Given
+    ``moved_b``, the call is on the search's 2 K: a candidate takes the
+    spectrum of the factor it did not move from the current point's ``sa``
+    or ``sd`` (see the module docstring).
+    """
+    pairs = require_hermitian(pairs, name="A or B")
+    lead, n = pairs.shape[:-3], pairs.shape[-1]
+    pairs = pairs.reshape(-1, 2, n, n)
+    a, k = pairs[:, 0], len(pairs)
+    t, d = _closed_form(a, pairs[:, 1])
+    if moved_b is None:
+        spectra = singular_values(np.concatenate([t, d, a]))
+        st, sd, sa = spectra[:k], spectra[k : 2 * k], spectra[2 * k :]
+    else:
+        moved = moved_b[:, None]
+        spectra = singular_values(np.concatenate([t, np.where(moved[..., None], d, a)]))
+        st, spectra = spectra[:k], spectra[k:]
+        sa, sd = np.where(moved, sa, spectra), np.where(moved, spectra, sd)
+    return tuple(x.reshape(lead + (n,)) for x in (*_sides(st, sa, sd, question), sa, sd))
 
 
 def _sides(st, sa, sd, question: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,6 +279,34 @@ def _sides(st, sa, sd, question: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         rhs = 2.0 * np.cumsum(sa * sd, axis=-1)
     return lhs, rhs
+
+
+def _question_sides(a, b, question: int) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs for k = 1..n (index k-1) of the pairs (A, B), shape ``(..., n)``."""
+    question = int(question)
+    if question not in (1, 2):
+        raise ValueError("question must be 1 or 2")
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return _pair_sides(np.stack([a, b], axis=-3), question)[:2]
+
+
+def _worst_margins(a, b, question: int, k_values=None, tolerance: float = INEQUALITY_TOL):
+    """Each pair's largest margin over ``k_values`` (default: all of 1..n), the
+    first k in ``k_values`` order attaining it, and whether the pair breaks
+    the tolerance rule there, from one pass."""
+    lhs, rhs = _question_sides(a, b, question)
+    n = lhs.shape[-1]
+    ks = np.arange(1, n + 1) if k_values is None else np.array([int(k) for k in k_values])
+    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
+        raise ValueError(f"k values {ks.tolist()} not in 1..{n}")
+    margins = (lhs - rhs)[..., ks - 1]
+    first = np.argmax(margins, axis=-1)[..., None]
+    k = ks[first]
+    best = np.take_along_axis(margins, first, axis=-1)[..., 0]
+    rhs = np.take_along_axis(rhs, k - 1, axis=-1)[..., 0]
+    return best, k[..., 0], _violated(best, rhs, tolerance)
 
 
 def question_margins_all_k(a, b, question: int) -> np.ndarray:
@@ -278,26 +324,10 @@ def worst_question_margin(a, b, question: int, k_values=None):
     """Largest margin over the requested k values (default: all of 1..n) and
     the first k in ``k_values`` order attaining it: floats for one pair,
     arrays over the leading axes for a stack."""
-    margins = question_margins_all_k(a, b, question)
-    n = margins.shape[-1]
-    ks = np.arange(1, n + 1) if k_values is None else np.array([int(k) for k in k_values])
-    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
-        raise ValueError(f"k values {ks.tolist()} not in 1..{n}")
-    picked = margins[..., ks - 1]
-    first = np.argmax(picked, axis=-1)
-    best = np.take_along_axis(picked, first[..., None], axis=-1)[..., 0]
-    if margins.ndim == 1:
-        return float(best), int(ks[first])
-    return best, ks[first]
-
-
-def _violates(a, b, question: int, ks, tolerance: float):
-    """Whether each pair fails :func:`inequality_holds` at its k in ``ks``."""
-    lhs, rhs = _question_sides(a, b, question)
-    at = np.asarray(ks)[..., None] - 1
-    holds = inequality_holds(np.take_along_axis(lhs, at, axis=-1)[..., 0],
-                             np.take_along_axis(rhs, at, axis=-1)[..., 0], tolerance)
-    return ~holds
+    best, k, _ = _worst_margins(a, b, question, k_values)
+    if best.ndim == 0:
+        return float(best), int(k)
+    return best, k
 
 
 # ---------------------------------------------------------------------------
@@ -354,50 +384,18 @@ def _unpack_pair(theta: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _pair_spectra(pairs: np.ndarray, moved_b=None, sa=None, sd=None):
-    """Singular values of T(A, B), A and tr(B) I - n B for each pair of a
-    ``(K, 2, n, n)`` stack of candidate pairs.
-
-    Without ``moved_b`` all three spectra go through one SVD call (3 K
-    matrices).  With it, candidate i differs from the current point only in B
-    where ``moved_b[i]`` and only in A elsewhere, so the factor it did not
-    move is bit-identical to the current point's and its spectrum is taken
-    from ``sa`` (of A) or ``sd`` (of tr(B) I - n B), the current point's:
-    one SVD call on 2 K matrices, the K operators and the K moved factors.
-    """
-    pairs = require_hermitian(pairs, name="candidate pair")
-    a = pairs[:, 0]
-    t, d = _closed_form(a, pairs[:, 1])
-    k = len(pairs)
-    if moved_b is None:
-        spectra = singular_values(np.concatenate([t, d, a]))
-        return spectra[:k], spectra[2 * k :], spectra[k : 2 * k]
-    moved = moved_b[:, None]
-    spectra = singular_values(np.concatenate([t, np.where(moved[..., None], d, a)]))
-    st, moved_spectra = spectra[:k], spectra[k:]
-    return st, np.where(moved, sa, moved_spectra), np.where(moved, moved_spectra, sd)
-
-
 def _best_margins(pairs: np.ndarray, question: int, ks: np.ndarray, moved_b=None,
                   sa=None, sd=None):
     """The search's scoring of a ``(K, 2, n, n)`` stack of candidate pairs:
     each pair's largest margin over ``ks`` (all of 1..n or one k, already
     validated) and the first k attaining it, as :func:`worst_question_margin`
     gives them, and the spectra of A and tr(B) I - n B to carry (see
-    :func:`_pair_spectra`)."""
-    st, sa, sd = _pair_spectra(pairs, moved_b, sa, sd)
-    lhs, rhs = _sides(st, sa, sd, question)
+    :func:`_pair_sides`)."""
+    lhs, rhs, sa, sd = _pair_sides(pairs, question, moved_b, sa, sd)
     margins = lhs - rhs
     picked = margins if ks.size == margins.shape[-1] else margins[:, ks - 1]
     first = np.argmax(picked, axis=-1)
     return picked[np.arange(len(first)), first], ks[first], sa, sd
-
-
-def _split_budget(budget: int, restarts: int) -> list[int]:
-    if restarts <= 0:
-        return []
-    base, rem = divmod(budget, restarts)
-    return [base + (1 if r < rem else 0) for r in range(restarts)]
 
 
 def _builder(strategy: str, n: int, gens):
@@ -507,7 +505,6 @@ def search_counterexample(
     *,
     strategy: str = "general",
     tolerance: float = INEQUALITY_TOL,
-    step_init: float = 0.5,
     stall_limit: int = 50,
 ) -> SearchResult:
     """Multi-restart greedy search maximizing the question margin.
@@ -515,15 +512,15 @@ def search_counterexample(
     Each restart draws a random Hermitian pair (parameterized by 2 n^2 reals,
     or by two spectra in a shared random eigenbasis when
     ``strategy="commuting"``), then repeatedly perturbs one coordinate by a
-    Gaussian step, keeping improvements and halving the step after
-    ``stall_limit`` consecutive rejections.  ``budget`` counts margin
-    evaluations across all restarts; ties in best margin resolve to the
-    earlier restart.  A witness is attached only when the best pair fails
-    :func:`kyfan.norms.inequality_holds` at its k under ``tolerance``; a
-    negative result never claims nonexistence.  ``step_init`` must be finite
-    and positive and ``stall_limit`` an integer of at least 1.  The restarts
-    run in lockstep, each scoring its proposals ``SEARCH_BATCH`` at a time
-    (see the module docstring).
+    Gaussian step of ``STEP_INIT`` at first, keeping improvements and halving
+    the step after ``stall_limit`` consecutive rejections; ``stall_limit``
+    must be an integer of at least 1.  ``budget`` counts margin evaluations
+    across all restarts; ties in best margin resolve to the earlier restart.
+    A witness is attached only when the best pair breaks the tolerance rule
+    of :mod:`kyfan.norms` at its k under ``tolerance``; a negative result
+    never claims nonexistence.  ``s`` is a SeededStream or an int master
+    seed.  The restarts run in lockstep, each scoring its proposals
+    ``SEARCH_BATCH`` at a time (see the module docstring).
     """
     question = int(question)
     if question not in (1, 2):
@@ -539,9 +536,6 @@ def search_counterexample(
         raise ValueError("restarts must be positive")
     if strategy not in ("general", "commuting"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    step_init = float(step_init)
-    if not (math.isfinite(step_init) and step_init > 0):
-        raise ValueError(f"step_init must be finite and positive, got {step_init}")
     if (not isinstance(stall_limit, (int, np.integer)) or isinstance(stall_limit, bool)
             or stall_limit < 1):
         raise ValueError(f"stall_limit must be an integer of at least 1, got {stall_limit!r}")
@@ -552,26 +546,27 @@ def search_counterexample(
     ks = np.arange(1, n + 1) if k_policy == "all" else np.array([k_policy])
     if s is None:
         raise ValueError("a seed stream is required")
-    stream = s if isinstance(s, SeededStream) else SeededStream(int(s))
+    stream = _as_stream(s)
 
     best_margin = -math.inf
     best_pair = None
     best_k = 1
-    quotas = _split_budget(budget, restarts)
+    base, rem = divmod(budget, restarts)
+    quotas = [base + (1 if r < rem else 0) for r in range(restarts)]
     group = max(1, CHUNK_ENTRIES // (SEARCH_BATCH * n * n))
     for first in range(0, restarts, group):
         members = [r for r in range(first, min(restarts, first + group)) if quotas[r] > 0]
         if not members:
             continue
         finals = _climb([stream.offset(r).generator() for r in members],
-                        [quotas[r] for r in members], question, n, ks, strategy, step_init,
+                        [quotas[r] for r in members], question, n, ks, strategy, STEP_INIT,
                         stall_limit)
         for pair, margin, k, _, _ in finals:
             if margin > best_margin:
                 best_margin, best_pair, best_k = margin, pair, k
 
     witness = None
-    if best_pair is not None and _violates(*best_pair, question, best_k, tolerance):
+    if best_pair is not None and _worst_margins(*best_pair, question, [best_k], tolerance)[2]:
         witness = QuestionInstance(
             A=best_pair[0], B=best_pair[1], n=n, question=question, k=best_k
         )

@@ -1,10 +1,9 @@
 """Randomized inequality checkers with replayable reports.
 
 Each checker draws seeded trials, evaluates one inequality family at every
-requested k, and aggregates violations under the repo tolerance policy:
-a trial violates when lhs - rhs > tol * max(1, rhs).  Margins are lhs - rhs,
-so positive beyond tolerance means "violated".  The worst trial is kept as a
-:class:`Witness` whose matrices re-evaluate to the recorded margin.
+requested k, and counts as violations the (trial, k) entries whose margin
+lhs - rhs breaks the tolerance rule of :mod:`kyfan.norms`.  The worst trial
+is kept as a :class:`Witness` whose matrices re-evaluate to its margin.
 
 Each inequality family is declared once, by its entry in :data:`FAMILIES`:
 its report id, ``check --ineq`` group, help line, draw, build and parts
@@ -49,10 +48,10 @@ numpy 2.4.6 with OpenBLAS 0.3.31, the bit-exactness rules are:
 - 1-D BLAS reductions stay per trial: ``np.dot`` of the spectra in
   ``von-neumann``.
 
-Aggregation is that of a trial-by-trial loop: a violation is
-``margin > tol * max(1, rhs)``; only the ``k_values`` are scored; the worst
-margin is the first strict maximum in trial order, then k order; extra
-trials are scored after the drawn ones.
+Aggregation is that of a trial-by-trial loop: only the ``k_values`` are
+scored, each entry by the tolerance rule; the worst margin is the first
+strict maximum in trial order, then k order; extra trials are scored after
+the drawn ones.
 
 Extremal engine (stream contract v5)
 ------------------------------------
@@ -136,8 +135,8 @@ import numpy as np
 
 from .ensembles import (
     GENERATOR_ID,
-    SeededStream,
     _aligned_gaps,
+    _as_stream,
     _check_enumeration_budgets,
     _diagonal_inner,
     _contraction,
@@ -165,7 +164,7 @@ from .matrixcore import (
     singular_values,
     svd,
 )
-from .norms import INEQUALITY_TOL, _check_weight_rows
+from .norms import INEQUALITY_TOL, _check_weight_rows, _violated, residual_vanishes
 
 __all__ = [
     "Witness",
@@ -214,14 +213,6 @@ class CheckReport:
 #: is part of the stream contract, so this constant moves every checker and
 #: extremal stream; it is not a memory knob like ensembles.CHUNK_ENTRIES
 BLOCK_ENTRIES = 4096
-
-
-def _as_stream(s) -> SeededStream:
-    if isinstance(s, SeededStream):
-        return s
-    if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
-        return SeededStream(int(s))
-    raise TypeError("checker seeds must be a SeededStream or an int master seed")
 
 
 def _run_checker(
@@ -280,7 +271,7 @@ def _run_checker(
             return
         rhs = rhs[:, cols]
         margins = lhs[:, cols] - rhs
-        violations += int(np.count_nonzero(margins > tolerance * np.maximum(1.0, rhs)))
+        violations += int(np.count_nonzero(_violated(margins, rhs, tolerance)))
         for j, top in zip(cols, margins.max(axis=0)):
             if ks[j] not in per_k or top > per_k[ks[j]]:
                 per_k[ks[j]] = float(top)
@@ -620,32 +611,31 @@ def check_hmn(form: EntrywiseForm, n, trials, s, *, tolerance=INEQUALITY_TOL,
     sigma_1(A . B) / (sigma_1(A) sigma_1(B)) and the same for the adjoint
     form B^T . C.  Conclusion: for every k,
     sum_{i<=k} sigma_i(A . B) <= sum_{i<=k} sigma_i(A) sigma_i(B).
-    The report's details flag whether the observations are consistent with
-    "ratios stay <= 1 exactly when the family holds" — observed, not proved.
+    The hypothesis holds when no probed sigma_1 breaks the tolerance rule
+    against sigma_1(A) sigma_1(B).  The report's details flag whether the
+    observations are consistent with "the hypothesis holds exactly when the
+    family holds" — observed, not proved.
     """
     hyp = {"max_sigma1_ratio": 0.0, "max_adjoint_sigma1_ratio": 0.0}
+    hypothesis_ok = True
 
     def observe(mats, lhs, rhs):
         # the k = 1 parts are sigma_1(A . B) and sigma_1(A) sigma_1(B): reuse them
+        nonlocal hypothesis_ok
         denom = rhs[:, 0]
         probed = ~(denom < 1e-12)
         if not probed.any():
             return
         denom = denom[probed]
-        fwd = lhs[probed, 0] / denom
         adjoint = right_adjoint_apply(form, mats["A"][probed], mats["B"][probed])
-        adj = singular_values(adjoint)[:, 0] / denom
-        hyp["max_sigma1_ratio"] = max(hyp["max_sigma1_ratio"], float(fwd.max()))
-        hyp["max_adjoint_sigma1_ratio"] = max(hyp["max_adjoint_sigma1_ratio"], float(adj.max()))
+        for key, top in (("max_sigma1_ratio", lhs[probed, 0]),
+                         ("max_adjoint_sigma1_ratio", singular_values(adjoint)[:, 0])):
+            hyp[key] = max(hyp[key], float((top / denom).max()))
+            hypothesis_ok = hypothesis_ok and not _violated(top - denom, denom, tolerance).any()
 
     report = _check(f"hmn-{form.name}", n, trials, s, form, tolerance=tolerance,
                     k_values=k_values, extra_trials=extra_trials, observe=observe)
-    hypothesis_ok = (
-        hyp["max_sigma1_ratio"] <= 1.0 + tolerance
-        and hyp["max_adjoint_sigma1_ratio"] <= 1.0 + tolerance
-    )
-    details = dict(hyp)
-    details["hypothesis_ok"] = hypothesis_ok
+    details = dict(hyp, hypothesis_ok=hypothesis_ok)
     details["hypothesis_status"] = (
         "no violation observed" if hypothesis_ok else "violation observed"
     )
@@ -664,6 +654,10 @@ def check_fan_sigma1(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -
 # ---------------------------------------------------------------------------
 
 
+#: how far S* S of the fixed triple may be from the identity, in Frobenius norm
+UNITARY_TOL = 1e-12
+
+
 def counterexample_inputs() -> dict:
     """The fixed 3x3 violating triple: X = Y with all columns (1,1,1)/sqrt(3),
     and a rational unitary S whose diagonal-negated product with X*Y has top
@@ -673,12 +667,12 @@ def counterexample_inputs() -> dict:
     return {"X": x, "Y": x.copy(), "S": s}
 
 
-def reproduce_fan_counterexample(*, unitary_tol: float = 1e-12) -> Witness:
+def reproduce_fan_counterexample() -> Witness:
     """Reproduce the explicit contraction-norm violation for the
     diagonal-negated product.
 
     Builds the fixed triple from :func:`counterexample_inputs`, verifies S is
-    unitary to ``unitary_tol``, forms the diagonal-negated product of X*Y
+    unitary to ``UNITARY_TOL``, forms the diagonal-negated product of X*Y
     (an all-ones matrix) with S, and returns a witness whose margin is the
     k = 1 excess sigma_1(product) - c_1(X) c_1(Y) sigma_1(S), i.e.
     sigma_1 - 1.  Raises if the construction unexpectedly fails to violate.
@@ -686,7 +680,7 @@ def reproduce_fan_counterexample(*, unitary_tol: float = 1e-12) -> Witness:
     mats = counterexample_inputs()
     x, s = mats["X"], mats["S"]
     unitary_residual = float(np.linalg.norm(s.conj().T @ s - np.eye(3)))
-    if unitary_residual > unitary_tol:
+    if not residual_vanishes(unitary_residual, tol=UNITARY_TOL):
         raise ArithmeticError(f"S is not unitary: residual {unitary_residual}")
     gram = x.conj().T @ mats["Y"]
     product = fan_product(gram, s)

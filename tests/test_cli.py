@@ -89,6 +89,21 @@ class TestParsing:
         assert err.value.code == 2
         assert "expected a positive integer, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--ineq", "lemma31"], ["repro", "fan-counterexample"],
+        ["ptrace", "--question", "1"], ["search", "--question", "2"],
+    ])
+    def test_non_finite_tolerance_rejected(self, command, capsys):
+        # nan would fail only when the report is written, after the whole run;
+        # inf would read the known violation of repro as clean
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as err:
+                parse_arguments(command + [f"--tolerance={value}"])
+            assert err.value.code == 2
+            assert f"expected a finite number, got {value}" in capsys.readouterr().err
+        # a negative tolerance stays allowed: it forces a witness
+        assert parse_arguments(command + ["--tolerance=-10"]).tolerance == -10.0
+
     def test_extremal_dimension_below_two_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             parse_arguments(["extremal", "--n", "1"])
@@ -303,6 +318,29 @@ class TestExecution:
         assert by_target["identity-cross-check"]["violations"] == 0
         assert by_target["commuting-regression"]["worst_margin"] <= 1e-8
         assert "bounded-search" not in by_target
+
+    def test_ptrace_regression_scores_each_chunk_in_one_svd_call(self, monkeypatch, tmp_path):
+        # n = 3: a chunk holds CHUNK_ENTRIES // 9 = 455 pairs, so 1000 trials are
+        # 3 chunks; its worst margins and violation flags come from one pass
+        from kyfan import ensembles, ptrace
+
+        real, sizes = ptrace.singular_values, []
+
+        def counting(a):
+            sizes.append(np.shape(a)[0])
+            return real(a)
+
+        monkeypatch.setattr(ptrace, "singular_values", counting)
+        out = tmp_path / "pt.json"
+        status = main(["ptrace", "--question", "2", "--n", "3", "--trials", "1000",
+                       "--budget", "0", "--seed", "23", "--out", str(out)])
+        assert status == 0
+        chunk = ensembles.CHUNK_ENTRIES // 9
+        # the identity section takes no SVD; each chunk's T, tr(B) I - n B and A
+        assert sizes == [3 * chunk, 3 * chunk, 3 * (1000 - 2 * chunk)]
+        regression = load_document(str(out))["results"][1]
+        assert regression["target"] == "commuting-regression"
+        assert regression["trials"] == 1000 and regression["violations"] == 0
 
     def test_search_bounded(self, tmp_path):
         out = tmp_path / "s.json"

@@ -7,6 +7,8 @@ from kyfan import suite
 from kyfan.ensembles import GENERATOR_ID, SeededStream, ginibre
 from kyfan.forms import EntrywiseForm, fan_form, hadamard_form
 from kyfan.matrixcore import factor_sqrt, singular_values
+from kyfan.norms import inequality_holds
+from kyfan.ptrace import search_counterexample
 from kyfan.suite import (
     BLOCK_ENTRIES,
     CheckReport,
@@ -484,3 +486,69 @@ class TestStreamContractV2:
         base = 7 * 2**24
         check_product_family(n, trials, SeededStream(62, base))
         assert opened == list(range(base, base + -(-trials // _block_size(n))))
+
+
+@pytest.mark.parametrize("seed", [3.7, True, "5"])
+def test_a_seed_that_is_not_a_stream_or_an_int_is_refused(seed):
+    # int() would silently run 3.7 as seed 3 and True as seed 1
+    with pytest.raises(TypeError):
+        check_von_neumann(2, 1, seed)
+    with pytest.raises(TypeError):
+        search_counterexample(1, 2, budget=2, restarts=1, s=seed)
+
+
+def test_an_int_seed_is_its_stream():
+    for seed in (5, np.int64(5)):
+        assert (check_von_neumann(2, 3, seed).worst_margin
+                == check_von_neumann(2, 3, SeededStream(5)).worst_margin)
+        assert (search_counterexample(1, 2, budget=4, restarts=1, s=seed).best_margin
+                == search_counterexample(1, 2, budget=4, restarts=1, s=SeededStream(5)).best_margin)
+
+
+#: (lhs, rhs) pairs within a few ulps of lhs - rhs = 1e-8 max(1, rhs), where the
+#: forms lhs - rhs > 1e-8 max(1, rhs) and lhs > rhs + 1e-8 max(1, rhs) disagree
+BOUNDARY_PAIRS = [
+    (3.0532379939763743, 3.0532379634439946),
+    (0.7004270140932435, 0.7004270040932434),
+    (42.461644830028256, 42.46164440541181),
+]
+
+
+class TestOneToleranceRule:
+    """A checker's entries, :func:`inequality_holds` and the hmn hypothesis
+    reach one verdict on one (lhs, rhs) pair, also at the threshold."""
+
+    @staticmethod
+    def _synthetic(lhs, rhs):
+        """A build of zero 1 x 1 inputs and parts that score every trial at k = 1
+        as (lhs, rhs)."""
+
+        def build(*drawn):
+            zeros = np.zeros((len(drawn[0]), 1, 1), dtype=complex)
+            return {"A": zeros, "B": zeros}
+
+        def parts(mats):
+            shape = (len(mats["A"]), 1)
+            return (1,), np.full(shape, lhs), np.full(shape, rhs)
+
+        return build, parts
+
+    @pytest.mark.parametrize("lhs, rhs", BOUNDARY_PAIRS)
+    def test_every_verdict_agrees_at_the_threshold(self, monkeypatch, lhs, rhs):
+        tol = 1e-8
+        holds = bool(inequality_holds(lhs, rhs, tol))
+        assert not holds  # the margin is past the threshold
+        build, parts = self._synthetic(lhs, rhs)
+        report = _run_checker("synthetic", 1, 1, SeededStream(7), _draw_two, build, parts,
+                              tolerance=tol)
+        assert report.worst_margin == lhs - rhs
+        assert (report.violations == 0) == holds
+        # the hmn probe reads its k = 1 parts, so the forward sigma_1 is lhs
+        # against rhs; the adjoint of zero inputs is 0
+        family = suite.FAMILIES["hmn-hadamard"]
+        monkeypatch.setitem(suite.FAMILIES, "hmn-hadamard",
+                            dataclasses.replace(family, build=build, parts=parts))
+        hmn = check_hmn(hadamard_form(1), 1, 1, SeededStream(7), tolerance=tol)
+        assert (hmn.violations == 0) == holds
+        assert hmn.details["hypothesis_ok"] == holds
+        assert hmn.details["max_sigma1_ratio"] == lhs / rhs
