@@ -10,10 +10,7 @@ the repeats:
 
 - ``stream_open``: ``base.offset(t).generator()`` for t = 0, 1, ..., the way
   a trial loop opens its streams.  Every repeat starts from a fresh section
-  base (a multiple of 2**24, as the CLI spaces its sections), so no cached
-  state from an earlier repeat is reused.
-- ``stream_open_reference``: numpy's own open of the same streams,
-  ``Generator(PCG64(SeedSequence(seed, spawn_key=(index,))))``.
+  base (a multiple of 2**24, as the CLI spaces its sections).
 - ``draw_gaussian_5``: one 5 x 5 complex Gaussian RNG step (the (2, 5, 5)
   normals a Ginibre sample is made from) on an open generator.
 - ``svd_5_looped``: ``kyfan.matrixcore.svd`` of one 5 x 5 complex matrix.
@@ -135,13 +132,6 @@ def measure(ops: int, repeats: int) -> dict:
         for t in range(ops):
             base.offset(t).generator()
 
-    def stream_open_reference(rep):
-        from numpy.random import PCG64, Generator, SeedSequence
-
-        base = (rep + 1) * SECTION
-        for t in range(ops):
-            Generator(PCG64(SeedSequence(SEED, spawn_key=(base + t,))))
-
     g = SeededStream(SEED).generator()  # opened before timing, so lazy imports are not timed
 
     def draw_gaussian(rep):
@@ -189,7 +179,6 @@ def measure(ops: int, repeats: int) -> dict:
 
     layers = {
         "stream_open": (stream_open, ops),
-        "stream_open_reference": (stream_open_reference, ops),
         "draw_gaussian_5": (draw_gaussian, ops),
         "svd_5_looped": (svd_looped, ops),
         "svd_5_stacked": (svd_stacked, ops),

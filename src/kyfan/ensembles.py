@@ -12,14 +12,9 @@ proposals in blocks (see :mod:`kyfan.ptrace`).  Every sampler also accepts an
 already-open ``numpy.random.Generator`` so several draws inside one trial
 chain off a single stream instead of each restarting it.
 
-Stream (m, i) is seeded exactly as ``PCG64(SeedSequence(m, spawn_key=(i,)))``.
-The first stream opened in an aligned block of ``SEED_BLOCK`` consecutive
-indices is seeded through numpy's own SeedSequence.  When a second one is
-opened, the PCG64 seed words of the whole block are derived in one
-vectorised pass of numpy's SeedSequence hash and cached, and the block's
-first row is checked against numpy's own SeedSequence (``RuntimeError`` on a
-mismatch).  Importing this module does not import ``numpy.random``; opening
-the first stream does.
+Stream (m, i) is numpy's own ``Generator(PCG64(SeedSequence(m, spawn_key=(i,))))``;
+importing this module does not import ``numpy.random``, opening the first
+stream does.
 
 The candidate machinery enumerates the scaled sign-vector families that
 carry the extreme points of the weighted vector k-norm ball, and evaluates
@@ -30,7 +25,6 @@ closed form — the agreement of the two routes is what the test suite pins.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,10 +85,9 @@ class SeededStream:
     def __post_init__(self):
         for field_name in ("master_seed", "stream_index"):
             value = getattr(self, field_name)
-            if type(value) is not int:  # an exact int, as offset passes, needs no conversion
-                if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                    raise ValueError(f"{field_name} must be an integer")
-                object.__setattr__(self, field_name, int(value))
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{field_name} must be an integer")
+            object.__setattr__(self, field_name, int(value))
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.stream_index < 0:
@@ -103,21 +96,11 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         """A fresh ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(stream_index,))))``.
 
-        The first stream opened in a block of ``SEED_BLOCK`` indices takes its
-        PCG64 seed words from numpy's SeedSequence; later ones take them from
-        the block's cached words (see "Stream seeding" below).
+        ``numpy.random`` is imported here, so that importing kyfan does not import it.
         """
-        block, row = divmod(self.stream_index, SEED_BLOCK)
-        if next(_block_opens(self.master_seed, block)) == 0:
-            from numpy.random import SeedSequence
+        from numpy.random import PCG64, Generator, SeedSequence
 
-            words = SeedSequence(self.master_seed, spawn_key=(self.stream_index,)
-                                 ).generate_state(_POOL_SIZE, np.uint64)
-            words.setflags(write=False)
-        else:
-            words = _seed_block(self.master_seed, block)[row]
-        seed_row = _seed_row_type()(self.master_seed, self.stream_index, words)
-        return np.random.Generator(np.random.PCG64(seed_row))
+        return Generator(PCG64(SeedSequence(self.master_seed, spawn_key=(self.stream_index,))))
 
     def offset(self, delta: int) -> "SeededStream":
         """The stream ``delta`` indices further along (trial substreams).
@@ -137,181 +120,6 @@ def _as_stream(s) -> SeededStream:
     if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
         return SeededStream(int(s))
     raise TypeError(f"expected a SeededStream or an int master seed, got {type(s).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# stream seeding
-#
-# Stream (m, i) is seeded by numpy's SeedSequence(m, spawn_key=(i,)), whose
-# PCG64 words are generate_state(4, np.uint64).  The SeedSequence hashes its
-# entropy words into a pool of 4 uint32 words, one word at a time: first the
-# run entropy m (zero-padded to the pool size, as numpy does for spawned
-# sequences), then the 32-bit words of i.  Everything before the words of i
-# depends on m alone and is computed once per master seed.  The words of i
-# and the output hashes are then applied to a whole block of SEED_BLOCK
-# consecutive indices at once, as uint32 array arithmetic; the 4 pool words
-# and the 8 output words are rows of one 2-D array each.  Blocks are
-# aligned, so they never cross a multiple of 2**32, where i gains a word:
-# within a block only the low word varies.  Each new block's first row is
-# checked against numpy's own SeedSequence.  A block is derived only when a
-# second stream in it is opened: a section that opens one stream, as a
-# short checker section does, seeds it from numpy's SeedSequence instead
-# (about 25 us against about 100 us for a block).
-# ---------------------------------------------------------------------------
-
-#: consecutive stream indices whose seed words are derived in one pass
-SEED_BLOCK = 1024
-
-# the constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-
-
-def _words32(value: int) -> list[int]:
-    """``value`` as little-endian 32-bit words, at least one, as numpy splits an int."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hashmix(value, hash_const):
-    """numpy's ``hashmix`` of a word under a hash constant, and the constant after it.
-
-    Ints, or uint32 arrays that broadcast against each other.
-    """
-    next_const = (hash_const * _MULT_A) & _MASK32
-    value = ((value ^ hash_const) * next_const) & _MASK32
-    return value ^ (value >> 16), next_const
-
-
-def _mix(x, y):
-    """numpy's ``mix`` of two words (ints or uint32 arrays)."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _const_column(first: int, mult: int, count: int) -> np.ndarray:
-    """``count`` hash constants from ``first`` on, each ``mult`` times the last, as a column."""
-    consts = [first]
-    for _ in range(count - 1):
-        consts.append((consts[-1] * mult) & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _absorb(pool: np.ndarray, words, hash_const: int) -> tuple[np.ndarray, int]:
-    """Mix each of ``words`` into every pool word, as numpy mixes entropy beyond the pool.
-
-    ``pool`` is a (4, m) uint32 array and a word an int or a length-m uint32
-    array.  A word's four hashes depend on it and the hash constants alone,
-    so they are formed together as one (4, m) array.
-    """
-    for word in words:
-        consts = _const_column(hash_const, _MULT_A, _POOL_SIZE + 1)
-        hashed, _ = _hashmix(word, consts[:-1])
-        pool = _mix(pool, hashed)
-        hash_const = int(consts[-1, 0])
-    return pool, hash_const
-
-
-@lru_cache(maxsize=8)
-def _run_entropy_pool(master_seed: int) -> tuple[np.ndarray, int]:
-    """The (4, 1) pool and the hash constant of every stream of ``master_seed`` before its
-    spawn key."""
-    entropy = _words32(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    pool, hash_const = _absorb(np.array(pool, dtype=np.uint32)[:, None],
-                               entropy[_POOL_SIZE:], hash_const)
-    pool.setflags(write=False)
-    return pool, hash_const
-
-
-@lru_cache(maxsize=8)
-def _seed_block(master_seed: int, block: int) -> np.ndarray:
-    """Read-only (SEED_BLOCK, 4) uint64 PCG64 seed words of streams from ``block * SEED_BLOCK``.
-
-    Row r holds ``SeedSequence(master_seed, spawn_key=(block * SEED_BLOCK + r,))
-    .generate_state(4, np.uint64)``.  Raises ``RuntimeError`` if row 0 is not
-    what numpy's SeedSequence gives.
-    """
-    start = block * SEED_BLOCK
-    pool, hash_const = _run_entropy_pool(master_seed)
-    low, *high = _words32(start)
-    pool, _ = _absorb(pool, [np.arange(low, low + SEED_BLOCK, dtype=np.uint32), *high],
-                      hash_const)
-    # generate_state: 8 uint32 words drawn cyclically from the pool, paired little-endian
-    consts = _const_column(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
-    value = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ consts[:-1]) * consts[1:]
-    state = np.ascontiguousarray((value ^ (value >> 16)).T, dtype="<u4")
-    words = state.view("<u8").astype(np.uint64)
-    from numpy.random import SeedSequence
-
-    expected = SeedSequence(master_seed, spawn_key=(start,)).generate_state(_POOL_SIZE, np.uint64)
-    if not np.array_equal(words[0], expected):
-        raise RuntimeError(
-            f"the block seed derivation of stream ({master_seed}, {start}) does not match "
-            f"numpy {np.__version__}'s SeedSequence; kyfan's copy of its hashing constants "
-            "or steps no longer matches this numpy"
-        )
-    words.setflags(write=False)
-    return words
-
-
-@lru_cache(maxsize=64)
-def _block_opens(master_seed: int, block: int):
-    """Counts the streams opened in a seed block: ``next()`` gives 0 on the first open.
-
-    An evicted counter starts again at 0, which costs one open through
-    numpy's SeedSequence and changes no stream.
-    """
-    return itertools.count()
-
-
-@lru_cache(maxsize=None)
-def _seed_row_type():
-    """The ``ISeedSequence`` that seeds a stream's PCG64 from its given seed words.
-
-    Built on first use, so that importing kyfan does not import numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence, SeedSequence
-
-    class SeedRow(ISeedSequence):
-        """``SeedSequence(master_seed, spawn_key=(stream_index,))`` with its PCG64 words given.
-
-        ``generate_state(4, np.uint64)``, the call PCG64 seeds from, returns the
-        given words, read-only: a row of the cached block, or the words of the
-        stream's own SeedSequence; any other request goes to the SeedSequence.
-        """
-
-        def __init__(self, master_seed: int, stream_index: int, words: np.ndarray):
-            self.master_seed = master_seed
-            self.stream_index = stream_index
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words == _POOL_SIZE and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
-                return self.words
-            seq = SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
-            return seq.generate_state(n_words, dtype)
-
-    return SeedRow
 
 
 def as_generator(s) -> np.random.Generator:

@@ -69,7 +69,7 @@ class TestSeededStream:
 #: of two and seven 32-bit words
 DERIVATION_SEEDS = [0, 1, 271828, 161803, 2**32 - 1, 2**32, 2**64 + 12345, 2**200 + 7]
 #: stream indices: every section base the CLI uses (k * 2**24) and its next
-#: index, a seed-block edge, and the points where the spawn key gains a word
+#: index, 1023 and 1024, and the points where the spawn key gains a word
 DERIVATION_INDICES = (
     list(range(301))
     + [k * 2**24 + d for k in range(1, 71) for d in (0, 1)]
@@ -89,44 +89,13 @@ class TestStreamMatchesSeedSequence:
             assert np.array_equal(got.standard_normal(3), ref.standard_normal(3)), index
             assert got.integers(2**62) == ref.integers(2**62), index
 
-    def test_a_corrupted_derivation_is_refused(self, monkeypatch):
-        from kyfan import ensembles
-
-        monkeypatch.setattr(ensembles, "_INIT_B", ensembles._INIT_B ^ 1)
-        ensembles._seed_block.cache_clear()
-        ensembles._block_opens.cache_clear()
-        try:
-            SeededStream(3, 5000).generator()  # a block's first open derives no block
-            with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-                SeededStream(3, 5001).generator()
-        finally:
-            monkeypatch.undo()
-            ensembles._seed_block.cache_clear()
-        assert SeededStream(3, 5000).generator().bit_generator.state == np.random.PCG64(
-            np.random.SeedSequence(3, spawn_key=(5000,))).state
-
-    def test_seed_rows_answer_other_requests_as_the_seed_sequence(self):
-        got = SeededStream(9, 2**40 + 3).generator().bit_generator.seed_seq
-        ref = np.random.SeedSequence(9, spawn_key=(2**40 + 3,))
-        words = got.generate_state(4, np.uint64)
-        assert np.array_equal(words, ref.generate_state(4, np.uint64))
-        with pytest.raises(ValueError):
-            words[0] = 0  # the row is the cached block's; it must not be writable
-        assert np.array_equal(got.generate_state(5), ref.generate_state(5))
-        assert np.array_equal(got.generate_state(2, np.uint64), ref.generate_state(2, np.uint64))
-
-    def test_a_single_open_derives_no_block(self):
-        from kyfan import ensembles
-
-        index = 2**40 + 5 * 1024 + 17
-        misses = ensembles._seed_block.cache_info().misses
-        first = SeededStream(10, index).generator()
-        assert ensembles._seed_block.cache_info().misses == misses
-        second = SeededStream(10, index + 1).generator()  # the second open derives the block
-        assert ensembles._seed_block.cache_info().misses == misses + 1
-        for got, i in ((first, index), (second, index + 1)):
-            assert got.bit_generator.state == np.random.PCG64(
-                np.random.SeedSequence(10, spawn_key=(i,))).state
+    def test_the_generator_is_numpys_own(self):
+        g = SeededStream(7, 3).generator()
+        seq = g.bit_generator.seed_seq
+        assert isinstance(seq, np.random.SeedSequence)
+        assert seq.entropy == 7 and seq.spawn_key == (3,)
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7, spawn_key=(3,))))
+        assert g.spawn(1)[0].standard_normal() == ref.spawn(1)[0].standard_normal()
 
     def test_each_call_opens_a_fresh_generator(self):
         s = SeededStream(5, 7)

@@ -103,7 +103,7 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
     assert script.main(["--label", "t", "--ops", "4", "--repeats", "2",
                         "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert set(doc["layers"]) == {"stream_open", "stream_open_reference", "draw_gaussian_5",
+    assert set(doc["layers"]) == {"stream_open", "draw_gaussian_5",
                                   "svd_5_looped", "svd_5_stacked", "checker_trial_ahj_5",
                                   "checker_trial_lemma32_5", "search_stack_3",
                                   "search_q2_3000", "extremal_2000"}
