@@ -40,7 +40,7 @@ from .ensembles import (
     random_hermitian,
 )
 from .fileformat import dump_document, write_text
-from .matrixcore import kronecker, partial_trace_first, singular_values
+from .matrixcore import kronecker, partial_trace_first
 from .norms import INEQUALITY_TOL, RESIDUAL_TOL, _violated, residual_vanishes
 from .ptrace import (
     _worst_margins,
@@ -61,6 +61,7 @@ from .suite import (  # noqa: F401
     Witness,
     _check,
     _extremal_gaps,
+    _fan_counterexample,
     check_ahj,
     check_fan_sigma1,
     check_hadamard_family,
@@ -69,7 +70,6 @@ from .suite import (  # noqa: F401
     check_lemma32,
     check_product_family,
     check_von_neumann,
-    reproduce_fan_counterexample,
 )
 
 __all__ = ["RunConfig", "parse_arguments", "execute", "main"]
@@ -347,11 +347,7 @@ def _execute_extremal(cfg: RunConfig):
 
 
 def _execute_repro(cfg: RunConfig):
-    witness = reproduce_fan_counterexample()
-    product = witness.matrices["product"]
-    spectrum = singular_values(product)
-    s_mat = witness.matrices["S"]
-    unitary_residual = float(np.linalg.norm(s_mat.conj().T @ s_mat - np.eye(3)))
+    witness, spectrum, unitary_residual = _fan_counterexample()
     result = {
         "target": "fan-counterexample",
         "k": witness.k,

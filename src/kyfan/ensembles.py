@@ -4,9 +4,10 @@ Sampling is driven by explicit streams: a :class:`SeededStream` is a
 (master_seed, stream_index) pair that deterministically opens a PCG64
 generator, so results are independent of scheduling.  A run section based
 at stream index ``base`` maps its trials to streams by the stream contract
-named in ``GENERATOR_ID``.  Under contract v5 the checker engine and the
-``extremal`` targets draw block b of their trials from stream ``base + b``
-(see :mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
+named in ``GENERATOR_ID``.  Under contract v6 the checker engine and the
+``extremal`` targets draw block b of their trials from stream ``base + b``,
+a checker block only the normals of the trials it scores (see
+:mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
 stream per trial or restart, base + t, and a search restart draws its
 proposals in blocks (see :mod:`kyfan.ptrace`).  Every sampler also accepts an
 already-open ``numpy.random.Generator`` so several draws inside one trial
@@ -59,10 +60,11 @@ __all__ = [
 ]
 
 #: recorded in every report so a replay can verify it uses the same bit source:
-#: the generator family, the stream contract (v5: block-drawn checker trials
-#: and exact-size extremal draws scored through diag(U* C V), see kyfan.suite,
-#: and block-drawn search proposals, see kyfan.ptrace) and the numpy version
-GENERATOR_ID = f"numpy-pcg64-seedseq-v5/{np.__version__}"
+#: the generator family, the stream contract (v6: block-drawn checker trials
+#: whose blocks draw the normals of the scored trials only, and exact-size
+#: extremal draws scored through diag(U* C V), see kyfan.suite, and
+#: block-drawn search proposals, see kyfan.ptrace) and the numpy version
+GENERATOR_ID = f"numpy-pcg64-seedseq-v6/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6
@@ -135,18 +137,18 @@ def as_generator(s) -> np.random.Generator:
 # The samplers the checkers stack are split in two: an RNG step that makes
 # one trial's generator calls in a fixed order, and a transform that takes
 # the stacked results of many trials, ``(..., n, n)`` arrays, to the sampled
-# matrices.  The public sampler is the transform of a batch of one.  Given a
-# block size, an RNG step makes each of its calls once for the whole block,
-# with a leading block axis (the block rule of kyfan.suite).
+# matrices.  The public sampler is the transform of a batch of one.  The
+# checker engine draws a block's inputs by its own rule (kyfan.suite) and
+# stacks them through the same transforms.
 # ---------------------------------------------------------------------------
 
 
-def _gaussian(n: int, g: np.random.Generator, *block: int) -> np.ndarray:
-    """RNG step of the Gaussian samplers: (*block, 2, n, n) real, then imaginary parts.
+def _gaussian(n: int, g: np.random.Generator) -> np.ndarray:
+    """RNG step of the Gaussian samplers: (2, n, n) real, then imaginary parts.
 
     One call draws the same normals, in the same order, as two (n, n) calls.
     """
-    return g.standard_normal((*block, 2, n, n))
+    return g.standard_normal((2, n, n))
 
 
 def _complex(w: np.ndarray) -> np.ndarray:
@@ -164,16 +166,16 @@ def _haar(w: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _contraction_draw(n: int, g: np.random.Generator, *block: int) -> tuple:
-    return _gaussian(n, g, *block), _gaussian(n, g, *block), g.uniform(0.0, 1.0, size=(*block, n))
+def _contraction_draw(n: int, g: np.random.Generator) -> tuple:
+    return _gaussian(n, g), _gaussian(n, g), g.uniform(0.0, 1.0, size=n)
 
 
 def _contraction(wu: np.ndarray, wv: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (_haar(wu) * t[..., None, :]) @ _adjoint(_haar(wv))
 
 
-def _subunit_draw(n: int, g: np.random.Generator, *block: int) -> tuple:
-    return _gaussian(n, g, *block), g.uniform(0.0, 1.0, size=(*block, n))
+def _subunit_draw(n: int, g: np.random.Generator) -> tuple:
+    return _gaussian(n, g), g.uniform(0.0, 1.0, size=n)
 
 
 def _subunit(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:

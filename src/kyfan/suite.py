@@ -6,30 +6,41 @@ lhs - rhs breaks the tolerance rule of :mod:`kyfan.norms`.  The worst trial
 is kept as a :class:`Witness` whose matrices re-evaluate to its margin.
 
 Each inequality family is declared once, by its entry in :data:`FAMILIES`:
-its report id, ``check --ineq`` group, help line, draw, build and parts
-functions, scored k values and form.  ``kyfan check``, its help text and
+its report id, ``check --ineq`` group, help line, one-trial draw, build and
+parts functions, scored k values and form.  ``kyfan check``, its help text and
 :func:`reevaluate_margin` read the table, so a family is added by one entry.
 
-Trial engine (stream contract v5)
+Trial engine (stream contract v6)
 ---------------------------------
 The trials of a run section based at stream index ``base`` come in blocks
 of ``B_n = max(1, BLOCK_ENTRIES // n**2)`` trials, ``BLOCK_ENTRIES = 4096``.
-Block b is drawn from the one generator ``stream.offset(b).generator()``:
-each generator call of the family's one-trial RNG step is made once, with
-a leading block axis of ``B_n`` trials, in the one-trial call order;
-ahj-given, for example, draws three ``g.standard_normal((B_n, 2, n, n))``.
-lemma32 draws the normals of X's n columns, then of Y's, as one
-``g.standard_normal((B_n, n, 2, n))`` each (column j's real then imaginary
-parts), then u's and v's real and imaginary parts as four ``(B_n, n)``
-draws, and normalises its columns and vectors with last-axis norms of the
-block.  A block always draws all ``B_n`` trials' variates, even where the
-section ends inside it, and slices off the rest before any transform, so
-trial t's inputs depend only on the seed, the section base, n and t, never
-on the trial count.  A section of T trials opens ``ceil(T / B_n)`` streams,
-at ``base`` up to ``base + ceil(T / B_n) - 1``.  The ``extremal`` engine
-below draws by the same block rule; the ``ptrace`` loops and the searches
-keep one stream per trial or restart, and a search restart draws its
-proposals in blocks of its own (see :mod:`kyfan.ptrace`).
+Block b is drawn from the one generator ``stream.offset(b).generator()``.
+A family declares the generator calls of one trial once, as its
+:attr:`Family.draw`: each call draws either normals or uniforms on [0, 1)
+of a shape set by n.  Where the section scores the block's first c trials
+(c = B_n except in its last block), :func:`_draw_block` makes, in order:
+
+1. every uniform call, in the one-trial order, each as one
+   ``g.uniform(0.0, 1.0, (B_n, *shape))`` over all B_n trials;
+2. one ``g.standard_normal((c, m))``, m the number of normals of one
+   trial: row t holds trial t's normals, its normal calls in the one-trial
+   order, each call's entries row-major.
+
+ahj-given, for example, draws one ``g.standard_normal((c, 6 n**2))``, the
+(2, n, n) real and imaginary parts of X, then Y, then B.  lemma31 draws the
+(B_n, n) column lengths of X, then of Y, then the singular values of S, and
+then one ``(c, 8 n**2)`` row per trial: X's, Y's and the two Haar factors
+of S's normals.  lemma32 draws only normals, ``(c, 4 n**2 + 4 n)``: X's n
+columns as (n, 2, n) (column j's real then imaginary parts), Y's, then u's
+and v's real and imaginary parts, n each; it normalises its columns and
+vectors with last-axis norms of the block.  So a block draws only the
+normals of the trials it scores, and trial t's inputs still depend only on
+the seed, the section base, n and t, never on the trial count.  A section
+of T trials opens ``ceil(T / B_n)`` streams, at ``base`` up to
+``base + ceil(T / B_n) - 1``.  The ``extremal`` engine below also draws
+block j from stream ``base + j``, by calls of its own; the ``ptrace`` loops
+and the searches keep one stream per trial or restart, and a search restart
+draws its proposals in blocks of its own (see :mod:`kyfan.ptrace`).
 
 Everything after the draws runs on the block's stacks: the block is
 transformed, evaluated and scored as ``(T, n, n)`` arrays of at most
@@ -53,8 +64,8 @@ scored, each entry by the tolerance rule; the worst margin is the first
 strict maximum in trial order, then k order; extra trials are scored after
 the drawn ones.
 
-Extremal engine (stream contract v5)
-------------------------------------
+Extremal engine (stream contract v5, unchanged in v6)
+----------------------------------------------------
 The ``kyfan extremal`` targets run through :func:`_extremal_gaps`.  Block j
 of a section holds ``B = max(1, BLOCK_ENTRIES // n_max**2)`` trials (64 at
 n_max = 8) and is drawn from ``stream.offset(j).generator()``, each draw one
@@ -76,10 +87,10 @@ call over the whole block, in this order:
   (2, 2, n, n) normals of the two Haar factors U and V of its sampled
   candidate (U's real and imaginary parts, then V's).
 
-Trial t uses exactly its own runs.  As for the checkers, a block draws all
-B trials, so trial t's n, weight and C depend only on the seed, the section
-base, n_max and t, never on ``--trials`` or ``--samples``, and a section of
-T trials opens ``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)``
+Trial t uses exactly its own runs.  A block draws all B trials, so trial
+t's n, weight and C depend only on the seed, the section base, n_max and t,
+never on ``--trials`` or ``--samples``, and a section of T trials opens
+``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)``
 array of prefix sums; :class:`~kyfan.norms.Weight`'s checks run on it row by
 row.  Every vector trial's families are checked against
 ``ENUMERATION_BUDGET`` before any is scored, naming the first over-budget
@@ -140,12 +151,9 @@ from .ensembles import (
     _check_enumeration_budgets,
     _diagonal_inner,
     _contraction,
-    _contraction_draw,
-    _gaussian,
     _ginibre,
     _sampled_values,
     _subunit,
-    _subunit_draw,
     _support_gaps,
 )
 from .forms import (
@@ -232,9 +240,10 @@ def _run_checker(
 ) -> CheckReport:
     """Run ``trials`` seeded trials plus ``extra_trials`` through the chunked engine.
 
-    ``draw(n, size, g)`` is a block's RNG step and returns a tuple of arrays
-    with a leading axis of ``size`` trials; ``build`` maps such a tuple to a
-    dict of ``(T, ...)`` matrix stacks;
+    ``draw`` is a family's one-trial generator calls, which
+    :func:`_draw_block` makes for a block; ``build`` maps the arrays they
+    return, each with a leading axis of T trials, to a dict of ``(T, ...)``
+    matrix stacks;
     ``parts`` evaluates such a dict to ``(ks, lhs, rhs)`` with lhs and rhs of
     shape ``(T, len(ks))``.  ``shared`` entries (a form's mask) are the same
     for every trial: they join each chunk and each witness unstacked.
@@ -285,10 +294,8 @@ def _run_checker(
 
     size = max(1, BLOCK_ENTRIES // (n * n))
     for block, start in enumerate(range(0, trials, size)):
-        # a block draws all its trials even where the run ends inside it, so
-        # trial t's inputs do not depend on the trial count
-        drawn = draw(n, size, stream.offset(block).generator())
-        score(build(*(column[:trials - start] for column in drawn)))
+        g = stream.offset(block).generator()
+        score(build(*_draw_block(draw, n, size, min(size, trials - start), g)))
     for extra in extras:
         score({name: as_matrix(m, name=name)[None]
                for name, m in extra.items() if name not in shared}, extra)
@@ -312,22 +319,56 @@ def _run_checker(
 
 
 # ---------------------------------------------------------------------------
-# trial draws: block RNG steps and their stacked transforms.  ``_draw_*(n,
-# size, g)`` makes a family's one-trial generator calls once each, for
-# ``size`` trials, with a leading block axis and in the one-trial order.
+# trial draws and their stacked transforms.  A draw is the generator calls of
+# one trial, in order, each a kind ("normal" or "uniform") and its shape at n;
+# _draw_block makes them for a block by the contract v6 rule
 # ---------------------------------------------------------------------------
 
+#: the (2, n, n) normals of a complex Gaussian matrix: real, then imaginary part
+_GAUSSIAN = ("normal", lambda n: (2, n, n))
+#: n uniforms: a subunit matrix's column lengths or a contraction's singular values
+_UNIFORMS = ("uniform", lambda n: (n,))
+#: n complex columns' normals, column by column, each real then imaginary parts
+_COLUMNS = ("normal", lambda n: (n, 2, n))
+#: n normals: the real or imaginary part of a vector
+_VECTOR = ("normal", lambda n: (n,))
 
-def _draw_two(n, size, g):
-    return _gaussian(n, g, size), _gaussian(n, g, size)
+_draw_two = (_GAUSSIAN, _GAUSSIAN)
+_draw_three = (_GAUSSIAN, _GAUSSIAN, _GAUSSIAN)
+#: X and Y subunit-column (normals, lengths), then S a contraction (U, V, singular values)
+_draw_lemma31 = (_GAUSSIAN, _UNIFORMS, _GAUSSIAN, _UNIFORMS, _GAUSSIAN, _GAUSSIAN, _UNIFORMS)
+#: X's and Y's columns, then u's and v's real and imaginary parts
+_draw_lemma32 = (_COLUMNS, _COLUMNS, _VECTOR, _VECTOR, _VECTOR, _VECTOR)
+_draw_contractions = (_GAUSSIAN, _GAUSSIAN, _UNIFORMS) * 2
+
+
+def _draw_block(draw, n, size, count, g):
+    """The calls of ``draw`` for a block of ``size`` trials whose first ``count`` are scored.
+
+    Every uniform call is made over all ``size`` trials, in the order of
+    ``draw``; then one ``g.standard_normal((count, m))`` holds, row by row,
+    each scored trial's m normals, its normal calls in order, each
+    row-major.  Returns one array per call, in the order of ``draw``, each
+    with a leading axis of ``count`` trials.
+    """
+    calls = [(kind, shape(n)) for kind, shape in draw]
+    uniforms = iter([g.uniform(0.0, 1.0, (size, *shape))[:count]
+                     for kind, shape in calls if kind == "uniform"])
+    normals = g.standard_normal(
+        (count, sum(math.prod(shape) for kind, shape in calls if kind == "normal")))
+    out, start = [], 0
+    for kind, shape in calls:
+        if kind == "uniform":
+            out.append(next(uniforms))
+            continue
+        width = math.prod(shape)
+        out.append(normals[:, start:start + width].reshape(count, *shape))
+        start += width
+    return tuple(out)
 
 
 def _ginibre_pair(wa, wb):
     return {"A": _ginibre(wa), "B": _ginibre(wb)}
-
-
-def _draw_three(n, size, g):
-    return _gaussian(n, g, size), _gaussian(n, g, size), _gaussian(n, g, size)
 
 
 def _ahj_given(wx, wy, wb):
@@ -337,11 +378,6 @@ def _ahj_given(wx, wy, wb):
 def _ahj_sqrt(wa, wb):
     x, y = factor_sqrt(_ginibre(wa))
     return {"X": x, "Y": y, "B": _ginibre(wb)}
-
-
-def _draw_lemma31(n, size, g):
-    return (*_subunit_draw(n, g, size), *_subunit_draw(n, g, size),
-            *_contraction_draw(n, g, size))
 
 
 def _lemma31_inputs(wx, lx, wy, ly, wu, wv, t):
@@ -359,19 +395,9 @@ def _unit_columns(w):
     return np.ascontiguousarray(np.swapaxes(z, -1, -2))
 
 
-def _draw_lemma32(n, size, g):
-    """X's and Y's column normals, then u's and v's real and imaginary parts."""
-    return (g.standard_normal((size, n, 2, n)), g.standard_normal((size, n, 2, n)),
-            *(g.standard_normal((size, n)) for _ in range(4)))
-
-
 def _lemma32_inputs(wx, wy, ur, ui, vr, vi):
     u, v = _unit_rows(ur + 1j * ui), _unit_rows(vr + 1j * vi)
     return {"X": _unit_columns(wx), "Y": _unit_columns(wy), "u": u[..., None], "v": v[..., None]}
-
-
-def _draw_contractions(n, size, g):
-    return (*_contraction_draw(n, g, size), *_contraction_draw(n, g, size))
 
 
 def _contraction_pair(wua, wva, ta, wub, wvb, tb):
@@ -470,9 +496,10 @@ class Family:
     """One checked inequality, declared once.
 
     ``id`` is its report id and ``ineq`` the ``check --ineq`` group that runs
-    it; a group's help line is its first family's.  ``draw``, ``build`` and
-    ``parts`` are the engine's block RNG step, stacked transform and
-    evaluator (see :func:`_run_checker`); a section at n scores the k values
+    it; a group's help line is its first family's.  ``draw`` is the generator
+    calls of one trial, which :func:`_draw_block` makes for a block, and
+    ``build`` and ``parts`` are the engine's stacked transform and evaluator
+    (see :func:`_run_checker`); a section at n scores the k values
     ``scored_ks(n)``.  Where ``form`` is set, the family runs with the mask of
     ``form(n)``, shared by every trial.
     """
@@ -677,6 +704,12 @@ def reproduce_fan_counterexample() -> Witness:
     k = 1 excess sigma_1(product) - c_1(X) c_1(Y) sigma_1(S), i.e.
     sigma_1 - 1.  Raises if the construction unexpectedly fails to violate.
     """
+    return _fan_counterexample()[0]
+
+
+def _fan_counterexample() -> tuple[Witness, np.ndarray, float]:
+    """:func:`reproduce_fan_counterexample`'s witness, with the product's
+    singular values and S's unitary residual it was decided on."""
     mats = counterexample_inputs()
     x, s = mats["X"], mats["S"]
     unitary_residual = float(np.linalg.norm(s.conj().T @ s - np.eye(3)))
@@ -684,13 +717,13 @@ def reproduce_fan_counterexample() -> Witness:
         raise ArithmeticError(f"S is not unitary: residual {unitary_residual}")
     gram = x.conj().T @ mats["Y"]
     product = fan_product(gram, s)
-    top = float(singular_values(product)[0])
+    spectrum = singular_values(product)
     rhs = float(column_norms(x)[0] * column_norms(mats["Y"])[0] * singular_values(s)[0])
-    margin = top - rhs
+    margin = float(spectrum[0]) - rhs
     if margin <= 0:
         raise ArithmeticError("expected a violation, found none")
     matrices = dict(mats, product=product)
-    return Witness(matrices=matrices, k=1, margin=margin)
+    return Witness(matrices=matrices, k=1, margin=margin), spectrum, unitary_residual
 
 
 def von_neumann_equality_witness(b) -> np.ndarray:

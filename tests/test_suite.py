@@ -29,10 +29,7 @@ from kyfan.suite import (
     _ahj_sqrt,
     _family,
     _contraction_pair,
-    _draw_contractions,
-    _draw_lemma31,
-    _draw_lemma32,
-    _draw_three,
+    _draw_block,
     _draw_two,
     _ginibre_pair,
     _lemma31_inputs,
@@ -301,7 +298,7 @@ class TestStackedEngine:
 
 
 # ---------------------------------------------------------------------------
-# stream contract v2: block b of a section is drawn from stream base + b by
+# stream contract v6: block b of a section is drawn from stream base + b by
 # the documented generator calls, written out here call by call
 # ---------------------------------------------------------------------------
 
@@ -310,28 +307,44 @@ def _block_size(n):
     return max(1, BLOCK_ENTRIES // n**2)
 
 
-def _normals(n, size, g):
-    return g.standard_normal((size, 2, n, n))
+def _uniforms(n, b, g):
+    """One uniform call over all b trials of the block."""
+    return g.uniform(0.0, 1.0, size=(b, n))
 
 
-def _uniforms(n, size, g):
-    return g.uniform(0.0, 1.0, size=(size, n))
+def _rows(normals, *shapes):
+    """Each scored trial's row of normals, cut into its normal calls in order, each row-major."""
+    c, out, start = len(normals), [], 0
+    for shape in shapes:
+        width = int(np.prod(shape))
+        out.append(normals[:, start:start + width].reshape(c, *shape))
+        start += width
+    return out
+
+
+def _lemma31_calls(n, b, c, g):
+    lx, ly, ts = _uniforms(n, b, g)[:c], _uniforms(n, b, g)[:c], _uniforms(n, b, g)[:c]
+    wx, wy, wu, wv = _rows(g.standard_normal((c, 8 * n * n)), *[(2, n, n)] * 4)
+    return wx, lx, wy, ly, wu, wv, ts
+
+
+def _contraction_calls(n, b, c, g):
+    ta, tb = _uniforms(n, b, g)[:c], _uniforms(n, b, g)[:c]
+    wua, wva, wub, wvb = _rows(g.standard_normal((c, 8 * n * n)), *[(2, n, n)] * 4)
+    return wua, wva, ta, wub, wvb, tb
 
 
 DOCUMENTED_CALLS = {
-    # draw function: the generator calls of one block, in order
-    _draw_two: lambda n, b, g: (_normals(n, b, g), _normals(n, b, g)),
-    _draw_three: lambda n, b, g: (_normals(n, b, g), _normals(n, b, g), _normals(n, b, g)),
-    _draw_lemma31: lambda n, b, g: (
-        _normals(n, b, g), _uniforms(n, b, g), _normals(n, b, g), _uniforms(n, b, g),
-        _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g)),
-    _draw_lemma32: lambda n, b, g: (
-        g.standard_normal((b, n, 2, n)), g.standard_normal((b, n, 2, n)),
-        g.standard_normal((b, n)), g.standard_normal((b, n)),
-        g.standard_normal((b, n)), g.standard_normal((b, n))),
-    _draw_contractions: lambda n, b, g: (
-        _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g),
-        _normals(n, b, g), _normals(n, b, g), _uniforms(n, b, g)),
+    # draw: the generator calls of a block of b trials whose first c are
+    # scored, in order, cut into the arrays of the one-trial calls
+    "_draw_two": lambda n, b, c, g: _rows(g.standard_normal((c, 4 * n * n)),
+                                          (2, n, n), (2, n, n)),
+    "_draw_three": lambda n, b, c, g: _rows(g.standard_normal((c, 6 * n * n)),
+                                            (2, n, n), (2, n, n), (2, n, n)),
+    "_draw_lemma31": _lemma31_calls,
+    "_draw_lemma32": lambda n, b, c, g: _rows(g.standard_normal((c, 4 * n * n + 4 * n)),
+                                              (n, 2, n), (n, 2, n), (n,), (n,), (n,), (n,)),
+    "_draw_contractions": _contraction_calls,
 }
 
 
@@ -339,28 +352,28 @@ def _mask(ineq_id, n):
     return (fan_form(n) if ineq_id.endswith("fan") else hadamard_form(n)).mask
 
 
-#: id -> (block RNG step, stacked transform, whether the family has a mask)
+#: id -> (name of its one-trial draw, stacked transform, whether the family has a mask)
 FAMILIES = {
-    "von-neumann": (_draw_two, _ginibre_pair, False),
-    "product-family": (_draw_two, _ginibre_pair, False),
-    "hadamard-family": (_draw_two, _ginibre_pair, False),
-    "fan-sigma1": (_draw_two, _ginibre_pair, False),
-    "ahj-given": (_draw_three, _ahj_given, False),
-    "ahj-sqrt": (_draw_two, _ahj_sqrt, False),
-    "lemma31": (_draw_lemma31, _lemma31_inputs, True),
-    "lemma31-fan": (_draw_lemma31, _lemma31_inputs, True),
-    "lemma32": (_draw_lemma32, _lemma32_inputs, False),
-    "hmn-hadamard": (_draw_contractions, _contraction_pair, True),
-    "hmn-fan": (_draw_contractions, _contraction_pair, True),
-    "hmn-masked": (_draw_contractions, _contraction_pair, True),
+    "von-neumann": ("_draw_two", _ginibre_pair, False),
+    "product-family": ("_draw_two", _ginibre_pair, False),
+    "hadamard-family": ("_draw_two", _ginibre_pair, False),
+    "fan-sigma1": ("_draw_two", _ginibre_pair, False),
+    "ahj-given": ("_draw_three", _ahj_given, False),
+    "ahj-sqrt": ("_draw_two", _ahj_sqrt, False),
+    "lemma31": ("_draw_lemma31", _lemma31_inputs, True),
+    "lemma31-fan": ("_draw_lemma31", _lemma31_inputs, True),
+    "lemma32": ("_draw_lemma32", _lemma32_inputs, False),
+    "hmn-hadamard": ("_draw_contractions", _contraction_pair, True),
+    "hmn-fan": ("_draw_contractions", _contraction_pair, True),
+    "hmn-masked": ("_draw_contractions", _contraction_pair, True),
 }
 
 
 def _run_family(ineq_id, n, trials, stream, **kwargs):
     draw, build, masked = FAMILIES[ineq_id]
     shared = {"mask": _mask(ineq_id, n)} if masked else None
-    return _run_checker(ineq_id, n, trials, stream, draw, build, _family(ineq_id).parts,
-                        shared=shared, **kwargs)
+    return _run_checker(ineq_id, n, trials, stream, getattr(suite, draw), build,
+                        _family(ineq_id).parts, shared=shared, **kwargs)
 
 
 def _ginibre_one(w):
@@ -424,8 +437,9 @@ def _assert_report_is_the_reference(report, ineq_id, n, trials, stream, toleranc
     parts = _family(ineq_id).parts
     violations, worst, worst_k, worst_mats, per_k = 0, -np.inf, 0, None, {}
     for block in range(-(-trials // size)):
-        drawn = calls(n, size, stream.offset(block).generator())
-        for t in range(min(size, trials - block * size)):
+        count = min(size, trials - block * size)
+        drawn = calls(n, size, count, stream.offset(block).generator())
+        for t in range(count):
             mats = _reference_trial(ineq_id, n, drawn, t)
             ks, lhs, rhs = parts(mats)
             for i, k in enumerate(ks):
@@ -454,15 +468,19 @@ def _per_trial_scores(ineq_id, n, trials, stream):
 
 
 class TestStreamContractV2:
-    @pytest.mark.parametrize("draw", list(DOCUMENTED_CALLS), ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("draw", list(DOCUMENTED_CALLS))
     @pytest.mark.parametrize("n, size", [(1, 3), (3, 455), (5, 1)])
     def test_block_draw_is_its_documented_generator_calls(self, draw, n, size):
-        got = draw(n, size, SeededStream(60, 9).generator())
-        want = DOCUMENTED_CALLS[draw](n, size, SeededStream(60, 9).generator())
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.shape[0] == size
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # a whole block, and the last block of a section that ends inside it
+        for count in sorted({size, max(1, size // 10), max(1, size - 1)}):
+            g, reference = SeededStream(60, 9).generator(), SeededStream(60, 9).generator()
+            got = _draw_block(getattr(suite, draw), n, size, count, g)
+            want = DOCUMENTED_CALLS[draw](n, size, count, reference)
+            assert len(got) == len(want) == len(getattr(suite, draw))
+            for a, b in zip(got, want):
+                assert a.shape[0] == count
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert g.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("ineq_id", sorted(FAMILIES))
     def test_first_trials_of_a_longer_run_are_scored_the_same(self, ineq_id):
@@ -486,6 +504,27 @@ class TestStreamContractV2:
         base = 7 * 2**24
         check_product_family(n, trials, SeededStream(62, base))
         assert opened == list(range(base, base + -(-trials // _block_size(n))))
+
+    @pytest.mark.parametrize("ineq_id", sorted(FAMILIES))
+    def test_a_section_draws_nothing_beyond_its_documented_calls(self, monkeypatch, ineq_id):
+        # at n = 3 a block holds 455 trials: the section ends 45 into its second
+        n, trials, stream = 3, 500, SeededStream(63, 3 * 2**24)
+        size = _block_size(n)
+        opened = []
+        generator = SeededStream.generator
+
+        def record(s):
+            opened.append(generator(s))
+            return opened[-1]
+
+        monkeypatch.setattr(SeededStream, "generator", record)
+        _run_family(ineq_id, n, trials, stream)
+        assert len(opened) == 2
+        for block, g in enumerate(opened):
+            reference = generator(stream.offset(block))
+            DOCUMENTED_CALLS[FAMILIES[ineq_id][0]](n, size, min(size, trials - block * size),
+                                                   reference)
+            assert g.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [3.7, True, "5"])
