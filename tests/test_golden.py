@@ -1,19 +1,22 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The hashes are those of stream contract v5 (``numpy-pcg64-seedseq-v5``, kyfan
-0.5.0), where the checker engine and the extremal targets draw each block of
-trials from one generator, the extremal targets draw exactly the normals
-their trials use and score every candidate through diag(U* C V), and each
-search restart draws its proposals in blocks.  The five check bodies, the
-four search bodies and the ptrace body kept their contract v4 bytes apart
-from the generator id and the tool version, because their streams did not
-move; the four extremal bodies differ from v4's only in ``worst_gap``,
-each at most 1e-12, with 0 violations.  The repro body draws from no
-stream.  Every engine must reproduce every
-body byte for byte.  They hold for one numeric stack only: the generator
-id (stream contract and numpy version) plus the BLAS/LAPACK build and the
-machine architecture.  On another stack the test skips and names the stack
-it found, so new hashes can be recorded there from a trusted checkout.
+The hashes are those of stream contract v6 (``numpy-pcg64-seedseq-v6``, kyfan
+0.6.0), where each checker block draws its uniforms for all its trials and
+the normals of the trials it scores only, the extremal targets draw exactly
+the normals their trials use and score every candidate through diag(U* C V),
+and each search restart draws its proposals in blocks.  Against contract v5
+only the check bodies moved beyond the generator id and the tool version:
+the three ``check`` runs and ``hmn-fan-witness``, all still with 0
+violations.  ``lemma31-fan-witness``, whose worst trial is the injected
+counterexample, kept its v5 bytes apart from the generator id, and the
+four search bodies, the ptrace body and the four extremal bodies kept
+theirs apart from the generator id and the tool version, because their
+streams did not move.  The repro body draws from no stream.  Every engine
+must reproduce every body byte for byte.  They hold for one numeric stack
+only: the generator id (stream contract and numpy version) plus the
+BLAS/LAPACK build and the machine architecture.  On another stack the test
+skips and names the stack it found, so new hashes can be recorded there
+from a trusted checkout.
 """
 
 import hashlib
@@ -36,37 +39,37 @@ def _numeric_stack() -> tuple[str, str, str]:
 
 
 GOLDEN = {
-    ("numpy-pcg64-seedseq-v5/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
+    ("numpy-pcg64-seedseq-v6/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "80f0c8caf912c940f5c2857963f29d0150409e6155d921544ce8eef3bf6afca0",
+            "c6e2424348c845922771a84749d2cb04b1e62c1a2db77047d0f49b70d3077622",
         "check-all-trials50-seed161803":
-            "0466473d85f9e97dd242da4f259c98a7962f8a03d39717509516e31bc7e2c24d",
+            "f25bed9211cc8c83686ef6d0a5e34449d00a9905a5d25f35295ca480e3d6e141",
         "check-all-n64-trials2":
-            "c1fed5ec7ec3a4b710f44405c24ab7a7abdbf100a9f43bbf592324068005bb1d",
+            "d6adf9ae876ec2b18b9fe5a585a7a3a05bb53125a3bd35e293fd7f093c0a2383",
         "lemma31-fan-witness":
-            "352d3f2e082669298a70f7a4b0743bde29f19ac19c9fc8d5ab4d21ccc47e0ee5",
+            "79e370266f4cdf5ad49c4ce3636b87c82e45331d4bb23e38cfd5c8eaf0942589",
         "hmn-fan-witness":
-            "401ee90719de65909171eecd4b0db05f5b4db8e577d2ba0b7d161235715a3768",
+            "f37aac31c4a3b6eb02dac2174e6ab398225ba553e7907f38fb01c2addc3ef549",
         "search-q2-n3-restarts8-budget3000":
-            "764a9b3719b804412edf500ce58fac6a7a862fe8b111118328a1b7002f8a5a65",
+            "ea93bb63a091f859ea945d32b3dad8824f4a1a671df988335f7201358baee2c2",
         "search-q1-n4-commuting-budget800":
-            "00012d2543e5594af7a3e2bb45f0a849dc787a5027e60c9b98b7a44d868b95ca",
+            "308eaff2ac9f22da885dd0922345fdd750b8873325be5adb36c8397b43890869",
         "search-q2-n3-k2-budget500":
-            "8d09318e964e6d04aaefdda3fb55dc707ef116f37af32be0219c9c94987ef7d3",
+            "1b0c9ddc001f8ef88e25d0ceda7a19ba1f53c95c3570f37f5a0a6357668b04a1",
         "ptrace-q2-n3-trials30-budget500":
-            "57259967b4ffff86f9040c1430226c2397abeec2ce907f8e009624aa9ca14473",
+            "eb26a65d8db5cf51de7c312d5101674abc3c9ad76d54ee8e567ed54d5c295482",
         "search-q2-n3-witness-budget500":
-            "c93a6fb959d464eb135a9157575991e3a0c343866397629d621b71a7a3806633",
+            "de7d36d997a872e4b5e70e27782ae06e993e3289e35ccb61afa984d907d2053b",
         "extremal-all-trials300-seed271828":
-            "8fbd46213e0f80fd6d88e4055d0535d149150088655143af918933be43e66136",
+            "3a7e159ad13bed884cf35fb83e73bb470c941c16931ca5dfcb50900b44cb9c90",
         "extremal-all-trials300-seed161803":
-            "47687ca70026591dec222ad14d270d89c48fb2b804dd9af9cc25266f071a34e7",
+            "e4d11377e2fed3828b9a073c819a19b69be7e2ad035913822d5162f952c020c7",
         "extremal-matrix-n8-samples5":
-            "b051c29423db36b056c82dba0efe04b7703d0fff602dd14a22e6c65b2a1540c8",
+            "e6a2e9556db7d9ddd42b6287a61b74b6e46453fa134fda68fb7b78c95e1fae96",
         "extremal-n2-samples0":
-            "9d82728fdb0d2b7e9f19e3a8836599a2aa03c89a98bdeee33086feb799541285",
+            "712edd3f0f8c930d4077aed1364acc8152113119e435f39a053335bd4a38b967",
         "repro-fan-counterexample":
-            "094fe68ca7004544a066e04df508896c66e1afe45bf8cd74ae57aaf7e24c859f",
+            "06da67b2c65a4e7e5e1d23ff91c5e988c04c71292f05c56e6afa3da6384f632a",
     },
 }
 
