@@ -324,20 +324,14 @@ def _run_checker(
 # _draw_block makes them for a block by the contract v6 rule
 # ---------------------------------------------------------------------------
 
-#: the (2, n, n) normals of a complex Gaussian matrix: real, then imaginary part
-_GAUSSIAN = ("normal", lambda n: (2, n, n))
-#: n uniforms: a subunit matrix's column lengths or a contraction's singular values
-_UNIFORMS = ("uniform", lambda n: (n,))
-#: n complex columns' normals, column by column, each real then imaginary parts
-_COLUMNS = ("normal", lambda n: (n, 2, n))
-#: n normals: the real or imaginary part of a vector
-_VECTOR = ("normal", lambda n: (n,))
+_GAUSSIAN = ("normal", lambda n: (2, n, n))  # a complex matrix: real, then imaginary part
+_UNIFORMS = ("uniform", lambda n: (n,))  # column lengths or singular values
+_COLUMNS = ("normal", lambda n: (n, 2, n))  # n complex columns, each real then imaginary part
+_VECTOR = ("normal", lambda n: (n,))  # a vector's real or imaginary part
 
 _draw_two = (_GAUSSIAN, _GAUSSIAN)
 _draw_three = (_GAUSSIAN, _GAUSSIAN, _GAUSSIAN)
-#: X and Y subunit-column (normals, lengths), then S a contraction (U, V, singular values)
 _draw_lemma31 = (_GAUSSIAN, _UNIFORMS, _GAUSSIAN, _UNIFORMS, _GAUSSIAN, _GAUSSIAN, _UNIFORMS)
-#: X's and Y's columns, then u's and v's real and imaginary parts
 _draw_lemma32 = (_COLUMNS, _COLUMNS, _VECTOR, _VECTOR, _VECTOR, _VECTOR)
 _draw_contractions = (_GAUSSIAN, _GAUSSIAN, _UNIFORMS) * 2
 
@@ -352,19 +346,14 @@ def _draw_block(draw, n, size, count, g):
     with a leading axis of ``count`` trials.
     """
     calls = [(kind, shape(n)) for kind, shape in draw]
-    uniforms = iter([g.uniform(0.0, 1.0, (size, *shape))[:count]
-                     for kind, shape in calls if kind == "uniform"])
-    normals = g.standard_normal(
-        (count, sum(math.prod(shape) for kind, shape in calls if kind == "normal")))
-    out, start = [], 0
-    for kind, shape in calls:
-        if kind == "uniform":
-            out.append(next(uniforms))
-            continue
-        width = math.prod(shape)
-        out.append(normals[:, start:start + width].reshape(count, *shape))
-        start += width
-    return tuple(out)
+    uniforms = [g.uniform(0.0, 1.0, (size, *shape))[:count]
+                for kind, shape in calls if kind == "uniform"]
+    shapes = [shape for kind, shape in calls if kind == "normal"]
+    widths = [math.prod(shape) for shape in shapes]
+    rows = np.split(g.standard_normal((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    arrays = {"uniform": iter(uniforms),
+              "normal": (w.reshape(count, *shape) for w, shape in zip(rows, shapes))}
+    return tuple(next(arrays[kind]) for kind, _ in calls)
 
 
 def _ginibre_pair(wa, wb):
