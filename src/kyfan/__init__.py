@@ -19,7 +19,7 @@ Every random draw goes through explicit (master_seed, stream_index) streams,
 so any run is replayable bit-for-bit.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .matrixcore import (
     column_norms,

@@ -4,9 +4,9 @@ Sampling is driven by explicit streams: a :class:`SeededStream` is a
 (master_seed, stream_index) pair that deterministically opens a PCG64
 generator, so results are independent of scheduling.  A run section based
 at stream index ``base`` maps its trials to streams by the stream contract
-named in ``GENERATOR_ID``.  Under contract v6 the checker engine and the
-``extremal`` targets draw block b of their trials from stream ``base + b``,
-a checker block only the normals of the trials it scores (see
+named in ``GENERATOR_ID``.  Under contract v7, as under v6, the checker
+engine and the ``extremal`` targets draw block b of their trials from stream
+``base + b``, a checker block only the normals of the trials it scores (see
 :mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
 stream per trial or restart, base + t, and a search restart draws its
 proposals in blocks (see :mod:`kyfan.ptrace`).  Every sampler also accepts an
@@ -60,11 +60,13 @@ __all__ = [
 ]
 
 #: recorded in every report so a replay can verify it uses the same bit source:
-#: the generator family, the stream contract (v6: block-drawn checker trials
+#: the generator family, the stream contract (v7: block-drawn checker trials
 #: whose blocks draw the normals of the scored trials only, and exact-size
-#: extremal draws scored through diag(U* C V), see kyfan.suite, and
-#: block-drawn search proposals, see kyfan.ptrace) and the numpy version
-GENERATOR_ID = f"numpy-pcg64-seedseq-v6/{np.__version__}"
+#: extremal draws scored through diag(U* C V), see kyfan.suite, as in v6;
+#: block-drawn search proposals, and the Hermitian factors' spectra of the
+#: search and ptrace kernel taken from eigvalsh, see kyfan.ptrace) and the
+#: numpy version
+GENERATOR_ID = f"numpy-pcg64-seedseq-v7/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
 ENUMERATION_BUDGET = 10**6

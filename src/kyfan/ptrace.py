@@ -23,7 +23,15 @@ budget", never nonexistence.
 The margin primitives take one pair of n x n matrices or ``(..., n, n)``
 stacks of pairs, and on a stack give the same bits as pair by pair.  They,
 the commuting regression and the search score through one kernel,
-:func:`_pair_sides`: validate, closed form, one SVD call, sides.
+:func:`_pair_sides`: validate, take the Hermitian parts, closed form, one SVD
+call on the operators T, one ``eigvalsh`` call on the Hermitian factors,
+sides.  Since search contract v7 the singular values of A and of
+tr(B) I - n B are the moduli of their eigenvalues sorted nonincreasing, as
+they are for any Hermitian matrix.  ``eigvalsh`` reads one triangle only, so
+the kernel scores the Hermitian part (P + P*) / 2 of each validated pair:
+bit for bit the pair itself when it is exactly Hermitian, as the search's,
+the regression's and stored witnesses' pairs are, and within the tolerance
+of :func:`require_hermitian` of it otherwise.
 
 Search engine
 -------------
@@ -63,9 +71,9 @@ at most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
 restarts, which keeps every operand of a round within ``CHUNK_ENTRIES``
 entries.  Each generator makes the same calls as for a restart run alone.
 Measured on numpy 2.4.6 with OpenBLAS 0.3.31, this rests on stacked
-``svd``, ``matmul`` and ``trace(axis1=-2, axis2=-1)`` giving the same bits
-as per-matrix calls, as elementwise arithmetic and ``cumsum`` over the last
-axis do.
+``svd``, ``eigvalsh``, ``matmul`` and ``trace(axis1=-2, axis2=-1)`` giving
+the same bits as per-matrix calls, as elementwise arithmetic, ``sort`` and
+``cumsum`` over the last axis do.
 
 A candidate moves one coordinate, and the coordinates below ``dim // 2``
 parameterise A and the others B, for both strategies.  So a candidate moves
@@ -74,12 +82,12 @@ by the same calls as the current point's: it is bit-identical, and so are
 its singular values.  The search therefore carries sigma(A) and
 sigma(tr(B) I - n B) of each restart's current point, takes a candidate's
 over when it is accepted, and scores a stack of K candidates with one SVD
-call on 2 K matrices (the K operators T and the K factors that moved)
-instead of 3 K.  What is fixed for a whole search is set up once: the k set
-is validated when the search starts, the unpacking index maps and the
-identity are cached per n, and tr(B) is computed once per candidate for
-both T and tr(B) I - n B.  Each candidate stack is still validated as
-Hermitian and finite before its SVD.
+call on the K operators T and one ``eigvalsh`` call on the K factors that
+moved, instead of on all 2 K.  What is fixed for a whole search is set up
+once: the k set is validated when the search starts, the unpacking index
+maps and the identity are cached per n, and tr(B) is computed once per
+candidate for both T and tr(B) I - n B.  Each candidate stack is still
+validated as Hermitian and finite before it is scored.
 """
 
 from __future__ import annotations
@@ -250,25 +258,35 @@ def lhs_operator(a, b, *, cross_check: bool = True) -> np.ndarray:
 def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
     """lhs and rhs for k = 1..n (index k-1) of each pair of a ``(..., 2, n, n)``
     stack, and the singular values of its A and tr(B) I - n B, all of shape
-    ``(..., n)``, from one SVD call on 3 K matrices for K pairs.  Given
-    ``moved_b``, the call is on the search's 2 K: a candidate takes the
-    spectrum of the factor it did not move from the current point's ``sa``
-    or ``sd`` (see the module docstring).
+    ``(..., n)``.  The pairs are validated as Hermitian and scored as their
+    Hermitian parts (P + P*) / 2: one SVD call on the K operators T of K pairs
+    and one :func:`_hermitian_spectra` call on the 2 K factors.  Given
+    ``moved_b``, that call is on the search's K moved factors: a candidate
+    takes the spectrum of the factor it did not move from the current point's
+    ``sa`` or ``sd`` (see the module docstring).
     """
     pairs = require_hermitian(pairs, name="A or B")
     lead, n = pairs.shape[:-3], pairs.shape[-1]
     pairs = pairs.reshape(-1, 2, n, n)
+    pairs = (pairs + _adjoint(pairs)) / 2.0
     a, k = pairs[:, 0], len(pairs)
     t, d = _closed_form(a, pairs[:, 1])
+    st = singular_values(t)
     if moved_b is None:
-        spectra = singular_values(np.concatenate([t, d, a]))
-        st, sd, sa = spectra[:k], spectra[k : 2 * k], spectra[2 * k :]
+        spectra = _hermitian_spectra(np.concatenate([d, a]))
+        sd, sa = spectra[:k], spectra[k:]
     else:
         moved = moved_b[:, None]
-        spectra = singular_values(np.concatenate([t, np.where(moved[..., None], d, a)]))
-        st, spectra = spectra[:k], spectra[k:]
+        spectra = _hermitian_spectra(np.where(moved[..., None], d, a))
         sa, sd = np.where(moved, sa, spectra), np.where(moved, spectra, sd)
     return tuple(x.reshape(lead + (n,)) for x in (*_sides(st, sa, sd, question), sa, sd))
+
+
+def _hermitian_spectra(h: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix of an exactly Hermitian ``(K, n, n)``
+    stack, nonincreasing: the moduli of its eigenvalues, sorted.  ``eigvalsh``
+    reads one triangle only, hence the exactness."""
+    return np.sort(np.abs(np.linalg.eigvalsh(h)), axis=-1)[:, ::-1]
 
 
 def _sides(st, sa, sd, question: int) -> tuple[np.ndarray, np.ndarray]:

@@ -324,20 +324,26 @@ class TestExecution:
         # 3 chunks; its worst margins and violation flags come from one pass
         from kyfan import ensembles, ptrace
 
-        real, sizes = ptrace.singular_values, []
+        calls = []
 
-        def counting(a):
-            sizes.append(np.shape(a)[0])
-            return real(a)
+        def counting(name, real):
+            def call(a):
+                calls.append((name, np.shape(a)[0]))
+                return real(a)
+            return call
 
-        monkeypatch.setattr(ptrace, "singular_values", counting)
+        monkeypatch.setattr(ptrace, "singular_values", counting("svd", ptrace.singular_values))
+        monkeypatch.setattr(ptrace, "_hermitian_spectra",
+                            counting("eigvalsh", ptrace._hermitian_spectra))
         out = tmp_path / "pt.json"
         status = main(["ptrace", "--question", "2", "--n", "3", "--trials", "1000",
                        "--budget", "0", "--seed", "23", "--out", str(out)])
         assert status == 0
         chunk = ensembles.CHUNK_ENTRIES // 9
-        # the identity section takes no SVD; each chunk's T, tr(B) I - n B and A
-        assert sizes == [3 * chunk, 3 * chunk, 3 * (1000 - 2 * chunk)]
+        # the identity section takes no SVD; each chunk's T by svd, then its
+        # tr(B) I - n B and A by eigvalsh
+        assert calls == [call for size in (chunk, chunk, 1000 - 2 * chunk)
+                         for call in (("svd", size), ("eigvalsh", 2 * size))]
         regression = load_document(str(out))["results"][1]
         assert regression["target"] == "commuting-regression"
         assert regression["trials"] == 1000 and regression["violations"] == 0

@@ -214,6 +214,67 @@ class TestStackedPrimitives:
                 assert flags[i] == (not inequality_holds(lhs, rhs, tol))
 
 
+class TestHermitianSpectra:
+    """Search contract v7: sigma(A) and sigma(tr(B) I - n B) are the moduli of
+    their eigenvalues, taken by one stacked ``eigvalsh`` call, sorted."""
+
+    @staticmethod
+    def _hermitian_stack(seed, count, n):
+        g = SeededStream(seed).generator()
+        return np.stack([random_hermitian(n, g) for _ in range(count)])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_spectra_are_the_per_matrix_bits(self, n):
+        for count in (1, 2, 7, 40, 200):
+            h = self._hermitian_stack(90 + n, count, n)
+            spectra = ptrace._hermitian_spectra(h)
+            assert spectra.shape == (count, n)
+            for i in range(count):
+                assert spectra[i].tobytes() == _reference_spectrum(h[i]).tobytes()
+
+    def test_spectra_agree_with_singular_values(self):
+        g = SeededStream(98).generator()
+        u = haar_unitary(6, g)
+        cases = [
+            np.diag([2.0, 2.0, -2.0, 1.0, -1.0, 1.0]),  # ties, of both signs
+            np.diag([3.0, 0.0, 0.0, -1.5, 0.0, 0.0]),    # rank 2
+            np.zeros((6, 6)),
+            -1.7 * np.eye(6),                            # A = cI, the equality point
+            np.eye(6) * 1e-300,
+        ]
+        stack = np.stack([u @ c @ u.conj().T for c in cases] + cases)
+        stack = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+        spectra = ptrace._hermitian_spectra(stack.astype(np.complex128))
+        reference = singular_values(stack)
+        assert np.all(spectra >= 0)
+        assert np.all(np.diff(spectra, axis=-1) <= 0)
+        ulps = 6 * np.finfo(float).eps  # n ulps of sigma_1
+        for got, want in zip(spectra, reference):
+            assert np.all(np.abs(got - want) <= ulps * want[0])
+        assert not spectra[2].any() and not spectra[len(cases) + 2].any()
+
+    def test_scalar_a_meets_question_2_with_equality(self):
+        # T(cI, B) = 2c (tr(B) I - nB), so both sides are 2|c| ||tr(B) I - nB||_(k)
+        g = SeededStream(99).generator()
+        for n in range(1, 9):
+            b = random_hermitian(n, g)
+            lhs, rhs = ptrace._question_sides(-1.7 * np.eye(n), b, 2)
+            assert np.all(np.abs(lhs - rhs) <= 8 * n * np.finfo(float).eps * rhs[-1])
+
+    def test_a_near_hermitian_pair_is_scored_as_its_hermitian_part(self):
+        g = SeededStream(100).generator()
+        a, b = random_hermitian(4, g), random_hermitian(4, g)
+        skew = 1e-14 * ginibre(4, g)
+        near = a + skew
+        assert not np.array_equal(near, near.conj().T)
+        require_hermitian(near)  # inside the tolerance
+        part = (near + near.conj().T) / 2.0
+        for q in (1, 2):
+            scored = question_margins_all_k(near, b, q)
+            assert scored.tobytes() == question_margins_all_k(part, b, q).tobytes()
+            assert scored.tobytes() == _reference_margins(part, b, q).tobytes()
+
+
 class TestSearch:
     def test_witness_uses_the_relative_rule(self):
         # a tolerance t < 0 with t * rhs < margin <= t: the absolute rule
@@ -292,15 +353,22 @@ class TestSearch:
 # ---------------------------------------------------------------------------
 
 
+def _reference_spectrum(h):
+    """Singular values of one Hermitian matrix by search contract v7: the
+    moduli of its eigenvalues, sorted nonincreasing."""
+    return np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+
+
 def _reference_margins(a, b, question):
     n = a.shape[0]
+    a, b = (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
     eye = np.eye(n, dtype=np.complex128)
     ab = a @ b
     t = np.trace(ab) * eye - np.trace(a) * b + np.trace(b) * a - n * ab
     d = np.trace(b) * eye - n * b
     lhs = np.cumsum(np.linalg.svd(t, compute_uv=False))
-    sd = np.linalg.svd(d, compute_uv=False)
-    sa = np.linalg.svd(a, compute_uv=False)
+    sd = _reference_spectrum(d)
+    sa = _reference_spectrum(a)
     if question == 1:
         rhs = 2.0 * sa[0] * np.cumsum(sd)
     else:
@@ -534,8 +602,8 @@ class TestSearchKernel:
     """The restarts of a search run in lockstep: each round scores the
     pending candidates of every live restart as one stack and reuses the
     spectrum of the factor a candidate did not move, so a round of K_r
-    candidates from each live restart r makes one SVD call on 2 sum K_r
-    matrices."""
+    candidates from each live restart r makes one SVD call on its sum K_r
+    operators and one eigvalsh call on its sum K_r moved factors."""
 
     @staticmethod
     def _lone_stacks(monkeypatch, strategy, stream, quota):
@@ -568,22 +636,31 @@ class TestSearchKernel:
         lone = [self._lone_stacks(monkeypatch, strategy, stream.offset(r), quota)
                 for r in range(restarts)]
         assert len({len(stacks) for stacks in lone}) > 1  # they end in different rounds
-        real, sizes = ptrace.singular_values, []
+        calls = []
 
-        def counting(a):
-            a = np.asarray(a)
-            sizes.append(a.shape[0] if a.ndim == 3 else 1)
-            return real(a)
+        def counting(name, real):
+            def call(a):
+                a = np.asarray(a)
+                calls.append((name, a.shape[0] if a.ndim == 3 else 1))
+                return real(a)
+            return call
 
-        monkeypatch.setattr(ptrace, "singular_values", counting)
+        monkeypatch.setattr(ptrace, "singular_values",
+                            counting("svd", ptrace.singular_values))
+        monkeypatch.setattr(ptrace, "_hermitian_spectra",
+                            counting("eigvalsh", ptrace._hermitian_spectra))
         res = search_counterexample(2, 3, budget=restarts * quota, restarts=restarts,
                                     s=stream, strategy=strategy)
         assert res.evaluations == restarts * quota
-        # every start point (T, tr(B) I - nB and A), then round j with the
-        # j-th stack of each restart still live; last, the witness check
-        rounds = [2 * sum(stacks[j] for stacks in lone if j < len(stacks))
+        # every start point (T, then tr(B) I - nB and A), then round j with the
+        # j-th stack of each restart still live (T, then the moved factors);
+        # last, the witness check
+        rounds = [sum(stacks[j] for stacks in lone if j < len(stacks))
                   for j in range(max(map(len, lone)))]
-        assert sizes == [3 * restarts] + rounds + [3]
+        assert calls == [("svd", restarts), ("eigvalsh", 2 * restarts),
+                         *[call for size in rounds
+                           for call in (("svd", size), ("eigvalsh", size))],
+                         ("svd", 1), ("eigvalsh", 2)]
 
     @pytest.mark.parametrize("strategy", ["general", "commuting"])
     @pytest.mark.parametrize("question", [1, 2])
@@ -594,8 +671,8 @@ class TestSearchKernel:
                                strategy, 0.5, 50)
         assert len(finals) == 3
         for (a, b), margin, k, sa, sd in finals:
-            assert sa.tobytes() == singular_values(a).tobytes()
-            assert sd.tobytes() == singular_values(trace_deviation(b)).tobytes()
+            assert sa.tobytes() == _reference_spectrum(a).tobytes()
+            assert sd.tobytes() == _reference_spectrum(trace_deviation(b)).tobytes()
             assert (margin, k) == worst_question_margin(a, b, question)
 
 
