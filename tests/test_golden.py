@@ -1,19 +1,20 @@
 """Golden report bodies: pinned sha256 of ``report_body_bytes`` for fixed runs.
 
-The hashes are those of stream contract v6 (``numpy-pcg64-seedseq-v6``, kyfan
-0.6.0), where each checker block draws its uniforms for all its trials and
-the normals of the trials it scores only, the extremal targets draw exactly
-the normals their trials use and score every candidate through diag(U* C V),
-and each search restart draws its proposals in blocks.  Against contract v5
-only the check bodies moved beyond the generator id and the tool version:
-the three ``check`` runs and ``hmn-fan-witness``, all still with 0
-violations.  ``lemma31-fan-witness``, whose worst trial is the injected
-counterexample, kept its v5 bytes apart from the generator id, and the
-four search bodies, the ptrace body and the four extremal bodies kept
-theirs apart from the generator id and the tool version, because their
-streams did not move.  The repro body draws from no stream.  Every engine
-must reproduce every body byte for byte.  They hold for one numeric stack
-only: the generator id (stream contract and numpy version) plus the
+The hashes are those of search contract v7 (``numpy-pcg64-seedseq-v7``, kyfan
+0.7.0).  Its streams are contract v6's: each checker block draws its
+uniforms for all its trials and the normals of the trials it scores only,
+the extremal targets draw exactly the normals their trials use and score
+every candidate through diag(U* C V), and each search restart draws its
+proposals in blocks.  v7 takes the spectra of the Hermitian factors A and
+tr(B) I - n B of the ``ptrace`` kernel from ``eigvalsh`` instead of ``svd``.
+Against contract v6 only the kernel's bodies moved beyond the generator id
+and the tool version: the margins of ``search-q1-n4-commuting-budget800``,
+``search-q2-n3-restarts8-budget3000``, ``search-q2-n3-witness-budget500``
+(its witness matrices did not move) and ``ptrace-q2-n3-trials30-budget500``,
+each by at most 3.6e-15.  ``search-q2-n3-k2-budget500`` kept its v6 bytes apart
+from those two strings, as did the check, extremal and repro bodies.  Every
+engine must reproduce every body byte for byte.  They hold for one numeric
+stack only: the generator id (stream contract and numpy version) plus the
 BLAS/LAPACK build and the machine architecture.  On another stack the test
 skips and names the stack it found, so new hashes can be recorded there
 from a trusted checkout.
@@ -39,37 +40,37 @@ def _numeric_stack() -> tuple[str, str, str]:
 
 
 GOLDEN = {
-    ("numpy-pcg64-seedseq-v6/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
+    ("numpy-pcg64-seedseq-v7/2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64"): {
         "check-all-trials50-seed271828":
-            "c6e2424348c845922771a84749d2cb04b1e62c1a2db77047d0f49b70d3077622",
+            "9c7de7b0a1c3ae8fbc104da7b052ecccf327e7883df3bb98297f7ad4a90db839",
         "check-all-trials50-seed161803":
-            "f25bed9211cc8c83686ef6d0a5e34449d00a9905a5d25f35295ca480e3d6e141",
+            "ef0d344c0382b07f1b89db90b5475517333c3d215d09dc3be307c2ed94b75c25",
         "check-all-n64-trials2":
-            "d6adf9ae876ec2b18b9fe5a585a7a3a05bb53125a3bd35e293fd7f093c0a2383",
+            "8160fc3ba7726079da82585570bf2d34406d2cf3ca5a0b4d41ce17d512fe652b",
         "lemma31-fan-witness":
-            "79e370266f4cdf5ad49c4ce3636b87c82e45331d4bb23e38cfd5c8eaf0942589",
+            "dbd2a80e96ddfbeac0d5710ca3c3075ec81bbdb308731989bc58af89aae0cbc6",
         "hmn-fan-witness":
-            "f37aac31c4a3b6eb02dac2174e6ab398225ba553e7907f38fb01c2addc3ef549",
+            "b749d36078d8d0b2d6e3969c1fb2069fb6b09b83252528d03928bb3a72a88af0",
         "search-q2-n3-restarts8-budget3000":
-            "ea93bb63a091f859ea945d32b3dad8824f4a1a671df988335f7201358baee2c2",
+            "d59b90a72e8f97115c79fceb1c005c1d6bbed690af2904fee0ac5ed59a65658e",
         "search-q1-n4-commuting-budget800":
-            "308eaff2ac9f22da885dd0922345fdd750b8873325be5adb36c8397b43890869",
+            "4ab1ee28f949b184138e99b51f4a07029426fbe9c81f8a8f158b0f0a0733aa26",
         "search-q2-n3-k2-budget500":
-            "1b0c9ddc001f8ef88e25d0ceda7a19ba1f53c95c3570f37f5a0a6357668b04a1",
+            "77ceec56bd994b83c7d82e96a81872916d8e51d5052eee74e49a0233cb19e2a0",
         "ptrace-q2-n3-trials30-budget500":
-            "eb26a65d8db5cf51de7c312d5101674abc3c9ad76d54ee8e567ed54d5c295482",
+            "42425774484c3ac034e28b9d57ee517a3db4d86c2a8ba8934d18de1e56ff269e",
         "search-q2-n3-witness-budget500":
-            "de7d36d997a872e4b5e70e27782ae06e993e3289e35ccb61afa984d907d2053b",
+            "5fa0f64cb05d62e34d4d8be2858290daab2324497793b3674d963010f928c7cd",
         "extremal-all-trials300-seed271828":
-            "3a7e159ad13bed884cf35fb83e73bb470c941c16931ca5dfcb50900b44cb9c90",
+            "ab6b054759e88f3bd8191b6467c3c1fa67fda2de23aebd8dcbc44dfff06f7aa0",
         "extremal-all-trials300-seed161803":
-            "e4d11377e2fed3828b9a073c819a19b69be7e2ad035913822d5162f952c020c7",
+            "c5d2241b8c42c8356935822ffb7e3443b072cb7984e1546b7d9488ff133ea7c1",
         "extremal-matrix-n8-samples5":
-            "e6a2e9556db7d9ddd42b6287a61b74b6e46453fa134fda68fb7b78c95e1fae96",
+            "6fa858b58767f8434da4795265446097e0d93057d4ca8a34f48f3b4789da0454",
         "extremal-n2-samples0":
-            "712edd3f0f8c930d4077aed1364acc8152113119e435f39a053335bd4a38b967",
+            "d5388d626c07e70a4f662369c4e1b54d139cce8162708172c8230002639a101f",
         "repro-fan-counterexample":
-            "06da67b2c65a4e7e5e1d23ff91c5e988c04c71292f05c56e6afa3da6384f632a",
+            "d8c8845a3427e512003ad41509bfebb9b544e62dd1b9fed131339e2f9a1327d9",
     },
 }
 
