@@ -30,9 +30,10 @@ the repeats:
   n = 3, question 2, all k, with ``SEARCH_RESTARTS`` = 8 live restarts: the
   one scoring call a round makes for ``SEARCH_BATCH`` candidates of each
   restart, each a copy of its restart's parameter vector with one
-  coordinate moved (building the pairs, validating them, one SVD call on
-  the operators and the moved factors, and the margins), with each
-  restart's carried spectra repeated per candidate.  Timed per round, over
+  coordinate moved (building the pairs, validating them, one ``svd`` call
+  on the operators T and one ``eigvalsh`` call on the moved Hermitian
+  factors, and the margins), with each restart's carried spectra repeated
+  per candidate.  Timed per round, over
   ``--ops // (SEARCH_RESTARTS * SEARCH_BATCH)`` rounds.
 - ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
   restarts=SEARCH_RESTARTS)`` in process, per evaluation; the row also gives the median

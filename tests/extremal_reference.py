@@ -89,12 +89,14 @@ def diagonal(m, u, v):
     return np.diagonal(u.conj().T @ m @ v)
 
 
-def vector_gap(c, w):
+def vector_gap(c, w, signs=sign_vectors):
+    """The vector gap of c under w; ``signs(n, j)`` gives the sign table E_j,
+    so a caller scoring many rows can build each table once."""
     n = c.size
     ws = w.prefix_sums()
-    best = float((sign_vectors(n, n) @ c).max()) / ws[w.k - 1]
+    best = float((signs(n, n) @ c).max()) / ws[w.k - 1]
     for j in range(1, w.k):
-        best = max(best, float((sign_vectors(n, j) @ c).max()) / ws[j - 1])
+        best = max(best, float((signs(n, j) @ c).max()) / ws[j - 1])
     return abs(best - dual_weighted_vector_k_norm(c, w))
 
 

@@ -7,6 +7,7 @@ one block at a time, and scores it alone in 2-D with the gap formulas of
 reports must equal the loop's bit for bit.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from kyfan.ensembles import (
     ginibre,
     matrix_ball_support_gap,
     random_weight,
+    sign_vectors,
     support_function_gap,
 )
 from kyfan.matrixcore import _adjoint, svd
@@ -183,7 +185,9 @@ def test_vector_gaps_hold_at_most_the_enumeration_budget_per_product():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 8 * ENUMERATION_BUDGET, peak
-    assert gaps.tobytes() == np.array([vector_gap(vec, w) for vec, w in zip(c, weights)]).tobytes()
+    tables = functools.cache(sign_vectors)  # E13 takes ~10 ms to build
+    reference = [vector_gap(vec, w, tables) for vec, w in zip(c, weights)]
+    assert gaps.tobytes() == np.array(reference).tobytes()
 
 
 def test_full_rank_weight_in_a_large_dimension_keeps_memory_quadratic():
