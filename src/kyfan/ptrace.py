@@ -29,9 +29,9 @@ sides.  Since search contract v7 the singular values of A and of
 tr(B) I - n B are the moduli of their eigenvalues sorted nonincreasing, as
 they are for any Hermitian matrix.  ``eigvalsh`` reads one triangle only, so
 the kernel scores the Hermitian part (P + P*) / 2 of each validated pair:
-bit for bit the pair itself when it is exactly Hermitian, as the search's,
-the regression's and stored witnesses' pairs are, and within the tolerance
-of :func:`require_hermitian` of it otherwise.
+the pair itself, up to the sign of a zero, when it is exactly Hermitian, as
+the search's, the regression's and stored witnesses' pairs are, and within
+the tolerance of :func:`require_hermitian` of it otherwise.
 
 Search engine
 -------------
