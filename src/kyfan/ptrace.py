@@ -285,8 +285,11 @@ def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
 def _hermitian_spectra(h: np.ndarray) -> np.ndarray:
     """Singular values of each matrix of an exactly Hermitian ``(K, n, n)``
     stack, nonincreasing: the moduli of its eigenvalues, sorted.  ``eigvalsh``
-    reads one triangle only, hence the exactness."""
-    return np.sort(np.abs(np.linalg.eigvalsh(h)), axis=-1)[:, ::-1]
+    reads one triangle only, hence the exactness.  Non-finite entries, such
+    as an overflowed tr(B) I - n B, raise ``ValueError`` as in
+    :func:`~kyfan.matrixcore.singular_values`."""
+    w = np.linalg.eigvalsh(as_matrix(h, name="operand", stacked=True))
+    return np.sort(np.abs(w), axis=-1)[:, ::-1]
 
 
 def _sides(st, sa, sd, question: int) -> tuple[np.ndarray, np.ndarray]:

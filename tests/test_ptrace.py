@@ -261,6 +261,15 @@ class TestHermitianSpectra:
             lhs, rhs = ptrace._question_sides(-1.7 * np.eye(n), b, 2)
             assert np.all(np.abs(lhs - rhs) <= 8 * n * np.finfo(float).eps * rhs[-1])
 
+    def test_an_overflowed_factor_is_refused(self):
+        # T stays finite, while n B overflows in tr(B) I - n B
+        a = 1e-300 * np.eye(3, dtype=complex)
+        b = np.diag([8e307, -8e307, 8e307]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(lhs_operator(a, b, cross_check=False)).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                question_margins_all_k(a, b, 2)
+
     def test_a_near_hermitian_pair_is_scored_as_its_hermitian_part(self):
         g = SeededStream(100).generator()
         a, b = random_hermitian(4, g), random_hermitian(4, g)
