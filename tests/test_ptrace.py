@@ -244,7 +244,7 @@ class TestHermitianSpectra:
         ]
         stack = np.stack([u @ c @ u.conj().T for c in cases] + cases)
         stack = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
-        spectra = ptrace._hermitian_spectra(stack.astype(np.complex128))
+        spectra = ptrace._hermitian_spectra(stack)
         reference = singular_values(stack)
         assert np.all(spectra >= 0)
         assert np.all(np.diff(spectra, axis=-1) <= 0)
