@@ -79,7 +79,7 @@ import numpy as np
 
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
-from kyfan.ptrace import SEARCH_BATCH, _best_margins, _unpack_pair, search_counterexample
+from kyfan.ptrace import SEARCH_BATCH, _unpack_pair, _worst_margins, search_counterexample
 from kyfan.forms import fan_form, hadamard_form
 from kyfan.suite import (
     EXTREMAL_TARGETS,
@@ -189,8 +189,7 @@ def measure(ops: int, repeats: int) -> dict:
         return loop
 
     thetas = g.standard_normal((SEARCH_RESTARTS, 2 * SEARCH_N**2))
-    ks = np.arange(1, SEARCH_N + 1)
-    _, _, sa, sd = _best_margins(_unpack_pair(thetas, SEARCH_N), 2, ks)
+    _, _, _, sa, sd = _worst_margins(_unpack_pair(thetas, SEARCH_N), 2)
     owner = np.repeat(np.arange(SEARCH_RESTARTS), SEARCH_BATCH)
     candidates = thetas[owner]
     moved = g.integers(thetas.shape[1], size=len(owner))
@@ -200,8 +199,8 @@ def measure(ops: int, repeats: int) -> dict:
 
     def search_round(rep):
         for _ in range(rounds):
-            _best_margins(_unpack_pair(candidates, SEARCH_N), 2, ks, moved_b,
-                          sa[owner], sd[owner])
+            _worst_margins(_unpack_pair(candidates, SEARCH_N), 2, None, moved_b,
+                           sa[owner], sd[owner])
 
     def search_q2(rep):
         search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=SEARCH_RESTARTS,

@@ -323,7 +323,7 @@ def _execute_check(cfg: RunConfig):
         stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
         report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
         results.append(check_report_document(report, include_witness=report.violations > 0))
-    return results, sum(r["violations"] for r in results), []
+    return results, []
 
 
 def _execute_extremal(cfg: RunConfig):
@@ -344,7 +344,7 @@ def _execute_extremal(cfg: RunConfig):
                 "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
             }
         )
-    return results, sum(r["violations"] for r in results), []
+    return results, []
 
 
 def _execute_repro(cfg: RunConfig):
@@ -360,15 +360,14 @@ def _execute_repro(cfg: RunConfig):
         "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
         "witness": witness_document(witness),
     }
-    notes = ["the contraction bound fails on this input, as constructed"]
-    return [result], result["violations"], notes
+    return [result], ["the contraction bound fails on this input, as constructed"]
 
 
 def _execute_ptrace(cfg: RunConfig):
     n = cfg.n
-    k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
-    if k_values is not None and k_values[0] > n:
-        raise ValueError(f"--k {k_values[0]} exceeds n={n}")
+    ks = None if cfg.k_spec == "all" else np.array([int(cfg.k_spec)])
+    if ks is not None and ks[0] > n:
+        raise ValueError(f"--k {ks[0]} exceeds n={n}")
     results = []
     notes = []
 
@@ -403,12 +402,11 @@ def _execute_ptrace(cfg: RunConfig):
     reg_violations = 0
     chunk = max(1, CHUNK_ENTRIES // (n * n))
     for start in range(0, cfg.trials, chunk):
-        pairs = [commuting_hermitian_pair(n, regression_stream.offset(t).generator())
-                 for t in range(start, min(cfg.trials, start + chunk))]
-        a, b = (np.stack(side) for side in zip(*pairs))
-        margins, _, violated = _worst_margins(a, b, cfg.question, k_values, cfg.tolerance)
+        pairs = np.array([commuting_hermitian_pair(n, regression_stream.offset(t).generator())
+                          for t in range(start, min(cfg.trials, start + chunk))])
+        margins, _, rhs, _, _ = _worst_margins(pairs, cfg.question, ks)
         reg_worst = max(reg_worst, float(margins.max()))
-        reg_violations += int(np.count_nonzero(violated))
+        reg_violations += int(np.count_nonzero(_violated(margins, rhs, cfg.tolerance)))
     results.append(
         {
             "target": "commuting-regression",
@@ -424,49 +422,33 @@ def _execute_ptrace(cfg: RunConfig):
     if cfg.budget == 0:
         notes.append("bounded search skipped: --budget 0")
     else:
-        search, findings, note = _search(cfg, SeededStream(cfg.seed, 2 * STREAM_STRIDE))
-        results.append(
-            {
-                "target": "bounded-search",
-                "question": cfg.question,
-                "strategy": search.strategy,
-                "budget": cfg.budget,
-                "evaluations": search.evaluations,
-                "best_margin": search.best_margin,
-                **findings,
-            }
-        )
+        search, note = _search(cfg, SeededStream(cfg.seed, 2 * STREAM_STRIDE))
+        results.append({"target": "bounded-search", **search})
         notes.append(note)
-    return results, sum(r["violations"] for r in results), notes
+    return results, notes
 
 
 def _execute_search(cfg: RunConfig):
-    result, findings, note = _search(cfg, SeededStream(cfg.seed))
-    doc = {
-        "target": "counterexample-search",
-        "question": cfg.question,
-        "n": cfg.n,
-        "strategy": result.strategy,
-        "budget": cfg.budget,
-        "evaluations": result.evaluations,
-        "restarts": result.restarts,
-        "best_margin": result.best_margin,
-        **findings,
-    }
-    return [doc], findings["violations"], [note]
+    search, note = _search(cfg, SeededStream(cfg.seed))
+    return [{"target": "counterexample-search", "n": cfg.n, "restarts": cfg.restarts,
+             **search}], [note]
 
 
 def _search(cfg: RunConfig, stream):
-    """The configured search from ``stream``: its result, its violation count
-    and witness document, and its note."""
+    """The configured search from ``stream``: the fields that both search
+    sections report (its violation count, and its witness if it found one),
+    and its note."""
     result = search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget, cfg.restarts,
                                    stream, strategy=cfg.strategy, tolerance=cfg.tolerance)
+    fields = {"question": cfg.question, "strategy": result.strategy, "budget": cfg.budget,
+              "evaluations": result.evaluations, "best_margin": result.best_margin,
+              "violations": 0}
     if result.witness is None:
-        return result, {"violations": 0}, "no counterexample found within budget"
+        return fields, "no counterexample found within budget"
     w = result.witness
     witness = Witness(matrices={"A": w.A, "B": w.B}, k=w.k, margin=result.best_margin)
-    return (result, {"violations": 1, "witness": witness_document(witness)},
-            "counterexample candidate found — inspect the witness")
+    fields.update(violations=1, witness=witness_document(witness))
+    return fields, "counterexample candidate found — inspect the witness"
 
 
 _EXECUTORS = {
@@ -481,7 +463,8 @@ _EXECUTORS = {
 def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
-    results, total_violations, notes = _EXECUTORS[cfg.command](cfg)
+    results, notes = _EXECUTORS[cfg.command](cfg)
+    total_violations = sum(r["violations"] for r in results)
     status = 2 if total_violations else 0
     doc = run_document(
         cfg.command,

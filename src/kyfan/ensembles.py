@@ -216,7 +216,8 @@ def haar_unitary(n: int, s) -> np.ndarray:
 
 
 def random_hermitian(n: int, s) -> np.ndarray:
-    """Hermitian matrix (G + G*)/2 with G a scaled complex Gaussian sample."""
+    """Hermitian matrix (G + G*)/2 with G = X + iY, X and Y iid standard
+    normal, so each entry of G has variance 2, unlike :func:`ginibre`'s."""
     z = _complex(_gaussian(n, as_generator(s)))
     return (z + z.conj().T) / 2.0
 

@@ -31,12 +31,17 @@ they are for any Hermitian matrix.  ``eigvalsh`` reads one triangle only, so
 the kernel scores the Hermitian part (P + P*) / 2 of each validated pair:
 the pair itself, up to the sign of a zero, when it is exactly Hermitian, as
 the search's, the regression's and stored witnesses' pairs are, and within
-the tolerance of :func:`require_hermitian` of it otherwise.
+the relative tolerance ``HERMITIAN_TOL`` of :func:`require_hermitian` of it
+otherwise.  Each pair's largest margin over k, the first k attaining it and
+the rhs there come from one function over the kernel, :func:`_worst_margins`:
+the search's start points and rounds, its witness decision, the regression
+and :func:`worst_question_margin` all call it.
 
 Search engine
 -------------
-A greedy step proposes one coordinate and one Gaussian move.  Since stream
-contract v4 restart r draws from its own generator
+A greedy step proposes one coordinate and one Gaussian move, of step
+``STEP_INIT`` at first, halved after ``STALL_LIMIT`` consecutive rejections.
+Since stream contract v4 restart r draws from its own generator
 ``stream.offset(r).generator()``: the shared eigenbasis first (commuting
 strategy only), then its start point ``g.standard_normal(dim)``, then its
 proposals in blocks of ``PROPOSAL_BLOCK`` = 256, each block two calls,
@@ -139,15 +144,21 @@ PROPOSAL_BLOCK = 256
 #: the Gaussian step a search restart starts from
 STEP_INIT = 0.5
 
+#: consecutive rejections after which a search restart halves its step
+STALL_LIMIT = 50
 
-def require_hermitian(a, *, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
+#: the relative deviation from Hermitian that :func:`require_hermitian` accepts
+HERMITIAN_TOL = 1e-12
+
+
+def require_hermitian(a, *, name: str = "matrix") -> np.ndarray:
     """Validate a Hermitian matrix, or each matrix of a ``(..., n, n)`` stack."""
     m = as_matrix(a, square=True, name=name, stacked=True)
     difference = m - _adjoint(m)
     if not difference.any():  # exactly Hermitian, whatever the scale
         return m
     deviation = np.linalg.norm(difference, axis=(-2, -1))
-    bad = np.ravel(~residual_vanishes(deviation, np.linalg.norm(m, axis=(-2, -1)), tol))
+    bad = np.ravel(~residual_vanishes(deviation, np.linalg.norm(m, axis=(-2, -1)), HERMITIAN_TOL))
     if bad.any():
         first = int(np.argmax(bad))
         where = "" if m.ndim == 2 else f" (matrix {first} of the stack)"
@@ -258,15 +269,17 @@ def lhs_operator(a, b, *, cross_check: bool = True) -> np.ndarray:
 def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
     """lhs and rhs for k = 1..n (index k-1) of each pair of a ``(..., 2, n, n)``
     stack, and the singular values of its A and tr(B) I - n B, all of shape
-    ``(..., n)``.  The pairs are validated as Hermitian and scored as their
-    Hermitian parts (P + P*) / 2: one SVD call on the K operators T of K pairs
-    and one :func:`_hermitian_spectra` call on the 2 K factors.  Given
-    ``moved_b``, that call is on the search's K moved factors: a candidate
-    takes the spectrum of the factor it did not move from the current point's
-    ``sa`` or ``sd`` (see the module docstring).
+    ``(K, n)`` over the K pairs of the flattened stack.  The pairs are
+    validated as Hermitian and scored as their Hermitian parts (P + P*) / 2:
+    one SVD call on the K operators T and one :func:`_hermitian_spectra` call
+    on the 2 K factors.  Given ``moved_b``, that call is on the search's K
+    moved factors: a candidate takes the spectrum of the factor it did not
+    move from the current point's ``sa`` or ``sd`` (see the module docstring).
     """
+    if question not in (1, 2):
+        raise ValueError("question must be 1 or 2")
     pairs = require_hermitian(pairs, name="A or B")
-    lead, n = pairs.shape[:-3], pairs.shape[-1]
+    n = pairs.shape[-1]
     pairs = pairs.reshape(-1, 2, n, n)
     pairs = (pairs + _adjoint(pairs)) / 2.0
     a, k = pairs[:, 0], len(pairs)
@@ -279,7 +292,11 @@ def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
         moved = moved_b[:, None]
         spectra = _hermitian_spectra(np.where(moved[..., None], d, a))
         sa, sd = np.where(moved, sa, spectra), np.where(moved, spectra, sd)
-    return tuple(x.reshape(lead + (n,)) for x in (*_sides(st, sa, sd, question), sa, sd))
+    if question == 1:
+        rhs = 2.0 * sa[:, :1] * np.cumsum(sd, axis=-1)
+    else:
+        rhs = 2.0 * np.cumsum(sa * sd, axis=-1)
+    return np.cumsum(st, axis=-1), rhs, sa, sd
 
 
 def _hermitian_spectra(h: np.ndarray) -> np.ndarray:
@@ -292,48 +309,30 @@ def _hermitian_spectra(h: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(w), axis=-1)[:, ::-1]
 
 
-def _sides(st, sa, sd, question: int) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs for k = 1..n from the spectra of T, A and tr(B) I - n B."""
-    lhs = np.cumsum(st, axis=-1)
-    if question == 1:
-        rhs = 2.0 * sa[..., :1] * np.cumsum(sd, axis=-1)
-    else:
-        rhs = 2.0 * np.cumsum(sa * sd, axis=-1)
-    return lhs, rhs
-
-
-def _question_sides(a, b, question: int) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs for k = 1..n (index k-1) of the pairs (A, B), shape ``(..., n)``."""
-    question = int(question)
-    if question not in (1, 2):
-        raise ValueError("question must be 1 or 2")
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return _pair_sides(np.stack([a, b], axis=-3), question)[:2]
-
-
-def _worst_margins(a, b, question: int, k_values=None, tolerance: float = INEQUALITY_TOL):
-    """Each pair's largest margin over ``k_values`` (default: all of 1..n), the
-    first k in ``k_values`` order attaining it, and whether the pair breaks
-    the tolerance rule there, from one pass."""
-    lhs, rhs = _question_sides(a, b, question)
-    n = lhs.shape[-1]
-    ks = np.arange(1, n + 1) if k_values is None else np.array([int(k) for k in k_values])
-    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
-        raise ValueError(f"k values {ks.tolist()} not in 1..{n}")
-    margins = (lhs - rhs)[..., ks - 1]
-    first = np.argmax(margins, axis=-1)[..., None]
-    k = ks[first]
-    best = np.take_along_axis(margins, first, axis=-1)[..., 0]
-    rhs = np.take_along_axis(rhs, k - 1, axis=-1)[..., 0]
-    return best, k[..., 0], _violated(best, rhs, tolerance)
+def _worst_margins(pairs, question: int, ks=None, moved_b=None, sa=None, sd=None):
+    """Each pair's largest margin over ``ks`` (an array of k values, or None
+    for all of 1..n), the first k in ``ks`` order attaining it and the rhs at
+    that k, of shape ``(K,)``, and the spectra of A and tr(B) I - n B to carry,
+    from one :func:`_pair_sides` pass over a ``(..., 2, n, n)`` stack of K
+    pairs.  A verdict is :func:`~kyfan.norms._violated` of margin and rhs."""
+    lhs, rhs, sa, sd = _pair_sides(pairs, question, moved_b, sa, sd)
+    margins = lhs - rhs
+    if ks is not None:
+        n = margins.shape[-1]
+        if ks.size == 0 or ks.min() < 1 or ks.max() > n:
+            raise ValueError(f"k values {ks.tolist()} not in 1..{n}")
+        margins = margins[:, ks - 1]
+    first = np.argmax(margins, axis=-1)
+    rows = np.arange(len(first))
+    k = first + 1 if ks is None else ks[first]
+    return margins[rows, first], k, rhs[rows, k - 1], sa, sd
 
 
 def question_margins_all_k(a, b, question: int) -> np.ndarray:
     """Margins lhs - rhs for k = 1..n (index k-1) using the closed form."""
-    lhs, rhs = _question_sides(a, b, question)
-    return lhs - rhs
+    pairs = np.stack([a, b], axis=-3)
+    lhs, rhs = _pair_sides(pairs, question)[:2]
+    return (lhs - rhs).reshape(pairs.shape[:-3] + lhs.shape[-1:])
 
 
 def question_margin(inst: QuestionInstance) -> float:
@@ -345,10 +344,13 @@ def worst_question_margin(a, b, question: int, k_values=None):
     """Largest margin over the requested k values (default: all of 1..n) and
     the first k in ``k_values`` order attaining it: floats for one pair,
     arrays over the leading axes for a stack."""
-    best, k, _ = _worst_margins(a, b, question, k_values)
-    if best.ndim == 0:
-        return float(best), int(k)
-    return best, k
+    pairs = np.stack([a, b], axis=-3)
+    ks = None if k_values is None else np.array([int(k) for k in k_values])
+    best, k = _worst_margins(pairs, question, ks)[:2]
+    lead = pairs.shape[:-3]
+    if not lead:
+        return float(best[0]), int(k[0])
+    return best.reshape(lead), k.reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +407,6 @@ def _unpack_pair(theta: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _best_margins(pairs: np.ndarray, question: int, ks: np.ndarray, moved_b=None,
-                  sa=None, sd=None):
-    """The search's scoring of a ``(K, 2, n, n)`` stack of candidate pairs:
-    each pair's largest margin over ``ks`` (all of 1..n or one k, already
-    validated) and the first k attaining it, as :func:`worst_question_margin`
-    gives them, and the spectra of A and tr(B) I - n B to carry (see
-    :func:`_pair_sides`)."""
-    lhs, rhs, sa, sd = _pair_sides(pairs, question, moved_b, sa, sd)
-    margins = lhs - rhs
-    picked = margins if ks.size == margins.shape[-1] else margins[:, ks - 1]
-    first = np.argmax(picked, axis=-1)
-    return picked[np.arange(len(first)), first], ks[first], sa, sd
-
-
 def _builder(strategy: str, n: int, gens):
     """The map ``build(theta, owner)`` from ``(K, dim)`` parameter vectors, row
     i belonging to restart ``owner[i]``, to a ``(K, 2, n, n)`` stack of
@@ -442,8 +430,8 @@ class _Restart:
     and stall count, and its drawn proposals, whose coordinates and normals
     from ``next`` on are not yet consumed."""
 
-    def __init__(self, g, quota: int, step: float, stall_limit: int):
-        self.g, self.quota, self.step, self.stall_limit = g, quota, step, stall_limit
+    def __init__(self, g, quota: int):
+        self.g, self.quota, self.step = g, quota, STEP_INIT
         self.used, self.stalls, self.next = 1, 0, 0
         self.coords, self.normals = np.empty(0, dtype=np.int64), np.empty(0)
 
@@ -463,27 +451,27 @@ class _Restart:
         for _ in range(size):  # halved one step at a time, exact when subnormal too
             steps.append(self.step)
             self.stalls += 1
-            if self.stalls >= self.stall_limit:
+            if self.stalls >= STALL_LIMIT:
                 self.step *= 0.5
                 self.stalls = 0
         window = slice(self.next, self.next + size)
         return self.coords[window], self.normals[window], steps
 
 
-def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
-           step_init: float, stall_limit: int):
+def _climb(gens, quotas, question: int, n: int, ks, strategy: str):
     """Restarts of the greedy search run in lockstep, restart r scoring
-    ``quotas[r]`` >= 1 pairs drawn from ``gens[r]``.  Each round scores the
-    pending proposals of every live restart as one stack; see the module
-    docstring.  Returns, per restart, the final pair, its margin and k, and
-    the carried spectra of the final A and tr(B) I - n B."""
+    ``quotas[r]`` >= 1 pairs drawn from ``gens[r]`` over the k values ``ks``
+    (None for all of 1..n).  Each round scores the pending proposals of every
+    live restart as one stack; see the module docstring.  Returns, per
+    restart, the final pair, its margin and k, and the carried spectra of the
+    final A and tr(B) I - n B."""
     build, dim = _builder(strategy, n, gens)
     half = dim // 2
     every = np.arange(len(gens))
     thetas = np.stack([g.standard_normal(dim) for g in gens])
-    values, value_ks, sa, sd = _best_margins(build(thetas, every), question, ks)
+    values, value_ks, _, sa, sd = _worst_margins(build(thetas, every), question, ks)
     current, current_k = values.tolist(), value_ks.tolist()
-    restarts = [_Restart(g, quota, step_init, stall_limit) for g, quota in zip(gens, quotas)]
+    restarts = [_Restart(g, quota) for g, quota in zip(gens, quotas)]
     while True:
         live = [r for r, restart in enumerate(restarts) if restart.used < restart.quota]
         if not live:
@@ -495,7 +483,7 @@ def _climb(gens, quotas, question: int, n: int, ks: np.ndarray, strategy: str,
         candidates = thetas[owner]
         moves = np.concatenate(steps) * np.concatenate(normals)
         candidates[np.arange(len(owner)), coords] += moves
-        values, value_ks, sas, sds = _best_margins(
+        values, value_ks, _, sas, sds = _worst_margins(
             build(candidates, owner), question, ks, coords >= half, sa[owner], sd[owner])
         better = (values > np.array(current)[owner]).tolist()
         start = 0
@@ -526,7 +514,6 @@ def search_counterexample(
     *,
     strategy: str = "general",
     tolerance: float = INEQUALITY_TOL,
-    stall_limit: int = 50,
 ) -> SearchResult:
     """Multi-restart greedy search maximizing the question margin.
 
@@ -534,14 +521,14 @@ def search_counterexample(
     or by two spectra in a shared random eigenbasis when
     ``strategy="commuting"``), then repeatedly perturbs one coordinate by a
     Gaussian step of ``STEP_INIT`` at first, keeping improvements and halving
-    the step after ``stall_limit`` consecutive rejections; ``stall_limit``
-    must be an integer of at least 1.  ``budget`` counts margin evaluations
-    across all restarts; ties in best margin resolve to the earlier restart.
-    A witness is attached only when the best pair breaks the tolerance rule
-    of :mod:`kyfan.norms` at its k under ``tolerance``; a negative result
-    never claims nonexistence.  ``s`` is a SeededStream or an int master
-    seed.  The restarts run in lockstep, each scoring its proposals
-    ``SEARCH_BATCH`` at a time (see the module docstring).
+    the step after ``STALL_LIMIT`` consecutive rejections.  ``budget`` counts
+    margin evaluations across all restarts; ties in best margin resolve to the
+    earlier restart.  A witness is attached only when the best pair breaks the
+    tolerance rule of :mod:`kyfan.norms` at its k under ``tolerance``, as
+    :func:`_worst_margins` re-scores it; a negative result never claims
+    nonexistence.  ``s`` is a SeededStream or an int master seed.  The
+    restarts run in lockstep, each scoring its proposals ``SEARCH_BATCH`` at
+    a time (see the module docstring).
     """
     question = int(question)
     if question not in (1, 2):
@@ -557,14 +544,11 @@ def search_counterexample(
         raise ValueError("restarts must be positive")
     if strategy not in ("general", "commuting"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if (not isinstance(stall_limit, (int, np.integer)) or isinstance(stall_limit, bool)
-            or stall_limit < 1):
-        raise ValueError(f"stall_limit must be an integer of at least 1, got {stall_limit!r}")
     if k_policy != "all":
         k_policy = int(k_policy)
         if not 1 <= k_policy <= n:
             raise ValueError(f"k={k_policy} out of range 1..{n}")
-    ks = np.arange(1, n + 1) if k_policy == "all" else np.array([k_policy])
+    ks = None if k_policy == "all" else np.array([k_policy])
     if s is None:
         raise ValueError("a seed stream is required")
     stream = _as_stream(s)
@@ -580,17 +564,18 @@ def search_counterexample(
         if not members:
             continue
         finals = _climb([stream.offset(r).generator() for r in members],
-                        [quotas[r] for r in members], question, n, ks, strategy, STEP_INIT,
-                        stall_limit)
+                        [quotas[r] for r in members], question, n, ks, strategy)
         for pair, margin, k, _, _ in finals:
             if margin > best_margin:
                 best_margin, best_pair, best_k = margin, pair, k
 
     witness = None
-    if best_pair is not None and _worst_margins(*best_pair, question, [best_k], tolerance)[2]:
-        witness = QuestionInstance(
-            A=best_pair[0], B=best_pair[1], n=n, question=question, k=best_k
-        )
+    if best_pair is not None:
+        margin, _, rhs, _, _ = _worst_margins(best_pair, question, np.array([best_k]))
+        if _violated(margin[0], rhs[0], tolerance):
+            witness = QuestionInstance(
+                A=best_pair[0], B=best_pair[1], n=n, question=question, k=best_k
+            )
     return SearchResult(
         best_margin=float(best_margin),
         witness=witness,

@@ -442,6 +442,20 @@ class TestExecution:
         assert execute(cfg) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["repro", "fan-counterexample"],
+        ["check", "--ineq", "all", "--n", "2", "--trials", "3", "--tolerance=-10"],
+        ["ptrace", "--question", "2", "--n", "3", "--trials", "5", "--budget", "40",
+         "--restarts", "2", "--tolerance=-10"],
+        ["search", "--question", "1", "--n", "2", "--budget", "20", "--restarts", "2",
+         "--tolerance=-10"],
+    ], ids=lambda argv: argv[0])
+    def test_violations_total_is_the_sum_over_the_sections(self, argv, capsys):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations_total"] == sum(r["violations"] for r in doc["results"])
+        assert doc["exit_status"] == 2
+
 
 class TestKRejection:
     @pytest.mark.parametrize("argv, named", [

@@ -11,7 +11,7 @@ from kyfan.ensembles import (
     random_hermitian,
 )
 from kyfan.matrixcore import singular_values
-from kyfan.norms import inequality_holds
+from kyfan.norms import _violated, inequality_holds
 from kyfan.ptrace import (
     QuestionInstance,
     _worst_margins,
@@ -105,6 +105,12 @@ class TestMargins:
         z = np.zeros((3, 3), dtype=complex)
         margin, k = worst_question_margin(z, z, 1)
         assert margin == 0.0 and k == 1
+
+    def test_a_tie_goes_to_the_first_k_in_k_values_order(self):
+        z = np.zeros((3, 3), dtype=complex)
+        assert worst_question_margin(z, z, 1, [3, 1, 2]) == (0.0, 3)
+        margins, ks = worst_question_margin(np.stack([z, z]), np.stack([z, z]), 1, [3, 1, 2])
+        assert margins.tolist() == [0.0, 0.0] and ks.tolist() == [3, 3]
 
     def test_worst_margin_selects_argmax(self):
         g = SeededStream(49).generator()
@@ -206,8 +212,9 @@ class TestStackedPrimitives:
     def test_violates_is_the_relative_rule(self):
         a, b = self._pairs(65, 9, 4)
         margins, ks = worst_question_margin(a, b, 2)
+        worst, _, rhs_at_k, _, _ = _worst_margins(np.stack([a, b], axis=-3), 2)
         for tol in (1e-8, -0.5, -5.0):
-            flags = _worst_margins(a, b, 2, None, tol)[2]
+            flags = _violated(worst, rhs_at_k, tol)
             for i in range(9):
                 lhs = np.cumsum(singular_values(lhs_operator(a[i], b[i])))[ks[i] - 1]
                 rhs = lhs - margins[i]
@@ -258,8 +265,11 @@ class TestHermitianSpectra:
         g = SeededStream(99).generator()
         for n in range(1, 9):
             b = random_hermitian(n, g)
-            lhs, rhs = ptrace._question_sides(-1.7 * np.eye(n), b, 2)
-            assert np.all(np.abs(lhs - rhs) <= 8 * n * np.finfo(float).eps * rhs[-1])
+            pair = np.stack([-1.7 * np.eye(n), b])
+            scored = [_worst_margins(pair, 2, np.array([k])) for k in range(1, n + 1)]
+            lhs_minus_rhs = np.concatenate([margin for margin, _, _, _, _ in scored])
+            rhs = np.concatenate([rhs_k for _, _, rhs_k, _, _ in scored])
+            assert np.all(np.abs(lhs_minus_rhs) <= 8 * n * np.finfo(float).eps * rhs[-1])
 
     def test_an_overflowed_factor_is_refused(self):
         # T stays finite, while n B overflows in tr(B) I - n B
@@ -341,12 +351,6 @@ class TestSearch:
             search_counterexample(1, 3, k_policy=9, budget=10, s=s)
         with pytest.raises(ValueError):
             search_counterexample(1, 3, budget=10)  # seed required
-
-    @pytest.mark.parametrize("stall_limit", [0, -3, 2.5, True, "50"])
-    def test_rejects_a_bad_stall_limit(self, stall_limit):
-        # 0 or -3 would halve the step at every rejected candidate
-        with pytest.raises(ValueError, match="stall_limit"):
-            search_counterexample(1, 3, budget=10, s=SeededStream(58), stall_limit=stall_limit)
 
     def test_witness_margin_reproduces(self):
         # force a "witness" by setting the bar below zero: any best pair attaches
@@ -495,16 +499,17 @@ REFERENCE_CONFIGS += (HALF_SPLIT_CONFIGS + list(ONE_SIDED_CONFIGS) + QUESTION1_C
 class TestSearchMatchesReference:
     @pytest.mark.parametrize("config", REFERENCE_CONFIGS,
                              ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}".format(*c))
-    def test_bitwise(self, config):
+    def test_bitwise(self, monkeypatch, config):
         question, n, k_policy, budget, restarts, strategy, stall_limit = config
         seed = 1000 + 7 * n + question
         ref_margin, ref_evaluations, ref_pair, ref_k = _reference_search(
             question, n, k_policy, budget, restarts, SeededStream(seed), strategy,
             stall_limit=stall_limit,
         )
+        monkeypatch.setattr(ptrace, "STALL_LIMIT", stall_limit)
         res = search_counterexample(
             question, n, k_policy, budget, restarts, SeededStream(seed),
-            strategy=strategy, stall_limit=stall_limit, tolerance=-np.inf,
+            strategy=strategy, tolerance=-np.inf,
         )
         assert res.evaluations == ref_evaluations
         assert np.array_equal(res.best_margin, ref_margin)
@@ -519,17 +524,17 @@ class TestSearchMatchesReference:
                              ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}".format(*c))
     def test_one_sided_configs_have_a_one_sided_full_batch(self, monkeypatch, config):
         question, n, k_policy, budget, restarts, strategy, stall_limit = config
-        real, sides = ptrace._best_margins, []
+        real, sides = ptrace._worst_margins, []
 
         def recording(pairs, question, ks, moved_b=None, sa=None, sd=None):
             if moved_b is not None and len(moved_b) == ptrace.SEARCH_BATCH:
                 sides.append(set(moved_b.tolist()))
             return real(pairs, question, ks, moved_b, sa, sd)
 
-        monkeypatch.setattr(ptrace, "_best_margins", recording)
+        monkeypatch.setattr(ptrace, "_worst_margins", recording)
+        monkeypatch.setattr(ptrace, "STALL_LIMIT", stall_limit)
         search_counterexample(question, n, k_policy, budget, restarts,
-                              SeededStream(1000 + 7 * n + question), strategy=strategy,
-                              stall_limit=stall_limit)
+                              SeededStream(1000 + 7 * n + question), strategy=strategy)
         assert {ONE_SIDED_CONFIGS[config] == "B"} in sides
 
 
@@ -552,15 +557,16 @@ LOCKSTEP_CONFIGS = [
 class TestLockstepMatchesReference:
     @pytest.mark.parametrize("config", LOCKSTEP_CONFIGS,
                              ids=lambda c: "q{}-n{}-k{}-b{}-r{}-{}-s{}-seed{}".format(*c))
-    def test_bitwise(self, config):
+    def test_bitwise(self, monkeypatch, config):
         question, n, k_policy, budget, restarts, strategy, stall_limit, seed = config
         ref_margin, ref_evaluations, ref_pair, ref_k = _reference_search(
             question, n, k_policy, budget, restarts, SeededStream(seed), strategy,
             stall_limit=stall_limit,
         )
+        monkeypatch.setattr(ptrace, "STALL_LIMIT", stall_limit)
         res = search_counterexample(
             question, n, k_policy, budget, restarts, SeededStream(seed),
-            strategy=strategy, stall_limit=stall_limit, tolerance=-np.inf,
+            strategy=strategy, tolerance=-np.inf,
         )
         assert res.evaluations == ref_evaluations
         assert np.array_equal(res.best_margin, ref_margin)
@@ -569,14 +575,14 @@ class TestLockstepMatchesReference:
         assert np.array_equal(res.witness.B, ref_pair[1])
 
     @pytest.mark.parametrize("strategy", ["general", "commuting"])
-    def test_restarts_finishing_in_different_rounds(self, strategy):
+    def test_restarts_finishing_in_different_rounds(self, monkeypatch, strategy):
         # quota 1 scores only its start point and joins no round; the others
         # leave the rounds at different times
         question, n, quotas, stall_limit = 2, 4, [300, 5, 1, 120, 41], 7
         stream = SeededStream(73)
+        monkeypatch.setattr(ptrace, "STALL_LIMIT", stall_limit)
         finals = ptrace._climb([stream.offset(r).generator() for r in range(len(quotas))],
-                               quotas, question, n, np.arange(1, n + 1), strategy, 0.5,
-                               stall_limit)
+                               quotas, question, n, np.arange(1, n + 1), strategy)
         assert len(finals) == len(quotas)
         for r, (quota, (pair, margin, k, _, _)) in enumerate(zip(quotas, finals)):
             ref_margin, _, ref_pair, ref_k = _reference_search(
@@ -592,13 +598,13 @@ class TestLockstepMatchesReference:
         n = 8
         group = CHUNK_ENTRIES // (ptrace.SEARCH_BATCH * n * n)  # restarts a round takes
         restarts = group + 4
-        real, stacks = ptrace._best_margins, []
+        real, stacks = ptrace._worst_margins, []
 
         def recording(pairs, *args):
             stacks.append(pairs.shape[0])
             return real(pairs, *args)
 
-        monkeypatch.setattr(ptrace, "_best_margins", recording)
+        monkeypatch.setattr(ptrace, "_worst_margins", recording)
         search_counterexample(2, n, budget=restarts * 40, restarts=restarts,
                               s=SeededStream(74), strategy=strategy)
         # each operand (the Ts, the As, the Bs, the moved factors) holds one
@@ -618,18 +624,18 @@ class TestSearchKernel:
     def _lone_stacks(monkeypatch, strategy, stream, quota):
         """The stack sizes of one restart run alone, each checked to be
         min(batch, quota - used) by replaying the accept rule on its scores."""
-        real, scores = ptrace._best_margins, []
+        real, scores = ptrace._worst_margins, []
 
         def recording(pairs, *args):
             out = real(pairs, *args)
             scores.append(out[0])
             return out
 
-        monkeypatch.setattr(ptrace, "_best_margins", recording)
+        monkeypatch.setattr(ptrace, "_worst_margins", recording)
         search_counterexample(2, 3, budget=quota, restarts=1, s=stream, strategy=strategy)
-        monkeypatch.setattr(ptrace, "_best_margins", real)
+        monkeypatch.setattr(ptrace, "_worst_margins", real)
         current, used, sizes = scores[0][0], 1, []
-        for values in scores[1:]:
+        for values in scores[1:-1]:  # the last call is the witness decision
             assert len(values) == min(ptrace.SEARCH_BATCH, quota - used)
             accepted = np.flatnonzero(values > current)
             if accepted.size:
@@ -677,7 +683,7 @@ class TestSearchKernel:
         n = 4
         gens = [SeededStream(72, r).generator() for r in range(3)]
         finals = ptrace._climb(gens, [400, 150, 1], question, n, np.arange(1, n + 1),
-                               strategy, 0.5, 50)
+                               strategy)
         assert len(finals) == 3
         for (a, b), margin, k, sa, sd in finals:
             assert sa.tobytes() == _reference_spectrum(a).tobytes()
@@ -753,16 +759,18 @@ class TestProposalBlocks:
         p, n = ptrace.PROPOSAL_BLOCK, 2
         quotas = [1, 2, p + 1, p + 2, 2 * p + 1]
         gens = [_recording(SeededStream(79, r).generator()) for r in range(len(quotas))]
-        ptrace._climb(gens, quotas, 2, n, np.arange(1, n + 1), strategy, 0.5, 50)
+        ptrace._climb(gens, quotas, 2, n, np.arange(1, n + 1), strategy)
         head = 2 if strategy == "commuting" else 1
         assert [(len(g.calls) - head) // 2 for g in gens] == [0, 1, 1, 2, 2]
 
-    def test_step_halving_stays_exact_when_subnormal(self):
+    def test_step_halving_stays_exact_when_subnormal(self, monkeypatch):
         # five times the smallest subnormal u, halved one candidate at a time, is
         # 2u (2.5u rounds to even), u, then 0 (0.5u rounds to even); a single
         # product 5u * 0.5**3 would round 0.625u to u
         u = 2.0**-1074
-        restart = ptrace._Restart(SeededStream(80).generator(), 50, 5 * u, 1)
+        monkeypatch.setattr(ptrace, "STEP_INIT", 5 * u)
+        monkeypatch.setattr(ptrace, "STALL_LIMIT", 1)
+        restart = ptrace._Restart(SeededStream(80).generator(), 50)
         _, _, steps = restart.propose(8)
         assert steps == [5 * u, 2 * u, u, 0.0, 0.0, 0.0][: ptrace.SEARCH_BATCH]
         assert restart.step == 0.0 and restart.stalls == 0
