@@ -20,12 +20,12 @@ the repeats:
   1024 trials at n = 5 through ``check_ahj`` (given factors) and
   ``check_lemma32``, per trial: opening the streams, drawing, building,
   scoring and aggregation.  Every repeat starts from a fresh section base.
-- ``checker_sweep_50``: the shape of ``kyfan check --ineq all --trials 50``
-  in process: every checked family through its public ``check_*`` function
-  (``check_ahj`` in both factor modes, the masked checkers under the form
-  of their family) at n = 2..8, 50 trials per section, each section on its
-  own base.  Per trial of the 3500, and the row also gives the median in
-  trials per second.
+- ``checker_sweep_50``: ``kyfan check --ineq all --trials 50`` in process:
+  every family of ``suite.FAMILIES``, in its order, at n = 2..8 through
+  ``cli._check_section``, the path the command takes (each family's public
+  ``check_*`` function, the masked ones under the form of their family), 50
+  trials per section, each section on its own base.  Per trial of the 3500,
+  and the row also gives the median in trials per second.
 - ``search_stack_3``: one lockstep round of the counterexample search at
   n = 3, question 2, all k, with ``SEARCH_RESTARTS`` = 8 live restarts: the
   one scoring call a round makes for ``SEARCH_BATCH`` candidates of each
@@ -77,22 +77,12 @@ from pathlib import Path
 
 import numpy as np
 
+from kyfan.cli import _check_section
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
+from kyfan.norms import INEQUALITY_TOL
 from kyfan.ptrace import SEARCH_BATCH, _unpack_pair, _worst_margins, search_counterexample
-from kyfan.forms import fan_form, hadamard_form
-from kyfan.suite import (
-    EXTREMAL_TARGETS,
-    _extremal_gaps,
-    check_ahj,
-    check_fan_sigma1,
-    check_hadamard_family,
-    check_hmn,
-    check_lemma31,
-    check_lemma32,
-    check_product_family,
-    check_von_neumann,
-)
+from kyfan.suite import EXTREMAL_TARGETS, FAMILIES, _extremal_gaps, check_ahj, check_lemma32
 
 SEED = 271828
 SECTION = 2**24
@@ -106,19 +96,6 @@ EXTREMAL_TRIALS = 2000
 EXTREMAL_SAMPLES = 2
 SWEEP_NS = range(2, 9)
 SWEEP_TRIALS = 50
-#: every checked family, as ``kyfan check --ineq all`` runs it: (n, trials, stream) -> report
-SWEEP_CHECKS = (
-    check_von_neumann,
-    check_product_family,
-    check_hadamard_family,
-    lambda n, t, s: check_ahj(n, t, s, "given"),
-    lambda n, t, s: check_ahj(n, t, s, "sqrt"),
-    lambda n, t, s: check_lemma31(hadamard_form(n), n, t, s),
-    check_lemma32,
-    lambda n, t, s: check_hmn(hadamard_form(n), n, t, s),
-    lambda n, t, s: check_hmn(fan_form(n), n, t, s),
-    check_fan_sigma1,
-)
 #: calibration kernel time on the reference machine, as in perfbench/run.py
 CAL_REF_S = 0.03
 CALIBRATION_ROUNDS = 5
@@ -206,11 +183,12 @@ def measure(ops: int, repeats: int) -> dict:
         search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=SEARCH_RESTARTS,
                               s=SeededStream(SEED))
 
-    sweep = list(itertools.product(SWEEP_CHECKS, SWEEP_NS))
+    sweep = list(itertools.product(FAMILIES.values(), SWEEP_NS))
 
     def checker_sweep(rep):
-        for section, (check, n) in enumerate(sweep, start=rep * len(sweep)):
-            check(n, SWEEP_TRIALS, SeededStream(SEED, (section + 1) * SECTION))
+        for section, (family, n) in enumerate(sweep, start=rep * len(sweep)):
+            _check_section(family, n, SWEEP_TRIALS, SeededStream(SEED, (section + 1) * SECTION),
+                           INEQUALITY_TOL, None)
 
     def extremal(rep):
         for section, target in enumerate(EXTREMAL_TARGETS, start=rep * len(EXTREMAL_TARGETS)):

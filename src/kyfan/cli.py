@@ -63,6 +63,7 @@ from .suite import (  # noqa: F401
     _check,
     _extremal_gaps,
     _fan_counterexample,
+    _scored_columns,
     check_ahj,
     check_fan_sigma1,
     check_hadamard_family,
@@ -294,7 +295,7 @@ def _check_section(family, n, trials, stream, tolerance, k_values):
     family's checker is named by its id's stem and takes the form first; one
     of an ``--ineq`` group's several families, by the group, taking the rest
     of its id last; any other family's, by its id.  A family with no such
-    function runs through the engine directly.
+    function runs through the one engine entry, :func:`~kyfan.suite._check`.
     """
     stem, _, variant = family.id.partition("-")
     form = None if family.form is None else family.form(n)
@@ -315,9 +316,7 @@ def _execute_check(cfg: RunConfig):
     ns = DEFAULT_NS if cfg.n is None else (cfg.n,)
     k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
     for family, n in itertools.product(families, ns):
-        if k_values is not None and k_values[0] not in family.scored_ks(n):
-            raise ValueError(f"--k {k_values[0]} scores no margin for {family.id} at n={n} "
-                             f"(it scores k in {list(family.scored_ks(n))})")
+        _scored_columns(family, family.id, n, k_values)  # refuses a k before any section runs
     results = []
     for section, (family, n) in enumerate(itertools.product(families, ns)):
         stream = SeededStream(cfg.seed, section * STREAM_STRIDE)

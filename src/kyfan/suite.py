@@ -42,10 +42,12 @@ block j from stream ``base + j``, by calls of its own; the ``ptrace`` loops
 and the searches keep one stream per trial or restart, and a search restart
 draws its proposals in blocks of its own (see :mod:`kyfan.ptrace`).
 
-Everything after the draws runs on the block's stacks: the block is
-transformed, evaluated and scored as ``(T, n, n)`` arrays of at most
-``BLOCK_ENTRIES`` complex entries per operand, so memory stays flat at
-large n.  The ``_parts_*`` evaluators take one trial's matrices or a stack.
+Everything after the draws runs in :func:`_check`, the one engine entry, on
+the block's stacks: the block is transformed, evaluated and scored as
+``(T, n, n)`` arrays of at most ``BLOCK_ENTRIES`` complex entries per
+operand, so memory stays flat at large n.  The ``_parts_*`` evaluators take
+one trial's matrices or a stack and give one column per k of
+``Family.scored_ks``, the one declaration of a family's k values.
 
 Scoring a stack gives the bits of scoring each trial alone.  Measured on
 numpy 2.4.6 with OpenBLAS 0.3.31, the bit-exactness rules are:
@@ -62,7 +64,7 @@ numpy 2.4.6 with OpenBLAS 0.3.31, the bit-exactness rules are:
 Aggregation is that of a trial-by-trial loop: only the ``k_values`` are
 scored, each entry by the tolerance rule; the worst margin is the first
 strict maximum in trial order, then k order; extra trials are scored after
-the drawn ones.
+the drawn ones, each as a block of one.
 
 Extremal engine (stream contract v5, unchanged in v6)
 ----------------------------------------------------
@@ -137,6 +139,7 @@ neither of which depends on order, so grouping by n changes no byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from collections.abc import Callable
@@ -223,101 +226,6 @@ class CheckReport:
 BLOCK_ENTRIES = 4096
 
 
-def _run_checker(
-    inequality_id: str,
-    n: int,
-    trials: int,
-    s,
-    draw,
-    build,
-    parts,
-    *,
-    tolerance: float = INEQUALITY_TOL,
-    k_values=None,
-    shared=None,
-    extra_trials=(),
-    observe=None,
-) -> CheckReport:
-    """Run ``trials`` seeded trials plus ``extra_trials`` through the chunked engine.
-
-    ``draw`` is a family's one-trial generator calls, which
-    :func:`_draw_block` makes for a block; ``build`` maps the arrays they
-    return, each with a leading axis of T trials, to a dict of ``(T, ...)``
-    matrix stacks;
-    ``parts`` evaluates such a dict to ``(ks, lhs, rhs)`` with lhs and rhs of
-    shape ``(T, len(ks))``.  ``shared`` entries (a form's mask) are the same
-    for every trial: they join each chunk and each witness unstacked.
-    ``observe(mats, lhs, rhs)`` sees every scored chunk before the k filter.
-    """
-    n = int(n)
-    trials = int(trials)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    stream = _as_stream(s)
-    k_filter = None if k_values is None else {int(k) for k in k_values}
-    shared = dict(shared or {})
-    extras = [dict(mats) for mats in extra_trials]
-    t0 = time.perf_counter()
-
-    violations = 0
-    worst = -math.inf
-    worst_k = 0
-    worst_mats = None
-    per_k: dict[int, float] = {}
-
-    def score(stacked, extra=None):
-        """Score one chunk; ``extra`` is the caller's dict for an extra trial."""
-        nonlocal violations, worst, worst_k, worst_mats
-        mats = dict(stacked, **shared)
-        ks, lhs, rhs = parts(mats)
-        if observe is not None:
-            observe(mats, lhs, rhs)
-        ks = [int(k) for k in ks]
-        cols = [j for j, k in enumerate(ks) if k_filter is None or k in k_filter]
-        if not cols:
-            return
-        rhs = rhs[:, cols]
-        margins = lhs[:, cols] - rhs
-        violations += int(np.count_nonzero(_violated(margins, rhs, tolerance)))
-        for j, top in zip(cols, margins.max(axis=0)):
-            if ks[j] not in per_k or top > per_k[ks[j]]:
-                per_k[ks[j]] = float(top)
-        first = int(np.argmax(margins))  # row-major: trial order, then k order
-        if margins.flat[first] > worst:
-            trial, j = divmod(first, len(cols))
-            if extra is None:
-                extra = {name: m[trial].copy() for name, m in stacked.items()}
-            worst, worst_k = float(margins.flat[first]), ks[cols[j]]
-            worst_mats = dict(extra, **shared)
-
-    size = max(1, BLOCK_ENTRIES // (n * n))
-    for block, start in enumerate(range(0, trials, size)):
-        g = stream.offset(block).generator()
-        score(build(*_draw_block(draw, n, size, min(size, trials - start), g)))
-    for extra in extras:
-        score({name: as_matrix(m, name=name)[None]
-               for name, m in extra.items() if name not in shared}, extra)
-
-    witness = None
-    if worst_mats is not None:
-        witness = Witness(matrices=worst_mats, k=worst_k, margin=worst)
-    return CheckReport(
-        inequality_id=inequality_id,
-        n=n,
-        k_range=tuple(sorted(per_k)),
-        trials=trials + len(extras),
-        violations=violations,
-        worst_margin=worst,
-        tolerance=float(tolerance),
-        master_seed=stream.master_seed,
-        elapsed_seconds=time.perf_counter() - t0,
-        per_k_worst=dict(sorted(per_k.items())),
-        witness=witness,
-    )
-
-
 # ---------------------------------------------------------------------------
 # trial draws and their stacked transforms.  A draw is the generator calls of
 # one trial, in order, each a kind ("normal" or "uniform") and its shape at n;
@@ -395,8 +303,8 @@ def _contraction_pair(wua, wva, ta, wub, wvb, tb):
 
 # ---------------------------------------------------------------------------
 # per-family evaluation (shared by checkers and witness re-evaluation); each
-# takes one trial's matrices or (T, ...) stacks and returns lhs, rhs of shape
-# (..., len(ks))
+# takes one trial's matrices or (T, ...) stacks at n and returns lhs, rhs of
+# shape (..., len(scored_ks(n))), one column per k its family scores
 # ---------------------------------------------------------------------------
 
 
@@ -409,35 +317,37 @@ def _parts_von_neumann(mats):
     rhs = [float(np.dot(x, y)) for x, y in zip(sa.reshape(-1, sa.shape[-1]),
                                                sb.reshape(-1, sb.shape[-1]))]
     shape = np.shape(traces) + (1,)
-    return (a.shape[-1],), np.reshape(lhs, shape), np.reshape(rhs, shape)
+    return np.reshape(lhs, shape), np.reshape(rhs, shape)
+
+
+def _pair_sums(product, a, b):
+    """cumsum sigma(product) against cumsum sigma(A) sigma(B): both sides at every k."""
+    return (np.cumsum(singular_values(product), axis=-1),
+            np.cumsum(singular_values(a) * singular_values(b), axis=-1))
 
 
 def _parts_product_family(mats):
     a, b = mats["A"], mats["B"]
-    lhs = np.cumsum(singular_values(a @ b), axis=-1)
-    rhs = np.cumsum(singular_values(a) * singular_values(b), axis=-1)
-    return range(1, a.shape[-1] + 1), lhs, rhs
+    return _pair_sums(a @ b, a, b)
 
 
 def _parts_hadamard_family(mats):
     a, b = mats["A"], mats["B"]
-    lhs = np.cumsum(singular_values(a * b), axis=-1)
-    rhs = np.cumsum(singular_values(a) * singular_values(b), axis=-1)
-    return range(1, a.shape[-1] + 1), lhs, rhs
+    return _pair_sums(a * b, a, b)
 
 
 def _parts_ahj(mats):
     x, y, b = mats["X"], mats["Y"], mats["B"]
     lhs = np.cumsum(singular_values((_adjoint(x) @ y) * b), axis=-1)
     rhs = np.cumsum(column_norms(x) * column_norms(y) * singular_values(b), axis=-1)
-    return range(1, b.shape[-1] + 1), lhs, rhs
+    return lhs, rhs
 
 
 def _parts_lemma31(mats):
     form = EntrywiseForm(mats["mask"])
     x, y, s = mats["X"], mats["Y"], mats["S"]
     lhs = singular_values(apply_form(form, _adjoint(x) @ y, s))[..., :1]
-    return (1,), lhs, np.ones_like(lhs)
+    return lhs, np.ones_like(lhs)
 
 
 def _parts_lemma32(mats):
@@ -447,15 +357,12 @@ def _parts_lemma32(mats):
     v = np.reshape(mats["v"], vectors)
     q = u[..., :, None] * np.conj(v)[..., None, :]
     lhs = singular_values((_adjoint(x) @ y) * q).sum(axis=-1)[..., None]
-    return (1,), lhs, np.ones_like(lhs)
+    return lhs, np.ones_like(lhs)
 
 
 def _parts_hmn(mats):
-    form = EntrywiseForm(mats["mask"])
     a, b = mats["A"], mats["B"]
-    lhs = np.cumsum(singular_values(apply_form(form, a, b)), axis=-1)
-    rhs = np.cumsum(singular_values(a) * singular_values(b), axis=-1)
-    return range(1, a.shape[-1] + 1), lhs, rhs
+    return _pair_sums(apply_form(EntrywiseForm(mats["mask"]), a, b), a, b)
 
 
 def _parts_fan_sigma1(mats):
@@ -465,7 +372,7 @@ def _parts_fan_sigma1(mats):
         singular_values(fan_product(np.swapaxes(a, -1, -2), b))[..., :1],
     )
     rhs = singular_values(a)[..., :1] * singular_values(b)[..., :1]
-    return (1,), lhs, rhs
+    return lhs, rhs
 
 
 def _every_k(n):
@@ -487,10 +394,11 @@ class Family:
     ``id`` is its report id and ``ineq`` the ``check --ineq`` group that runs
     it; a group's help line is its first family's.  ``draw`` is the generator
     calls of one trial, which :func:`_draw_block` makes for a block, and
-    ``build`` and ``parts`` are the engine's stacked transform and evaluator
-    (see :func:`_run_checker`); a section at n scores the k values
-    ``scored_ks(n)``.  Where ``form`` is set, the family runs with the mask of
-    ``form(n)``, shared by every trial.
+    ``build`` and ``parts`` are the stacked transform and evaluator that
+    :func:`_check`, the one engine entry, runs.  ``scored_ks(n)`` is the one
+    declaration of the k values a section at n scores: ``parts`` returns one
+    column per k of it.  Where ``form`` is set, the family runs with the mask
+    of ``form(n)``, shared by every trial.
     """
 
     id: str
@@ -551,27 +459,105 @@ def _family(report_id: str) -> Family:
     raise KeyError(f"no inequality family writes report id {report_id!r}")
 
 
+def _scored_columns(family: Family, report_id: str, n: int, k_values=None):
+    """The k values of ``family.scored_ks(n)`` that ``k_values`` selects, and
+    their columns of ``parts``; ``ValueError`` for an empty selection or a k outside them."""
+    ks = [int(k) for k in family.scored_ks(n)]
+    wanted = ks if k_values is None else [int(k) for k in k_values]
+    if not wanted:
+        raise ValueError(f"no k value to score for {report_id} at n={n}")
+    for k in wanted:
+        if k not in ks:
+            raise ValueError(f"k={k} scores no margin for {report_id} at n={n} "
+                             f"(it scores k in {ks})")
+    cols = [j for j, k in enumerate(ks) if k in wanted]
+    return [ks[j] for j in cols], cols
+
+
 def reevaluate_margin(inequality_id: str, witness: Witness) -> float:
     """Recompute a stored witness's margin from its matrices."""
-    ks, lhs, rhs = _family(inequality_id).parts(witness.matrices)
-    for i, k in enumerate(ks):
-        if int(k) == witness.k:
-            return float(lhs[i]) - float(rhs[i])
-    raise ValueError(f"witness k={witness.k} not produced by {inequality_id}")
+    family = _family(inequality_id)
+    n = np.shape(next(iter(witness.matrices.values())))[0]  # every input has n rows
+    _, (j,) = _scored_columns(family, inequality_id, n, (witness.k,))
+    lhs, rhs = family.parts(witness.matrices)
+    return float(lhs[j]) - float(rhs[j])
 
 
 # ---------------------------------------------------------------------------
-# checkers: each runs the table's family through the engine
+# the engine, and the checkers: each runs the table's family through it
 # ---------------------------------------------------------------------------
 
 
-def _check(report_id, n, trials, s, form=None, **options) -> CheckReport:
-    """Run the family of ``report_id``; a ``form``'s mask is shared by every trial."""
-    if form is not None and int(n) != form.n:
+def _check(report_id, n, trials, s, form=None, *, tolerance=INEQUALITY_TOL, k_values=None,
+           extra_trials=(), observe=None) -> CheckReport:
+    """Run ``trials`` seeded trials plus ``extra_trials`` of the family of ``report_id``.
+
+    Each block's draws go through the family's ``build`` and ``parts``; each
+    extra trial, a dict of matrices, is then scored as a block of one.  A
+    ``form``'s mask is the same for every trial: it joins each block and
+    each witness unstacked.  ``observe(mats, lhs, rhs)`` sees every scored
+    block before the k filter.  A section that would score no trial or no k
+    raises ``ValueError`` before any block is drawn.
+    """
+    n = int(n)
+    trials = int(trials)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    if form is not None and n != form.n:
         raise ValueError(f"form is {form.n} x {form.n} but n={n}")
+    stream = _as_stream(s)
     family = _family(report_id)
-    return _run_checker(report_id, n, trials, s, family.draw, family.build, family.parts,
-                        shared=None if form is None else {"mask": form.mask}, **options)
+    ks, cols = _scored_columns(family, report_id, n, k_values)
+    extra_trials = list(extra_trials)
+    if trials == 0 and not extra_trials:
+        raise ValueError(f"{report_id} at n={n} has no trial to score")
+    shared = {} if form is None else {"mask": form.mask}
+    t0 = time.perf_counter()
+
+    size = max(1, BLOCK_ENTRIES // (n * n))
+    blocks = (family.build(*_draw_block(family.draw, n, size, min(size, trials - start),
+                                        stream.offset(block).generator()))
+              for block, start in enumerate(range(0, trials, size)))
+    extras = ({name: as_matrix(m, name=name)[None] for name, m in extra.items()
+               if name not in shared} for extra in extra_trials)
+    violations = 0
+    worst = -math.inf
+    witness = None
+    per_k: dict[int, float] = {}
+    for stacked in itertools.chain(blocks, extras):
+        mats = dict(stacked, **shared)
+        lhs, rhs = family.parts(mats)
+        if observe is not None:
+            observe(mats, lhs, rhs)
+        rhs = rhs[:, cols]
+        margins = lhs[:, cols] - rhs
+        violations += int(np.count_nonzero(_violated(margins, rhs, tolerance)))
+        for k, top in zip(ks, margins.max(axis=0)):
+            if k not in per_k or top > per_k[k]:
+                per_k[k] = float(top)
+        first = int(np.argmax(margins))  # row-major: trial order, then k order
+        if margins.flat[first] > worst:
+            trial, j = divmod(first, len(cols))
+            worst = float(margins.flat[first])
+            matrices = {name: m[trial].copy() for name, m in stacked.items()}
+            witness = Witness(matrices=dict(matrices, **shared), k=ks[j], margin=worst)
+        del stacked, mats, lhs, rhs, margins  # free this block before the next is drawn
+
+    return CheckReport(
+        inequality_id=report_id,
+        n=n,
+        k_range=tuple(sorted(per_k)),
+        trials=trials + len(extra_trials),
+        violations=violations,
+        worst_margin=worst,
+        tolerance=float(tolerance),
+        master_seed=stream.master_seed,
+        elapsed_seconds=time.perf_counter() - t0,
+        per_k_worst=dict(sorted(per_k.items())),
+        witness=witness,
+    )
 
 
 def check_von_neumann(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -> CheckReport:

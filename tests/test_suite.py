@@ -25,16 +25,10 @@ from kyfan.suite import (
     reevaluate_margin,
     reproduce_fan_counterexample,
     von_neumann_equality_witness,
-    _ahj_given,
-    _ahj_sqrt,
+    _check,
     _family,
-    _contraction_pair,
     _draw_block,
     _draw_two,
-    _ginibre_pair,
-    _lemma31_inputs,
-    _lemma32_inputs,
-    _run_checker,
 )
 
 RT13_3 = np.sqrt(13.0) / 3.0
@@ -79,12 +73,19 @@ class TestCheckersHold:
         assert a.worst_margin == b.worst_margin
         assert a.per_k_worst == b.per_k_worst
 
-    def test_trials_zero(self):
-        report = check_von_neumann(4, 0, SeededStream(4))
-        assert report.trials == 0
-        assert report.violations == 0
-        assert report.witness is None
-        assert report.worst_margin == -np.inf
+    @pytest.mark.parametrize("run", [
+        lambda s: check_product_family(3, 10, s, k_values=[7]),
+        lambda s: check_product_family(3, 10, s, k_values=[0]),
+        lambda s: check_product_family(3, 10, s, k_values=[]),
+        lambda s: check_von_neumann(3, 0, s),
+        lambda s: check_lemma31(hadamard_form(3), 3, 5, s, k_values=[2]),
+    ], ids=["k-above-n", "k-zero", "no-k", "no-trial", "lemma31-k2"])
+    def test_a_section_that_scores_nothing_is_refused(self, monkeypatch, run):
+        opened = []
+        monkeypatch.setattr(SeededStream, "generator", lambda s: opened.append(s))
+        with pytest.raises(ValueError):
+            run(SeededStream(1))
+        assert opened == []  # refused before any block was drawn
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -106,7 +107,7 @@ class TestCheckersHold:
 class TestEqualityCases:
     def test_product_family_identity_pair_margin_zero(self):
         eye = np.eye(3, dtype=complex)
-        ks, lhs, rhs = _family("product-family").parts({"A": eye, "B": eye})
+        lhs, rhs = _family("product-family").parts({"A": eye, "B": eye})
         assert np.array_equal(np.asarray(lhs), np.asarray(rhs))
 
     def test_von_neumann_witness_attains_bound(self):
@@ -119,7 +120,7 @@ class TestEqualityCases:
 
     def test_hadamard_family_diagonal_equality(self):
         d = np.diag([3.0, 2.0, 1.0]).astype(complex)
-        ks, lhs, rhs = _family("hadamard-family").parts({"A": d, "B": d})
+        lhs, rhs = _family("hadamard-family").parts({"A": d, "B": d})
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -267,13 +268,13 @@ class TestStackedEngine:
     @pytest.mark.parametrize("ineq_id", sorted([*suite.FAMILIES, "lemma31-fan", "hmn-masked"]))
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_parts_of_a_stack_are_the_parts_of_each_trial(self, ineq_id, n):
-        parts = _family(ineq_id).parts
+        family = _family(ineq_id)
+        parts = family.parts
         trials = [_trial_inputs(ineq_id, n, SeededStream(50, t).generator()) for t in range(7)]
-        ks, lhs, rhs = parts(_stack(trials))
-        assert lhs.shape == rhs.shape == (7, len(ks))
+        lhs, rhs = parts(_stack(trials))
+        assert lhs.shape == rhs.shape == (7, len(family.scored_ks(n)))
         for i, mats in enumerate(trials):
-            ks_one, lhs_one, rhs_one = parts(mats)
-            assert list(ks_one) == list(ks)
+            lhs_one, rhs_one = parts(mats)
             assert np.array_equal(lhs[i], np.asarray(lhs_one, dtype=float))
             assert np.array_equal(rhs[i], np.asarray(rhs_one, dtype=float))
 
@@ -348,32 +349,30 @@ DOCUMENTED_CALLS = {
 }
 
 
-def _mask(ineq_id, n):
-    return (fan_form(n) if ineq_id.endswith("fan") else hadamard_form(n)).mask
+def _form(ineq_id, n):
+    return fan_form(n) if ineq_id.endswith("fan") else hadamard_form(n)
 
 
-#: id -> (name of its one-trial draw, stacked transform, whether the family has a mask)
+#: id -> (name of its one-trial draw, whether the family has a mask)
 FAMILIES = {
-    "von-neumann": ("_draw_two", _ginibre_pair, False),
-    "product-family": ("_draw_two", _ginibre_pair, False),
-    "hadamard-family": ("_draw_two", _ginibre_pair, False),
-    "fan-sigma1": ("_draw_two", _ginibre_pair, False),
-    "ahj-given": ("_draw_three", _ahj_given, False),
-    "ahj-sqrt": ("_draw_two", _ahj_sqrt, False),
-    "lemma31": ("_draw_lemma31", _lemma31_inputs, True),
-    "lemma31-fan": ("_draw_lemma31", _lemma31_inputs, True),
-    "lemma32": ("_draw_lemma32", _lemma32_inputs, False),
-    "hmn-hadamard": ("_draw_contractions", _contraction_pair, True),
-    "hmn-fan": ("_draw_contractions", _contraction_pair, True),
-    "hmn-masked": ("_draw_contractions", _contraction_pair, True),
+    "von-neumann": ("_draw_two", False),
+    "product-family": ("_draw_two", False),
+    "hadamard-family": ("_draw_two", False),
+    "fan-sigma1": ("_draw_two", False),
+    "ahj-given": ("_draw_three", False),
+    "ahj-sqrt": ("_draw_two", False),
+    "lemma31": ("_draw_lemma31", True),
+    "lemma31-fan": ("_draw_lemma31", True),
+    "lemma32": ("_draw_lemma32", False),
+    "hmn-hadamard": ("_draw_contractions", True),
+    "hmn-fan": ("_draw_contractions", True),
+    "hmn-masked": ("_draw_contractions", True),
 }
 
 
 def _run_family(ineq_id, n, trials, stream, **kwargs):
-    draw, build, masked = FAMILIES[ineq_id]
-    shared = {"mask": _mask(ineq_id, n)} if masked else None
-    return _run_checker(ineq_id, n, trials, stream, getattr(suite, draw), build,
-                        _family(ineq_id).parts, shared=shared, **kwargs)
+    form = _form(ineq_id, n) if FAMILIES[ineq_id][1] else None
+    return _check(ineq_id, n, trials, stream, form, **kwargs)
 
 
 def _ginibre_one(w):
@@ -425,8 +424,8 @@ def _reference_trial(ineq_id, n, drawn, t):
         mats = {"A": _contraction_one(*d[:3]), "B": _contraction_one(*d[3:])}
     else:
         mats = {"A": _ginibre_one(d[0]), "B": _ginibre_one(d[1])}
-    if FAMILIES[ineq_id][2]:
-        mats["mask"] = _mask(ineq_id, n)
+    if FAMILIES[ineq_id][1]:
+        mats["mask"] = _form(ineq_id, n).mask
     return mats
 
 
@@ -435,13 +434,14 @@ def _assert_report_is_the_reference(report, ineq_id, n, trials, stream, toleranc
     size = _block_size(n)
     calls = DOCUMENTED_CALLS[FAMILIES[ineq_id][0]]
     parts = _family(ineq_id).parts
+    ks = _family(ineq_id).scored_ks(n)
     violations, worst, worst_k, worst_mats, per_k = 0, -np.inf, 0, None, {}
     for block in range(-(-trials // size)):
         count = min(size, trials - block * size)
         drawn = calls(n, size, count, stream.offset(block).generator())
         for t in range(count):
             mats = _reference_trial(ineq_id, n, drawn, t)
-            ks, lhs, rhs = parts(mats)
+            lhs, rhs = parts(mats)
             for i, k in enumerate(ks):
                 if k_values is not None and k not in k_values:
                     continue
@@ -568,7 +568,7 @@ class TestOneToleranceRule:
 
         def parts(mats):
             shape = (len(mats["A"]), 1)
-            return (1,), np.full(shape, lhs), np.full(shape, rhs)
+            return np.full(shape, lhs), np.full(shape, rhs)
 
         return build, parts
 
@@ -578,8 +578,9 @@ class TestOneToleranceRule:
         holds = bool(inequality_holds(lhs, rhs, tol))
         assert not holds  # the margin is past the threshold
         build, parts = self._synthetic(lhs, rhs)
-        report = _run_checker("synthetic", 1, 1, SeededStream(7), _draw_two, build, parts,
-                              tolerance=tol)
+        monkeypatch.setitem(suite.FAMILIES, "synthetic", suite.Family(
+            "synthetic", "synthetic", None, _draw_two, build, parts, lambda n: (1,)))
+        report = _check("synthetic", 1, 1, SeededStream(7), tolerance=tol)
         assert report.worst_margin == lhs - rhs
         assert (report.violations == 0) == holds
         # the hmn probe reads its k = 1 parts, so the forward sigma_1 is lhs
