@@ -11,12 +11,11 @@ Usage:
         [--trials N] [--quick]
 """
 
-import argparse
 import os
 import sys
 import time
 
-from kyfan.cli import _nonnegative_int, _trial_count
+from kyfan.cli import _UsageParser, _nonnegative_int, _trial_count
 from kyfan.cli import main as kyfan_main
 
 
@@ -31,7 +30,7 @@ def _section(name: str, argv: list, expected_status: int) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _UsageParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="reports",
                         help="directory for per-section report files (default: reports/)")
     parser.add_argument("--seed", type=_nonnegative_int, default=None,

@@ -6,7 +6,7 @@ parameterizations (general Hermitian pairs, and commuting pairs as a control
 that is proven safe), prints a margin table, and saves any witness pair to
 matrix files for later inspection.  Exit status 2 signals that a candidate
 failing the tolerance rule (``kyfan.norms.inequality_holds``) was found; 0
-means none within budget.
+means none within budget, and 1 a usage error.
 
 Usage:
     python scripts/search_open_questions.py --budget 20000 --seed 7
@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from kyfan.cli import STREAM_STRIDE, _nonnegative_int
+from kyfan.cli import STREAM_STRIDE, _UsageParser, _nonnegative_int
 from kyfan.ensembles import SeededStream
 from kyfan.fileformat import write_matrix
 from kyfan.ptrace import question_margin, search_counterexample
@@ -37,7 +37,7 @@ def _parse_dims(text: str) -> tuple:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _UsageParser(description=__doc__.splitlines()[0])
     parser.add_argument("--question", choices=("1", "2", "both"), default="both")
     parser.add_argument("--dims", type=_parse_dims, default=(2, 3, 4),
                         help="comma-separated matrix sizes (default 2,3,4)")

@@ -14,9 +14,9 @@ search    dedicated multi-restart counterexample search for either open
           question
 
 Exit status: 0 = run completed with zero violations, 2 = violations found,
-1 = error.  The default master seed can be overridden by the ``KYFAN_SEED``
-environment variable or the ``--seed`` flag; the effective seed and its
-source are echoed into every report.
+1 = error, usage errors included.  The default master seed can be
+overridden by the ``KYFAN_SEED`` environment variable or the ``--seed``
+flag; the effective seed and its source are echoed into every report.
 """
 
 from __future__ import annotations
@@ -103,6 +103,15 @@ class RunConfig:
     tolerance: float = INEQUALITY_TOL
     output_path: str | None = None
     format: str = "structured-text"
+
+
+class _UsageParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as every other error
+    does, and not argparse's 2, which means violations found."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _positive_int(text: str) -> int:
@@ -193,7 +202,7 @@ def _add_options(parser, *flags, **defaults) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _UsageParser(
         prog="kyfan",
         description="Seeded numerical checks for singular-value inequalities.",
     )

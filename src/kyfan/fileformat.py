@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -71,25 +70,23 @@ def load_document(path: str):
         return json.loads(fh.read())
 
 
-def _umask() -> int:
-    """The process umask; ``os.umask`` reads it only by setting it."""
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def write_text(path: str, text: str) -> None:
     """Write text atomically: temp file in the same directory, then rename.
 
-    ``mkstemp`` creates the file with mode 0600 and the rename keeps it, so
-    the mode a plain ``open`` would give (0666 less the umask) is set first.
+    The temp file is created with mode 0666, which the kernel reduces by the
+    umask, so it has the mode a plain ``open`` would give; the rename keeps it.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kyfan-", suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f".kyfan-{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -69,7 +69,10 @@ they run in lockstep: a round scores the start points of a group of
 restarts as one stack, then each round takes the next proposals of every
 live restart, builds all their candidates in one call (under the commuting
 strategy each candidate in its own restart's basis), scores them as one
-stack and replays the rule on each restart's slice.  A
+stack and replays the rule on each restart's slice.  The restarts' drawn
+proposals sit in one array, a row per restart, so a round gathers every
+candidate's coordinate and normal with one index; the replay walks the
+sorted indices of the candidates that beat their restart's point.  A
 restart leaves the rounds once its quota is used, and the best result is
 taken in restart order, so ties go to the earlier restart.  A group holds
 at most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
@@ -89,10 +92,13 @@ sigma(tr(B) I - n B) of each restart's current point, takes a candidate's
 over when it is accepted, and scores a stack of K candidates with one SVD
 call on the K operators T and one ``eigvalsh`` call on the K factors that
 moved, instead of on all 2 K.  What is fixed for a whole search is set up
-once: the k set is validated when the search starts, the unpacking index
-maps and the identity are cached per n, and tr(B) is computed once per
-candidate for both T and tr(B) I - n B.  Each candidate stack is still
-validated as Hermitian and finite before it is scored.
+once: the k set is validated when the search starts, and the unpacking's
+gather maps and the identity are cached per n.  Each candidate stack is
+still validated as Hermitian and finite before it is scored.  Between the
+validation and the two LAPACK calls, the kernel works in one buffer: the
+Hermitian parts, one ``matmul`` for the products AB, one ``trace`` call
+for tr(A) and tr(B) and one for tr(AB), and T and tr(B) I - n B built in
+place, each elementwise step one call for both where they share it.
 """
 
 from __future__ import annotations
@@ -131,10 +137,11 @@ __all__ = [
 #: candidates each restart of a search builds and scores per round.  ``kyfan
 #: search --question 2 --n 3 --budget 3000``, its 8 restarts in lockstep,
 #: scores 4057 candidates in 137 rounds at 4, 4425 in 120 at 5, 4803 in 109 at
-#: 6 and 5651 in 98 at 8.  Run in process, interleaved 24 times, it made
-#: 31.4k, 31.5k, 31.4k and 28.6k evaluations/s at 4, 5, 6 and 8 (medians;
-#: 33.3k, 32.7k, 30.9k and 29.2k at seed 161803): 4 to 6 are equal within
-#: noise and 8 is slower.  Report bytes do not depend on it.
+#: 6 and 5651 in 98 at 8.  Run in process, interleaved 24 times on a shared
+#: 2-core x86_64 VM, it made 35.7k, 35.2k, 35.4k and 34.3k evaluations/s at
+#: 4, 5, 6 and 8 (medians; 36.0k, 36.7k, 35.6k and 33.6k at seed 161803):
+#: 4 to 6 are equal within noise and 8 is slower.  Report bytes do not
+#: depend on it.
 SEARCH_BATCH = 5
 
 #: proposals a search restart draws per pair of generator calls, part of the
@@ -217,22 +224,34 @@ def trace_deviation(b) -> np.ndarray:
     """tr(B) I - n B, the first-factor partial trace of B ox I - I ox B."""
     m = as_matrix(b, square=True, name="B", stacked=True)
     n = m.shape[-1]
-    return _trace(m) * np.eye(n, dtype=np.complex128) - n * m
+    tr = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return tr * np.eye(n, dtype=np.complex128) - n * m
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    """Trace of each matrix, shaped to broadcast against the matrices."""
-    return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
-
-
-def _closed_form(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T(A, B) and tr(B) I - n B (as :func:`trace_deviation` gives it) of
-    validated pairs, sharing tr(B)."""
-    n = a.shape[-1]
-    ab = a @ b
-    eye = _constants(n)[-1]
-    tr_b = _trace(b)
-    return _trace(ab) * eye - _trace(a) * b + tr_b * a - n * ab, tr_b * eye - n * b
+def _closed_form(work: np.ndarray) -> np.ndarray:
+    """T(A, B) and tr(B) I - n B of validated pairs, in place in a ``(5, ..., n,
+    n)`` buffer whose slots 2 and 3 hold the As and Bs: the products AB go to
+    slot 4, T to slot 0 and tr(B) I - n B to slot 1, so that on a ``(5, K, n,
+    n)`` buffer slots 1 and 2 are one ``(2 K, n, n)`` stack.  Each entry has
+    the bits of ``tr(AB) I - tr(A) B + tr(B) A - n AB`` and ``tr(B) I - n B``
+    (as :func:`trace_deviation` gives it) evaluated left to right on one
+    pair; each ufunc call does one step of both where they share it."""
+    n = work.shape[-1]
+    traces = np.empty((3,) + work.shape[1:-2] + (1, 1), dtype=np.complex128)
+    np.trace(work[2:4], axis1=-2, axis2=-1, out=traces[:2, ..., 0, 0])
+    products = traces[:2] * work[3:1:-1]  # tr(A) B, tr(B) A
+    np.matmul(work[2], work[3], out=work[4])
+    # a complex ufunc between the matmul and the trace: with OpenBLAS 0.3.31
+    # the trace of 40 3 x 3 products took 33 us straight after the matmul, 7 us
+    # after a complex multiply
+    scaled = n * work[4:2:-1]  # n AB, n B
+    np.trace(work[4], axis1=-2, axis2=-1, out=traces[2, ..., 0, 0])
+    sides = work[:2]
+    np.multiply(traces[:0:-1], _constants(n)[-1], out=sides)  # tr(AB) I, tr(B) I
+    sides[0] -= products[0]
+    sides[0] += products[1]
+    sides -= scaled
+    return work
 
 
 def lhs_operator_brute(a, b) -> np.ndarray:
@@ -255,7 +274,9 @@ def lhs_operator(a, b, *, cross_check: bool = True) -> np.ndarray:
     ``cross_check=False`` and rely on the suite-level verification.
     """
     a, b = _hermitian_pair(a, b)
-    closed = _closed_form(a, b)[0]
+    work = np.empty((5,) + a.shape, dtype=np.complex128)
+    work[2], work[3] = a, b
+    closed = _closed_form(work)[0]
     if cross_check:
         brute = lhs_operator_brute(a, b)
         residual = float(np.linalg.norm(brute - closed))
@@ -280,23 +301,31 @@ def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
         raise ValueError("question must be 1 or 2")
     pairs = require_hermitian(pairs, name="A or B")
     n = pairs.shape[-1]
-    pairs = pairs.reshape(-1, 2, n, n)
-    pairs = (pairs + _adjoint(pairs)) / 2.0
-    a, k = pairs[:, 0], len(pairs)
-    t, d = _closed_form(a, pairs[:, 1])
-    st = singular_values(t)
+    pairs = _hermitian_part(pairs, _adjoint(pairs)).reshape(-1, 2, n, n)
+    k = len(pairs)
+    work = np.empty((5, k, n, n), dtype=np.complex128)
+    work[2:4] = pairs.swapaxes(0, 1)
+    _closed_form(work)
+    st = singular_values(work[0])
     if moved_b is None:
-        spectra = _hermitian_spectra(np.concatenate([d, a]))
+        spectra = _hermitian_spectra(work[1:3].reshape(2 * k, n, n))
         sd, sa = spectra[:k], spectra[k:]
     else:
         moved = moved_b[:, None]
-        spectra = _hermitian_spectra(np.where(moved[..., None], d, a))
+        spectra = _hermitian_spectra(np.where(moved[..., None], work[1], work[2]))
         sa, sd = np.where(moved, sa, spectra), np.where(moved, spectra, sd)
     if question == 1:
         rhs = 2.0 * sa[:, :1] * np.cumsum(sd, axis=-1)
     else:
         rhs = 2.0 * np.cumsum(sa * sd, axis=-1)
     return np.cumsum(st, axis=-1), rhs, sa, sd
+
+
+def _hermitian_part(p: np.ndarray, adjoint: np.ndarray, out=None) -> np.ndarray:
+    """(P + P*) / 2 of each matrix P of ``p``, given ``adjoint`` = P*, into
+    ``out`` or a new array."""
+    out = np.add(p, adjoint, out=out)
+    return np.divide(out, 2.0, out=out)
 
 
 def _hermitian_spectra(h: np.ndarray) -> np.ndarray:
@@ -383,28 +412,42 @@ def unpack_hermitian_pair(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _constants(n: int) -> tuple[np.ndarray, ...]:
-    """The row and column indices of the strict upper triangle, row-major as
-    ``np.triu_indices(n, 1)``, the diagonal indices and the identity at size
-    n; read only, as every caller at that size shares them."""
-    rows, cols = np.nonzero(~np.tri(n, dtype=bool))
-    maps = rows, cols, np.arange(n), np.eye(n, dtype=np.complex128)
+    """What :func:`_unpack_pair` reads at size n, and the identity; read only,
+    as every caller at that size shares them.  Float f of an n x n complex
+    matrix (entry f // 2, real part if f is even) is parameter ``source[f]``
+    of its half, times ``sign[f]``, plus ``zero[f]``."""
+    rows, cols = np.nonzero(~np.tri(n, dtype=bool))  # row-major, as np.triu_indices(n, 1)
+    offdiag, diagonal = np.arange(len(rows)), np.arange(n)
+    source = np.zeros((n, n, 2), dtype=np.intp)
+    sign = np.ones((n, n, 2))
+    zero = np.zeros((n, n, 2))
+    source[diagonal, diagonal] = diagonal[:, None]
+    sign[diagonal, diagonal, 1] = 0.0  # a zero imaginary part
+    zero[diagonal, diagonal, 0] = -0.0  # d + (-0.0) is d, signed zeros included
+    for i, j in ((rows, cols), (cols, rows)):
+        source[i, j, 0] = n + offdiag
+        source[i, j, 1] = n + len(rows) + offdiag
+    sign[cols, rows, 1] = -1.0  # the lower triangle is the conjugate
+    maps = source.ravel(), sign.ravel(), zero.ravel(), np.eye(n, dtype=np.complex128)
     for m in maps:
         m.flags.writeable = False
     return maps
 
 
 def _unpack_pair(theta: np.ndarray, n: int) -> np.ndarray:
-    """``(..., 2 n^2)`` parameter vectors to a ``(..., 2, n, n)`` stack of
-    pairs; the two halves are unpacked independently, entry by entry."""
+    """``(..., 2 n^2)`` finite parameter vectors to a ``(..., 2, n, n)`` stack
+    of pairs; the two halves are unpacked independently, entry by entry, by
+    one gather of the parameters.  The entries have the bits, signed zeros
+    included, of ``h[np.triu_indices(n, 1)] = re + 1j * im; h += h*;
+    h[diagonal] = d`` on a zero h: an off-diagonal float is its parameter, or
+    its negative, plus +0.0, a diagonal one its parameter plus -0.0, which
+    leaves it as it is, and a diagonal imaginary part is +0.0."""
     part = theta.reshape(theta.shape[:-1] + (2, n * n))
-    rows, cols, diagonal, _ = _constants(n)
-    h = np.zeros(part.shape[:-1] + (n, n), dtype=np.complex128)
-    offdiag = (n * (n - 1)) // 2
-    diag, re, im = part[..., :n], part[..., n : n + offdiag], part[..., n + offdiag :]
-    h[..., rows, cols] = re + 1j * im
-    h += _adjoint(h)  # lower triangle is the exact conjugate, so h is Hermitian
-    h[..., diagonal, diagonal] = diag
-    return h
+    source, sign, zero, _ = _constants(n)
+    h = np.take(part, source, axis=-1)
+    h *= sign
+    h += zero
+    return h.view(np.complex128).reshape(part.shape[:-1] + (n, n))
 
 
 def _builder(strategy: str, n: int, gens):
@@ -419,7 +462,7 @@ def _builder(strategy: str, n: int, gens):
         def build(theta, owner):
             basis = bases[owner][:, None]
             pair = (basis * theta.reshape(len(theta), 2, 1, n)) @ _adjoint(basis)
-            return (pair + _adjoint(pair)) / 2.0
+            return _hermitian_part(pair, _adjoint(pair), out=pair)
 
         return build, 2 * n
     return (lambda theta, owner: _unpack_pair(theta, n)), 2 * n * n
@@ -427,35 +470,38 @@ def _builder(strategy: str, n: int, gens):
 
 class _Restart:
     """One restart's greedy state: its generator and quota, its point's step
-    and stall count, and its drawn proposals, whose coordinates and normals
-    from ``next`` on are not yet consumed."""
+    and stall count, and its rows of the search's drawn proposals, whose
+    columns ``next`` to ``filled`` are drawn and not yet consumed."""
 
-    def __init__(self, g, quota: int):
+    def __init__(self, g, quota: int, coords: np.ndarray, normals: np.ndarray):
         self.g, self.quota, self.step = g, quota, STEP_INIT
-        self.used, self.stalls, self.next = 1, 0, 0
-        self.coords, self.normals = np.empty(0, dtype=np.int64), np.empty(0)
+        self.used, self.stalls, self.next, self.filled = 1, 0, 0, 0
+        self.coords, self.normals = coords, normals
 
-    def propose(self, dim: int):
-        """The coordinates and normals of the next min(``SEARCH_BATCH``,
-        quota - used) proposals and the step of each if every earlier one is
-        rejected, leaving step and stalls as they would be after rejecting
-        them all.  Draws the next block of ``PROPOSAL_BLOCK`` proposals when
-        these reach its first one."""
+    def propose(self, dim: int) -> list:
+        """The step of each of the next min(``SEARCH_BATCH``, quota - used)
+        proposals if every earlier one is rejected, leaving step and stalls as
+        they would be after rejecting them all.  The proposals are the columns
+        from ``next`` on; when they reach past the drawn ones, the next block
+        of ``PROPOSAL_BLOCK`` proposals is drawn after the unconsumed columns,
+        moved to the front."""
         size = min(SEARCH_BATCH, self.quota - self.used)
-        if self.next + size > len(self.coords):
-            coords, normals = self.coords[self.next:], self.normals[self.next:]
-            self.coords = np.concatenate([coords, self.g.integers(dim, size=PROPOSAL_BLOCK)])
-            self.normals = np.concatenate([normals, self.g.standard_normal(PROPOSAL_BLOCK)])
-            self.next = 0
+        if self.next + size > self.filled:
+            left = self.filled - self.next
+            for row, block in ((self.coords, self.g.integers(dim, size=PROPOSAL_BLOCK)),
+                               (self.normals, self.g.standard_normal(PROPOSAL_BLOCK))):
+                row[:left] = row[self.next:self.filled]
+                row[left:left + PROPOSAL_BLOCK] = block
+            self.next, self.filled = 0, left + PROPOSAL_BLOCK
         steps = []
-        for _ in range(size):  # halved one step at a time, exact when subnormal too
-            steps.append(self.step)
-            self.stalls += 1
+        while len(steps) < size:  # halved one step at a time, exact when subnormal too
+            run = min(size - len(steps), STALL_LIMIT - self.stalls)
+            steps += [self.step] * run
+            self.stalls += run
             if self.stalls >= STALL_LIMIT:
                 self.step *= 0.5
                 self.stalls = 0
-        window = slice(self.next, self.next + size)
-        return self.coords[window], self.normals[window], steps
+        return steps
 
 
 def _climb(gens, quotas, question: int, n: int, ks, strategy: str):
@@ -470,38 +516,46 @@ def _climb(gens, quotas, question: int, n: int, ks, strategy: str):
     every = np.arange(len(gens))
     thetas = np.stack([g.standard_normal(dim) for g in gens])
     values, value_ks, _, sa, sd = _worst_margins(build(thetas, every), question, ks)
-    current, current_k = values.tolist(), value_ks.tolist()
-    restarts = [_Restart(g, quota) for g, quota in zip(gens, quotas)]
-    while True:
-        live = [r for r, restart in enumerate(restarts) if restart.used < restart.quota]
-        if not live:
-            break
-        coords, normals, steps = zip(*(restarts[r].propose(dim) for r in live))
-        sizes = [len(s) for s in steps]
-        owner = np.repeat(live, sizes)
-        coords = np.concatenate(coords)
+    current, current_k = values.copy(), value_ks.copy()
+    width = PROPOSAL_BLOCK + SEARCH_BATCH  # holds a block after the unconsumed columns
+    coords = np.zeros((len(gens), width), dtype=np.int64)
+    normals = np.zeros((len(gens), width))
+    restarts = [_Restart(g, quota, coords[r], normals[r])
+                for r, (g, quota) in enumerate(zip(gens, quotas))]
+    live = [r for r in range(len(gens)) if quotas[r] > 1]
+    while live:
+        steps, sizes, starts, offsets = [], [], [], []
+        for r in live:
+            proposed = restarts[r].propose(dim)
+            # flat index in coords of the restart's next proposal, less its start
+            offsets.append(r * width + restarts[r].next - len(steps))
+            starts.append(len(steps))
+            sizes.append(len(proposed))
+            steps += proposed
+        # the flat index in coords and normals of each candidate's proposal
+        at = np.repeat(offsets, sizes) + np.arange(len(steps))
+        owner, moved = at // width, coords.take(at)
         candidates = thetas[owner]
-        moves = np.concatenate(steps) * np.concatenate(normals)
-        candidates[np.arange(len(owner)), coords] += moves
+        candidates[np.arange(len(at)), moved] += np.multiply(steps, normals.take(at))
         values, value_ks, _, sas, sds = _worst_margins(
-            build(candidates, owner), question, ks, coords >= half, sa[owner], sd[owner])
-        better = (values > np.array(current)[owner]).tolist()
-        start = 0
-        for r, size, restart_steps in zip(live, sizes, steps):
-            restart = restarts[r]
-            try:
-                i = better.index(True, start, start + size)
-            except ValueError:
-                consumed = size
-            else:
+            build(candidates, owner), question, ks, moved >= half, sa[owner], sd[owner])
+        better = np.flatnonzero(values > current[owner]).tolist() + [len(steps)]
+        h, still = 0, []
+        for r, size, start in zip(live, sizes, starts):
+            while better[h] < start:
+                h += 1
+            i, restart = better[h], restarts[r]
+            if i < start + size:  # the restart's first acceptance
                 thetas[r], sa[r], sd[r] = candidates[i], sas[i], sds[i]
-                current[r], current_k[r] = float(values[i]), int(value_ks[i])
-                consumed = i - start + 1
-                restart.step, restart.stalls = restart_steps[consumed - 1], 0
-            restart.used += consumed
-            restart.next += consumed
-            start += size
-    return list(zip(build(thetas, every), current, current_k, sa, sd))
+                current[r], current_k[r] = values[i], value_ks[i]
+                size = i - start + 1
+                restart.step, restart.stalls = steps[i], 0
+            restart.used += size
+            restart.next += size
+            if restart.used < restart.quota:
+                still.append(r)
+        live = still
+    return list(zip(build(thetas, every), current.tolist(), current_k.tolist(), sa, sd))
 
 
 def search_counterexample(

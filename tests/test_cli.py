@@ -52,11 +52,19 @@ class TestParsing:
     def test_unknown_inequality_exits(self):
         with pytest.raises(SystemExit) as err:
             parse_arguments(["check", "--ineq", "bogus"])
-        assert err.value.code == 2
+        assert err.value.code == 1
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             parse_arguments([])
+
+    @pytest.mark.parametrize("argv", [["check", "--ineq", "ahj", "--no-such-flag"],
+                                      ["frobnicate"]])
+    def test_usage_errors_exit_one_not_the_violation_status(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: kyfan")
 
     def test_repro_requires_known_target(self):
         cfg = parse_arguments(["repro", "fan-counterexample"])
@@ -75,7 +83,7 @@ class TestParsing:
         # section s + 1 starts STREAM_STRIDE indices after section s
         with pytest.raises(SystemExit) as err:
             parse_arguments(command + ["--trials", str(STREAM_STRIDE)])
-        assert err.value.code == 2
+        assert err.value.code == 1
         cfg = parse_arguments(command + ["--trials", str(STREAM_STRIDE - 1)])
         assert cfg.trials == STREAM_STRIDE - 1
 
@@ -86,7 +94,7 @@ class TestParsing:
         # a run of zero trials would write a clean report that scored nothing
         with pytest.raises(SystemExit) as err:
             parse_arguments(command + ["--trials", "0"])
-        assert err.value.code == 2
+        assert err.value.code == 1
         assert "expected a positive integer, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
@@ -99,7 +107,7 @@ class TestParsing:
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(SystemExit) as err:
                 parse_arguments(command + [f"--tolerance={value}"])
-            assert err.value.code == 2
+            assert err.value.code == 1
             assert f"expected a finite number, got {value}" in capsys.readouterr().err
         # a negative tolerance stays allowed: it forces a witness
         assert parse_arguments(command + ["--tolerance=-10"]).tolerance == -10.0
@@ -107,7 +115,7 @@ class TestParsing:
     def test_extremal_dimension_below_two_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             parse_arguments(["extremal", "--n", "1"])
-        assert err.value.code == 2
+        assert err.value.code == 1
         assert "--n must be at least 2, got 1" in capsys.readouterr().err
         assert parse_arguments(["extremal", "--n", "2"]).n == 2
 
@@ -117,7 +125,7 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             parse_arguments(["search", "--question", "2", "--budget", budget,
                              "--restarts", restarts])
-        assert err.value.code == 2
+        assert err.value.code == 1
         assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
                 in capsys.readouterr().err)
         cfg = parse_arguments(["search", "--question", "2", "--budget", restarts,
@@ -130,7 +138,7 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             parse_arguments(["ptrace", "--question", "1", "--n", "3", "--budget", budget,
                              "--restarts", restarts])
-        assert err.value.code == 2
+        assert err.value.code == 1
         assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
                 in capsys.readouterr().err)
         cfg = parse_arguments(["ptrace", "--question", "1", "--n", "3", "--budget", "0",
@@ -235,8 +243,9 @@ class TestSeedResolution:
 
     def test_bad_env_value_exits(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             parse_arguments(["check", "--ineq", "von-neumann"])
+        assert err.value.code == 1
 
 
 class TestExecution:
@@ -475,7 +484,7 @@ class TestKRejection:
         # each family scores its own k values, so no one k suits --ineq all
         with pytest.raises(SystemExit) as err:
             main(["check", "--ineq", "all", "--n", "3", "--k", k, "--trials", "5"])
-        assert err.value.code == 2
+        assert err.value.code == 1
         assert "--k needs a single --ineq" in capsys.readouterr().err
         assert parse_arguments(["check", "--ineq", "all", "--k", "all"]).k_spec == "all"
 

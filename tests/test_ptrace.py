@@ -492,8 +492,11 @@ QUESTION1_CONFIGS = [
 ]
 # every rejection halves the step, which passes through the subnormals to 0
 SUBNORMAL_CONFIGS = [(2, 3, "all", 1400, 1, "general", 1)]
+# the closed form's trace and matmul at a size past the configs above (n <= 6):
+# a trace of 9 complex entries sums them in two unrolled blocks and a remainder
+LARGE_N_CONFIGS = [(2, 9, "all", 60, 2, "general", 50), (1, 9, "all", 60, 2, "commuting", 50)]
 REFERENCE_CONFIGS += (HALF_SPLIT_CONFIGS + list(ONE_SIDED_CONFIGS) + QUESTION1_CONFIGS
-                      + SUBNORMAL_CONFIGS)
+                      + SUBNORMAL_CONFIGS + LARGE_N_CONFIGS)
 
 
 class TestSearchMatchesReference:
@@ -770,7 +773,9 @@ class TestProposalBlocks:
         u = 2.0**-1074
         monkeypatch.setattr(ptrace, "STEP_INIT", 5 * u)
         monkeypatch.setattr(ptrace, "STALL_LIMIT", 1)
-        restart = ptrace._Restart(SeededStream(80).generator(), 50)
-        _, _, steps = restart.propose(8)
+        width = ptrace.PROPOSAL_BLOCK + ptrace.SEARCH_BATCH
+        restart = ptrace._Restart(SeededStream(80).generator(), 50,
+                                  np.zeros(width, dtype=np.int64), np.zeros(width))
+        steps = restart.propose(8)
         assert steps == [5 * u, 2 * u, u, 0.0, 0.0, 0.0][: ptrace.SEARCH_BATCH]
         assert restart.step == 0.0 and restart.stalls == 0

@@ -45,7 +45,7 @@ def test_search_script_rejects_restarts_that_reach_the_next_cell(monkeypatch, ca
                                       "--restarts", str(2**24)])
     with pytest.raises(SystemExit) as err:
         script.main()
-    assert err.value.code == 2
+    assert err.value.code == 1
 
 
 @pytest.mark.parametrize("budget, restarts", [("-1", "8"), ("0", "8"), ("3", "8")])
@@ -56,7 +56,7 @@ def test_search_script_rejects_a_budget_below_the_restarts(monkeypatch, capsys, 
                                       "--restarts", restarts])
     with pytest.raises(SystemExit) as err:
         script.main()
-    assert err.value.code == 2
+    assert err.value.code == 1
     assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
             in capsys.readouterr().err)
 
@@ -68,7 +68,7 @@ def test_scripts_refuse_a_negative_seed_at_parse_time(monkeypatch, capsys, tmp_p
                                       "--out-dir", str(tmp_path / "out")])
     with pytest.raises(SystemExit) as err:
         script.main()
-    assert err.value.code == 2
+    assert err.value.code == 1
     assert "argument --seed: expected a nonnegative integer, got -3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -94,7 +94,7 @@ def test_full_suite_rejects_zero_trials(monkeypatch, capsys, tmp_path):
                                       "--out-dir", str(tmp_path)])
     with pytest.raises(SystemExit) as err:
         script.main()
-    assert err.value.code == 2
+    assert err.value.code == 1
     assert list(tmp_path.iterdir()) == []
 
 
