@@ -26,6 +26,12 @@ the repeats:
   ``check_*`` function, the masked ones under the form of their family), 50
   trials per section, each section on its own base.  Per trial of the 3500,
   and the row also gives the median in trials per second.
+- ``check_all_50`` and ``check_all_1000``: ``kyfan check --ineq all`` with
+  ``--trials 50`` and ``--trials 1000`` in process through
+  ``cli._execute_check``, the command's own path, its sections split over
+  processes as the command splits them (see ``kyfan.cli``); every repeat
+  takes its own seed.  Per trial of the 3500 and the 70000, and each row
+  also gives the median in trials per second.
 - ``search_stack_3``: one lockstep round of the counterexample search at
   n = 3, question 2, all k, with ``SEARCH_RESTARTS`` = 8 live restarts: the
   one scoring call a round makes for ``SEARCH_BATCH`` candidates of each
@@ -77,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kyfan.cli import _check_section
+from kyfan.cli import RunConfig, _check_section, _execute_check
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
 from kyfan.norms import INEQUALITY_TOL
@@ -190,6 +196,12 @@ def measure(ops: int, repeats: int) -> dict:
             _check_section(family, n, SWEEP_TRIALS, SeededStream(SEED, (section + 1) * SECTION),
                            INEQUALITY_TOL, None)
 
+    def check_all(trials):
+        def loop(rep):
+            _execute_check(RunConfig("check", inequality_id="all", trials=trials, seed=SEED + rep))
+
+        return loop
+
     def extremal(rep):
         for section, target in enumerate(EXTREMAL_TARGETS, start=rep * len(EXTREMAL_TARGETS)):
             base = SeededStream(SEED, (section + 1) * SECTION)
@@ -206,12 +218,14 @@ def measure(ops: int, repeats: int) -> dict:
         "search_q2_3000": (search_q2, SEARCH_BUDGET),
         "checker_sweep_50": (checker_sweep, len(sweep) * SWEEP_TRIALS),
         "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
+        "check_all_50": (check_all(50), len(sweep) * 50),
+        "check_all_1000": (check_all(1000), len(sweep) * 1000),
     }
     rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
     search = rows["search_q2_3000"]
     search["evaluations_per_s"] = 1e6 / search["median_us"]
     search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
-    for name in ("checker_sweep_50", "extremal_2000"):
+    for name in ("checker_sweep_50", "extremal_2000", "check_all_50", "check_all_1000"):
         row = rows[name]
         row["trials_per_s"] = 1e6 / row["median_us"]
         row["trials_per_s_scaled"] = 1e6 / row["median_us_scaled"]

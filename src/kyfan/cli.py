@@ -17,16 +17,35 @@ Exit status: 0 = run completed with zero violations, 2 = violations found,
 1 = error, usage errors included.  The default master seed can be
 overridden by the ``KYFAN_SEED`` environment variable or the ``--seed``
 flag; the effective seed and its source are echoed into every report.
+
+Split ``check`` runs
+--------------------
+The sections of a ``check`` run (one family at one n) are independent, and
+each draws from its own stream, so ``check`` deals them round-robin over
+min(available CPUs, sections) processes: this one plus one ``os.fork`` child
+per extra CPU (see :func:`_run_sections`).  Each child sends its section
+documents back as one pickle on a pipe; they are merged in section order,
+so the report bytes do not depend on the split.  ``fork`` rather than
+``spawn``, because a spawned worker re-imports numpy, which costs about as
+much as the whole ``--trials 50`` sweep.  The run stays in one process when
+one CPU is available or there is one section, on platforms other than
+Linux, when other Python threads are alive (``fork`` copies no thread, so
+a lock one held would stay locked in the child), and when n reaches
+``SPLIT_N_BOUND``, where OpenBLAS threads single calls and two processes'
+BLAS threads would compete for the cores.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import math
 import os
+import pickle
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -81,6 +100,13 @@ SEED_ENV_VAR = "KYFAN_SEED"
 #: stream spacing between run sections so (section, trial) pairs never collide
 STREAM_STRIDE = 2**24
 DEFAULT_NS = (2, 3, 4, 5, 6, 7, 8)
+#: ``check`` sections at or above this n run in one process.  From n = 41 on,
+#: OpenBLAS threads a complex n x n product (n**3 above 65536), and two
+#: processes' BLAS threads then contend for the cores.  ``check --ineq all
+#: --trials 20`` split over two processes against one, on a 2-vCPU x86_64 VM
+#: with OpenBLAS 0.3.31 (medians of 4 alternated pairs): 1.6x at n = 16, 1.2x
+#: at n = 32, 1.8x at n = 40; 0.49x at n = 41, 0.15x at n = 44, 0.50x at n = 64.
+SPLIT_N_BOUND = 41
 
 INEQUALITY_IDS = tuple(dict.fromkeys(family.ineq for family in FAMILIES.values()))
 
@@ -324,14 +350,110 @@ def _execute_check(cfg: RunConfig):
     families = [f for f in FAMILIES.values() if cfg.inequality_id in ("all", f.ineq)]
     ns = DEFAULT_NS if cfg.n is None else (cfg.n,)
     k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
-    for family, n in itertools.product(families, ns):
+    sections = list(itertools.product(families, ns))
+    for family, n in sections:
         _scored_columns(family, family.id, n, k_values)  # refuses a k before any section runs
-    results = []
-    for section, (family, n) in enumerate(itertools.product(families, ns)):
+
+    def run(section):
+        family, n = sections[section]
         stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
         report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
-        results.append(check_report_document(report, include_witness=report.violations > 0))
-    return results, []
+        return check_report_document(report, include_witness=report.violations > 0)
+
+    return _run_sections(run, len(sections), _process_count(len(sections), max(ns))), []
+
+
+def _process_count(sections: int, n_max: int) -> int:
+    """How many processes share a run of ``sections`` sections of size up to
+    ``n_max``; 1 keeps them in this one (see the module docstring)."""
+    if sys.platform != "linux" or n_max >= SPLIT_N_BOUND or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), sections)
+
+
+def _run_sections(run, count: int, processes: int) -> list:
+    """``[run(0), ..., run(count - 1)]``, section s run by process s % ``processes``.
+
+    Process 0 is this one; each other is an ``os.fork`` child that runs its
+    share, writes the outcome to a pipe as one pickle, and leaves by
+    ``os._exit`` (no atexit handler, no stdio flush).  Every process stops
+    at the first section of its share that raises.  The error raised here is
+    that of the earliest failing section, as a loop in one process would
+    raise; a child that ends without a result fails at its first section,
+    with a ``ChildProcessError`` naming its share.  Every child is reaped
+    before this returns or raises, and killed first if it is still running.
+    """
+    if processes == 1:
+        return [run(section) for section in range(count)]
+    children = {}  # pid -> (read end of its pipe, its share)
+    try:
+        for p in range(1, processes):
+            share = range(p, count, processes)
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(run, share, read, write)
+            children[pid] = (open(read, "rb"), share)
+            os.close(write)
+        outcomes = [_run_share(run, range(0, count, processes))]
+        for pid, (pipe, share) in list(children.items()):
+            data = pipe.read()
+            _, wait_status = os.waitpid(pid, 0)
+            del children[pid]
+            pipe.close()
+            code = os.waitstatus_to_exitcode(wait_status)
+            if code == 0:
+                outcomes.append(pickle.loads(data))
+            else:
+                died = ChildProcessError(f"the worker process for sections "
+                                         f"{', '.join(map(str, share))} ended without a "
+                                         f"result (exit code {code})")
+                outcomes.append(([], (share[0], died)))
+    finally:
+        if children:
+            import signal  # here: importing it adds about 1 ms to every command's set-up
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * count
+    for p, (documents, _) in enumerate(outcomes):
+        results[p::processes] = documents
+    return results
+
+
+def _run_share(run, share):
+    """``run`` over ``share`` in order, up to the first section that raises:
+    the results, and None or that section and its exception."""
+    results = []
+    for section in share:
+        try:
+            results.append(run(section))
+        except Exception as exc:  # raised by _run_sections, in section order
+            return results, (section, exc)
+    return results, None
+
+
+def _child(run, share, read: int, write: int):
+    """A forked child's whole life: run ``share``, send the outcome, exit."""
+    status = 1
+    try:
+        os.close(read)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(_run_share(run, share)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _execute_extremal(cfg: RunConfig):

@@ -406,6 +406,8 @@ def unpack_hermitian_pair(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0 or theta.shape[-1] != 2 * n * n:
         raise ValueError(f"expected {2 * n * n} parameters, got {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta contains non-finite entries")
     pair = _unpack_pair(theta, n)
     return pair[..., 0, :, :], pair[..., 1, :, :]
 

@@ -2,17 +2,22 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kyfan import cli
 from kyfan.cli import (
     DEFAULT_SEED,
     INEQUALITY_IDS,
     SEED_ENV_VAR,
+    SPLIT_N_BOUND,
     STREAM_STRIDE,
     RunConfig,
     _build_parser,
@@ -502,3 +507,138 @@ class TestKRejection:
             report = _check_section(family, n, 1, SeededStream(3), 1e-8, None)
             assert report.inequality_id == family.id
             assert report.k_range == tuple(family.scored_ks(n)), (family.id, n)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _before_each_section(monkeypatch, act):
+    """Call ``act(section, in_parent)`` as each section of a check run starts."""
+    parent, real = os.getpid(), cli._check_section
+
+    def section(family, n, trials, stream, tolerance, k_values):
+        act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
+        return real(family, n, trials, stream, tolerance, k_values)
+
+    monkeypatch.setattr(cli, "_check_section", section)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitSections:
+    """``check`` deals its sections over forked processes (see ``kyfan.cli``)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ineq", "all", "--trials", "20"],
+        ["check", "--ineq", "ahj", "--n", "3", "--trials", "40"],
+        ["check", "--ineq", "von-neumann", "--n", "3", "--trials", "40"],
+    ], ids=["all", "ahj-n3", "von-neumann-n3"])
+    def test_split_and_serial_runs_give_the_same_body(self, argv, monkeypatch, capsys):
+        bodies = []
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            assert main(argv + ["--seed", "43"]) == 0
+            bodies.append(report_body_bytes(json.loads(capsys.readouterr().out)))
+            _assert_no_child_left()
+        assert bodies[0] == bodies[1]
+
+    def test_sections_are_dealt_round_robin(self, monkeypatch, capsys):
+        real = cli.check_report_document
+        monkeypatch.setattr(cli, "check_report_document",
+                            lambda *args, **kw: {**real(*args, **kw), "pid": os.getpid()})
+        _cpus(monkeypatch, 3)
+        assert main(["check", "--ineq", "all", "--n", "2", "--trials", "3"]) == 0
+        pids = [r["pid"] for r in json.loads(capsys.readouterr().out)["results"]]
+        assert pids[0] == os.getpid() and len(set(pids[:3])) == 3
+        assert pids == pids[:3] * 3 + pids[:1]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [(1,), (2, 3), (1, 2), (3, 4)])
+    def test_the_earliest_failing_section_raises_as_in_one_process(self, failing, monkeypatch,
+                                                                   tmp_path, capsys):
+        def fail(section, in_parent):
+            if section in failing:
+                raise ValueError(f"section {section} failed")
+
+        _before_each_section(monkeypatch, fail)
+        errors = []
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"r{cpus}.json"
+            argv = ["check", "--ineq", "all", "--n", "2", "--trials", "3", "--out", str(out)]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            errors.append(captured.err)
+            _assert_no_child_left()
+        assert errors[0] == errors[1] == f"error: section {min(failing)} failed\n"
+
+    def test_a_killed_child_is_an_error_not_a_partial_report(self, monkeypatch, tmp_path,
+                                                             capsys):
+        def kill_child(section, in_parent):
+            if section == 3 and not in_parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _before_each_section(monkeypatch, kill_child)
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "r.json"
+        argv = ["check", "--ineq", "all", "--n", "2", "--trials", "3", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: the worker process for sections 1, 3, 5, 7, 9 ended "
+                                f"without a result (exit code {-signal.SIGKILL})\n")
+        _assert_no_child_left()
+
+    def test_an_interrupt_leaves_no_child(self, monkeypatch, capsys):
+        def interrupt(section, in_parent):
+            if in_parent and section == 2:
+                raise KeyboardInterrupt
+            if not in_parent:
+                time.sleep(0.05)  # still running when the parent is interrupted
+
+        _before_each_section(monkeypatch, interrupt)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            main(["check", "--ineq", "all", "--n", "2", "--trials", "3"])
+        assert capsys.readouterr().out == ""
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("sections, n, processes", [
+        (10, 8, 2), (10, SPLIT_N_BOUND - 1, 2), (10, SPLIT_N_BOUND, 1), (10, 64, 1), (1, 8, 1),
+    ])
+    def test_one_section_or_a_large_n_stays_in_one_process(self, sections, n, processes,
+                                                          monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert cli._process_count(sections, n) == processes
+
+    def test_other_threads_keep_the_run_in_one_process(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli._process_count(10, 8) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert cli._process_count(10, 8) == 2
+
+    def test_split_run_passes_with_warnings_as_errors(self, capsys):
+        # two CPUs whatever the host has, so that the run forks
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "from kyfan.cli import main; "
+                "sys.exit(main(['check', '--ineq', 'all', '--n', '2', '--trials', '3']))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        main(["check", "--ineq", "all", "--n", "2", "--trials", "3"])
+        in_process = json.loads(capsys.readouterr().out)
+        assert report_body_bytes(json.loads(done.stdout)) == report_body_bytes(in_process)

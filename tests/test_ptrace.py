@@ -159,6 +159,16 @@ class TestPacking:
         with pytest.raises(ValueError):
             unpack_hermitian_pair(np.zeros(7), 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_unpack_rejects_non_finite_parameters(self, bad):
+        # refused, as pack_hermitian_pair refuses them, not unpacked to NaN entries
+        theta = np.zeros(8)
+        theta[[0, 3]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            unpack_hermitian_pair(theta, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            pack_hermitian_pair(np.diag([bad, 0.0]), np.eye(2))
+
 
 class TestStackedPrimitives:
     def _pairs(self, seed, count, n):

@@ -278,6 +278,18 @@ class TestStackedEngine:
             assert np.array_equal(lhs[i], np.asarray(lhs_one, dtype=float))
             assert np.array_equal(rhs[i], np.asarray(rhs_one, dtype=float))
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_von_neumann_parts_match_the_trace_taken_before_the_svds(self, n):
+        # a full block of trials at n; the evaluator takes the trace last
+        trials = BLOCK_ENTRIES // (n * n)
+        g = SeededStream(53, n).generator()
+        a, b = g.standard_normal((2, trials, n, n)) + 1j * g.standard_normal((2, trials, n, n))
+        traces = np.trace(a @ b, axis1=-2, axis2=-1)
+        sa, sb = singular_values(a), singular_values(b)
+        lhs, rhs = suite._parts_von_neumann({"A": a, "B": b})
+        assert np.array_equal(lhs[:, 0], [abs(t) for t in traces])
+        assert np.array_equal(rhs[:, 0], [float(np.dot(x, y)) for x, y in zip(sa, sb)])
+
     @pytest.mark.parametrize("ineq_id, run", [
         ("product-family", lambda t, s, tol, kv: check_product_family(2, t, s, tolerance=tol, k_values=kv)),
         ("von-neumann", lambda t, s, tol, kv: check_von_neumann(2, t, s, tolerance=tol, k_values=kv)),
