@@ -32,6 +32,11 @@ the repeats:
   processes as the command splits them (see ``kyfan.cli``); every repeat
   takes its own seed.  Per trial of the 3500 and the 70000, and each row
   also gives the median in trials per second.
+- ``check_all_n64_20``: ``kyfan check --ineq all --n 64 --trials 20``
+  through ``cli.execute``, the whole command as ``kyfan`` runs it (its BLAS
+  thread count included, see ``kyfan.cli``) with its report written to a
+  discarded buffer; every repeat takes its own seed.  Per trial of the 200,
+  and the row also gives the median in trials per second.
 - ``search_stack_3``: one lockstep round of the counterexample search at
   n = 3, question 2, all k, with ``SEARCH_RESTARTS`` = 8 live restarts: the
   one scoring call a round makes for ``SEARCH_BATCH`` candidates of each
@@ -71,7 +76,9 @@ Only the standard library and numpy are used besides kyfan itself.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -83,7 +90,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kyfan.cli import RunConfig, _check_section, _execute_check
+from kyfan.cli import RunConfig, _check_section, _execute_check, execute
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
 from kyfan.norms import INEQUALITY_TOL
@@ -102,6 +109,8 @@ EXTREMAL_TRIALS = 2000
 EXTREMAL_SAMPLES = 2
 SWEEP_NS = range(2, 9)
 SWEEP_TRIALS = 50
+LARGE_N = 64
+LARGE_TRIALS = 20
 #: calibration kernel time on the reference machine, as in perfbench/run.py
 CAL_REF_S = 0.03
 CALIBRATION_ROUNDS = 5
@@ -202,6 +211,12 @@ def measure(ops: int, repeats: int) -> dict:
 
         return loop
 
+    def check_all_large(rep):
+        cfg = RunConfig("check", inequality_id="all", n=LARGE_N, trials=LARGE_TRIALS,
+                        seed=SEED + rep)
+        with contextlib.redirect_stdout(io.StringIO()):
+            execute(cfg)
+
     def extremal(rep):
         for section, target in enumerate(EXTREMAL_TARGETS, start=rep * len(EXTREMAL_TARGETS)):
             base = SeededStream(SEED, (section + 1) * SECTION)
@@ -220,12 +235,14 @@ def measure(ops: int, repeats: int) -> dict:
         "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
         "check_all_50": (check_all(50), len(sweep) * 50),
         "check_all_1000": (check_all(1000), len(sweep) * 1000),
+        "check_all_n64_20": (check_all_large, len(FAMILIES) * LARGE_TRIALS),
     }
     rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
     search = rows["search_q2_3000"]
     search["evaluations_per_s"] = 1e6 / search["median_us"]
     search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
-    for name in ("checker_sweep_50", "extremal_2000", "check_all_50", "check_all_1000"):
+    for name in ("checker_sweep_50", "extremal_2000", "check_all_50", "check_all_1000",
+                 "check_all_n64_20"):
         row = rows[name]
         row["trials_per_s"] = 1e6 / row["median_us"]
         row["trials_per_s_scaled"] = 1e6 / row["median_us_scaled"]

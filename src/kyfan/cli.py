@@ -29,17 +29,30 @@ so the report bytes do not depend on the split.  ``fork`` rather than
 ``spawn``, because a spawned worker re-imports numpy, which costs about as
 much as the whole ``--trials 50`` sweep.  The run stays in one process when
 one CPU is available or there is one section, on platforms other than
-Linux, when other Python threads are alive (``fork`` copies no thread, so
-a lock one held would stay locked in the child), and when n reaches
-``SPLIT_N_BOUND``, where OpenBLAS threads single calls and two processes'
-BLAS threads would compete for the cores.
+Linux, and when other Python threads are alive (``fork`` copies no thread,
+so a lock one held would stay locked in the child).
+
+One BLAS thread
+---------------
+:func:`execute` runs every command with the BLAS on one thread, through
+the thread-count setter of the OpenBLAS numpy is built on, and gives the
+caller back its own count when the command returns or raises.  Each
+process of a split run then has one core's worth of BLAS work, whatever n
+is, and the report bytes do not depend on the thread count the machine
+would default to (at n = 96 and 128 they did).  The report's
+``environment`` block records the numpy and BLAS builds, the thread count
+(null where no setter is found) and the process count.  Where no setter is
+found, the BLAS runs as the caller set it, and a run that reaches n =
+``SPLIT_N_BOUND`` stays in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -100,12 +113,13 @@ SEED_ENV_VAR = "KYFAN_SEED"
 #: stream spacing between run sections so (section, trial) pairs never collide
 STREAM_STRIDE = 2**24
 DEFAULT_NS = (2, 3, 4, 5, 6, 7, 8)
-#: ``check`` sections at or above this n run in one process.  From n = 41 on,
-#: OpenBLAS threads a complex n x n product (n**3 above 65536), and two
-#: processes' BLAS threads then contend for the cores.  ``check --ineq all
-#: --trials 20`` split over two processes against one, on a 2-vCPU x86_64 VM
-#: with OpenBLAS 0.3.31 (medians of 4 alternated pairs): 1.6x at n = 16, 1.2x
-#: at n = 32, 1.8x at n = 40; 0.49x at n = 41, 0.15x at n = 44, 0.50x at n = 64.
+#: where no BLAS thread setter is found, ``check`` sections at or above this
+#: n run in one process.  From n = 41 on, OpenBLAS threads a complex n x n
+#: product (n**3 above 65536), and two processes' BLAS threads then contend
+#: for the cores.  ``check --ineq all --trials 20`` split over two processes
+#: against one, on a 2-vCPU x86_64 VM with OpenBLAS 0.3.31 at its default two
+#: threads (medians of 4 alternated pairs): 1.6x at n = 16, 1.2x at n = 32,
+#: 1.8x at n = 40; 0.49x at n = 41, 0.15x at n = 44, 0.50x at n = 64.
 SPLIT_N_BOUND = 41
 
 INEQUALITY_IDS = tuple(dict.fromkeys(family.ineq for family in FAMILIES.values()))
@@ -360,15 +374,78 @@ def _execute_check(cfg: RunConfig):
         report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
         return check_report_document(report, include_witness=report.violations > 0)
 
-    return _run_sections(run, len(sections), _process_count(len(sections), max(ns))), []
+    processes = _process_count(len(sections), max(ns))
+    return _run_sections(run, len(sections), processes), [], processes
 
 
 def _process_count(sections: int, n_max: int) -> int:
     """How many processes share a run of ``sections`` sections of size up to
-    ``n_max``; 1 keeps them in this one (see the module docstring)."""
-    if sys.platform != "linux" or n_max >= SPLIT_N_BOUND or threading.active_count() > 1:
+    ``n_max``; 1 keeps them in this one (see the module docstring).  From
+    n = ``SPLIT_N_BOUND`` on, a run splits only while the BLAS runs one
+    thread, as it does inside :func:`execute`."""
+    if sys.platform != "linux" or threading.active_count() > 1:
         return 1
+    if n_max >= SPLIT_N_BOUND:
+        calls = _blas_thread_calls()
+        if calls is None or calls[0]() != 1:
+            return 1
     return min(len(os.sched_getaffinity(0)), sections)
+
+
+def _numeric_stack() -> dict:
+    """The name and version of the BLAS and the LAPACK numpy is built on."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy before 1.26 has no mode="dicts"
+        deps = {}
+    return {lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")}
+            for lib in ("blas", "lapack")}
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS numpy is built on,
+    as ``ctypes`` functions, or None where none is found.
+
+    Their symbol names follow the build that ``np.show_config`` names.  They
+    are looked up through the handle of numpy's LAPACK extension module,
+    which also searches the libraries it links (the wheel's bundled
+    ``scipy-openblas`` among them): about 0.1 ms, and no directory listing.
+    """
+    name = _numeric_stack()["blas"]["name"] or ""
+    if "openblas" not in name:
+        return None
+    prefix = "scipy_openblas" if name.startswith("scipy-openblas") else "openblas"
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for suffix in ("64_", ""):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the BLAS on one thread, then set the caller's count
+    back, on return or raise.  Yields the count the block runs with: 1, or
+    None where no setter is found and the BLAS runs as the caller set it."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    get, put = calls
+    caller = get()
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(caller)
 
 
 def _run_sections(run, count: int, processes: int) -> list:
@@ -474,7 +551,7 @@ def _execute_extremal(cfg: RunConfig):
                 "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
             }
         )
-    return results, []
+    return results, [], 1
 
 
 def _execute_repro(cfg: RunConfig):
@@ -490,7 +567,7 @@ def _execute_repro(cfg: RunConfig):
         "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
         "witness": witness_document(witness),
     }
-    return [result], ["the contraction bound fails on this input, as constructed"]
+    return [result], ["the contraction bound fails on this input, as constructed"], 1
 
 
 def _execute_ptrace(cfg: RunConfig):
@@ -555,13 +632,13 @@ def _execute_ptrace(cfg: RunConfig):
         search, note = _search(cfg, SeededStream(cfg.seed, 2 * STREAM_STRIDE))
         results.append({"target": "bounded-search", **search})
         notes.append(note)
-    return results, notes
+    return results, notes, 1
 
 
 def _execute_search(cfg: RunConfig):
     search, note = _search(cfg, SeededStream(cfg.seed))
     return [{"target": "counterexample-search", "n": cfg.n, "restarts": cfg.restarts,
-             **search}], [note]
+             **search}], [note], 1
 
 
 def _search(cfg: RunConfig, stream):
@@ -581,6 +658,7 @@ def _search(cfg: RunConfig, stream):
     return fields, "counterexample candidate found — inspect the witness"
 
 
+#: command -> its executor: ``cfg`` -> (results, notes, the processes it ran in)
 _EXECUTORS = {
     "check": _execute_check,
     "extremal": _execute_extremal,
@@ -593,7 +671,8 @@ _EXECUTORS = {
 def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
-    results, notes = _EXECUTORS[cfg.command](cfg)
+    with _one_blas_thread() as blas_threads:
+        results, notes, processes = _EXECUTORS[cfg.command](cfg)
     total_violations = sum(r["violations"] for r in results)
     status = 2 if total_violations else 0
     doc = run_document(
@@ -604,6 +683,8 @@ def execute(cfg: RunConfig) -> int:
         exit_status=status,
         elapsed_seconds=time.perf_counter() - t0,
         notes=notes,
+        environment={"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                     **_numeric_stack(), "blas_threads": blas_threads, "processes": processes},
     )
     text = render_table(doc) if cfg.format == "table" else dump_document(doc)
     if cfg.output_path:

@@ -2,7 +2,8 @@
 
 A report is a plain dict serialized by :func:`kyfan.fileformat.dump_document`
 (sorted keys, pinned float formatting), so two runs with the same seed
-produce byte-identical bodies once wall-time fields are stripped.
+produce byte-identical bodies once wall-time fields and the ``environment``
+block (the numeric stack and process count a run used) are stripped.
 :func:`report_body_bytes` performs exactly that stripping and is what the
 determinism tests compare.
 """
@@ -17,6 +18,7 @@ from .suite import CheckReport, Witness
 __all__ = [
     "SCHEMA_ID",
     "TIMING_FIELDS",
+    "ENVIRONMENT_FIELD",
     "witness_document",
     "check_report_document",
     "run_document",
@@ -29,6 +31,8 @@ SCHEMA_ID = "kyfan-report/1"
 
 #: keys whose values are wall-clock measurements, excluded from body bytes
 TIMING_FIELDS = frozenset({"elapsed_seconds"})
+#: the run document's record of the numeric stack, excluded from body bytes
+ENVIRONMENT_FIELD = "environment"
 
 
 def witness_document(witness: Witness) -> dict:
@@ -63,7 +67,8 @@ def check_report_document(report: CheckReport, *, include_witness: bool = True) 
 
 
 def run_document(command: str, config: dict, results: list, *, violations_total: int,
-                 exit_status: int, elapsed_seconds: float, notes=()) -> dict:
+                 exit_status: int, elapsed_seconds: float, notes=(),
+                 environment: dict | None = None) -> dict:
     return {
         "schema": SCHEMA_ID,
         "tool": {"name": "kyfan", "version": __version__},
@@ -75,6 +80,7 @@ def run_document(command: str, config: dict, results: list, *, violations_total:
         "exit_status": int(exit_status),
         "elapsed_seconds": float(elapsed_seconds),
         "notes": list(notes),
+        ENVIRONMENT_FIELD: environment,
     }
 
 
@@ -87,8 +93,10 @@ def _strip_timing(value):
 
 
 def report_body_bytes(doc: dict) -> bytes:
-    """Serialized report with every wall-time field removed (determinism key)."""
-    return dump_document(_strip_timing(doc)).encode("utf-8")
+    """Serialized report with every wall-time field and the environment block
+    removed (determinism key)."""
+    body = {key: value for key, value in doc.items() if key != ENVIRONMENT_FIELD}
+    return dump_document(_strip_timing(body)).encode("utf-8")
 
 
 def write_report(path: str, doc: dict) -> None:

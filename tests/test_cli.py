@@ -524,6 +524,13 @@ def _before_each_section(monkeypatch, act):
     monkeypatch.setattr(cli, "_check_section", section)
 
 
+def _needs_blas_thread_setter():
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no thread-count setter found for numpy's BLAS")
+    return calls
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -609,12 +616,36 @@ class TestSplitSections:
         _assert_no_child_left()
 
     @pytest.mark.parametrize("sections, n, processes", [
-        (10, 8, 2), (10, SPLIT_N_BOUND - 1, 2), (10, SPLIT_N_BOUND, 1), (10, 64, 1), (1, 8, 1),
+        (10, 8, 2), (10, SPLIT_N_BOUND - 1, 2), (10, SPLIT_N_BOUND, 2), (10, 64, 2), (1, 8, 1),
     ])
     def test_one_section_or_a_large_n_stays_in_one_process(self, sections, n, processes,
                                                           monkeypatch):
+        _needs_blas_thread_setter()
         _cpus(monkeypatch, 2)
-        assert cli._process_count(sections, n) == processes
+        with cli._one_blas_thread():
+            assert cli._process_count(sections, n) == processes
+
+    def test_without_a_blas_thread_setter_a_large_n_stays_in_one_process(self, monkeypatch):
+        monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+        _cpus(monkeypatch, 2)
+        with cli._one_blas_thread() as threads:
+            assert threads is None
+            assert cli._process_count(10, SPLIT_N_BOUND - 1) == 2
+            assert cli._process_count(10, SPLIT_N_BOUND) == 1
+            assert cli._process_count(10, 64) == 1
+
+    def test_a_large_n_with_more_than_one_blas_thread_stays_in_one_process(self, monkeypatch):
+        get, put = _needs_blas_thread_setter()
+        _cpus(monkeypatch, 2)
+        caller = get()
+        try:
+            put(2)
+            if get() != 2:
+                pytest.skip("this BLAS runs at most one thread")
+            assert cli._process_count(10, 64) == 1
+            assert cli._process_count(10, 8) == 2
+        finally:
+            put(caller)
 
     def test_other_threads_keep_the_run_in_one_process(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -642,3 +673,65 @@ class TestSplitSections:
         main(["check", "--ineq", "all", "--n", "2", "--trials", "3"])
         in_process = json.loads(capsys.readouterr().out)
         assert report_body_bytes(json.loads(done.stdout)) == report_body_bytes(in_process)
+
+
+class TestOneBlasThread:
+    """``execute`` runs a command with the BLAS on one thread (see ``kyfan.cli``)."""
+
+    @pytest.mark.parametrize("argv, raises", [
+        (["check", "--ineq", "von-neumann", "--n", "3", "--trials", "5"], None),
+        (["ptrace", "--question", "1", "--n", "3", "--k", "5", "--trials", "2"], ValueError),
+    ], ids=["returns", "raises"])
+    def test_the_callers_thread_count_is_restored(self, argv, raises, monkeypatch, capsys):
+        get, put = _needs_blas_thread_setter()
+        command = argv[0]
+        real = cli._EXECUTORS[command]
+        during = []
+
+        def executor(cfg):
+            during.append(get())
+            return real(cfg)
+
+        monkeypatch.setitem(cli._EXECUTORS, command, executor)
+        before = get()
+        try:
+            put(2)  # the caller's count; a one-CPU machine may cap it to 1
+            caller = get()
+            if raises is None:
+                assert execute(parse_arguments(argv)) == 0
+            else:
+                with pytest.raises(raises):
+                    execute(parse_arguments(argv))
+            assert during == [1]
+            assert get() == caller
+        finally:
+            put(before)
+
+    def test_the_report_records_the_environment_outside_the_body(self, capsys):
+        argv = ["check", "--ineq", "ahj", "--n", "3", "--trials", "5"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        env = doc["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert set(env["blas"]) == set(env["lapack"]) == {"name", "version"}
+        assert env["blas_threads"] == (None if cli._blas_thread_calls() is None else 1)
+        assert env["processes"] == cli._process_count(len(doc["results"]), 3)
+        assert b"environment" not in report_body_bytes(doc)
+        assert main(argv + ["--format", "table"]) == 0
+        assert "ahj" in capsys.readouterr().out
+
+    def test_the_body_at_n96_does_not_depend_on_the_thread_count(self):
+        _needs_blas_thread_setter()
+        argv = ["check", "--ineq", "all", "--n", "96", "--trials", "4"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        bodies = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "kyfan", *argv], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            doc = json.loads(done.stdout)
+            assert doc["environment"]["blas_threads"] == 1
+            bodies.append(report_body_bytes(doc))
+        assert bodies[0] == bodies[1]

@@ -64,7 +64,7 @@ def _public_draws(w, n, samples, g):
 def test_report_matches_the_reference_loop(n_max, samples, trials):
     cfg = parse_arguments(["extremal", "--n", str(n_max), "--samples", str(samples),
                            "--trials", str(trials), "--seed", str(SEED)])
-    results, _ = _execute_extremal(cfg)
+    results, _, _ = _execute_extremal(cfg)
     assert [r["trials"] for r in results] == [trials] * 3
     for target, result in zip(TARGETS, results):
         gaps = _reference_gaps(target, n_max, trials, samples)
