@@ -26,17 +26,15 @@ the repeats:
   ``check_*`` function, the masked ones under the form of their family), 50
   trials per section, each section on its own base.  Per trial of the 3500,
   and the row also gives the median in trials per second.
-- ``check_all_50`` and ``check_all_1000``: ``kyfan check --ineq all`` with
-  ``--trials 50`` and ``--trials 1000`` in process through
-  ``cli._execute_check``, the command's own path, its sections split over
-  processes as the command splits them (see ``kyfan.cli``); every repeat
-  takes its own seed.  Per trial of the 3500 and the 70000, and each row
-  also gives the median in trials per second.
-- ``check_all_n64_20``: ``kyfan check --ineq all --n 64 --trials 20``
-  through ``cli.execute``, the whole command as ``kyfan`` runs it (its BLAS
-  thread count included, see ``kyfan.cli``) with its report written to a
-  discarded buffer; every repeat takes its own seed.  Per trial of the 200,
-  and the row also gives the median in trials per second.
+- ``check_all_50``, ``check_all_1000`` and ``check_all_n64_20``: ``kyfan
+  check --ineq all`` with ``--trials 50``, with ``--trials 1000``, and with
+  ``--n 64 --trials 20``, in process through ``cli.execute``, the whole
+  command as ``kyfan`` runs it (its one BLAS thread and its sections split
+  over processes, see ``kyfan.cli``) with its report written to a discarded
+  buffer; every repeat takes its own seed.  Per trial of the 3500, the
+  70000 and the 200, and each row also gives the median in trials per
+  second.  Before ``execute`` ran every command's sections, the first two
+  rows timed ``cli._execute_check`` alone: no BLAS pin, no report.
 - ``search_stack_3``: one lockstep round of the counterexample search at
   n = 3, question 2, all k, with ``SEARCH_RESTARTS`` = 8 live restarts: the
   one scoring call a round makes for ``SEARCH_BATCH`` candidates of each
@@ -90,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kyfan.cli import RunConfig, _check_section, _execute_check, execute
+from kyfan.cli import RunConfig, _check_section, execute
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
 from kyfan.norms import INEQUALITY_TOL
@@ -205,17 +203,13 @@ def measure(ops: int, repeats: int) -> dict:
             _check_section(family, n, SWEEP_TRIALS, SeededStream(SEED, (section + 1) * SECTION),
                            INEQUALITY_TOL, None)
 
-    def check_all(trials):
+    def check_all(trials, n=None):
         def loop(rep):
-            _execute_check(RunConfig("check", inequality_id="all", trials=trials, seed=SEED + rep))
+            cfg = RunConfig("check", inequality_id="all", n=n, trials=trials, seed=SEED + rep)
+            with contextlib.redirect_stdout(io.StringIO()):
+                execute(cfg)
 
         return loop
-
-    def check_all_large(rep):
-        cfg = RunConfig("check", inequality_id="all", n=LARGE_N, trials=LARGE_TRIALS,
-                        seed=SEED + rep)
-        with contextlib.redirect_stdout(io.StringIO()):
-            execute(cfg)
 
     def extremal(rep):
         for section, target in enumerate(EXTREMAL_TARGETS, start=rep * len(EXTREMAL_TARGETS)):
@@ -235,7 +229,7 @@ def measure(ops: int, repeats: int) -> dict:
         "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
         "check_all_50": (check_all(50), len(sweep) * 50),
         "check_all_1000": (check_all(1000), len(sweep) * 1000),
-        "check_all_n64_20": (check_all_large, len(FAMILIES) * LARGE_TRIALS),
+        "check_all_n64_20": (check_all(LARGE_TRIALS, LARGE_N), len(FAMILIES) * LARGE_TRIALS),
     }
     rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
     search = rows["search_q2_3000"]

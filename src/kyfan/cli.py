@@ -18,19 +18,22 @@ Exit status: 0 = run completed with zero violations, 2 = violations found,
 overridden by the ``KYFAN_SEED`` environment variable or the ``--seed``
 flag; the effective seed and its source are echoed into every report.
 
-Split ``check`` runs
---------------------
-The sections of a ``check`` run (one family at one n) are independent, and
-each draws from its own stream, so ``check`` deals them round-robin over
-min(available CPUs, sections) processes: this one plus one ``os.fork`` child
-per extra CPU (see :func:`_run_sections`).  Each child sends its section
-documents back as one pickle on a pipe; they are merged in section order,
-so the report bytes do not depend on the split.  ``fork`` rather than
-``spawn``, because a spawned worker re-imports numpy, which costs about as
-much as the whole ``--trials 50`` sweep.  The run stays in one process when
-one CPU is available or there is one section, on platforms other than
-Linux, and when other Python threads are alive (``fork`` copies no thread,
-so a lock one held would stay locked in the child).
+Split runs
+----------
+Every command is a list of independent sections, each drawing from its own
+stream: one family at one n for ``check``, one target for ``extremal``, the
+identity cross-check, the commuting regression and the bounded search for
+``ptrace``, the one search or reproduction otherwise.  :func:`execute`
+deals them round-robin over min(available CPUs, sections) processes: this
+one plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`).
+Each child sends its section outcomes back as one pickle on a pipe; they
+are merged in section order, so the report bytes do not depend on the
+split.  ``fork`` rather than ``spawn``, because a spawned worker re-imports
+numpy, which costs about as much as the whole ``check --trials 50`` sweep.
+The run stays in one process when one CPU is available or there is one
+section, on platforms other than Linux, when other Python threads are alive
+(``fork`` copies no thread, so a lock one held would stay locked in the
+child), and when the BLAS is not pinned to one thread (below).
 
 One BLAS thread
 ---------------
@@ -42,8 +45,8 @@ is, and the report bytes do not depend on the thread count the machine
 would default to (at n = 96 and 128 they did).  The report's
 ``environment`` block records the numpy and BLAS builds, the thread count
 (null where no setter is found) and the process count.  Where no setter is
-found, the BLAS runs as the caller set it, and a run that reaches n =
-``SPLIT_N_BOUND`` stays in one process.
+found, the BLAS runs as the caller set it, and every command runs in one
+process.
 """
 
 from __future__ import annotations
@@ -113,14 +116,6 @@ SEED_ENV_VAR = "KYFAN_SEED"
 #: stream spacing between run sections so (section, trial) pairs never collide
 STREAM_STRIDE = 2**24
 DEFAULT_NS = (2, 3, 4, 5, 6, 7, 8)
-#: where no BLAS thread setter is found, ``check`` sections at or above this
-#: n run in one process.  From n = 41 on, OpenBLAS threads a complex n x n
-#: product (n**3 above 65536), and two processes' BLAS threads then contend
-#: for the cores.  ``check --ineq all --trials 20`` split over two processes
-#: against one, on a 2-vCPU x86_64 VM with OpenBLAS 0.3.31 at its default two
-#: threads (medians of 4 alternated pairs): 1.6x at n = 16, 1.2x at n = 32,
-#: 1.8x at n = 40; 0.49x at n = 41, 0.15x at n = 44, 0.50x at n = 64.
-SPLIT_N_BOUND = 41
 
 INEQUALITY_IDS = tuple(dict.fromkeys(family.ineq for family in FAMILIES.values()))
 
@@ -360,35 +355,28 @@ def _check_section(family, n, trials, stream, tolerance, k_values):
     return globals()[name](*args, tolerance=tolerance, k_values=k_values)
 
 
-def _execute_check(cfg: RunConfig):
+def _execute_check(cfg: RunConfig) -> list:
     families = [f for f in FAMILIES.values() if cfg.inequality_id in ("all", f.ineq)]
     ns = DEFAULT_NS if cfg.n is None else (cfg.n,)
     k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
-    sections = list(itertools.product(families, ns))
-    for family, n in sections:
+    cells = list(itertools.product(families, ns))
+    for family, n in cells:
         _scored_columns(family, family.id, n, k_values)  # refuses a k before any section runs
 
-    def run(section):
-        family, n = sections[section]
+    def run(section, family, n):
         stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
         report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
-        return check_report_document(report, include_witness=report.violations > 0)
+        return check_report_document(report, include_witness=report.violations > 0), None
 
-    processes = _process_count(len(sections), max(ns))
-    return _run_sections(run, len(sections), processes), [], processes
+    return [functools.partial(run, s, family, n) for s, (family, n) in enumerate(cells)]
 
 
-def _process_count(sections: int, n_max: int) -> int:
-    """How many processes share a run of ``sections`` sections of size up to
-    ``n_max``; 1 keeps them in this one (see the module docstring).  From
-    n = ``SPLIT_N_BOUND`` on, a run splits only while the BLAS runs one
-    thread, as it does inside :func:`execute`."""
-    if sys.platform != "linux" or threading.active_count() > 1:
+def _process_count(sections: int, blas_threads) -> int:
+    """How many processes share a run of ``sections`` sections; 1 keeps them
+    in this one (see the module docstring).  ``blas_threads`` is the count
+    :func:`_one_blas_thread` yields: a run splits only under its pin."""
+    if sys.platform != "linux" or threading.active_count() > 1 or blas_threads != 1:
         return 1
-    if n_max >= SPLIT_N_BOUND:
-        calls = _blas_thread_calls()
-        if calls is None or calls[0]() != 1:
-            return 1
     return min(len(os.sched_getaffinity(0)), sections)
 
 
@@ -448,8 +436,8 @@ def _one_blas_thread():
         put(caller)
 
 
-def _run_sections(run, count: int, processes: int) -> list:
-    """``[run(0), ..., run(count - 1)]``, section s run by process s % ``processes``.
+def _run_sections(sections: list, processes: int) -> list:
+    """``[section() for section in sections]``, section s run by process s % ``processes``.
 
     Process 0 is this one; each other is an ``os.fork`` child that runs its
     share, writes the outcome to a pipe as one pickle, and leaves by
@@ -460,8 +448,9 @@ def _run_sections(run, count: int, processes: int) -> list:
     with a ``ChildProcessError`` naming its share.  Every child is reaped
     before this returns or raises, and killed first if it is still running.
     """
+    count = len(sections)
     if processes == 1:
-        return [run(section) for section in range(count)]
+        return [section() for section in sections]
     children = {}  # pid -> (read end of its pipe, its share)
     try:
         for p in range(1, processes):
@@ -474,10 +463,10 @@ def _run_sections(run, count: int, processes: int) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _child(run, share, read, write)
+                _child(sections, share, read, write)
             children[pid] = (open(read, "rb"), share)
             os.close(write)
-        outcomes = [_run_share(run, range(0, count, processes))]
+        outcomes = [_run_share(sections, range(0, count, processes))]
         for pid, (pipe, share) in list(children.items()):
             data = pipe.read()
             _, wait_status = os.waitpid(pid, 0)
@@ -509,147 +498,134 @@ def _run_sections(run, count: int, processes: int) -> list:
     return results
 
 
-def _run_share(run, share):
-    """``run`` over ``share`` in order, up to the first section that raises:
-    the results, and None or that section and its exception."""
+def _run_share(sections, share):
+    """The sections of ``share`` in order, up to the first that raises: their
+    outcomes, and None or that section and its exception."""
     results = []
     for section in share:
         try:
-            results.append(run(section))
+            results.append(sections[section]())
         except Exception as exc:  # raised by _run_sections, in section order
             return results, (section, exc)
     return results, None
 
 
-def _child(run, share, read: int, write: int):
+def _child(sections, share, read: int, write: int):
     """A forked child's whole life: run ``share``, send the outcome, exit."""
     status = 1
     try:
         os.close(read)
         with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_share(run, share)))
+            pipe.write(pickle.dumps(_run_share(sections, share)))
         status = 0
     finally:
         os._exit(status)
 
 
-def _execute_extremal(cfg: RunConfig):
+def _execute_extremal(cfg: RunConfig) -> list:
     targets = EXTREMAL_TARGETS if cfg.target == "all" else (cfg.target,)
     n_max = cfg.n or 8
-    results = []
-    for target in targets:
+
+    def run(target):
         section = EXTREMAL_TARGETS.index(target)
         gaps = _extremal_gaps(target, n_max, cfg.trials,
                               SeededStream(cfg.seed, section * STREAM_STRIDE), cfg.samples)
-        results.append(
-            {
-                "target": f"{target}-support" if target != "equality" else "trace-equality",
-                "trials": cfg.trials,
-                "max_dimension": n_max,
-                "worst_gap": float(gaps.max(initial=0.0)),
-                "tolerance": cfg.tolerance,
-                "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
-            }
-        )
-    return results, [], 1
+        return {
+            "target": f"{target}-support" if target != "equality" else "trace-equality",
+            "trials": cfg.trials,
+            "max_dimension": n_max,
+            "worst_gap": float(gaps.max(initial=0.0)),
+            "tolerance": cfg.tolerance,
+            "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
+        }, None
+
+    return [functools.partial(run, target) for target in targets]
 
 
-def _execute_repro(cfg: RunConfig):
-    witness, spectrum, unitary_residual = _fan_counterexample()
-    result = {
-        "target": "fan-counterexample",
-        "k": witness.k,
-        "margin": witness.margin,
-        "top_singular_value": float(spectrum[0]),
-        "spectrum": [float(v) for v in spectrum],
-        "unitary_residual": unitary_residual,
-        # the contraction bound the construction breaks is sigma_1 <= 1
-        "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
-        "witness": witness_document(witness),
-    }
-    return [result], ["the contraction bound fails on this input, as constructed"], 1
+def _execute_repro(cfg: RunConfig) -> list:
+    def run():
+        witness, spectrum, unitary_residual = _fan_counterexample()
+        return {
+            "target": "fan-counterexample",
+            "k": witness.k,
+            "margin": witness.margin,
+            "top_singular_value": float(spectrum[0]),
+            "spectrum": [float(v) for v in spectrum],
+            "unitary_residual": unitary_residual,
+            # the contraction bound the construction breaks is sigma_1 <= 1
+            "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
+            "witness": witness_document(witness),
+        }, "the contraction bound fails on this input, as constructed"
+
+    return [run]
 
 
-def _execute_ptrace(cfg: RunConfig):
+def _execute_ptrace(cfg: RunConfig) -> list:
     n = cfg.n
     ks = None if cfg.k_spec == "all" else np.array([int(cfg.k_spec)])
     if ks is not None and ks[0] > n:
         raise ValueError(f"--k {ks[0]} exceeds n={n}")
-    results = []
-    notes = []
+    # a zero budget scores nothing, so it writes no search section; the
+    # regression, then the last section, carries the note that says so
+    skipped = None if cfg.budget else "bounded search skipped: --budget 0"
 
-    # closed form vs the Kronecker route, plus the basic partial-trace identity
-    identity_stream = SeededStream(cfg.seed, 0)
-    identity_trials = min(cfg.trials, 50)
-    worst_closed = worst_kron = 0.0
-    for t in range(identity_trials):
-        g = identity_stream.offset(t).generator()
-        a, b = random_hermitian(n, g), random_hermitian(n, g)
-        closed = np.linalg.norm(lhs_operator_brute(a, b) - lhs_operator(a, b, cross_check=False))
-        kron = np.linalg.norm(partial_trace_first(kronecker(a, b), n) - np.trace(a) * b)
-        worst_closed, worst_kron = max(worst_closed, float(closed)), max(worst_kron, float(kron))
-    if not residual_vanishes(max(worst_closed, worst_kron), tol=RESIDUAL_TOL * 100):
-        raise ArithmeticError(
-            f"partial-trace identities failed: closed-form residual {worst_closed:.3e}, "
-            f"kron identity residual {worst_kron:.3e}"
-        )
-    results.append(
-        {
-            "target": "identity-cross-check",
-            "trials": identity_trials,
-            "worst_closed_form_residual": worst_closed,
-            "worst_kron_identity_residual": worst_kron,
-            "violations": 0,
-        }
-    )
+    def identities():
+        # closed form vs the Kronecker route, plus the basic partial-trace identity
+        stream = SeededStream(cfg.seed, 0)
+        trials = min(cfg.trials, 50)
+        worst_closed = worst_kron = 0.0
+        for t in range(trials):
+            g = stream.offset(t).generator()
+            a, b = random_hermitian(n, g), random_hermitian(n, g)
+            closed = np.linalg.norm(lhs_operator_brute(a, b)
+                                    - lhs_operator(a, b, cross_check=False))
+            kron = np.linalg.norm(partial_trace_first(kronecker(a, b), n) - np.trace(a) * b)
+            worst_closed = max(worst_closed, float(closed))
+            worst_kron = max(worst_kron, float(kron))
+        if not residual_vanishes(max(worst_closed, worst_kron), tol=RESIDUAL_TOL * 100):
+            raise ArithmeticError(
+                f"partial-trace identities failed: closed-form residual {worst_closed:.3e}, "
+                f"kron identity residual {worst_kron:.3e}"
+            )
+        return {"target": "identity-cross-check", "trials": trials,
+                "worst_closed_form_residual": worst_closed,
+                "worst_kron_identity_residual": worst_kron, "violations": 0}, None
 
-    # commuting pairs must satisfy both questions; drawn per trial, scored in stacks
-    regression_stream = SeededStream(cfg.seed, STREAM_STRIDE)
-    reg_worst = -np.inf
-    reg_violations = 0
-    chunk = max(1, CHUNK_ENTRIES // (n * n))
-    for start in range(0, cfg.trials, chunk):
-        pairs = np.array([commuting_hermitian_pair(n, regression_stream.offset(t).generator())
-                          for t in range(start, min(cfg.trials, start + chunk))])
-        margins, _, rhs, _, _ = _worst_margins(pairs, cfg.question, ks)
-        reg_worst = max(reg_worst, float(margins.max()))
-        reg_violations += int(np.count_nonzero(_violated(margins, rhs, cfg.tolerance)))
-    results.append(
-        {
-            "target": "commuting-regression",
-            "question": cfg.question,
-            "trials": cfg.trials,
-            "worst_margin": reg_worst,
-            "tolerance": cfg.tolerance,
-            "violations": reg_violations,
-        }
-    )
+    def regression():
+        # commuting pairs must satisfy both questions; drawn per trial, scored in stacks
+        stream = SeededStream(cfg.seed, STREAM_STRIDE)
+        worst, violations = -np.inf, 0
+        chunk = max(1, CHUNK_ENTRIES // (n * n))
+        for start in range(0, cfg.trials, chunk):
+            pairs = np.array([commuting_hermitian_pair(n, stream.offset(t).generator())
+                              for t in range(start, min(cfg.trials, start + chunk))])
+            margins, _, rhs, _, _ = _worst_margins(pairs, cfg.question, ks)
+            worst = max(worst, float(margins.max()))
+            violations += int(np.count_nonzero(_violated(margins, rhs, cfg.tolerance)))
+        return {"target": "commuting-regression", "question": cfg.question,
+                "trials": cfg.trials, "worst_margin": worst, "tolerance": cfg.tolerance,
+                "violations": violations}, skipped
 
-    # bounded search; a zero budget scores nothing, so it writes no section
-    if cfg.budget == 0:
-        notes.append("bounded search skipped: --budget 0")
-    else:
-        search, note = _search(cfg, SeededStream(cfg.seed, 2 * STREAM_STRIDE))
-        results.append({"target": "bounded-search", **search})
-        notes.append(note)
-    return results, notes, 1
+    if skipped:
+        return [identities, regression]
+    return [identities, regression, functools.partial(_search, cfg, 2, target="bounded-search")]
 
 
-def _execute_search(cfg: RunConfig):
-    search, note = _search(cfg, SeededStream(cfg.seed))
-    return [{"target": "counterexample-search", "n": cfg.n, "restarts": cfg.restarts,
-             **search}], [note], 1
+def _execute_search(cfg: RunConfig) -> list:
+    return [functools.partial(_search, cfg, 0, target="counterexample-search", n=cfg.n,
+                              restarts=cfg.restarts)]
 
 
-def _search(cfg: RunConfig, stream):
-    """The configured search from ``stream``: the fields that both search
-    sections report (its violation count, and its witness if it found one),
-    and its note."""
+def _search(cfg: RunConfig, section: int, **head):
+    """The configured search, as section ``section`` of its run: its report
+    section (``head``, then the fields both search sections report, its
+    violation count and its witness if it found one among them) and its note."""
     result = search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget, cfg.restarts,
-                                   stream, strategy=cfg.strategy, tolerance=cfg.tolerance)
-    fields = {"question": cfg.question, "strategy": result.strategy, "budget": cfg.budget,
-              "evaluations": result.evaluations, "best_margin": result.best_margin,
-              "violations": 0}
+                                   SeededStream(cfg.seed, section * STREAM_STRIDE),
+                                   strategy=cfg.strategy, tolerance=cfg.tolerance)
+    fields = {**head, "question": cfg.question, "strategy": result.strategy,
+              "budget": cfg.budget, "evaluations": result.evaluations,
+              "best_margin": result.best_margin, "violations": 0}
     if result.witness is None:
         return fields, "no counterexample found within budget"
     w = result.witness
@@ -658,7 +634,8 @@ def _search(cfg: RunConfig, stream):
     return fields, "counterexample candidate found — inspect the witness"
 
 
-#: command -> its executor: ``cfg`` -> (results, notes, the processes it ran in)
+#: command -> its executor: ``cfg`` -> its sections in report order, each a
+#: call that returns its report section and its note (None for none)
 _EXECUTORS = {
     "check": _execute_check,
     "extremal": _execute_extremal,
@@ -672,7 +649,11 @@ def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
     with _one_blas_thread() as blas_threads:
-        results, notes, processes = _EXECUTORS[cfg.command](cfg)
+        sections = _EXECUTORS[cfg.command](cfg)
+        processes = _process_count(len(sections), blas_threads)
+        outcomes = _run_sections(sections, processes)
+    results = [result for result, _ in outcomes]
+    notes = [note for _, note in outcomes if note is not None]
     total_violations = sum(r["violations"] for r in results)
     status = 2 if total_violations else 0
     doc = run_document(

@@ -137,8 +137,12 @@ def render_table(doc: dict) -> str:
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     for item in results:
         if "inequality_id" not in item:
-            for key in sorted(item):
-                lines.append(f"{key}: {_format_cell(item[key])}")
+            # each section opens with its target; a witness shows its k and margin only
+            for key in sorted(item, key=lambda key: (key != "target", key)):
+                value = item[key]
+                if key == "witness":
+                    value = f"k={value['k']}  margin={_format_cell(value['margin'])}"
+                lines.append(f"{key}: {_format_cell(value)}")
     for note in doc.get("notes", []):
         lines.append(str(note))
     lines.append(

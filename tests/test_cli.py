@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -17,7 +18,6 @@ from kyfan.cli import (
     DEFAULT_SEED,
     INEQUALITY_IDS,
     SEED_ENV_VAR,
-    SPLIT_N_BOUND,
     STREAM_STRIDE,
     RunConfig,
     _build_parser,
@@ -349,6 +349,7 @@ class TestExecution:
         monkeypatch.setattr(ptrace, "singular_values", counting("svd", ptrace.singular_values))
         monkeypatch.setattr(ptrace, "_hermitian_spectra",
                             counting("eigvalsh", ptrace._hermitian_spectra))
+        _cpus(monkeypatch, 1)  # every section in this process, where the calls are counted
         out = tmp_path / "pt.json"
         status = main(["ptrace", "--question", "2", "--n", "3", "--trials", "1000",
                        "--budget", "0", "--seed", "23", "--out", str(out)])
@@ -537,13 +538,15 @@ def _assert_no_child_left():
 
 
 class TestSplitSections:
-    """``check`` deals its sections over forked processes (see ``kyfan.cli``)."""
+    """Every command deals its sections over forked processes (see ``kyfan.cli``)."""
 
     @pytest.mark.parametrize("argv", [
         ["check", "--ineq", "all", "--trials", "20"],
         ["check", "--ineq", "ahj", "--n", "3", "--trials", "40"],
         ["check", "--ineq", "von-neumann", "--n", "3", "--trials", "40"],
-    ], ids=["all", "ahj-n3", "von-neumann-n3"])
+        ["extremal", "--target", "all", "--trials", "300"],
+        ["ptrace", "--question", "2", "--n", "3", "--trials", "30", "--budget", "500"],
+    ], ids=["all", "ahj-n3", "von-neumann-n3", "extremal-all", "ptrace-q2-n3"])
     def test_split_and_serial_runs_give_the_same_body(self, argv, monkeypatch, capsys):
         bodies = []
         for cpus in (2, 1):
@@ -564,9 +567,16 @@ class TestSplitSections:
         assert pids == pids[:3] * 3 + pids[:1]
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("failing", [(1,), (2, 3), (1, 2), (3, 4)])
-    def test_the_earliest_failing_section_raises_as_in_one_process(self, failing, monkeypatch,
-                                                                   tmp_path, capsys):
+    @pytest.mark.parametrize("argv, failing", [
+        *[(["check", "--ineq", "all", "--n", "2", "--trials", "3"], failing)
+          for failing in [(1,), (2, 3), (1, 2), (3, 4)]],
+        # the vector target enumerates sign vectors up to n = 20, past the budget
+        (["extremal", "--target", "vector", "--n", "20"], ()),
+        (["extremal", "--target", "all", "--n", "20", "--trials", "3"], ()),
+    ], ids=["check-1", "check-2-3", "check-1-2", "check-3-4", "extremal-vector", "extremal-all"])
+    def test_the_earliest_failing_section_raises_as_in_one_process(self, argv, failing,
+                                                                   monkeypatch, tmp_path,
+                                                                   capsys):
         def fail(section, in_parent):
             if section in failing:
                 raise ValueError(f"section {section} failed")
@@ -576,13 +586,14 @@ class TestSplitSections:
         for cpus in (2, 1):
             _cpus(monkeypatch, cpus)
             out = tmp_path / f"r{cpus}.json"
-            argv = ["check", "--ineq", "all", "--n", "2", "--trials", "3", "--out", str(out)]
-            assert main(argv) == 1
+            assert main(argv + ["--out", str(out)]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and not out.exists()
             errors.append(captured.err)
             _assert_no_child_left()
-        assert errors[0] == errors[1] == f"error: section {min(failing)} failed\n"
+        expected = (f"section {min(failing)} failed" if failing
+                    else "family E6 in dimension 18 exceeds the enumeration budget")
+        assert errors[0] == errors[1] == f"error: {expected}\n"
 
     def test_a_killed_child_is_an_error_not_a_partial_report(self, monkeypatch, tmp_path,
                                                              capsys):
@@ -615,37 +626,32 @@ class TestSplitSections:
         assert capsys.readouterr().out == ""
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("sections, n, processes", [
-        (10, 8, 2), (10, SPLIT_N_BOUND - 1, 2), (10, SPLIT_N_BOUND, 2), (10, 64, 2), (1, 8, 1),
-    ])
-    def test_one_section_or_a_large_n_stays_in_one_process(self, sections, n, processes,
-                                                          monkeypatch):
-        _needs_blas_thread_setter()
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ineq", "all", "--n", "2", "--trials", "3"],
+        ["extremal", "--trials", "5"],
+        ["ptrace", "--question", "1", "--n", "3", "--trials", "3", "--budget", "20"],
+        ["search", "--question", "2", "--n", "3", "--budget", "20", "--restarts", "2"],
+        ["repro", "fan-counterexample"],
+    ], ids=["check", "extremal", "ptrace", "search", "repro"])
+    def test_without_the_one_thread_pin_every_command_stays_in_one_process(self, argv,
+                                                                           monkeypatch,
+                                                                           capsys):
         _cpus(monkeypatch, 2)
-        with cli._one_blas_thread():
-            assert cli._process_count(sections, n) == processes
-
-    def test_without_a_blas_thread_setter_a_large_n_stays_in_one_process(self, monkeypatch):
-        monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
-        _cpus(monkeypatch, 2)
-        with cli._one_blas_thread() as threads:
-            assert threads is None
-            assert cli._process_count(10, SPLIT_N_BOUND - 1) == 2
-            assert cli._process_count(10, SPLIT_N_BOUND) == 1
-            assert cli._process_count(10, 64) == 1
-
-    def test_a_large_n_with_more_than_one_blas_thread_stays_in_one_process(self, monkeypatch):
-        get, put = _needs_blas_thread_setter()
-        _cpus(monkeypatch, 2)
-        caller = get()
-        try:
-            put(2)
-            if get() != 2:
-                pytest.skip("this BLAS runs at most one thread")
-            assert cli._process_count(10, 64) == 1
-            assert cli._process_count(10, 8) == 2
-        finally:
-            put(caller)
+        processes = {}
+        for threads in (None, 2, 1):
+            if threads is None:  # no setter found: the pin yields None
+                monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+            else:  # 2 stands for a BLAS left on more than one thread
+                monkeypatch.setattr(cli, "_one_blas_thread",
+                                    lambda threads=threads: contextlib.nullcontext(threads))
+            assert main(argv) in (0, 2)
+            env = json.loads(capsys.readouterr().out)["environment"]
+            assert env["blas_threads"] == threads
+            processes[threads] = env["processes"]
+            _assert_no_child_left()
+        assert processes[None] == processes[2] == 1
+        assert processes[1] == (1 if argv[0] in ("search", "repro") else 2)
+        assert [cli._process_count(sections, 1) for sections in (1, 2, 10)] == [1, 2, 2]
 
     def test_other_threads_keep_the_run_in_one_process(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -653,12 +659,12 @@ class TestSplitSections:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert cli._process_count(10, 8) == 1
+            assert cli._process_count(10, 1) == 1
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert cli._process_count(10, 8) == 2
+        assert cli._process_count(10, 1) == 2
 
     def test_split_run_passes_with_warnings_as_errors(self, capsys):
         # two CPUs whatever the host has, so that the run forks
@@ -716,7 +722,7 @@ class TestOneBlasThread:
         assert env["python"] == ".".join(map(str, sys.version_info[:3]))
         assert set(env["blas"]) == set(env["lapack"]) == {"name", "version"}
         assert env["blas_threads"] == (None if cli._blas_thread_calls() is None else 1)
-        assert env["processes"] == cli._process_count(len(doc["results"]), 3)
+        assert env["processes"] == cli._process_count(len(doc["results"]), env["blas_threads"])
         assert b"environment" not in report_body_bytes(doc)
         assert main(argv + ["--format", "table"]) == 0
         assert "ahj" in capsys.readouterr().out

@@ -9,6 +9,7 @@ reports must equal the loop's bit for bit.
 
 import functools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import kyfan.suite as suite
 from extremal_reference import block_size, matrix_gap, reference_gaps, vector_gap
-from kyfan.cli import STREAM_STRIDE, _execute_extremal, parse_arguments
+from kyfan.cli import STREAM_STRIDE, _execute_extremal, execute, parse_arguments
 from kyfan.ensembles import (
     ENUMERATION_BUDGET,
     BudgetError,
@@ -64,7 +65,7 @@ def _public_draws(w, n, samples, g):
 def test_report_matches_the_reference_loop(n_max, samples, trials):
     cfg = parse_arguments(["extremal", "--n", str(n_max), "--samples", str(samples),
                            "--trials", str(trials), "--seed", str(SEED)])
-    results, _, _ = _execute_extremal(cfg)
+    results = [section()[0] for section in _execute_extremal(cfg)]
     assert [r["trials"] for r in results] == [trials] * 3
     for target, result in zip(TARGETS, results):
         gaps = _reference_gaps(target, n_max, trials, samples)
@@ -103,7 +104,7 @@ def test_matrices_and_weights_do_not_depend_on_the_sample_count(monkeypatch):
 
 
 @pytest.mark.parametrize("n_max, trials", [(8, 2000), (3, 1000), (2, 1100)])
-def test_a_run_opens_one_stream_per_block(monkeypatch, n_max, trials):
+def test_a_run_opens_one_stream_per_block(monkeypatch, capsys, n_max, trials):
     opened = []
     generator = SeededStream.generator
 
@@ -114,7 +115,9 @@ def test_a_run_opens_one_stream_per_block(monkeypatch, n_max, trials):
     monkeypatch.setattr(SeededStream, "generator", counting)
     cfg = parse_arguments(["extremal", "--n", str(n_max), "--trials", str(trials),
                            "--seed", str(SEED)])
-    _execute_extremal(cfg)
+    # one CPU: every section in this process, where the streams are counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert execute(cfg) == 0
     blocks = math.ceil(trials / block_size(n_max))
     assert opened == [section * STREAM_STRIDE + j for section in range(3) for j in range(blocks)]
 

@@ -102,3 +102,34 @@ def test_render_table_layout():
     assert "violations" in text
     assert "note line" in text
     assert text.endswith("exit_status=0\n")
+
+
+def test_render_table_opens_each_section_with_its_target(capsys):
+    from kyfan.cli import main
+
+    argv = ["ptrace", "--question", "1", "--n", "3", "--trials", "1", "--budget", "0"]
+    assert main(argv + ["--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split(":")[0] for line in lines[1:-2]]
+    assert keys == ["target", "trials", "violations", "worst_closed_form_residual",
+                    "worst_kron_identity_residual",
+                    "target", "question", "tolerance", "trials", "violations", "worst_margin"]
+    assert lines[6:8] == ["target: commuting-regression", "question: 1"]
+    assert lines[-2] == "bounded search skipped: --budget 0"
+
+
+def test_render_table_shows_a_witness_by_its_k_and_margin(capsys):
+    import json
+
+    from kyfan.cli import main
+
+    argv = ["search", "--question", "2", "--n", "3", "--budget", "100", "--restarts", "2",
+            "--tolerance=-10"]
+    assert main(argv) == 2
+    witness = json.loads(capsys.readouterr().out)["results"][0]["witness"]
+    assert main(argv + ["--format", "table"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "target: counterexample-search"
+    assert [line for line in lines if line.startswith("witness")] == [
+        f"witness: k={witness['k']}  margin={witness['margin']:.6e}"]
+    assert not any("matrices" in line for line in lines)
