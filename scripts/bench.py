@@ -10,7 +10,7 @@ the repeats:
 
 - ``stream_open``: ``base.offset(t).generator()`` for t = 0, 1, ..., the way
   a trial loop opens its streams.  Every repeat starts from a fresh section
-  base (a multiple of 2**24, as the CLI spaces its sections).
+  base (a multiple of ``cli.STREAM_STRIDE``, as the CLI spaces its sections).
 - ``draw_gaussian_5``: one 5 x 5 complex Gaussian RNG step (the (2, 5, 5)
   normals a Ginibre sample is made from) on an open generator.
 - ``svd_5_looped``: ``kyfan.matrixcore.svd`` of one 5 x 5 complex matrix.
@@ -67,7 +67,8 @@ the end of the run; the file records both medians and the run's
 scaled figures.
 
 The file also records the machine: ``os.cpu_count()``, the Python and numpy
-versions and the BLAS/LAPACK build from ``np.show_config(mode="dicts")``.
+versions and the BLAS/LAPACK build (name, version and OpenBLAS
+configuration) as ``kyfan.cli._numeric_stack`` records it in a report.
 Only the standard library and numpy are used besides kyfan itself.
 """
 
@@ -88,15 +89,23 @@ from pathlib import Path
 
 import numpy as np
 
-from kyfan.cli import RunConfig, _check_section, execute
+from kyfan.cli import (
+    DEFAULT_NS,
+    DEFAULT_SEED,
+    STREAM_STRIDE,
+    RunConfig,
+    _check_section,
+    _numeric_stack,
+    execute,
+)
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
 from kyfan.norms import INEQUALITY_TOL
 from kyfan.ptrace import SEARCH_BATCH, _unpack_pair, _worst_margins, search_counterexample
 from kyfan.suite import EXTREMAL_TARGETS, FAMILIES, _extremal_gaps, check_ahj, check_lemma32
 
-SEED = 271828
-SECTION = 2**24
+SEED = DEFAULT_SEED
+SECTION = STREAM_STRIDE
 N = 5
 SECTION_TRIALS = 1024
 SEARCH_N = 3
@@ -105,7 +114,7 @@ SEARCH_RESTARTS = 8
 EXTREMAL_N = 8
 EXTREMAL_TRIALS = 2000
 EXTREMAL_SAMPLES = 2
-SWEEP_NS = range(2, 9)
+SWEEP_NS = DEFAULT_NS
 SWEEP_TRIALS = 50
 LARGE_N = 64
 LARGE_TRIALS = 20
@@ -244,15 +253,13 @@ def measure(ops: int, repeats: int) -> dict:
 
 
 def machine() -> dict:
-    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    keep = ("name", "version", "openblas configuration")
     return {
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "system": platform.system(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        **{lib: {key: deps.get(lib, {}).get(key) for key in keep} for lib in ("blas", "lapack")},
+        **_numeric_stack(),  # the BLAS and LAPACK records of a report's environment
     }
 
 

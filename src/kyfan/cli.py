@@ -14,9 +14,10 @@ search    dedicated multi-restart counterexample search for either open
           question
 
 Exit status: 0 = run completed with zero violations, 2 = violations found,
-1 = error, usage errors included.  The default master seed can be
-overridden by the ``KYFAN_SEED`` environment variable or the ``--seed``
-flag; the effective seed and its source are echoed into every report.
+1 = error, usage errors included (``--k`` above ``--n``, or an ``extremal
+--n`` past what the vector target can enumerate).  The default master seed
+can be overridden by the ``KYFAN_SEED`` environment variable or the
+``--seed`` flag; the effective seed and its source are echoed into every report.
 
 Split runs
 ----------
@@ -25,11 +26,12 @@ stream: one family at one n for ``check``, one target for ``extremal``, the
 identity cross-check, the commuting regression and the bounded search for
 ``ptrace``, the one search or reproduction otherwise.  :func:`execute`
 deals them round-robin over min(available CPUs, sections) processes: this
-one plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`).
-Each child sends its section outcomes back as one pickle on a pipe; they
-are merged in section order, so the report bytes do not depend on the
-split.  ``fork`` rather than ``spawn``, because a spawned worker re-imports
-numpy, which costs about as much as the whole ``check --trials 50`` sweep.
+one plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`; a
+run in one process takes the same path, with no child).  Each child sends
+its section outcomes back as one pickle on a pipe; they are merged in
+section order, so the report bytes do not depend on the split.  ``fork``
+rather than ``spawn``, because a spawned worker re-imports numpy, which
+costs about as much as the whole ``check --trials 50`` sweep.
 The run stays in one process when one CPU is available or there is one
 section, on platforms other than Linux, when other Python threads are alive
 (``fork`` copies no thread, so a lock one held would stay locked in the
@@ -70,8 +72,12 @@ import numpy as np
 from . import __version__
 from .ensembles import (
     CHUNK_ENTRIES,
+    ENUMERATION_BUDGET,
     SeededStream,
-    commuting_hermitian_pair,
+    _commuting,
+    _count_sign_vectors,
+    _gaussian,
+    _haar,
     random_hermitian,
 )
 from .fileformat import dump_document, write_text
@@ -316,6 +322,14 @@ def parse_arguments(argv) -> RunConfig:
         # each family scores its own k values, so no one k suits them all
         parser.error("--k needs a single --ineq: with --ineq all, every family scores "
                      "its own k values")
+    if args.command in ("ptrace", "search") and args.k_spec != "all" and args.k_spec > args.n:
+        parser.error(f"--k must be at most --n ({args.n}), got {args.k_spec}")
+    if args.command == "extremal" and args.target in ("vector", "all"):
+        # the vector target enumerates the families E1..En of every n it samples
+        bound = next(n for n in itertools.count(1) if max(
+            _count_sign_vectors(n + 1, j) for j in range(1, n + 2)) > ENUMERATION_BUDGET)
+        if args.n > bound:
+            parser.error(f"--n must be at most {bound} for --target {args.target}, got {args.n}")
     if args.command in ("ptrace", "search") and args.budget < args.restarts:
         # a restart with no budget scores nothing; ptrace's --budget 0 runs no search at all
         if args.command == "search" or args.budget > 0:
@@ -381,13 +395,13 @@ def _process_count(sections: int, blas_threads) -> int:
 
 
 def _numeric_stack() -> dict:
-    """The name and version of the BLAS and the LAPACK numpy is built on."""
+    """Name, version and OpenBLAS configuration of the BLAS and LAPACK numpy is built on."""
     try:
         deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     except TypeError:  # numpy before 1.26 has no mode="dicts"
         deps = {}
-    return {lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")}
-            for lib in ("blas", "lapack")}
+    keep = ("name", "version", "openblas configuration")
+    return {lib: {key: deps.get(lib, {}).get(key) for key in keep} for lib in ("blas", "lapack")}
 
 
 @functools.cache
@@ -449,8 +463,6 @@ def _run_sections(sections: list, processes: int) -> list:
     before this returns or raises, and killed first if it is still running.
     """
     count = len(sections)
-    if processes == 1:
-        return [section() for section in sections]
     children = {}  # pid -> (read end of its pipe, its share)
     try:
         for p in range(1, processes):
@@ -462,8 +474,14 @@ def _run_sections(sections: list, processes: int) -> list:
                 os.close(read)
                 os.close(write)
                 raise
-            if pid == 0:
-                _child(sections, share, read, write)
+            if pid == 0:  # the child exits 0 once its outcome is sent, else 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(_run_share(sections, share)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             children[pid] = (open(read, "rb"), share)
             os.close(write)
         outcomes = [_run_share(sections, range(0, count, processes))]
@@ -510,18 +528,6 @@ def _run_share(sections, share):
     return results, None
 
 
-def _child(sections, share, read: int, write: int):
-    """A forked child's whole life: run ``share``, send the outcome, exit."""
-    status = 1
-    try:
-        os.close(read)
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_share(sections, share)))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _execute_extremal(cfg: RunConfig) -> list:
     targets = EXTREMAL_TARGETS if cfg.target == "all" else (cfg.target,)
     n_max = cfg.n or 8
@@ -563,26 +569,25 @@ def _execute_repro(cfg: RunConfig) -> list:
 def _execute_ptrace(cfg: RunConfig) -> list:
     n = cfg.n
     ks = None if cfg.k_spec == "all" else np.array([int(cfg.k_spec)])
-    if ks is not None and ks[0] > n:
-        raise ValueError(f"--k {ks[0]} exceeds n={n}")
     # a zero budget scores nothing, so it writes no search section; the
     # regression, then the last section, carries the note that says so
     skipped = None if cfg.budget else "bounded search skipped: --budget 0"
 
     def identities():
-        # closed form vs the Kronecker route, plus the basic partial-trace identity
+        # closed form vs the Kronecker route, plus the basic partial-trace identity;
+        # each residual must vanish at the scale of its route's result, as in lhs_operator
         stream = SeededStream(cfg.seed, 0)
         trials = min(cfg.trials, 50)
-        worst_closed = worst_kron = 0.0
+        residuals, scales = np.zeros((2, trials)), np.zeros((2, trials))
         for t in range(trials):
             g = stream.offset(t).generator()
             a, b = random_hermitian(n, g), random_hermitian(n, g)
-            closed = np.linalg.norm(lhs_operator_brute(a, b)
-                                    - lhs_operator(a, b, cross_check=False))
-            kron = np.linalg.norm(partial_trace_first(kronecker(a, b), n) - np.trace(a) * b)
-            worst_closed = max(worst_closed, float(closed))
-            worst_kron = max(worst_kron, float(kron))
-        if not residual_vanishes(max(worst_closed, worst_kron), tol=RESIDUAL_TOL * 100):
+            closed, traced = lhs_operator(a, b, cross_check=False), np.trace(a) * b
+            residuals[:, t] = (np.linalg.norm(lhs_operator_brute(a, b) - closed),
+                               np.linalg.norm(partial_trace_first(kronecker(a, b), n) - traced))
+            scales[:, t] = np.linalg.norm(closed), np.linalg.norm(traced)
+        worst_closed, worst_kron = residuals.max(axis=1, initial=0.0).tolist()
+        if not residual_vanishes(residuals, scales).all():
             raise ArithmeticError(
                 f"partial-trace identities failed: closed-form residual {worst_closed:.3e}, "
                 f"kron identity residual {worst_kron:.3e}"
@@ -592,13 +597,15 @@ def _execute_ptrace(cfg: RunConfig) -> list:
                 "worst_kron_identity_residual": worst_kron, "violations": 0}, None
 
     def regression():
-        # commuting pairs must satisfy both questions; drawn per trial, scored in stacks
+        # commuting pairs must satisfy both questions; trial t draws from stream base + t
         stream = SeededStream(cfg.seed, STREAM_STRIDE)
         worst, violations = -np.inf, 0
         chunk = max(1, CHUNK_ENTRIES // (n * n))
         for start in range(0, cfg.trials, chunk):
-            pairs = np.array([commuting_hermitian_pair(n, stream.offset(t).generator())
-                              for t in range(start, min(cfg.trials, start + chunk))])
+            gens = [stream.offset(t).generator()
+                    for t in range(start, min(cfg.trials, start + chunk))]
+            pairs = _commuting(_haar(np.stack([_gaussian(n, g) for g in gens])),
+                               np.stack([g.standard_normal(2 * n) for g in gens]))
             margins, _, rhs, _, _ = _worst_margins(pairs, cfg.question, ks)
             worst = max(worst, float(margins.max()))
             violations += int(np.count_nonzero(_violated(margins, rhs, cfg.tolerance)))

@@ -33,7 +33,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .matrixcore import _adjoint, as_matrix, svd
+from .matrixcore import _adjoint, _hermitian_part, as_matrix, svd
 from .norms import Weight, _dual_norms, _prefix_table, weighted_vector_k_norm
 
 __all__ = [
@@ -140,8 +140,8 @@ def as_generator(s) -> np.random.Generator:
 # one trial's generator calls in a fixed order, and a transform that takes
 # the stacked results of many trials, ``(..., n, n)`` arrays, to the sampled
 # matrices.  The public sampler is the transform of a batch of one.  The
-# checker engine draws a block's inputs by its own rule (kyfan.suite) and
-# stacks them through the same transforms.
+# checker engine (kyfan.suite), the commuting search and the ptrace regression
+# draw their inputs by their own rules and stack them through the same transforms.
 # ---------------------------------------------------------------------------
 
 
@@ -166,6 +166,14 @@ def _haar(w: np.ndarray) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
     return q * (d / np.abs(d))[..., None, :]
+
+
+def _commuting(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian pairs Q diag(d[:n]) Q*, Q diag(d[n:]) Q* of ``(..., n, n)``
+    bases Q and ``(..., 2 n)`` spectra d, as a ``(..., 2, n, n)`` stack."""
+    q = q[..., None, :, :]
+    pair = (q * d.reshape(d.shape[:-1] + (2, 1, q.shape[-1]))) @ _adjoint(q)
+    return _hermitian_part(pair, out=pair)
 
 
 def _contraction_draw(n: int, g: np.random.Generator) -> tuple:
@@ -218,8 +226,7 @@ def haar_unitary(n: int, s) -> np.ndarray:
 def random_hermitian(n: int, s) -> np.ndarray:
     """Hermitian matrix (G + G*)/2 with G = X + iY, X and Y iid standard
     normal, so each entry of G has variance 2, unlike :func:`ginibre`'s."""
-    z = _complex(_gaussian(n, as_generator(s)))
-    return (z + z.conj().T) / 2.0
+    return _hermitian_part(_complex(_gaussian(n, as_generator(s))))
 
 
 def random_contraction(n: int, s) -> np.ndarray:
@@ -230,13 +237,7 @@ def random_contraction(n: int, s) -> np.ndarray:
 def commuting_hermitian_pair(n: int, s) -> tuple[np.ndarray, np.ndarray]:
     """Two Hermitian matrices sharing one Haar eigenbasis (so AB = BA)."""
     g = as_generator(s)
-    q = haar_unitary(n, g)
-    eigs_a = g.standard_normal(n)
-    eigs_b = g.standard_normal(n)
-    a = (q * eigs_a) @ q.conj().T
-    b = (q * eigs_b) @ q.conj().T
-    # exact Hermitian symmetrization so downstream validators accept them
-    return (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+    return tuple(_commuting(haar_unitary(n, g), g.standard_normal(2 * n)))
 
 
 def random_unit_vector(n: int, s) -> np.ndarray:
@@ -394,17 +395,12 @@ def support_function_gap(c, w: Weight) -> float:
     return float(_support_gaps(vec[None], _prefix_table([w], n), np.array([w.k]))[0])
 
 
-def _check_enumeration_budget(n: int, k: int) -> None:
-    """Raise :class:`BudgetError` for the first family E1..E(k-1), En of dimension n over budget."""
-    for j in list(range(1, k)) + [n]:
-        if _count_sign_vectors(n, j) > ENUMERATION_BUDGET:
-            raise BudgetError(f"family E{j} in dimension {n} exceeds the enumeration budget")
-
-
 def _check_enumeration_budgets(ns: np.ndarray, ks: np.ndarray) -> None:
-    """:func:`_check_enumeration_budget` of each (n, k) pair, raising for the first one over."""
+    """Raise :class:`BudgetError` at the first (n, k) pair with E1..E(k-1) or En over budget."""
     for n, k in dict.fromkeys(zip(ns.tolist(), ks.tolist())):  # first-seen order
-        _check_enumeration_budget(n, k)
+        for j in list(range(1, k)) + [n]:
+            if _count_sign_vectors(n, j) > ENUMERATION_BUDGET:
+                raise BudgetError(f"family E{j} in dimension {n} exceeds the enumeration budget")
 
 
 def _support_gaps(c: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -158,3 +158,9 @@ def factor_sqrt(a) -> tuple[np.ndarray, np.ndarray]:
 def _adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(p: np.ndarray, out=None) -> np.ndarray:
+    """(P + P*) / 2 of a matrix or of each matrix P of a stack, into ``out`` or a new array."""
+    out = np.add(p, _adjoint(p), out=out)
+    return np.divide(out, 2.0, out=out)

@@ -43,8 +43,10 @@ A greedy step proposes one coordinate and one Gaussian move, of step
 ``STEP_INIT`` at first, halved after ``STALL_LIMIT`` consecutive rejections.
 Since stream contract v4 restart r draws from its own generator
 ``stream.offset(r).generator()``: the shared eigenbasis first (commuting
-strategy only), then its start point ``g.standard_normal(dim)``, then its
-proposals in blocks of ``PROPOSAL_BLOCK`` = 256, each block two calls,
+strategy only: one stacked QR for a group, its pairs built by
+``ensembles._commuting`` as the regression's are), then its start point
+``g.standard_normal(dim)``, then its proposals in blocks of
+``PROPOSAL_BLOCK`` = 256, each block two calls,
 ``g.integers(dim, size=PROPOSAL_BLOCK)`` then
 ``g.standard_normal(PROPOSAL_BLOCK)``.  Proposal i is entry i mod 256 of
 block i // 256.  A restart draws a block only when it needs the block's
@@ -109,9 +111,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import CHUNK_ENTRIES, _as_stream, haar_unitary
+from .ensembles import CHUNK_ENTRIES, _as_stream, _commuting, _gaussian, _haar
 from .matrixcore import (
     _adjoint,
+    _hermitian_part,
     as_matrix,
     kronecker,
     partial_trace_first,
@@ -301,7 +304,7 @@ def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
         raise ValueError("question must be 1 or 2")
     pairs = require_hermitian(pairs, name="A or B")
     n = pairs.shape[-1]
-    pairs = _hermitian_part(pairs, _adjoint(pairs)).reshape(-1, 2, n, n)
+    pairs = _hermitian_part(pairs).reshape(-1, 2, n, n)
     k = len(pairs)
     work = np.empty((5, k, n, n), dtype=np.complex128)
     work[2:4] = pairs.swapaxes(0, 1)
@@ -319,13 +322,6 @@ def _pair_sides(pairs, question: int, moved_b=None, sa=None, sd=None):
     else:
         rhs = 2.0 * np.cumsum(sa * sd, axis=-1)
     return np.cumsum(st, axis=-1), rhs, sa, sd
-
-
-def _hermitian_part(p: np.ndarray, adjoint: np.ndarray, out=None) -> np.ndarray:
-    """(P + P*) / 2 of each matrix P of ``p``, given ``adjoint`` = P*, into
-    ``out`` or a new array."""
-    out = np.add(p, adjoint, out=out)
-    return np.divide(out, 2.0, out=out)
 
 
 def _hermitian_spectra(h: np.ndarray) -> np.ndarray:
@@ -456,17 +452,11 @@ def _builder(strategy: str, n: int, gens):
     """The map ``build(theta, owner)`` from ``(K, dim)`` parameter vectors, row
     i belonging to restart ``owner[i]``, to a ``(K, 2, n, n)`` stack of
     Hermitian pairs, and dim; the commuting strategy draws each restart's
-    shared eigenbasis from its generator in ``gens`` here.  Parameters below
-    dim // 2 give A, the others B."""
+    shared eigenbasis from its generator in ``gens`` here, one stacked QR for
+    all of them.  Parameters below dim // 2 give A, the others B."""
     if strategy == "commuting":
-        bases = np.stack([haar_unitary(n, g) for g in gens])
-
-        def build(theta, owner):
-            basis = bases[owner][:, None]
-            pair = (basis * theta.reshape(len(theta), 2, 1, n)) @ _adjoint(basis)
-            return _hermitian_part(pair, _adjoint(pair), out=pair)
-
-        return build, 2 * n
+        bases = _haar(np.stack([_gaussian(n, g) for g in gens]))
+        return (lambda theta, owner: _commuting(bases[owner], theta)), 2 * n
     return (lambda theta, owner: _unpack_pair(theta, n)), 2 * n * n
 
 

@@ -26,7 +26,7 @@ from kyfan.cli import (
     main,
     parse_arguments,
 )
-from kyfan.ensembles import SeededStream
+from kyfan.ensembles import BudgetError, SeededStream, _check_enumeration_budgets
 from kyfan.suite import FAMILIES
 from kyfan.norms import INEQUALITY_TOL, RESIDUAL_TOL
 from kyfan.fileformat import load_document
@@ -123,6 +123,20 @@ class TestParsing:
         assert err.value.code == 1
         assert "--n must be at least 2, got 1" in capsys.readouterr().err
         assert parse_arguments(["extremal", "--n", "2"]).n == 2
+
+    @pytest.mark.parametrize("target", ["vector", "all"])
+    def test_extremal_dimension_past_the_enumeration_budget_rejected(self, target, capsys):
+        # 13 is the largest n whose sign-vector families E1..En all fit the budget
+        _check_enumeration_budgets(np.array([13]), np.array([13]))
+        with pytest.raises(BudgetError, match="family E9 in dimension 14"):
+            _check_enumeration_budgets(np.array([14]), np.array([14]))
+        assert parse_arguments(["extremal", "--target", target, "--n", "13"]).n == 13
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(["extremal", "--target", target, "--n", "14"])
+        assert err.value.code == 1
+        assert f"--n must be at most 13 for --target {target}, got 14" in capsys.readouterr().err
+        for other in ("matrix", "equality"):  # these enumerate no sign vectors
+            assert parse_arguments(["extremal", "--target", other, "--n", "20"]).n == 20
 
     @pytest.mark.parametrize("budget, restarts", [("0", "8"), ("3", "8"), ("0", "1")])
     def test_search_budget_below_restarts_rejected(self, budget, restarts, capsys):
@@ -308,15 +322,17 @@ class TestExecution:
         assert targets == {"vector-support", "matrix-support", "trace-equality"}
         assert all(r["violations"] == 0 for r in doc["results"])
 
-    def test_extremal_over_the_enumeration_budget_exits_one(self, capsys):
-        # the first trial whose families exceed the budget is named (trial 1,
-        # n = 18, k = 11 under stream contract v3), and no report is written
-        status = main(["extremal", "--target", "vector", "--n", "20", "--trials", "200",
-                       "--seed", "271828"])
-        assert status == 1
+    def test_extremal_over_the_enumeration_budget_exits_one(self, tmp_path, capsys):
+        # the vector target's families of n = 14 exceed the budget, so --n 20 is
+        # refused before any trial runs, and no report is written
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["extremal", "--target", "vector", "--n", "20", "--trials", "200",
+                  "--seed", "271828", "--out", str(out)])
+        assert err.value.code == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "family E6 in dimension 18 exceeds the enumeration budget" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert "--n must be at most 13 for --target vector, got 20" in captured.err
 
     def test_ptrace_reports_no_counterexample(self, tmp_path):
         out = tmp_path / "pt.json"
@@ -332,6 +348,21 @@ class TestExecution:
         assert by_target["identity-cross-check"]["violations"] == 0
         assert by_target["commuting-regression"]["worst_margin"] <= 1e-8
         assert "bounded-search" not in by_target
+
+    def test_a_closed_form_off_by_one_part_in_a_million_exits_one(self, monkeypatch,
+                                                                  tmp_path, capsys):
+        # the identity section holds the closed form to the Kronecker route at the
+        # scale of its norm, as lhs_operator(cross_check=True) does
+        real = cli.lhs_operator
+        monkeypatch.setattr(cli, "lhs_operator",
+                            lambda a, b, **kw: real(a, b, **kw) * (1.0 + 1e-6))
+        out = tmp_path / "pt.json"
+        assert main(["ptrace", "--question", "1", "--n", "3", "--trials", "5",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: partial-trace identities failed: "
+                                       "closed-form residual ")
 
     def test_ptrace_regression_scores_each_chunk_in_one_svd_call(self, monkeypatch, tmp_path):
         # n = 3: a chunk holds CHUNK_ENTRIES // 9 = 455 pairs, so 1000 trials are
@@ -362,6 +393,23 @@ class TestExecution:
         regression = load_document(str(out))["results"][1]
         assert regression["target"] == "commuting-regression"
         assert regression["trials"] == 1000 and regression["violations"] == 0
+
+    @pytest.mark.parametrize("n, trials", [(2, 1100), (7, 200)])
+    def test_ptrace_regression_scores_the_pairs_commuting_hermitian_pair_draws(self, n, trials,
+                                                                               capsys):
+        # the reference: trial t's pair drawn alone from stream base + t; at n = 2
+        # the 1100 trials span two chunks of 1024, at n = 7 three of 83
+        from kyfan.ensembles import commuting_hermitian_pair
+        from kyfan.ptrace import worst_question_margin
+
+        pairs = np.array([commuting_hermitian_pair(n, SeededStream(47, STREAM_STRIDE + t))
+                          for t in range(trials)])
+        margins, _ = worst_question_margin(pairs[:, 0], pairs[:, 1], 2)
+        assert main(["ptrace", "--question", "2", "--n", str(n), "--trials", str(trials),
+                     "--seed", "47"]) == 0
+        regression = json.loads(capsys.readouterr().out)["results"][1]
+        assert regression["target"] == "commuting-regression"
+        assert regression["worst_margin"] == float(margins.max())
 
     def test_search_bounded(self, tmp_path):
         out = tmp_path / "s.json"
@@ -494,6 +542,20 @@ class TestKRejection:
         assert "--k needs a single --ineq" in capsys.readouterr().err
         assert parse_arguments(["check", "--ineq", "all", "--k", "all"]).k_spec == "all"
 
+    @pytest.mark.parametrize("command, argv", [
+        ("ptrace", ["--trials", "5"]),
+        ("search", ["--budget", "20", "--restarts", "2"]),
+    ])
+    def test_k_above_n_rejected_at_parse_time(self, command, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--question", "1", "--n", "3", "--k", "5", *argv, "--out", str(out)])
+        assert err.value.code == 1
+        assert "--k must be at most --n (3), got 5" in capsys.readouterr().err
+        assert not out.exists()
+        assert parse_arguments([command, "--question", "1", "--n", "3", "--k", "3",
+                                *argv]).k_spec == 3
+
     def test_k_scored_by_every_section_runs(self, capsys):
         import json
 
@@ -515,14 +577,20 @@ def _cpus(monkeypatch, count):
 
 
 def _before_each_section(monkeypatch, act):
-    """Call ``act(section, in_parent)`` as each section of a check run starts."""
-    parent, real = os.getpid(), cli._check_section
+    """Call ``act(section, in_parent)`` as each section of a check or an
+    extremal run starts."""
+    parent, real, real_gaps = os.getpid(), cli._check_section, cli._extremal_gaps
 
     def section(family, n, trials, stream, tolerance, k_values):
         act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
         return real(family, n, trials, stream, tolerance, k_values)
 
+    def gaps(target, n_max, trials, stream, samples):
+        act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
+        return real_gaps(target, n_max, trials, stream, samples)
+
     monkeypatch.setattr(cli, "_check_section", section)
+    monkeypatch.setattr(cli, "_extremal_gaps", gaps)
 
 
 def _needs_blas_thread_setter():
@@ -570,9 +638,10 @@ class TestSplitSections:
     @pytest.mark.parametrize("argv, failing", [
         *[(["check", "--ineq", "all", "--n", "2", "--trials", "3"], failing)
           for failing in [(1,), (2, 3), (1, 2), (3, 4)]],
-        # the vector target enumerates sign vectors up to n = 20, past the budget
-        (["extremal", "--target", "vector", "--n", "20"], ()),
-        (["extremal", "--target", "all", "--n", "20", "--trials", "3"], ()),
+        # the vector target (section 0) alone, and the matrix target (section 1,
+        # a child's) failing before the equality target (section 2, the parent's)
+        (["extremal", "--target", "vector", "--trials", "3"], (0,)),
+        (["extremal", "--target", "all", "--trials", "3"], (1, 2)),
     ], ids=["check-1", "check-2-3", "check-1-2", "check-3-4", "extremal-vector", "extremal-all"])
     def test_the_earliest_failing_section_raises_as_in_one_process(self, argv, failing,
                                                                    monkeypatch, tmp_path,
@@ -591,9 +660,7 @@ class TestSplitSections:
             assert captured.out == "" and not out.exists()
             errors.append(captured.err)
             _assert_no_child_left()
-        expected = (f"section {min(failing)} failed" if failing
-                    else "family E6 in dimension 18 exceeds the enumeration budget")
-        assert errors[0] == errors[1] == f"error: {expected}\n"
+        assert errors[0] == errors[1] == f"error: section {min(failing)} failed\n"
 
     def test_a_killed_child_is_an_error_not_a_partial_report(self, monkeypatch, tmp_path,
                                                              capsys):
@@ -684,13 +751,14 @@ class TestSplitSections:
 class TestOneBlasThread:
     """``execute`` runs a command with the BLAS on one thread (see ``kyfan.cli``)."""
 
-    @pytest.mark.parametrize("argv, raises", [
-        (["check", "--ineq", "von-neumann", "--n", "3", "--trials", "5"], None),
-        (["ptrace", "--question", "1", "--n", "3", "--k", "5", "--trials", "2"], ValueError),
+    @pytest.mark.parametrize("cfg, raises", [
+        (RunConfig("check", inequality_id="von-neumann", n=3, trials=5), None),
+        # built here, past the parser's --k check, so that the regression raises
+        (RunConfig("ptrace", question=1, n=3, k_spec=5, trials=2), ValueError),
     ], ids=["returns", "raises"])
-    def test_the_callers_thread_count_is_restored(self, argv, raises, monkeypatch, capsys):
+    def test_the_callers_thread_count_is_restored(self, cfg, raises, monkeypatch, capsys):
         get, put = _needs_blas_thread_setter()
-        command = argv[0]
+        command = cfg.command
         real = cli._EXECUTORS[command]
         during = []
 
@@ -704,10 +772,10 @@ class TestOneBlasThread:
             put(2)  # the caller's count; a one-CPU machine may cap it to 1
             caller = get()
             if raises is None:
-                assert execute(parse_arguments(argv)) == 0
+                assert execute(cfg) == 0
             else:
-                with pytest.raises(raises):
-                    execute(parse_arguments(argv))
+                with pytest.raises(raises, match=r"k values \[5\] not in 1\.\.3"):
+                    execute(cfg)
             assert during == [1]
             assert get() == caller
         finally:
@@ -720,7 +788,8 @@ class TestOneBlasThread:
         env = doc["environment"]
         assert env["numpy"] == np.__version__
         assert env["python"] == ".".join(map(str, sys.version_info[:3]))
-        assert set(env["blas"]) == set(env["lapack"]) == {"name", "version"}
+        assert set(env["blas"]) == set(env["lapack"]) == {"name", "version",
+                                                           "openblas configuration"}
         assert env["blas_threads"] == (None if cli._blas_thread_calls() is None else 1)
         assert env["processes"] == cli._process_count(len(doc["results"]), env["blas_threads"])
         assert b"environment" not in report_body_bytes(doc)
