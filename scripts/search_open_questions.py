@@ -4,9 +4,11 @@
 Runs the multi-restart greedy search across a grid of dimensions and both
 parameterizations (general Hermitian pairs, and commuting pairs as a control
 that is proven safe), prints a margin table, and saves any witness pair to
-matrix files for later inspection.  Exit status 2 signals that a candidate
-failing the tolerance rule (``kyfan.norms.inequality_holds``) was found; 0
-means none within budget, and 1 a usage error.
+matrix files for later inspection.  The master seed resolves as ``kyfan``
+resolves it: ``--seed``, then the ``KYFAN_SEED`` environment variable, then
+kyfan's default.  Exit status 2 signals that a candidate failing the
+tolerance rule (``kyfan.norms.inequality_holds``) was found; 0 means none
+within budget, and 1 a usage error.
 
 Usage:
     python scripts/search_open_questions.py --budget 20000 --seed 7
@@ -17,7 +19,7 @@ import argparse
 import os
 import sys
 
-from kyfan.cli import STREAM_STRIDE, _UsageParser, _nonnegative_int
+from kyfan.cli import STREAM_STRIDE, _UsageParser, _nonnegative_int, _resolve_seed
 from kyfan.ensembles import SeededStream
 from kyfan.fileformat import write_matrix
 from kyfan.ptrace import question_margin, search_counterexample
@@ -44,10 +46,12 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=20000,
                         help="margin evaluations per (question, n, strategy) cell")
     parser.add_argument("--restarts", type=int, default=8)
-    parser.add_argument("--seed", type=_nonnegative_int, default=271828)
+    parser.add_argument("--seed", type=_nonnegative_int, default=None,
+                        help="master seed (default: KYFAN_SEED, else kyfan's default)")
     parser.add_argument("--out-dir", default="found",
                         help="where witness matrices are written if a candidate appears")
     args = parser.parse_args()
+    seed, _ = _resolve_seed(parser, args.seed)
     if not 1 <= args.restarts < STREAM_STRIDE:
         parser.error(f"--restarts must be between 1 and {STREAM_STRIDE - 1}")
     if args.budget < args.restarts:
@@ -68,7 +72,7 @@ def main() -> int:
                 result = search_counterexample(
                     question, n,
                     budget=args.budget, restarts=args.restarts,
-                    s=cell_stream(args.seed, cell), strategy=strategy,
+                    s=cell_stream(seed, cell), strategy=strategy,
                 )
                 cell += 1
                 found = result.witness is not None

@@ -21,11 +21,12 @@ can be overridden by the ``KYFAN_SEED`` environment variable or the
 
 Split runs
 ----------
-Every command is a list of independent sections, each drawing from its own
-stream: one family at one n for ``check``, one target for ``extremal``, the
-identity cross-check, the commuting regression and the bounded search for
-``ptrace``, the one search or reproduction otherwise.  :func:`execute`
-deals them round-robin over min(available CPUs, sections) processes: this
+Every command is a list of independent sections: one family at one n for
+``check``, one target for ``extremal``, the identity cross-check, the
+commuting regression and the bounded search for ``ptrace``, the one search
+or reproduction otherwise.  Each declares its stream section s, and
+:func:`execute` opens its stream, based at index s * 2**24, before any fork.
+It deals them round-robin over min(available CPUs, sections) processes: this
 one plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`; a
 run in one process takes the same path, with no child).  Each child sends
 its section outcomes back as one pickle on a pipe; they are merged in
@@ -377,12 +378,11 @@ def _execute_check(cfg: RunConfig) -> list:
     for family, n in cells:
         _scored_columns(family, family.id, n, k_values)  # refuses a k before any section runs
 
-    def run(section, family, n):
-        stream = SeededStream(cfg.seed, section * STREAM_STRIDE)
+    def run(family, n, stream):
         report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
         return check_report_document(report, include_witness=report.violations > 0), None
 
-    return [functools.partial(run, s, family, n) for s, (family, n) in enumerate(cells)]
+    return [(s, functools.partial(run, family, n)) for s, (family, n) in enumerate(cells)]
 
 
 def _process_count(sections: int, blas_threads) -> int:
@@ -529,13 +529,10 @@ def _run_share(sections, share):
 
 
 def _execute_extremal(cfg: RunConfig) -> list:
-    targets = EXTREMAL_TARGETS if cfg.target == "all" else (cfg.target,)
     n_max = cfg.n or 8
 
-    def run(target):
-        section = EXTREMAL_TARGETS.index(target)
-        gaps = _extremal_gaps(target, n_max, cfg.trials,
-                              SeededStream(cfg.seed, section * STREAM_STRIDE), cfg.samples)
+    def run(target, stream):
+        gaps = _extremal_gaps(target, n_max, cfg.trials, stream, cfg.samples)
         return {
             "target": f"{target}-support" if target != "equality" else "trace-equality",
             "trials": cfg.trials,
@@ -545,11 +542,12 @@ def _execute_extremal(cfg: RunConfig) -> list:
             "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
         }, None
 
-    return [functools.partial(run, target) for target in targets]
+    return [(s, functools.partial(run, target)) for s, target in enumerate(EXTREMAL_TARGETS)
+            if cfg.target in ("all", target)]
 
 
 def _execute_repro(cfg: RunConfig) -> list:
-    def run():
+    def run(stream):  # the construction is fixed: it draws nothing
         witness, spectrum, unitary_residual = _fan_counterexample()
         return {
             "target": "fan-counterexample",
@@ -563,7 +561,7 @@ def _execute_repro(cfg: RunConfig) -> list:
             "witness": witness_document(witness),
         }, "the contraction bound fails on this input, as constructed"
 
-    return [run]
+    return [(0, run)]
 
 
 def _execute_ptrace(cfg: RunConfig) -> list:
@@ -573,10 +571,9 @@ def _execute_ptrace(cfg: RunConfig) -> list:
     # regression, then the last section, carries the note that says so
     skipped = None if cfg.budget else "bounded search skipped: --budget 0"
 
-    def identities():
+    def identities(stream):
         # closed form vs the Kronecker route, plus the basic partial-trace identity;
         # each residual must vanish at the scale of its route's result, as in lhs_operator
-        stream = SeededStream(cfg.seed, 0)
         trials = min(cfg.trials, 50)
         residuals, scales = np.zeros((2, trials)), np.zeros((2, trials))
         for t in range(trials):
@@ -596,9 +593,8 @@ def _execute_ptrace(cfg: RunConfig) -> list:
                 "worst_closed_form_residual": worst_closed,
                 "worst_kron_identity_residual": worst_kron, "violations": 0}, None
 
-    def regression():
+    def regression(stream):
         # commuting pairs must satisfy both questions; trial t draws from stream base + t
-        stream = SeededStream(cfg.seed, STREAM_STRIDE)
         worst, violations = -np.inf, 0
         chunk = max(1, CHUNK_ENTRIES // (n * n))
         for start in range(0, cfg.trials, chunk):
@@ -613,23 +609,21 @@ def _execute_ptrace(cfg: RunConfig) -> list:
                 "trials": cfg.trials, "worst_margin": worst, "tolerance": cfg.tolerance,
                 "violations": violations}, skipped
 
-    if skipped:
-        return [identities, regression]
-    return [identities, regression, functools.partial(_search, cfg, 2, target="bounded-search")]
+    search = functools.partial(_search, cfg, target="bounded-search")
+    return [(0, identities), (1, regression)] + ([] if skipped else [(2, search)])
 
 
 def _execute_search(cfg: RunConfig) -> list:
-    return [functools.partial(_search, cfg, 0, target="counterexample-search", n=cfg.n,
-                              restarts=cfg.restarts)]
+    return [(0, functools.partial(_search, cfg, target="counterexample-search", n=cfg.n,
+                                  restarts=cfg.restarts))]
 
 
-def _search(cfg: RunConfig, section: int, **head):
-    """The configured search, as section ``section`` of its run: its report
-    section (``head``, then the fields both search sections report, its
-    violation count and its witness if it found one among them) and its note."""
+def _search(cfg: RunConfig, stream: SeededStream, **head):
+    """The configured search, drawing from ``stream``: its report section
+    (``head``, then the fields both search sections report, its violation
+    count and its witness if it found one among them) and its note."""
     result = search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget, cfg.restarts,
-                                   SeededStream(cfg.seed, section * STREAM_STRIDE),
-                                   strategy=cfg.strategy, tolerance=cfg.tolerance)
+                                   stream, strategy=cfg.strategy, tolerance=cfg.tolerance)
     fields = {**head, "question": cfg.question, "strategy": result.strategy,
               "budget": cfg.budget, "evaluations": result.evaluations,
               "best_margin": result.best_margin, "violations": 0}
@@ -642,7 +636,8 @@ def _search(cfg: RunConfig, section: int, **head):
 
 
 #: command -> its executor: ``cfg`` -> its sections in report order, each a
-#: call that returns its report section and its note (None for none)
+#: ``(stream_section, call)`` pair; :func:`execute` opens the section's stream,
+#: and ``call(stream)`` returns its report section and its note (None for none)
 _EXECUTORS = {
     "check": _execute_check,
     "extremal": _execute_extremal,
@@ -656,7 +651,8 @@ def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
     with _one_blas_thread() as blas_threads:
-        sections = _EXECUTORS[cfg.command](cfg)
+        sections = [functools.partial(call, SeededStream(cfg.seed, s * STREAM_STRIDE))
+                    for s, call in _EXECUTORS[cfg.command](cfg)]
         processes = _process_count(len(sections), blas_threads)
         outcomes = _run_sections(sections, processes)
     results = [result for result, _ in outcomes]

@@ -13,7 +13,7 @@ take ``(..., n, n)`` stacks of matrices and apply the form to each of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -385,8 +385,7 @@ def worst_question_margin(a, b, question: int, k_values=None):
 
 def pack_hermitian_pair(a, b) -> np.ndarray:
     """Flatten a Hermitian pair into 2 n^2 reals (diagonal, then upper re/im)."""
-    a = require_hermitian(as_matrix(a, name="A"), name="A")
-    b = require_hermitian(as_matrix(b, name="B"), name="B")
+    a, b = _hermitian_pair(as_matrix(a, name="A"), as_matrix(b, name="B"))
     return np.concatenate([_pack_one(a), _pack_one(b)])
 
 

@@ -572,6 +572,26 @@ class TestKRejection:
             assert report.k_range == tuple(family.scored_ks(n)), (family.id, n)
 
 
+@pytest.mark.parametrize("argv, layout", [
+    (["check", "--ineq", "all"], tuple(range(70))),
+    (["check", "--ineq", "von-neumann", "--n", "3"], (0,)),
+    (["check", "--ineq", "ahj", "--n", "5"], (0, 1)),  # ahj-given, ahj-sqrt
+    (["extremal"], (0, 1, 2)),
+    (["extremal", "--target", "matrix"], (1,)),
+    (["ptrace", "--question", "1"], (0, 1)),
+    (["ptrace", "--question", "2", "--budget", "100"], (0, 1, 2)),
+    (["search", "--question", "2"], (0,)),
+    (["repro", "fan-counterexample"], (0,)),
+], ids=["check-all", "check-one-family", "check-one-group", "extremal-all",
+        "extremal-matrix", "ptrace", "ptrace-budget", "search", "repro"])
+def test_each_run_declares_its_stream_sections(argv, layout):
+    # execute opens section s's stream at s * STREAM_STRIDE: no two sections may share one
+    cfg = parse_arguments(argv)
+    declared = tuple(s for s, _ in cli._EXECUTORS[cfg.command](cfg))
+    assert declared == layout
+    assert len(set(declared)) == len(declared)
+
+
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 

@@ -65,7 +65,8 @@ def _public_draws(w, n, samples, g):
 def test_report_matches_the_reference_loop(n_max, samples, trials):
     cfg = parse_arguments(["extremal", "--n", str(n_max), "--samples", str(samples),
                            "--trials", str(trials), "--seed", str(SEED)])
-    results = [section()[0] for section in _execute_extremal(cfg)]
+    results = [call(SeededStream(SEED, s * STREAM_STRIDE))[0]
+               for s, call in _execute_extremal(cfg)]
     assert [r["trials"] for r in results] == [trials] * 3
     for target, result in zip(TARGETS, results):
         gaps = _reference_gaps(target, n_max, trials, samples)

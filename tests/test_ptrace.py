@@ -159,6 +159,11 @@ class TestPacking:
         with pytest.raises(ValueError):
             unpack_hermitian_pair(np.zeros(7), 2)
 
+    def test_pack_rejects_a_pair_of_two_sizes(self):
+        # 4 + 9 parameters would fit no n, so unpack_hermitian_pair could not invert them
+        with pytest.raises(ValueError, match=r"shape mismatch \(2, 2\) vs \(3, 3\)"):
+            pack_hermitian_pair(np.eye(2), np.eye(3))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_unpack_rejects_non_finite_parameters(self, bad):
         # refused, as pack_hermitian_pair refuses them, not unpacked to NaN entries

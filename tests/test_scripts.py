@@ -39,6 +39,34 @@ def test_search_script_gives_every_cell_and_restart_its_own_stream(monkeypatch, 
     assert {seed for seed, _, _ in calls} == {7}
 
 
+@pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "5"], 5)],
+                         ids=["env", "flag-beats-env"])
+def test_search_script_resolves_its_seed_as_kyfan_does(monkeypatch, capsys, flags, seed):
+    script = _load("search_open_questions")
+    seeds = []
+
+    def fake_search(question, n, *, budget, restarts, s, strategy):
+        seeds.append(s.master_seed)
+        return SimpleNamespace(witness=None, evaluations=0, best_margin=0.0)
+
+    monkeypatch.setattr(script, "search_counterexample", fake_search)
+    monkeypatch.setenv("KYFAN_SEED", "7")
+    monkeypatch.setattr(sys, "argv", ["search_open_questions.py", *flags])
+    assert script.main() == 0
+    assert seeds == [seed] * 12  # every cell: 2 questions x 3 dims x 2 strategies
+
+
+def test_search_script_rejects_a_non_integer_seed_variable(monkeypatch, capsys):
+    script = _load("search_open_questions")
+    monkeypatch.setattr(script, "search_counterexample", None)  # nothing may run
+    monkeypatch.setenv("KYFAN_SEED", "seven")
+    monkeypatch.setattr(sys, "argv", ["search_open_questions.py"])
+    with pytest.raises(SystemExit) as err:
+        script.main()
+    assert err.value.code == 1
+    assert "KYFAN_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+
 def test_search_script_rejects_restarts_that_reach_the_next_cell(monkeypatch, capsys):
     script = _load("search_open_questions")
     monkeypatch.setattr(sys, "argv", ["search_open_questions.py",
