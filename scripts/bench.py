@@ -52,6 +52,12 @@ the repeats:
   ``samples = 2`` and 2000 trials, each target on its own section as the CLI
   spaces them; per trial of the 6000, and the row also gives the median in
   trials per second.
+- ``extremal_all_2000``: ``kyfan extremal --target all --trials 2000`` in
+  process through ``cli.execute``, the whole command as ``kyfan`` runs it
+  (its one BLAS thread and its targets' chunks split over processes) with
+  its report written to a discarded buffer, as the ``check_all_*`` rows
+  run; every repeat takes its own seed.  Per trial of the 6000, and the
+  row also gives the median in trials per second.
 
 A shared machine drifts between speed states, within seconds as well as
 over minutes, so perfbench's calibration kernel (``calibrate`` in
@@ -97,6 +103,7 @@ from kyfan.cli import (
     _check_section,
     _numeric_stack,
     execute,
+    parse_arguments,
 )
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
@@ -225,6 +232,13 @@ def measure(ops: int, repeats: int) -> dict:
             base = SeededStream(SEED, (section + 1) * SECTION)
             _extremal_gaps(target, EXTREMAL_N, EXTREMAL_TRIALS, base, EXTREMAL_SAMPLES)
 
+    def extremal_all(rep):
+        cfg = parse_arguments(["extremal", "--target", "all", "--n", str(EXTREMAL_N),
+                               "--samples", str(EXTREMAL_SAMPLES),
+                               "--trials", str(EXTREMAL_TRIALS), "--seed", str(SEED + rep)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            execute(cfg)
+
     layers = {
         "stream_open": (stream_open, ops),
         "draw_gaussian_5": (draw_gaussian, ops),
@@ -236,6 +250,7 @@ def measure(ops: int, repeats: int) -> dict:
         "search_q2_3000": (search_q2, SEARCH_BUDGET),
         "checker_sweep_50": (checker_sweep, len(sweep) * SWEEP_TRIALS),
         "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
+        "extremal_all_2000": (extremal_all, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
         "check_all_50": (check_all(50), len(sweep) * 50),
         "check_all_1000": (check_all(1000), len(sweep) * 1000),
         "check_all_n64_20": (check_all(LARGE_TRIALS, LARGE_N), len(FAMILIES) * LARGE_TRIALS),
@@ -244,8 +259,8 @@ def measure(ops: int, repeats: int) -> dict:
     search = rows["search_q2_3000"]
     search["evaluations_per_s"] = 1e6 / search["median_us"]
     search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
-    for name in ("checker_sweep_50", "extremal_2000", "check_all_50", "check_all_1000",
-                 "check_all_n64_20"):
+    for name in ("checker_sweep_50", "extremal_2000", "extremal_all_2000", "check_all_50",
+                 "check_all_1000", "check_all_n64_20"):
         row = rows[name]
         row["trials_per_s"] = 1e6 / row["median_us"]
         row["trials_per_s_scaled"] = 1e6 / row["median_us_scaled"]

@@ -26,17 +26,21 @@ Every command is a list of independent sections: one family at one n for
 commuting regression and the bounded search for ``ptrace``, the one search
 or reproduction otherwise.  Each declares its stream section s, and
 :func:`execute` opens its stream, based at index s * 2**24, before any fork.
-It deals them round-robin over min(available CPUs, sections) processes: this
-one plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`; a
-run in one process takes the same path, with no child).  Each child sends
-its section outcomes back as one pickle on a pipe; they are merged in
-section order, so the report bytes do not depend on the split.  ``fork``
-rather than ``spawn``, because a spawned worker re-imports numpy, which
-costs about as much as the whole ``check --trials 50`` sweep.
-The run stays in one process when one CPU is available or there is one
-section, on platforms other than Linux, when other Python threads are alive
-(``fork`` copies no thread, so a lock one held would stay locked in the
-child), and when the BLAS is not pinned to one thread (below).
+A section is an ordered list of parts and a fold: an ``extremal`` target
+has one part per chunk of ``suite.EXTREMAL_CHUNK_BLOCKS`` blocks, every
+other section is its own one part.  :func:`execute` deals the parts of all
+sections, section after section, round-robin over min(available CPUs,
+parts) processes: this one plus one ``os.fork`` child per extra CPU (see
+:func:`_run_sections`; a run in one process takes the same path, with no
+child).  Each child sends its part outcomes back as one pickle on a pipe;
+each section's outcomes are folded in part order into its report entry, so
+the report bytes do not depend on the split.  ``fork`` rather than
+``spawn``, because a spawned worker re-imports numpy, which costs about as
+much as the whole ``check --trials 50`` sweep.  The run stays in one
+process when one CPU is available or there is one part, on platforms
+other than Linux, when other Python threads are alive (``fork`` copies no
+thread, so a lock one held would stay locked in the child), and when the
+BLAS is not pinned to one thread (below).
 
 One BLAS thread
 ---------------
@@ -61,6 +65,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import os
 import pickle
 import sys
@@ -103,7 +108,8 @@ from .suite import (  # noqa: F401
     FAMILIES,
     Witness,
     _check,
-    _extremal_gaps,
+    _extremal_chunk_gaps,
+    _extremal_chunks,
     _fan_counterexample,
     _scored_columns,
     check_ahj,
@@ -346,6 +352,25 @@ def parse_arguments(argv) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+class _Parts:
+    """A run section scored as ordered parts: each ``part(stream)`` of
+    ``parts`` gives an outcome, and ``fold`` takes the outcomes, in part
+    order, to the section's report section and note.  Called on the
+    section's stream, it runs every part here, in order, and folds them.
+    (Not a dataclass: building one adds about 0.5 ms to every command's import.)"""
+
+    def __init__(self, parts: tuple, fold):
+        self.parts, self.fold = parts, fold
+
+    def __call__(self, stream):
+        return self.fold([part(stream) for part in self.parts])
+
+    @classmethod
+    def of(cls, call) -> "_Parts":
+        """A section's ``call`` as parts: itself, or one part whose outcome is the section's."""
+        return call if isinstance(call, cls) else cls((call,), operator.itemgetter(0))
+
+
 def _check_section(family, n, trials, stream, tolerance, k_values):
     """One section: ``family`` at n, run through its public ``check_*`` function.
 
@@ -385,13 +410,13 @@ def _execute_check(cfg: RunConfig) -> list:
     return [(s, functools.partial(run, family, n)) for s, (family, n) in enumerate(cells)]
 
 
-def _process_count(sections: int, blas_threads) -> int:
-    """How many processes share a run of ``sections`` sections; 1 keeps them
-    in this one (see the module docstring).  ``blas_threads`` is the count
-    :func:`_one_blas_thread` yields: a run splits only under its pin."""
+def _process_count(parts: int, blas_threads) -> int:
+    """How many processes share a run of ``parts`` section parts; 1 keeps
+    them in this one (see the module docstring).  ``blas_threads`` is the
+    count :func:`_one_blas_thread` yields: a run splits only under its pin."""
     if sys.platform != "linux" or threading.active_count() > 1 or blas_threads != 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), sections)
+    return min(len(os.sched_getaffinity(0)), parts)
 
 
 def _numeric_stack() -> dict:
@@ -450,19 +475,22 @@ def _one_blas_thread():
         put(caller)
 
 
-def _run_sections(sections: list, processes: int) -> list:
-    """``[section() for section in sections]``, section s run by process s % ``processes``.
+def _run_sections(parts: list, processes: int) -> list:
+    """``[part() for part in parts]``, part i run by process i % ``processes``.
 
-    Process 0 is this one; each other is an ``os.fork`` child that runs its
-    share, writes the outcome to a pipe as one pickle, and leaves by
-    ``os._exit`` (no atexit handler, no stdio flush).  Every process stops
-    at the first section of its share that raises.  The error raised here is
-    that of the earliest failing section, as a loop in one process would
-    raise; a child that ends without a result fails at its first section,
-    with a ``ChildProcessError`` naming its share.  Every child is reaped
-    before this returns or raises, and killed first if it is still running.
+    ``parts`` are the parts of a run's sections, section after section, so
+    the dealing spreads a section of many parts over the processes as it
+    spreads many one-part sections.  Process 0 is this one; each other is an
+    ``os.fork`` child that runs its share, writes the outcome to a pipe as
+    one pickle, and leaves by ``os._exit`` (no atexit handler, no stdio
+    flush).  Every process stops at the first part of its share that raises.
+    The error raised here is that of the earliest failing part, as a loop in
+    one process would raise; a child that ends without a result fails at its
+    first part, with a ``ChildProcessError`` naming its share.  Every child
+    is reaped before this returns or raises, and killed first if it is still
+    running.
     """
-    count = len(sections)
+    count = len(parts)
     children = {}  # pid -> (read end of its pipe, its share)
     try:
         for p in range(1, processes):
@@ -478,13 +506,13 @@ def _run_sections(sections: list, processes: int) -> list:
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(_run_share(sections, share)))
+                        pipe.write(pickle.dumps(_run_share(parts, share)))
                     os._exit(0)
                 finally:
                     os._exit(1)
             children[pid] = (open(read, "rb"), share)
             os.close(write)
-        outcomes = [_run_share(sections, range(0, count, processes))]
+        outcomes = [_run_share(parts, range(0, count, processes))]
         for pid, (pipe, share) in list(children.items()):
             data = pipe.read()
             _, wait_status = os.waitpid(pid, 0)
@@ -494,7 +522,7 @@ def _run_sections(sections: list, processes: int) -> list:
             if code == 0:
                 outcomes.append(pickle.loads(data))
             else:
-                died = ChildProcessError(f"the worker process for sections "
+                died = ChildProcessError(f"the worker process for parts "
                                          f"{', '.join(map(str, share))} ended without a "
                                          f"result (exit code {code})")
                 outcomes.append(([], (share[0], died)))
@@ -516,23 +544,26 @@ def _run_sections(sections: list, processes: int) -> list:
     return results
 
 
-def _run_share(sections, share):
-    """The sections of ``share`` in order, up to the first that raises: their
-    outcomes, and None or that section and its exception."""
+def _run_share(parts, share):
+    """The parts of ``share`` in order, up to the first that raises: their
+    outcomes, and None or that part and its exception."""
     results = []
-    for section in share:
+    for part in share:
         try:
-            results.append(sections[section]())
-        except Exception as exc:  # raised by _run_sections, in section order
-            return results, (section, exc)
+            results.append(parts[part]())
+        except Exception as exc:  # raised by _run_sections, in part order
+            return results, (part, exc)
     return results, None
 
 
 def _execute_extremal(cfg: RunConfig) -> list:
     n_max = cfg.n or 8
 
-    def run(target, stream):
-        gaps = _extremal_gaps(target, n_max, cfg.trials, stream, cfg.samples)
+    def chunk(target, c, stream):
+        return _extremal_chunk_gaps(target, n_max, cfg.trials, stream, cfg.samples, c)
+
+    def fold(target, gaps):
+        gaps = np.concatenate(gaps)
         return {
             "target": f"{target}-support" if target != "equality" else "trace-equality",
             "trials": cfg.trials,
@@ -542,8 +573,10 @@ def _execute_extremal(cfg: RunConfig) -> list:
             "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
         }, None
 
-    return [(s, functools.partial(run, target)) for s, target in enumerate(EXTREMAL_TARGETS)
-            if cfg.target in ("all", target)]
+    chunks = _extremal_chunks(n_max, cfg.trials, cfg.samples)
+    return [(s, _Parts(tuple(functools.partial(chunk, target, c) for c in chunks),
+                       functools.partial(fold, target)))
+            for s, target in enumerate(EXTREMAL_TARGETS) if cfg.target in ("all", target)]
 
 
 def _execute_repro(cfg: RunConfig) -> list:
@@ -637,7 +670,8 @@ def _search(cfg: RunConfig, stream: SeededStream, **head):
 
 #: command -> its executor: ``cfg`` -> its sections in report order, each a
 #: ``(stream_section, call)`` pair; :func:`execute` opens the section's stream,
-#: and ``call(stream)`` returns its report section and its note (None for none)
+#: and ``call(stream)`` returns its report section and its note (None for none).
+#: A ``call`` that is :class:`_Parts` is run as its parts; any other, as one part
 _EXECUTORS = {
     "check": _execute_check,
     "extremal": _execute_extremal,
@@ -651,10 +685,14 @@ def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
     with _one_blas_thread() as blas_threads:
-        sections = [functools.partial(call, SeededStream(cfg.seed, s * STREAM_STRIDE))
+        sections = [(SeededStream(cfg.seed, s * STREAM_STRIDE), _Parts.of(call))
                     for s, call in _EXECUTORS[cfg.command](cfg)]
-        processes = _process_count(len(sections), blas_threads)
-        outcomes = _run_sections(sections, processes)
+        parts = [functools.partial(part, stream)
+                 for stream, section in sections for part in section.parts]
+        processes = _process_count(len(parts), blas_threads)
+        done = iter(_run_sections(parts, processes))
+        outcomes = [section.fold(list(itertools.islice(done, len(section.parts))))
+                    for _, section in sections]
     results = [result for result, _ in outcomes]
     notes = [note for _, note in outcomes if note is not None]
     total_violations = sum(r["violations"] for r in results)

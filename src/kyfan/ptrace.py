@@ -259,8 +259,7 @@ def _closed_form(work: np.ndarray) -> np.ndarray:
 
 def lhs_operator_brute(a, b) -> np.ndarray:
     """The Kronecker route: build the n^2 x n^2 product and trace out factor one."""
-    a = require_hermitian(a, name="A")
-    b = require_hermitian(b, name="B")
+    a, b = _hermitian_pair(a, b)
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
     left = kronecker(a, eye) + kronecker(eye, a)

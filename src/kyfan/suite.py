@@ -68,10 +68,14 @@ the drawn ones, each as a block of one.
 
 Extremal engine (stream contract v5, unchanged in v6)
 ----------------------------------------------------
-The ``kyfan extremal`` targets run through :func:`_extremal_gaps`.  Block j
-of a section holds ``B = max(1, BLOCK_ENTRIES // n_max**2)`` trials (64 at
-n_max = 8) and is drawn from ``stream.offset(j).generator()``, each draw one
-call over the whole block, in this order:
+The ``kyfan extremal`` targets are scored one chunk of
+``EXTREMAL_CHUNK_BLOCKS`` blocks at a time, by :func:`_extremal_chunk_gaps`.
+``kyfan.cli`` deals a section's chunks over its processes as the section's
+parts and folds their gaps in chunk order; :func:`_extremal_gaps` is the
+same concatenation in one process.  Block j of a section holds
+``B = max(1, BLOCK_ENTRIES // n_max**2)`` trials (64 at n_max = 8) and is
+drawn from ``stream.offset(j).generator()``, each draw one call over the
+whole block, in this order:
 
 - n, as ``g.integers(2, n_max + 1, size=B)``;
 - for ``vector`` and ``matrix``, k as ``g.integers(1, n + 1)`` over the
@@ -95,16 +99,18 @@ never on ``--trials`` or ``--samples``, and a section of T trials opens
 ``ceil(T / B)`` streams.  The weights stay a ``(B, n_max)``
 array of prefix sums; :class:`~kyfan.norms.Weight`'s checks run on it row by
 row.  Every vector trial's families are checked against
-``ENUMERATION_BUDGET`` before any is scored, naming the first over-budget
-trial in trial order.
+``ENUMERATION_BUDGET`` before any trial of its chunk is scored, naming the
+first over-budget trial in trial order; a run raises its earliest failing
+chunk's error, so that trial is the section's first over-budget trial.
 
-``EXTREMAL_CHUNK_BLOCKS`` blocks are scored together, their trials grouped
-by n into ``(T, n, n)`` stacks: one ``svd`` of the C or B stack and one Haar
-QR per sample index.  No candidate matrix is formed.  For a partial
-isometry X = U_j V_j* the value Re tr(C* X) equals the sum of the real parts
-of the first j entries of diag(U* C V), so every candidate is scored
-through ``_diagonal_inner``, two stacked matmuls ``(U* C) V`` and their
-diagonal:
+A chunk opens only its own blocks' streams, so its gaps do not depend on
+which chunks run before it or in which process.  Its blocks' trials are
+scored together, grouped by n into ``(T, n, n)`` stacks: one ``svd`` of the
+C or B stack and one Haar QR per sample index.  No candidate matrix is
+formed.  For a partial isometry X = U_j V_j* the value Re tr(C* X) equals
+the sum of the real parts of the first j entries of diag(U* C V), so every
+candidate is scored through ``_diagonal_inner``, two stacked matmuls
+``(U* C) V`` and their diagonal:
 
 - aligned: U and V are C's singular vectors, and family p < k scores
   ``cumsum(diag.real)[rank - 1] / ws[p]``, rank p + 1 for p < k - 1 and n
@@ -721,11 +727,13 @@ def von_neumann_equality_witness(b) -> np.ndarray:
 
 EXTREMAL_TARGETS = ("vector", "matrix", "equality")
 
-#: blocks of extremal trials drawn and scored together.  A trial's draws
+#: blocks of extremal trials drawn and scored together: one chunk, also the
+#: unit that ``kyfan.cli`` deals over a run's processes.  A trial's draws
 #: depend only on its block, so this is a speed and memory knob, not part of
-#: the stream contract.  On ``perfbench/run.py --workload extremal`` (n_max =
-#: 8, 64 trials a block, 2-vCPU x86_64 VM, 4 alternated 10 s runs each) 4, 8
-#: and 16 blocks ran 42.9k-45.2k, 47.6k-50.5k and 49.2k-51.3k trials/s at
+#: the stream contract.  Measured when a run scored all its chunks in one
+#: process, on ``perfbench/run.py --workload extremal`` (n_max = 8, 64
+#: trials a block, 2-vCPU x86_64 VM, 4 alternated 10 s runs each) 4, 8 and
+#: 16 blocks ran 42.9k-45.2k, 47.6k-50.5k and 49.2k-51.3k trials/s at
 #: 39.75, 40.8 and 42.4 MB peak RSS, against 40.5 MB for contract v4's
 #: engine at 4 blocks: 8 is the largest of these within 1 MB of it
 EXTREMAL_CHUNK_BLOCKS = 8
@@ -773,8 +781,34 @@ def _equality_gaps(b):
     return np.abs(np.array([abs(t) for t in traces]) - sig[:, 0])
 
 
+def _extremal_chunks(n_max, trials, samples) -> range:
+    """The chunk indices of an extremal section of ``trials`` trials: chunk c
+    holds blocks ``c * EXTREMAL_CHUNK_BLOCKS`` onward, at most
+    ``EXTREMAL_CHUNK_BLOCKS`` of them.  Raises ``ValueError`` for an
+    ``n_max`` below 2 or a negative trial or sample count."""
+    n_max, trials, samples = int(n_max), int(trials), int(samples)
+    if n_max < 2:
+        raise ValueError(f"the extremal targets sample n >= 2, got a maximum of {n_max}")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
+    size = max(1, BLOCK_ENTRIES // (n_max * n_max))
+    return range(-(-trials // (size * EXTREMAL_CHUNK_BLOCKS)))
+
+
 def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.ndarray:
-    """The gap of every trial of one extremal target, in trial order.
+    """The gap of every trial of one extremal target, in trial order: the
+    gaps of its chunks (:func:`_extremal_chunk_gaps`), one after another."""
+    stream = _as_stream(s)
+    return np.concatenate([np.empty(0)] + [
+        _extremal_chunk_gaps(target, n_max, trials, stream, samples, chunk)
+        for chunk in _extremal_chunks(n_max, trials, samples)])
+
+
+def _extremal_chunk_gaps(target: str, n_max: int, trials: int, s, samples: int,
+                         chunk: int) -> np.ndarray:
+    """The gaps of the trials of chunk ``chunk`` of one extremal target, in trial order.
 
     Block j of ``max(1, BLOCK_ENTRIES // n_max**2)`` trials is drawn from
     ``stream.offset(j).generator()`` by :func:`_draw_extremal`, then, for
@@ -783,63 +817,57 @@ def _extremal_gaps(target: str, n_max: int, trials: int, s, samples: int) -> np.
     factors, trial after trial.  The gaps are those of
     :func:`~kyfan.ensembles.support_function_gap`,
     :func:`~kyfan.ensembles.matrix_ball_support_gap` and the trace bound at
-    :func:`von_neumann_equality_witness`, scored on stacks of the trials of
-    ``EXTREMAL_CHUNK_BLOCKS`` blocks that share n.
+    :func:`von_neumann_equality_witness`, scored on stacks of the chunk's
+    trials that share n.  A chunk opens only its own blocks' streams, so
+    its gaps do not depend on which chunks are scored before it, or where.
     """
+    chunks = _extremal_chunks(n_max, trials, samples)
+    if chunk not in chunks:
+        raise ValueError(f"chunk {chunk} is not one of the section's {len(chunks)} chunks")
     n_max, trials, samples = int(n_max), int(trials), int(samples)
-    if n_max < 2:
-        raise ValueError(f"the extremal targets sample n >= 2, got a maximum of {n_max}")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
     stream = _as_stream(s)
     size = max(1, BLOCK_ENTRIES // (n_max * n_max))
-    gaps = np.empty(trials)
-    blocks = -(-trials // size)
-    for first in range(0, blocks, EXTREMAL_CHUNK_BLOCKS):
-        # a block draws all its trials even where the run ends inside it, so
-        # trial t's inputs depend on neither the trial nor the sample count
-        generators = [stream.offset(b).generator()
-                      for b in range(first, min(blocks, first + EXTREMAL_CHUNK_BLOCKS))]
-        draws = [_draw_extremal(target, n_max, size, g) for g in generators]
-        # per sample index, each block draws the 4 n**2 Haar normals of all its trials
-        sampling = [(g, k, 4 * int((n * n).sum())) for g, (n, k, _, _) in zip(generators, draws)]
-        n, k, ws, normals = (None if column[0] is None else np.concatenate(column)
-                             for column in zip(*draws))
-        del draws
-        start = first * size
-        count = min(len(n), trials - start)
-        n = n[:count]
-        if target == "vector":
-            # name the first over-budget trial before any is scored
-            _check_enumeration_budgets(n, k[:count])
-        per_trial = n if target == "vector" else 2 * n * n
-        starts = np.cumsum(per_trial) - per_trial
-        out = gaps[start:start + count]
-        groups = [(dim, np.flatnonzero(n == dim)) for dim in sorted(set(n.tolist()))]
-        if target == "vector":
-            for dim, idx in groups:
-                out[idx] = _support_gaps(_gather(normals, starts[idx], (dim,)),
-                                         ws[idx, :dim], k[idx])
-            continue
-        mats = [_ginibre(_gather(normals, starts[idx], (2, dim, dim))) for dim, idx in groups]
-        del normals  # the stacks hold what the trials use of it
-        if target == "equality":
-            for (_, idx), b in zip(groups, mats):
-                out[idx] = _equality_gaps(b)
-            continue
-        aligned = []
-        for (dim, idx), c in zip(groups, mats):
-            out[idx], best = _aligned_gaps(c, ws[idx, :dim], k[idx])
-            aligned.append(best)
-        for _ in range(samples):
-            picks, haar = zip(*((g.integers(block_k), g.standard_normal(entries))
-                                for g, block_k, entries in sampling))
-            picks, haar = np.concatenate(picks), np.concatenate(haar)
-            for (dim, idx), c, best in zip(groups, mats, aligned):
-                # a trial's Haar normals start at twice the offset of its normals of C
-                values = _sampled_values(c, ws[idx, :dim], k[idx], picks[idx],
-                                         _gather(haar, 2 * starts[idx], (2, 2, dim, dim)))
-                out[idx] = np.maximum(out[idx], values - best)
-    return gaps
+    first = chunk * EXTREMAL_CHUNK_BLOCKS
+    # a block draws all its trials even where the run ends inside it, so
+    # trial t's inputs depend on neither the trial nor the sample count
+    generators = [stream.offset(b).generator()
+                  for b in range(first, min(-(-trials // size), first + EXTREMAL_CHUNK_BLOCKS))]
+    draws = [_draw_extremal(target, n_max, size, g) for g in generators]
+    # per sample index, each block draws the 4 n**2 Haar normals of all its trials
+    sampling = [(g, k, 4 * int((n * n).sum())) for g, (n, k, _, _) in zip(generators, draws)]
+    n, k, ws, normals = (None if column[0] is None else np.concatenate(column)
+                         for column in zip(*draws))
+    del draws
+    n = n[:trials - first * size]
+    out = np.empty(len(n))
+    if target == "vector":
+        # name the first over-budget trial before any is scored
+        _check_enumeration_budgets(n, k[:len(n)])
+    per_trial = n if target == "vector" else 2 * n * n
+    starts = np.cumsum(per_trial) - per_trial
+    groups = [(dim, np.flatnonzero(n == dim)) for dim in sorted(set(n.tolist()))]
+    if target == "vector":
+        for dim, idx in groups:
+            out[idx] = _support_gaps(_gather(normals, starts[idx], (dim,)),
+                                     ws[idx, :dim], k[idx])
+        return out
+    mats = [_ginibre(_gather(normals, starts[idx], (2, dim, dim))) for dim, idx in groups]
+    del normals  # the stacks hold what the trials use of it
+    if target == "equality":
+        for (_, idx), b in zip(groups, mats):
+            out[idx] = _equality_gaps(b)
+        return out
+    aligned = []
+    for (dim, idx), c in zip(groups, mats):
+        out[idx], best = _aligned_gaps(c, ws[idx, :dim], k[idx])
+        aligned.append(best)
+    for _ in range(samples):
+        picks, haar = zip(*((g.integers(block_k), g.standard_normal(entries))
+                            for g, block_k, entries in sampling))
+        picks, haar = np.concatenate(picks), np.concatenate(haar)
+        for (dim, idx), c, best in zip(groups, mats, aligned):
+            # a trial's Haar normals start at twice the offset of its normals of C
+            values = _sampled_values(c, ws[idx, :dim], k[idx], picks[idx],
+                                     _gather(haar, 2 * starts[idx], (2, 2, dim, dim)))
+            out[idx] = np.maximum(out[idx], values - best)
+    return out

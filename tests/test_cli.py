@@ -597,20 +597,21 @@ def _cpus(monkeypatch, count):
 
 
 def _before_each_section(monkeypatch, act):
-    """Call ``act(section, in_parent)`` as each section of a check or an
-    extremal run starts."""
-    parent, real, real_gaps = os.getpid(), cli._check_section, cli._extremal_gaps
+    """Call ``act(part, in_parent)`` as each part of a check or an extremal
+    run starts: ``part`` is a check section's stream section, or an extremal
+    chunk's (stream section, chunk)."""
+    parent, real, real_chunk = os.getpid(), cli._check_section, cli._extremal_chunk_gaps
 
     def section(family, n, trials, stream, tolerance, k_values):
         act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
         return real(family, n, trials, stream, tolerance, k_values)
 
-    def gaps(target, n_max, trials, stream, samples):
-        act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
-        return real_gaps(target, n_max, trials, stream, samples)
+    def chunk(target, n_max, trials, stream, samples, c):
+        act((stream.stream_index // STREAM_STRIDE, c), os.getpid() == parent)
+        return real_chunk(target, n_max, trials, stream, samples, c)
 
     monkeypatch.setattr(cli, "_check_section", section)
-    monkeypatch.setattr(cli, "_extremal_gaps", gaps)
+    monkeypatch.setattr(cli, "_extremal_chunk_gaps", chunk)
 
 
 def _needs_blas_thread_setter():
@@ -633,8 +634,11 @@ class TestSplitSections:
         ["check", "--ineq", "ahj", "--n", "3", "--trials", "40"],
         ["check", "--ineq", "von-neumann", "--n", "3", "--trials", "40"],
         ["extremal", "--target", "all", "--trials", "300"],
+        # one section of several parts, its last chunk partial
+        ["extremal", "--target", "matrix", "--n", "6", "--samples", "3", "--trials", "777"],
         ["ptrace", "--question", "2", "--n", "3", "--trials", "30", "--budget", "500"],
-    ], ids=["all", "ahj-n3", "von-neumann-n3", "extremal-all", "ptrace-q2-n3"])
+    ], ids=["all", "ahj-n3", "von-neumann-n3", "extremal-all", "extremal-matrix-chunks",
+            "ptrace-q2-n3"])
     def test_split_and_serial_runs_give_the_same_body(self, argv, monkeypatch, capsys):
         bodies = []
         for cpus in (2, 1):
@@ -660,9 +664,13 @@ class TestSplitSections:
           for failing in [(1,), (2, 3), (1, 2), (3, 4)]],
         # the vector target (section 0) alone, and the matrix target (section 1,
         # a child's) failing before the equality target (section 2, the parent's)
-        (["extremal", "--target", "vector", "--trials", "3"], (0,)),
-        (["extremal", "--target", "all", "--trials", "3"], (1, 2)),
-    ], ids=["check-1", "check-2-3", "check-1-2", "check-3-4", "extremal-vector", "extremal-all"])
+        (["extremal", "--target", "vector", "--trials", "3"], ((0, 0),)),
+        (["extremal", "--target", "all", "--trials", "3"], ((1, 0), (2, 0))),
+        # three chunks a target: the matrix target's last chunk (part 5, a
+        # child's) failing before the equality target's first (part 6, the parent's)
+        (["extremal", "--target", "all", "--trials", "1100"], ((1, 2), (2, 0))),
+    ], ids=["check-1", "check-2-3", "check-1-2", "check-3-4", "extremal-vector", "extremal-all",
+            "extremal-chunks"])
     def test_the_earliest_failing_section_raises_as_in_one_process(self, argv, failing,
                                                                    monkeypatch, tmp_path,
                                                                    capsys):
@@ -695,7 +703,7 @@ class TestSplitSections:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err == ("error: the worker process for sections 1, 3, 5, 7, 9 ended "
+        assert captured.err == ("error: the worker process for parts 1, 3, 5, 7, 9 ended "
                                 f"without a result (exit code {-signal.SIGKILL})\n")
         _assert_no_child_left()
 

@@ -83,6 +83,19 @@ def test_engine_gaps_match_the_reference_loop_trial_by_trial(target, n_max, samp
 
 
 @pytest.mark.parametrize("target", TARGETS)
+def test_gaps_are_the_chunks_scored_one_at_a_time(target):
+    # a run deals the chunks over processes: each must score alone, in any order
+    chunks = suite._extremal_chunks(8, 2000, 2)
+    assert len(chunks) == 4
+    alone = {c: suite._extremal_chunk_gaps(target, 8, 2000, _base(target), 2, c)
+             for c in reversed(chunks)}
+    joined = np.concatenate([alone[c] for c in chunks])
+    assert joined.tobytes() == _extremal_gaps(target, 8, 2000, _base(target), 2).tobytes()
+    with pytest.raises(ValueError, match="chunk 4 is not one of the section's 4 chunks"):
+        suite._extremal_chunk_gaps(target, 8, 2000, _base(target), 2, 4)
+
+
+@pytest.mark.parametrize("target", TARGETS)
 def test_leading_trials_do_not_depend_on_the_trial_count(target):
     long = _extremal_gaps(target, 8, 2000, _base(target), 2)
     assert long[:50].tobytes() == _extremal_gaps(target, 8, 50, _base(target), 2).tobytes()

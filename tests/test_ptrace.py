@@ -164,6 +164,11 @@ class TestPacking:
         with pytest.raises(ValueError, match=r"shape mismatch \(2, 2\) vs \(3, 3\)"):
             pack_hermitian_pair(np.eye(2), np.eye(3))
 
+    def test_brute_route_rejects_a_pair_of_two_sizes(self):
+        # refused as lhs_operator refuses it, not by a matmul inside the Kronecker products
+        with pytest.raises(ValueError, match=r"shape mismatch \(2, 2\) vs \(3, 3\)"):
+            lhs_operator_brute(np.eye(2), np.eye(3))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_unpack_rejects_non_finite_parameters(self, bad):
         # refused, as pack_hermitian_pair refuses them, not unpacked to NaN entries

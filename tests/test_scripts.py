@@ -135,15 +135,16 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
                                   "svd_5_looped", "svd_5_stacked", "checker_trial_ahj_5",
                                   "checker_trial_lemma32_5", "checker_sweep_50",
                                   "search_stack_3", "search_q2_3000", "extremal_2000",
-                                  "check_all_50", "check_all_1000", "check_all_n64_20"}
+                                  "extremal_all_2000", "check_all_50", "check_all_1000",
+                                  "check_all_n64_20"}
     for row in doc["layers"].values():
         assert row["q1_us"] <= row["median_us"] <= row["q3_us"] and row["repeats"] == 2
         assert row["q1_us_scaled"] <= row["median_us_scaled"] <= row["q3_us_scaled"]
         assert row["speed_factor"] > 0
     search = doc["layers"]["search_q2_3000"]
     assert search["evaluations_per_s"] == pytest.approx(1e6 / search["median_us"])
-    for name in ("checker_sweep_50", "extremal_2000", "check_all_50", "check_all_1000",
-                 "check_all_n64_20"):
+    for name in ("checker_sweep_50", "extremal_2000", "extremal_all_2000", "check_all_50",
+                 "check_all_1000", "check_all_n64_20"):
         row = doc["layers"][name]
         assert row["trials_per_s"] == pytest.approx(1e6 / row["median_us"])
         assert row["trials_per_s_scaled"] == pytest.approx(1e6 / row["median_us_scaled"])
