@@ -22,9 +22,10 @@ the repeats:
   scoring and aggregation.  Every repeat starts from a fresh section base.
 - ``checker_sweep_50``: ``kyfan check --ineq all --trials 50`` in process:
   every family of ``suite.FAMILIES``, in its order, at n = 2..8 through
-  ``cli._check_section``, the path the command takes (each family's public
-  ``check_*`` function, the masked ones under the form of their family), 50
-  trials per section, each section on its own base.  Per trial of the 3500,
+  ``suite._check_section``, the check dispatch each section of the command
+  runs (each family's public ``check_*`` function, the masked ones under the
+  form of their family), 50 trials per section, each section on its own
+  base, in one process.  Per trial of the 3500,
   and the row also gives the median in trials per second.
 - ``check_all_50``, ``check_all_1000`` and ``check_all_n64_20``: ``kyfan
   check --ineq all`` with ``--trials 50``, with ``--trials 1000``, and with
@@ -100,7 +101,6 @@ from kyfan.cli import (
     DEFAULT_SEED,
     STREAM_STRIDE,
     RunConfig,
-    _check_section,
     _numeric_stack,
     execute,
     parse_arguments,
@@ -109,7 +109,14 @@ from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
 from kyfan.matrixcore import svd
 from kyfan.norms import INEQUALITY_TOL
 from kyfan.ptrace import SEARCH_BATCH, _unpack_pair, _worst_margins, search_counterexample
-from kyfan.suite import EXTREMAL_TARGETS, FAMILIES, _extremal_gaps, check_ahj, check_lemma32
+from kyfan.suite import (
+    EXTREMAL_TARGETS,
+    FAMILIES,
+    _check_section,
+    _extremal_gaps,
+    check_ahj,
+    check_lemma32,
+)
 
 SEED = DEFAULT_SEED
 SECTION = STREAM_STRIDE

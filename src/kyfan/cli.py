@@ -24,36 +24,36 @@ Split runs
 Every command is a list of independent sections: one family at one n for
 ``check``, one target for ``extremal``, the identity cross-check, the
 commuting regression and the bounded search for ``ptrace``, the one search
-or reproduction otherwise.  Each declares its stream section s, and
-:func:`execute` opens its stream, based at index s * 2**24, before any fork.
-A section is an ordered list of parts and a fold: an ``extremal`` target
-has one part per chunk of ``suite.EXTREMAL_CHUNK_BLOCKS`` blocks, every
-other section is its own one part.  :func:`execute` deals the parts of all
-sections, section after section, round-robin over min(available CPUs,
-parts) processes: this one plus one ``os.fork`` child per extra CPU (see
-:func:`_run_sections`; a run in one process takes the same path, with no
-child).  Each child sends its part outcomes back as one pickle on a pipe;
-each section's outcomes are folded in part order into its report entry, so
-the report bytes do not depend on the split.  ``fork`` rather than
-``spawn``, because a spawned worker re-imports numpy, which costs about as
-much as the whole ``check --trials 50`` sweep.  The run stays in one
-process when one CPU is available or there is one part, on platforms
-other than Linux, when other Python threads are alive (``fork`` copies no
-thread, so a lock one held would stay locked in the child), and when the
-BLAS is not pinned to one thread (below).
+or reproduction otherwise.  A section is a triple ``(stream_section, parts,
+fold)``.  Each part calls an engine that owns its trial loop
+(``suite._check_section``, ``suite._extremal_chunk_gaps``, the ``ptrace``
+lab and search functions) on the section's stream, and the fold shapes the
+outcomes, in part order, into the section's report entry and note.  An
+``extremal`` target has one part per chunk of ``suite.EXTREMAL_CHUNK_BLOCKS``
+blocks, every other section one part.  :func:`execute` opens section s's
+stream, based at index s * 2**24, before any fork, and :func:`_run` deals
+the parts of all sections, section after section, round-robin over
+min(available CPUs, parts) processes: this one plus one ``os.fork`` child
+per extra CPU (see :func:`_run_sections`; a run in one process takes the
+same path, with no child).  Each child sends its outcomes back as one
+pickle on a pipe, so the report bytes do not depend on the split.  ``fork``
+rather than ``spawn``, because a spawned worker re-imports numpy, which
+costs about as much as the whole ``check --trials 50`` sweep.  The run
+stays in one process when one CPU is available or there is one part, off
+Linux, when other Python threads are alive (``fork`` copies no thread, so
+a lock one held would stay locked in the child), and when the BLAS is not
+pinned to one thread.
 
 One BLAS thread
 ---------------
-:func:`execute` runs every command with the BLAS on one thread, through
-the thread-count setter of the OpenBLAS numpy is built on, and gives the
-caller back its own count when the command returns or raises.  Each
-process of a split run then has one core's worth of BLAS work, whatever n
-is, and the report bytes do not depend on the thread count the machine
-would default to (at n = 96 and 128 they did).  The report's
+:func:`_run` runs every part with the BLAS on one thread, through the
+thread-count setter of the OpenBLAS numpy is built on, and gives the caller
+back its count on return or raise.  Each process of a split run then has
+one core's worth of BLAS work, and the report bytes do not depend on the
+machine's default thread count (at n = 96 and 128 they did).  The report's
 ``environment`` block records the numpy and BLAS builds, the thread count
-(null where no setter is found) and the process count.  Where no setter is
-found, the BLAS runs as the caller set it, and every command runs in one
-process.
+(null where no setter is found: the BLAS then runs as the caller set it,
+and every command in one process) and the process count.
 """
 
 from __future__ import annotations
@@ -76,50 +76,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .ensembles import (
-    CHUNK_ENTRIES,
-    ENUMERATION_BUDGET,
-    SeededStream,
-    _commuting,
-    _count_sign_vectors,
-    _gaussian,
-    _haar,
-    random_hermitian,
-)
+from .ensembles import ENUMERATION_BUDGET, SeededStream, _count_sign_vectors
 from .fileformat import dump_document, write_text
 # perfbench/test_tracer.py checks that the tracer wraps cli's singular_values
-from .matrixcore import kronecker, partial_trace_first, singular_values  # noqa: F401
+from .matrixcore import singular_values  # noqa: F401
 from .norms import INEQUALITY_TOL, RESIDUAL_TOL, _violated, residual_vanishes
-from .ptrace import (
-    _worst_margins,
-    lhs_operator,
-    lhs_operator_brute,
-    search_counterexample,
-)
-from .reports import (
-    check_report_document,
-    render_table,
-    run_document,
-    witness_document,
-)
-# each check_* is called by name, through _check_section
-from .suite import (  # noqa: F401
+from .ptrace import _commuting_regression, _identity_residuals, search_counterexample
+from .reports import check_report_document, render_table, run_document, witness_document
+from .suite import (
     EXTREMAL_TARGETS,
     FAMILIES,
     Witness,
-    _check,
+    _check_section,
     _extremal_chunk_gaps,
     _extremal_chunks,
     _fan_counterexample,
     _scored_columns,
-    check_ahj,
-    check_fan_sigma1,
-    check_hadamard_family,
-    check_hmn,
-    check_lemma31,
-    check_lemma32,
-    check_product_family,
-    check_von_neumann,
 )
 
 __all__ = ["RunConfig", "parse_arguments", "execute", "main"]
@@ -205,9 +177,7 @@ def _finite_float(text: str) -> float:
 
 
 def _all_or_positive_int(text: str):
-    if text == "all":
-        return "all"
-    return _positive_int(text)
+    return "all" if text == "all" else _positive_int(text)
 
 
 def _all_or_dimension(text: str):
@@ -352,47 +322,8 @@ def parse_arguments(argv) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-class _Parts:
-    """A run section scored as ordered parts: each ``part(stream)`` of
-    ``parts`` gives an outcome, and ``fold`` takes the outcomes, in part
-    order, to the section's report section and note.  Called on the
-    section's stream, it runs every part here, in order, and folds them.
-    (Not a dataclass: building one adds about 0.5 ms to every command's import.)"""
-
-    def __init__(self, parts: tuple, fold):
-        self.parts, self.fold = parts, fold
-
-    def __call__(self, stream):
-        return self.fold([part(stream) for part in self.parts])
-
-    @classmethod
-    def of(cls, call) -> "_Parts":
-        """A section's ``call`` as parts: itself, or one part whose outcome is the section's."""
-        return call if isinstance(call, cls) else cls((call,), operator.itemgetter(0))
-
-
-def _check_section(family, n, trials, stream, tolerance, k_values):
-    """One section: ``family`` at n, run through its public ``check_*`` function.
-
-    The function is looked up by name as the section runs, so that a wrapper
-    put on the name after import (a tracer's) sees the section.  A masked
-    family's checker is named by its id's stem and takes the form first; one
-    of an ``--ineq`` group's several families, by the group, taking the rest
-    of its id last; any other family's, by its id.  A family with no such
-    function runs through the one engine entry, :func:`~kyfan.suite._check`.
-    """
-    stem, _, variant = family.id.partition("-")
-    form = None if family.form is None else family.form(n)
-    if form is not None:
-        name, args = f"check_{stem}", (form, n, trials, stream)
-    elif family.ineq != family.id:
-        name, args = f"check_{family.ineq}", (n, trials, stream, variant)
-    else:
-        name, args = "check_" + family.id.replace("-", "_"), (n, trials, stream)
-    if name not in globals():
-        return _check(family.id, n, trials, stream, form, tolerance=tolerance,
-                      k_values=k_values)
-    return globals()[name](*args, tolerance=tolerance, k_values=k_values)
+#: the fold of a one-part section: its part's outcome is the section's
+_only = operator.itemgetter(0)
 
 
 def _execute_check(cfg: RunConfig) -> list:
@@ -407,7 +338,8 @@ def _execute_check(cfg: RunConfig) -> list:
         report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
         return check_report_document(report, include_witness=report.violations > 0), None
 
-    return [(s, functools.partial(run, family, n)) for s, (family, n) in enumerate(cells)]
+    return [(s, (functools.partial(run, family, n),), _only)
+            for s, (family, n) in enumerate(cells)]
 
 
 def _process_count(parts: int, blas_threads) -> int:
@@ -478,17 +410,14 @@ def _one_blas_thread():
 def _run_sections(parts: list, processes: int) -> list:
     """``[part() for part in parts]``, part i run by process i % ``processes``.
 
-    ``parts`` are the parts of a run's sections, section after section, so
-    the dealing spreads a section of many parts over the processes as it
-    spreads many one-part sections.  Process 0 is this one; each other is an
-    ``os.fork`` child that runs its share, writes the outcome to a pipe as
-    one pickle, and leaves by ``os._exit`` (no atexit handler, no stdio
-    flush).  Every process stops at the first part of its share that raises.
-    The error raised here is that of the earliest failing part, as a loop in
-    one process would raise; a child that ends without a result fails at its
-    first part, with a ``ChildProcessError`` naming its share.  Every child
-    is reaped before this returns or raises, and killed first if it is still
-    running.
+    Process 0 is this one; each other is an ``os.fork`` child that runs its
+    share, writes the outcome to a pipe as one pickle, and leaves by
+    ``os._exit`` (no atexit handler, no stdio flush).  Every process stops at
+    the first part of its share that raises.  The error raised here is that
+    of the earliest failing part, as a loop in one process would raise; a
+    child that ends without a result fails at its first part, with a
+    ``ChildProcessError`` naming its share.  Every child is reaped before
+    this returns or raises, and killed first if it is still running.
     """
     count = len(parts)
     children = {}  # pid -> (read end of its pipe, its share)
@@ -564,91 +493,59 @@ def _execute_extremal(cfg: RunConfig) -> list:
 
     def fold(target, gaps):
         gaps = np.concatenate(gaps)
-        return {
-            "target": f"{target}-support" if target != "equality" else "trace-equality",
-            "trials": cfg.trials,
-            "max_dimension": n_max,
-            "worst_gap": float(gaps.max(initial=0.0)),
-            "tolerance": cfg.tolerance,
-            "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
-        }, None
+        return {"target": f"{target}-support" if target != "equality" else "trace-equality",
+                "trials": cfg.trials, "max_dimension": n_max,
+                "worst_gap": float(gaps.max(initial=0.0)), "tolerance": cfg.tolerance,
+                "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
+                }, None
 
     chunks = _extremal_chunks(n_max, cfg.trials, cfg.samples)
-    return [(s, _Parts(tuple(functools.partial(chunk, target, c) for c in chunks),
-                       functools.partial(fold, target)))
+    return [(s, tuple(functools.partial(chunk, target, c) for c in chunks),
+             functools.partial(fold, target))
             for s, target in enumerate(EXTREMAL_TARGETS) if cfg.target in ("all", target)]
 
 
 def _execute_repro(cfg: RunConfig) -> list:
     def run(stream):  # the construction is fixed: it draws nothing
         witness, spectrum, unitary_residual = _fan_counterexample()
-        return {
-            "target": "fan-counterexample",
-            "k": witness.k,
-            "margin": witness.margin,
-            "top_singular_value": float(spectrum[0]),
-            "spectrum": [float(v) for v in spectrum],
-            "unitary_residual": unitary_residual,
-            # the contraction bound the construction breaks is sigma_1 <= 1
-            "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
-            "witness": witness_document(witness),
-        }, "the contraction bound fails on this input, as constructed"
+        return {"target": "fan-counterexample", "k": witness.k, "margin": witness.margin,
+                "top_singular_value": float(spectrum[0]),
+                "spectrum": [float(v) for v in spectrum], "unitary_residual": unitary_residual,
+                # the contraction bound the construction breaks is sigma_1 <= 1
+                "violations": int(_violated(witness.margin, 1.0, cfg.tolerance)),
+                "witness": witness_document(witness),
+                }, "the contraction bound fails on this input, as constructed"
 
-    return [(0, run)]
+    return [(0, (run,), _only)]
 
 
 def _execute_ptrace(cfg: RunConfig) -> list:
-    n = cfg.n
-    ks = None if cfg.k_spec == "all" else np.array([int(cfg.k_spec)])
     # a zero budget scores nothing, so it writes no search section; the
     # regression, then the last section, carries the note that says so
     skipped = None if cfg.budget else "bounded search skipped: --budget 0"
 
     def identities(stream):
-        # closed form vs the Kronecker route, plus the basic partial-trace identity;
-        # each residual must vanish at the scale of its route's result, as in lhs_operator
         trials = min(cfg.trials, 50)
-        residuals, scales = np.zeros((2, trials)), np.zeros((2, trials))
-        for t in range(trials):
-            g = stream.offset(t).generator()
-            a, b = random_hermitian(n, g), random_hermitian(n, g)
-            closed, traced = lhs_operator(a, b, cross_check=False), np.trace(a) * b
-            residuals[:, t] = (np.linalg.norm(lhs_operator_brute(a, b) - closed),
-                               np.linalg.norm(partial_trace_first(kronecker(a, b), n) - traced))
-            scales[:, t] = np.linalg.norm(closed), np.linalg.norm(traced)
-        worst_closed, worst_kron = residuals.max(axis=1, initial=0.0).tolist()
-        if not residual_vanishes(residuals, scales).all():
-            raise ArithmeticError(
-                f"partial-trace identities failed: closed-form residual {worst_closed:.3e}, "
-                f"kron identity residual {worst_kron:.3e}"
-            )
+        worst_closed, worst_kron = _identity_residuals(cfg.n, trials, stream)
         return {"target": "identity-cross-check", "trials": trials,
                 "worst_closed_form_residual": worst_closed,
                 "worst_kron_identity_residual": worst_kron, "violations": 0}, None
 
     def regression(stream):
-        # commuting pairs must satisfy both questions; trial t draws from stream base + t
-        worst, violations = -np.inf, 0
-        chunk = max(1, CHUNK_ENTRIES // (n * n))
-        for start in range(0, cfg.trials, chunk):
-            gens = [stream.offset(t).generator()
-                    for t in range(start, min(cfg.trials, start + chunk))]
-            pairs = _commuting(_haar(np.stack([_gaussian(n, g) for g in gens])),
-                               np.stack([g.standard_normal(2 * n) for g in gens]))
-            margins, _, rhs, _, _ = _worst_margins(pairs, cfg.question, ks)
-            worst = max(worst, float(margins.max()))
-            violations += int(np.count_nonzero(_violated(margins, rhs, cfg.tolerance)))
+        worst, violations = _commuting_regression(cfg.question, cfg.n, cfg.trials, stream,
+                                                  cfg.k_spec, cfg.tolerance)
         return {"target": "commuting-regression", "question": cfg.question,
                 "trials": cfg.trials, "worst_margin": worst, "tolerance": cfg.tolerance,
                 "violations": violations}, skipped
 
     search = functools.partial(_search, cfg, target="bounded-search")
-    return [(0, identities), (1, regression)] + ([] if skipped else [(2, search)])
+    return [(s, (part,), _only)
+            for s, part in enumerate((identities, regression) + (() if skipped else (search,)))]
 
 
 def _execute_search(cfg: RunConfig) -> list:
-    return [(0, functools.partial(_search, cfg, target="counterexample-search", n=cfg.n,
-                                  restarts=cfg.restarts))]
+    return [(0, (functools.partial(_search, cfg, target="counterexample-search", n=cfg.n,
+                                   restarts=cfg.restarts),), _only)]
 
 
 def _search(cfg: RunConfig, stream: SeededStream, **head):
@@ -668,10 +565,9 @@ def _search(cfg: RunConfig, stream: SeededStream, **head):
     return fields, "counterexample candidate found — inspect the witness"
 
 
-#: command -> its executor: ``cfg`` -> its sections in report order, each a
-#: ``(stream_section, call)`` pair; :func:`execute` opens the section's stream,
-#: and ``call(stream)`` returns its report section and its note (None for none).
-#: A ``call`` that is :class:`_Parts` is run as its parts; any other, as one part
+#: command -> its executor: ``cfg`` -> its ``(stream_section, parts, fold)``
+#: sections in report order (see :func:`_run`); a fold gives its section's
+#: report section and note (None for none)
 _EXECUTORS = {
     "check": _execute_check,
     "extremal": _execute_extremal,
@@ -681,18 +577,27 @@ _EXECUTORS = {
 }
 
 
+def _run(sections) -> tuple[list, int | None, int]:
+    """Run ``(stream, parts, fold)`` sections with the BLAS on one thread:
+    every ``part(stream)``, dealt over the processes by :func:`_run_sections`,
+    then each ``fold`` of its section's outcomes in part order.  Returns the
+    folded outcomes, the BLAS thread count and the process count."""
+    with _one_blas_thread() as blas_threads:
+        parts = [functools.partial(part, stream)
+                 for stream, section_parts, _ in sections for part in section_parts]
+        processes = _process_count(len(parts), blas_threads)
+        done = iter(_run_sections(parts, processes))
+        outcomes = [fold(list(itertools.islice(done, len(section_parts))))
+                    for _, section_parts, fold in sections]
+    return outcomes, blas_threads, processes
+
+
 def execute(cfg: RunConfig) -> int:
     """Run one configured command, emit its report, return the exit status."""
     t0 = time.perf_counter()
-    with _one_blas_thread() as blas_threads:
-        sections = [(SeededStream(cfg.seed, s * STREAM_STRIDE), _Parts.of(call))
-                    for s, call in _EXECUTORS[cfg.command](cfg)]
-        parts = [functools.partial(part, stream)
-                 for stream, section in sections for part in section.parts]
-        processes = _process_count(len(parts), blas_threads)
-        done = iter(_run_sections(parts, processes))
-        outcomes = [section.fold(list(itertools.islice(done, len(section.parts))))
-                    for _, section in sections]
+    outcomes, blas_threads, processes = _run(
+        [(SeededStream(cfg.seed, s * STREAM_STRIDE), parts, fold)
+         for s, parts, fold in _EXECUTORS[cfg.command](cfg)])
     results = [result for result, _ in outcomes]
     notes = [note for _, note in outcomes if note is not None]
     total_violations = sum(r["violations"] for r in results)

@@ -37,6 +37,17 @@ the rhs there come from one function over the kernel, :func:`_worst_margins`:
 the search's start points and rounds, its witness decision, the regression
 and :func:`worst_question_margin` all call it.
 
+Lab sections
+------------
+``kyfan ptrace`` runs two loops of this module besides the search.  The
+identity cross-check, :func:`_identity_residuals`, holds the closed form to
+the Kronecker route and Tr_1(A ox B) to tr(A) B; the commuting regression,
+:func:`_commuting_regression`, scores commuting pairs, which satisfy both
+questions.  Both keep one stream per trial: trial t draws from
+``stream.offset(t).generator()``, whatever the trial count, and the
+regression scores its pairs in stacks.  They return numbers; ``kyfan.cli``
+shapes them into report sections.
+
 Search engine
 -------------
 A greedy step proposes one coordinate and one Gaussian move, of step
@@ -111,7 +122,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import CHUNK_ENTRIES, _as_stream, _commuting, _gaussian, _haar
+from .ensembles import CHUNK_ENTRIES, _as_stream, _commuting, _gaussian, _haar, random_hermitian
 from .matrixcore import (
     _adjoint,
     _hermitian_part,
@@ -350,6 +361,49 @@ def _worst_margins(pairs, question: int, ks=None, moved_b=None, sa=None, sd=None
     rows = np.arange(len(first))
     k = first + 1 if ks is None else ks[first]
     return margins[rows, first], k, rhs[rows, k - 1], sa, sd
+
+
+def _identity_residuals(n: int, trials: int, stream) -> tuple[float, float]:
+    """The worst residuals, over ``trials`` random Hermitian pairs at n, of
+    the closed form against the Kronecker route and of Tr_1(A ox B) against
+    tr(A) B.  Trial t draws A, then B, from ``stream.offset(t).generator()``.
+    Each residual must vanish at the scale of its route's result, as in
+    :func:`lhs_operator`, or an ArithmeticError is raised."""
+    residuals, scales = np.zeros((2, trials)), np.zeros((2, trials))
+    for t in range(trials):
+        g = stream.offset(t).generator()
+        a, b = random_hermitian(n, g), random_hermitian(n, g)
+        closed, traced = lhs_operator(a, b, cross_check=False), np.trace(a) * b
+        residuals[:, t] = (np.linalg.norm(lhs_operator_brute(a, b) - closed),
+                           np.linalg.norm(partial_trace_first(kronecker(a, b), n) - traced))
+        scales[:, t] = np.linalg.norm(closed), np.linalg.norm(traced)
+    worst_closed, worst_kron = residuals.max(axis=1, initial=0.0).tolist()
+    if not residual_vanishes(residuals, scales).all():
+        raise ArithmeticError(
+            f"partial-trace identities failed: closed-form residual {worst_closed:.3e}, "
+            f"kron identity residual {worst_kron:.3e}"
+        )
+    return worst_closed, worst_kron
+
+
+def _commuting_regression(question: int, n: int, trials: int, stream, k_policy="all",
+                          tolerance: float = INEQUALITY_TOL) -> tuple[float, int]:
+    """The worst margin over ``trials`` commuting Hermitian pairs at n, each at
+    its worst k of ``k_policy`` ("all" or one k), and how many break the
+    tolerance rule.  Trial t draws its eigenbasis normals, then its two
+    spectra, from ``stream.offset(t).generator()``; the pairs are scored in
+    stacks of at most ``CHUNK_ENTRIES`` entries per operand."""
+    ks = None if k_policy == "all" else np.array([int(k_policy)])
+    worst, violations = -np.inf, 0
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    for start in range(0, trials, chunk):
+        gens = [stream.offset(t).generator() for t in range(start, min(trials, start + chunk))]
+        pairs = _commuting(_haar(np.stack([_gaussian(n, g) for g in gens])),
+                           np.stack([g.standard_normal(2 * n) for g in gens]))
+        margins, _, rhs, _, _ = _worst_margins(pairs, question, ks)
+        worst = max(worst, float(margins.max()))
+        violations += int(np.count_nonzero(_violated(margins, rhs, tolerance)))
+    return worst, violations
 
 
 def question_margins_all_k(a, b, question: int) -> np.ndarray:

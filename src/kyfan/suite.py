@@ -9,6 +9,9 @@ Each inequality family is declared once, by its entry in :data:`FAMILIES`:
 its report id, ``check --ineq`` group, help line, one-trial draw, build and
 parts functions, scored k values and form.  ``kyfan check``, its help text and
 :func:`reevaluate_margin` read the table, so a family is added by one entry.
+A ``kyfan check`` section, one family at one n, runs through
+:func:`_check_section`, the check dispatch: it calls the family's public
+``check_*`` function, or :func:`_check` for a family that has none.
 
 Trial engine (stream contract v6)
 ---------------------------------
@@ -658,6 +661,33 @@ def check_fan_sigma1(n, trials, s, *, tolerance=INEQUALITY_TOL, k_values=None) -
     """Top singular value of the diagonal-negated product stays below
     sigma_1(A) sigma_1(B), applied both to (A, B) and to (A^T, B)."""
     return _check("fan-sigma1", n, trials, s, tolerance=tolerance, k_values=k_values)
+
+
+def _check_section(family: Family, n, trials, s, tolerance=INEQUALITY_TOL,
+                   k_values=None) -> CheckReport:
+    """One ``kyfan check`` section: ``family`` at n, run through its public ``check_*``.
+
+    A masked family's checker is named by its id's stem and takes the form
+    at n first; one of an ``--ineq`` group's several families, by the group,
+    taking the rest of its id last; any other family's, by its id.  Each is
+    called by its name in this module, looked up as the section runs, so
+    that a wrapper put on the name after import (a tracer's) sees the
+    section.  A family with no checker runs through :func:`_check`.
+    """
+    stem, _, variant = family.id.partition("-")
+    form = None if family.form is None else family.form(n)
+    kw = {"tolerance": tolerance, "k_values": k_values}
+    checker = {"von-neumann": check_von_neumann, "product-family": check_product_family,
+               "hadamard-family": check_hadamard_family, "ahj": check_ahj,
+               "lemma31": check_lemma31, "lemma32": check_lemma32, "hmn": check_hmn,
+               "fan-sigma1": check_fan_sigma1}.get(family.ineq if form is None else stem)
+    if checker is None:
+        return _check(family.id, n, trials, s, form, **kw)
+    if form is not None:
+        return checker(form, n, trials, s, **kw)
+    if family.ineq != family.id:
+        return checker(n, trials, s, variant, **kw)
+    return checker(n, trials, s, **kw)
 
 
 # ---------------------------------------------------------------------------

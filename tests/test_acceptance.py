@@ -7,9 +7,13 @@ All randomness is drawn from ACCEPTANCE_SEED through per-criterion stream
 sections, so the whole gate is reproducible bit for bit.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 import extremal_reference as reference
+from kyfan import cli
 from kyfan.ensembles import (
     SeededStream,
     commuting_hermitian_pair,
@@ -17,19 +21,15 @@ from kyfan.ensembles import (
     random_hermitian,
     support_function_gap,
 )
-from kyfan.forms import fan_form, fan_product, hadamard_form, phi, psi
+from kyfan.forms import fan_product, phi, psi
 from kyfan.matrixcore import kronecker, partial_trace_first, singular_values
 from kyfan.ptrace import lhs_operator, lhs_operator_brute, question_margins_all_k, search_counterexample
 from kyfan.reports import check_report_document, report_body_bytes, run_document
 from kyfan.suite import (
+    FAMILIES,
+    _check_section,
     _extremal_gaps,
-    check_ahj,
     check_hadamard_family,
-    check_hmn,
-    check_lemma31,
-    check_lemma32,
-    check_product_family,
-    check_von_neumann,
     reproduce_fan_counterexample,
     von_neumann_equality_witness,
 )
@@ -84,31 +84,26 @@ def test_criterion_1_support_function_extreme_points(capsys):
 
 
 def test_criterion_2_theorem_suites_zero_violations(capsys):
-    runners = (
-        ("von-neumann", lambda n, t, s: check_von_neumann(n, t, s)),
-        ("product-family", lambda n, t, s: check_product_family(n, t, s)),
-        ("hadamard-family", lambda n, t, s: check_hadamard_family(n, t, s)),
-        ("ahj-given", lambda n, t, s: check_ahj(n, t, s, "given")),
-        ("ahj-sqrt", lambda n, t, s: check_ahj(n, t, s, "sqrt")),
-        ("lemma31", lambda n, t, s: check_lemma31(hadamard_form(n), n, t, s)),
-        ("lemma32", lambda n, t, s: check_lemma32(n, t, s)),
-        ("hmn-hadamard", lambda n, t, s: check_hmn(hadamard_form(n), n, t, s)),
-        ("hmn-fan", lambda n, t, s: check_hmn(fan_form(n), n, t, s)),
-    )
+    # the nine theorem checkers through the check dispatch and the runner that
+    # `kyfan check` uses, one section per (checker, n) on its own stream base
+    names = ("von-neumann", "product-family", "hadamard-family", "ahj-given", "ahj-sqrt",
+             "lemma31", "lemma32", "hmn-hadamard", "hmn-fan")
     trials = 10_000
     tolerance = 1e-8
+    cells = [(name, n) for name in names for n in range(2, 9)]
+    reports, _, _ = cli._run([
+        (SeededStream(ACCEPTANCE_SEED, 2 * SECTION + section * STRIDE),
+         (functools.partial(_check_section, FAMILIES[name], n, trials, tolerance=tolerance),),
+         operator.itemgetter(0))
+        for section, (name, n) in enumerate(cells)])
     violations = 0
     worst = -np.inf
     worst_at = ""
-    section = 0
-    for name, fn in runners:
-        for n in range(2, 9):
-            report = fn(n, trials, SeededStream(ACCEPTANCE_SEED, 2 * SECTION + section * STRIDE))
-            violations += report.violations
-            if report.worst_margin > worst:
-                worst = report.worst_margin
-                worst_at = f"{name} n={n}"
-            section += 1
+    for (name, n), report in zip(cells, reports):
+        violations += report.violations
+        if report.worst_margin > worst:
+            worst = report.worst_margin
+            worst_at = f"{name} n={n}"
     ok = violations == 0
     detail = (
         f"{violations} violations over 9 checkers x n=2..8 x {trials} trials "

@@ -21,13 +21,12 @@ from kyfan.cli import (
     STREAM_STRIDE,
     RunConfig,
     _build_parser,
-    _check_section,
     execute,
     main,
     parse_arguments,
 )
 from kyfan.ensembles import BudgetError, SeededStream, _check_enumeration_budgets
-from kyfan.suite import FAMILIES
+from kyfan.suite import FAMILIES, _check_section
 from kyfan.norms import INEQUALITY_TOL, RESIDUAL_TOL
 from kyfan.fileformat import load_document
 from kyfan.reports import SCHEMA_ID, report_body_bytes
@@ -353,8 +352,10 @@ class TestExecution:
                                                                   tmp_path, capsys):
         # the identity section holds the closed form to the Kronecker route at the
         # scale of its norm, as lhs_operator(cross_check=True) does
-        real = cli.lhs_operator
-        monkeypatch.setattr(cli, "lhs_operator",
+        from kyfan import ptrace
+
+        real = ptrace.lhs_operator
+        monkeypatch.setattr(ptrace, "lhs_operator",
                             lambda a, b, **kw: real(a, b, **kw) * (1.0 + 1e-6))
         out = tmp_path / "pt.json"
         assert main(["ptrace", "--question", "1", "--n", "3", "--trials", "5",
@@ -587,7 +588,7 @@ class TestKRejection:
 def test_each_run_declares_its_stream_sections(argv, layout):
     # execute opens section s's stream at s * STREAM_STRIDE: no two sections may share one
     cfg = parse_arguments(argv)
-    declared = tuple(s for s, _ in cli._EXECUTORS[cfg.command](cfg))
+    declared = tuple(s for s, _, _ in cli._EXECUTORS[cfg.command](cfg))
     assert declared == layout
     assert len(set(declared)) == len(declared)
 
@@ -786,15 +787,14 @@ class TestOneBlasThread:
     ], ids=["returns", "raises"])
     def test_the_callers_thread_count_is_restored(self, cfg, raises, monkeypatch, capsys):
         get, put = _needs_blas_thread_setter()
-        command = cfg.command
-        real = cli._EXECUTORS[command]
+        real = cli._run_sections
         during = []
 
-        def executor(cfg):
+        def run_sections(parts, processes):  # the thread count the parts run with
             during.append(get())
-            return real(cfg)
+            return real(parts, processes)
 
-        monkeypatch.setitem(cli._EXECUTORS, command, executor)
+        monkeypatch.setattr(cli, "_run_sections", run_sections)
         before = get()
         try:
             put(2)  # the caller's count; a one-CPU machine may cap it to 1

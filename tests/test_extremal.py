@@ -65,8 +65,10 @@ def _public_draws(w, n, samples, g):
 def test_report_matches_the_reference_loop(n_max, samples, trials):
     cfg = parse_arguments(["extremal", "--n", str(n_max), "--samples", str(samples),
                            "--trials", str(trials), "--seed", str(SEED)])
-    results = [call(SeededStream(SEED, s * STREAM_STRIDE))[0]
-               for s, call in _execute_extremal(cfg)]
+    results = []
+    for s, parts, fold in _execute_extremal(cfg):  # each part in order, as in one process
+        stream = SeededStream(SEED, s * STREAM_STRIDE)
+        results.append(fold([part(stream) for part in parts])[0])
     assert [r["trials"] for r in results] == [trials] * 3
     for target, result in zip(TARGETS, results):
         gaps = _reference_gaps(target, n_max, trials, samples)
