@@ -59,6 +59,16 @@ the repeats:
   its report written to a discarded buffer, as the ``check_all_*`` rows
   run; every repeat takes its own seed.  Per trial of the 6000, and the
   row also gives the median in trials per second.
+- ``setup_check`` and ``setup_search``: the set-up of perfbench's
+  sweep-small and search-q2 command lines (``check --ineq all --trials 50``
+  and ``search --question 2 --n 3 --restarts 8 --strategy general --budget
+  3000``), per launch, ``SETUP_LAUNCHES`` launches a loop: the time from
+  spawn to exit of a fresh interpreter that imports ``kyfan.cli``, parses
+  the command line with ``parse_arguments`` and leaves by ``os._exit``,
+  before any report work or interpreter teardown.  The launch imports the
+  kyfan this script measures, writes no bytecode and reads any
+  ``__pycache__`` the checkout already has: delete those for cold-start
+  figures.
 
 A shared machine drifts between speed states, within seconds as well as
 over minutes, so perfbench's calibration kernel (``calibrate`` in
@@ -90,12 +100,14 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import kyfan
 from kyfan.cli import (
     DEFAULT_NS,
     DEFAULT_SEED,
@@ -135,6 +147,16 @@ LARGE_TRIALS = 20
 #: calibration kernel time on the reference machine, as in perfbench/run.py
 CAL_REF_S = 0.03
 CALIBRATION_ROUNDS = 5
+#: fresh interpreters launched per timed loop of a ``setup_*`` row
+SETUP_LAUNCHES = 3
+#: perfbench's sweep-small and search-q2 command lines, by the row that times their set-up
+SETUP_ARGV = {
+    "setup_check": ("check", "--ineq", "all", "--trials", "50"),
+    "setup_search": ("search", "--question", "2", "--n", "3", "--restarts", "8",
+                     "--strategy", "general", "--budget", "3000"),
+}
+#: one ``setup_*`` launch: the set-up of ``kyfan``, then an exit with no teardown
+_SETUP = "import os, sys, kyfan.cli; kyfan.cli.parse_arguments(sys.argv[1:]); os._exit(0)"
 
 
 def _load_calibrate():
@@ -246,6 +268,17 @@ def measure(ops: int, repeats: int) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             execute(cfg)
 
+    kyfan_root = str(Path(kyfan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (kyfan_root, os.environ.get("PYTHONPATH"))))}
+
+    def setup(argv):
+        def loop(rep):
+            for _ in range(SETUP_LAUNCHES):
+                subprocess.run([sys.executable, "-c", _SETUP, *argv], env=env, check=True)
+
+        return loop
+
     layers = {
         "stream_open": (stream_open, ops),
         "draw_gaussian_5": (draw_gaussian, ops),
@@ -261,6 +294,7 @@ def measure(ops: int, repeats: int) -> dict:
         "check_all_50": (check_all(50), len(sweep) * 50),
         "check_all_1000": (check_all(1000), len(sweep) * 1000),
         "check_all_n64_20": (check_all(LARGE_TRIALS, LARGE_N), len(FAMILIES) * LARGE_TRIALS),
+        **{name: (setup(argv), SETUP_LAUNCHES) for name, argv in SETUP_ARGV.items()},
     }
     rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
     search = rows["search_q2_3000"]

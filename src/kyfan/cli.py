@@ -19,6 +19,26 @@ Exit status: 0 = run completed with zero violations, 2 = violations found,
 can be overridden by the ``KYFAN_SEED`` environment variable or the
 ``--seed`` flag; the effective seed and its source are echoed into every report.
 
+Set-up
+------
+:func:`parse_arguments` imports the one engine module the chosen command
+runs, as ``_COMMANDS`` names it: :mod:`kyfan.suite` (with the
+:mod:`kyfan.forms` it imports) for ``check``, ``extremal`` and ``repro``,
+:mod:`kyfan.ptrace` for ``ptrace`` and ``search``, and neither for ``kyfan
+--help``.  Every command also loads :mod:`kyfan.ensembles`,
+:mod:`kyfan.fileformat` and :mod:`kyfan.reports`, which this module
+imports.  The parser fills in the options of the chosen subcommand only:
+``check --ineq`` reads its choices and help from ``suite.FAMILIES``, and
+``extremal --target`` its choices from ``suite.EXTREMAL_TARGETS``, only
+when that subcommand is parsed, while ``kyfan --help`` lists every
+subcommand with its help line.  Without a bytecode cache a module is
+compiled as it is imported, so a ``check`` compiles no ``ptrace`` (about
+7 ms of set-up) and a ``search`` no ``suite`` or ``forms`` (about 10 ms).
+:func:`execute` imports nothing once the command is parsed: it reaches the
+engine's functions through the module parsing loaded, so no import falls in
+the window of a caller that times ``execute`` alone.  (A ``RunConfig`` built
+by hand gets its engine imported by its first ``execute``.)
+
 Split runs
 ----------
 Every command is a list of independent sections: one family at one n for
@@ -63,6 +83,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import importlib
 import itertools
 import math
 import operator
@@ -71,6 +92,7 @@ import pickle
 import sys
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +103,7 @@ from .fileformat import dump_document, write_text
 # perfbench/test_tracer.py checks that the tracer wraps cli's singular_values
 from .matrixcore import singular_values  # noqa: F401
 from .norms import INEQUALITY_TOL, RESIDUAL_TOL, _violated, residual_vanishes
-from .ptrace import _commuting_regression, _identity_residuals, search_counterexample
-from .reports import check_report_document, render_table, run_document, witness_document
-from .suite import (
-    EXTREMAL_TARGETS,
-    FAMILIES,
-    Witness,
-    _check_section,
-    _extremal_chunk_gaps,
-    _extremal_chunks,
-    _fan_counterexample,
-    _scored_columns,
-)
+from .reports import Witness, check_report_document, render_table, run_document, witness_document
 
 __all__ = ["RunConfig", "parse_arguments", "execute", "main"]
 
@@ -101,8 +112,6 @@ SEED_ENV_VAR = "KYFAN_SEED"
 #: stream spacing between run sections so (section, trial) pairs never collide
 STREAM_STRIDE = 2**24
 DEFAULT_NS = (2, 3, 4, 5, 6, 7, 8)
-
-INEQUALITY_IDS = tuple(dict.fromkeys(family.ineq for family in FAMILIES.values()))
 
 
 @dataclass(frozen=True)
@@ -219,62 +228,67 @@ def _add_options(parser, *flags, **defaults) -> None:
     parser.set_defaults(**defaults)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _check_options(parser, suite) -> None:
+    parser.description = "Inequality ids:\n" + "\n".join(
+        f"  {f.ineq}: {f.help}" for f in suite.FAMILIES.values() if f.help)
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter
+    parser.add_argument("--ineq", dest="inequality_id", required=True,
+                        choices=suite.INEQUALITY_IDS + ("all",),
+                        help="inequality id, or 'all' for the full theorem sweep")
+    parser.add_argument("--n", type=_all_or_dimension, default=None,
+                        help="matrix dimension, or 'all' for n = 2..8 (default)")
+    _add_options(parser, "--k", "--trials", "--tolerance", "--seed", "--out", "--format",
+                 trials=10000)
+
+
+def _extremal_options(parser, suite) -> None:
+    parser.description = (
+        "Targets: vector (sign-vector candidates vs the dual-norm closed form), "
+        "matrix (scaled partial isometries vs the dual form on the spectrum), "
+        "equality (rank-one construction attaining the trace bound)."
+    )
+    parser.add_argument("--target", choices=suite.EXTREMAL_TARGETS + ("all",), default="all")
+    parser.add_argument("--n", type=_extremal_dimension, default=8,
+                        help="maximum dimension sampled (default 8)")
+    parser.add_argument("--samples", type=_nonnegative_int, default=2,
+                        help="random candidates cross-checked per matrix trial")
+    _add_options(parser, "--trials", "--seed", "--out", "--format",
+                 trials=1000, tolerance=RESIDUAL_TOL)
+
+
+def _repro_options(parser, engine) -> None:
+    parser.add_argument("target", choices=("fan-counterexample",))
+    _add_options(parser, "--tolerance", "--out", "--format")
+
+
+def _ptrace_options(parser, engine) -> None:
+    _add_options(parser, "--trials", *_SEARCH, trials=200, budget=0, restarts=4)
+
+
+def _search_options(parser, engine) -> None:
+    _add_options(parser, *_SEARCH, budget=20000, restarts=8)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``kyfan`` parser: every subcommand with its help line, and only
+    ``command``'s with its options, read from its engine (see "Set-up")."""
     parser = _UsageParser(
         prog="kyfan",
         description="Seeded numerical checks for singular-value inequalities.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    id_lines = "\n".join(f"  {f.ineq}: {f.help}" for f in FAMILIES.values() if f.help)
-    check = sub.add_parser(
-        "check",
-        help="run a randomized inequality suite",
-        description="Inequality ids:\n" + id_lines,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    check.add_argument("--ineq", dest="inequality_id", required=True,
-                       choices=INEQUALITY_IDS + ("all",),
-                       help="inequality id, or 'all' for the full theorem sweep")
-    check.add_argument("--n", type=_all_or_dimension, default=None,
-                       help="matrix dimension, or 'all' for n = 2..8 (default)")
-    _add_options(check, "--k", "--trials", "--tolerance", "--seed", "--out", "--format",
-                 trials=10000)
-
-    extremal = sub.add_parser(
-        "extremal",
-        help="support-function and trace-equality validation",
-        description=(
-            "Targets: vector (sign-vector candidates vs the dual-norm closed form), "
-            "matrix (scaled partial isometries vs the dual form on the spectrum), "
-            "equality (rank-one construction attaining the trace bound)."
-        ),
-    )
-    extremal.add_argument("--target", choices=EXTREMAL_TARGETS + ("all",),
-                          default="all")
-    extremal.add_argument("--n", type=_extremal_dimension, default=8,
-                          help="maximum dimension sampled (default 8)")
-    extremal.add_argument("--samples", type=_nonnegative_int, default=2,
-                          help="random candidates cross-checked per matrix trial")
-    _add_options(extremal, "--trials", "--seed", "--out", "--format",
-                 trials=1000, tolerance=RESIDUAL_TOL)
-
-    repro = sub.add_parser(
-        "repro", help="reproduce the exact 3x3 contraction-norm violation (exits 2)",
-    )
-    repro.add_argument("target", choices=("fan-counterexample",))
-    _add_options(repro, "--tolerance", "--out", "--format")
-
-    ptrace = sub.add_parser(
-        "ptrace", help="partial-trace lab: identities, commuting regression, bounded search",
-    )
-    _add_options(ptrace, "--trials", *_SEARCH, trials=200, budget=0, restarts=4)
-    search = sub.add_parser(
-        "search", help="multi-restart counterexample search for one open question",
-    )
-    _add_options(search, *_SEARCH, budget=20000, restarts=8)
+    for name, spec in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=spec.help)
+        if name == command:
+            spec.options(subparser, _engine(name))
     return parser
+
+
+def _engine(command: str):
+    """The engine module of ``command``: imported by :func:`parse_arguments`,
+    found already loaded by :func:`execute`."""
+    return importlib.import_module(f"{__package__}.{_COMMANDS[command].engine}")
 
 
 def _resolve_seed(parser: argparse.ArgumentParser, flag_value) -> tuple[int, str]:
@@ -293,8 +307,11 @@ def _resolve_seed(parser: argparse.ArgumentParser, flag_value) -> tuple[int, str
 
 
 def parse_arguments(argv) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
+    argv = list(argv)
+    # the options before a command take no value, so the first command name is
+    # the one argparse runs; any other word ahead of it is a usage error
+    parser = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
+    args = parser.parse_args(argv)
     if args.command == "check" and args.inequality_id == "all" and args.k_spec != "all":
         # each family scores its own k values, so no one k suits them all
         parser.error("--k needs a single --ineq: with --ineq all, every family scores "
@@ -326,16 +343,16 @@ def parse_arguments(argv) -> RunConfig:
 _only = operator.itemgetter(0)
 
 
-def _execute_check(cfg: RunConfig) -> list:
-    families = [f for f in FAMILIES.values() if cfg.inequality_id in ("all", f.ineq)]
+def _execute_check(cfg: RunConfig, suite) -> list:
+    families = [f for f in suite.FAMILIES.values() if cfg.inequality_id in ("all", f.ineq)]
     ns = DEFAULT_NS if cfg.n is None else (cfg.n,)
     k_values = None if cfg.k_spec == "all" else (int(cfg.k_spec),)
     cells = list(itertools.product(families, ns))
-    for family, n in cells:
-        _scored_columns(family, family.id, n, k_values)  # refuses a k before any section runs
+    for family, n in cells:  # refuses a k before any section runs
+        suite._scored_columns(family, family.id, n, k_values)
 
     def run(family, n, stream):
-        report = _check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
+        report = suite._check_section(family, n, cfg.trials, stream, cfg.tolerance, k_values)
         return check_report_document(report, include_witness=report.violations > 0), None
 
     return [(s, (functools.partial(run, family, n),), _only)
@@ -485,11 +502,11 @@ def _run_share(parts, share):
     return results, None
 
 
-def _execute_extremal(cfg: RunConfig) -> list:
+def _execute_extremal(cfg: RunConfig, suite) -> list:
     n_max = cfg.n or 8
 
     def chunk(target, c, stream):
-        return _extremal_chunk_gaps(target, n_max, cfg.trials, stream, cfg.samples, c)
+        return suite._extremal_chunk_gaps(target, n_max, cfg.trials, stream, cfg.samples, c)
 
     def fold(target, gaps):
         gaps = np.concatenate(gaps)
@@ -499,15 +516,15 @@ def _execute_extremal(cfg: RunConfig) -> list:
                 "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
                 }, None
 
-    chunks = _extremal_chunks(n_max, cfg.trials, cfg.samples)
+    chunks = suite._extremal_chunks(n_max, cfg.trials, cfg.samples)
     return [(s, tuple(functools.partial(chunk, target, c) for c in chunks),
              functools.partial(fold, target))
-            for s, target in enumerate(EXTREMAL_TARGETS) if cfg.target in ("all", target)]
+            for s, target in enumerate(suite.EXTREMAL_TARGETS) if cfg.target in ("all", target)]
 
 
-def _execute_repro(cfg: RunConfig) -> list:
+def _execute_repro(cfg: RunConfig, suite) -> list:
     def run(stream):  # the construction is fixed: it draws nothing
-        witness, spectrum, unitary_residual = _fan_counterexample()
+        witness, spectrum, unitary_residual = suite._fan_counterexample()
         return {"target": "fan-counterexample", "k": witness.k, "margin": witness.margin,
                 "top_singular_value": float(spectrum[0]),
                 "spectrum": [float(v) for v in spectrum], "unitary_residual": unitary_residual,
@@ -519,41 +536,42 @@ def _execute_repro(cfg: RunConfig) -> list:
     return [(0, (run,), _only)]
 
 
-def _execute_ptrace(cfg: RunConfig) -> list:
+def _execute_ptrace(cfg: RunConfig, ptrace) -> list:
     # a zero budget scores nothing, so it writes no search section; the
     # regression, then the last section, carries the note that says so
     skipped = None if cfg.budget else "bounded search skipped: --budget 0"
 
     def identities(stream):
         trials = min(cfg.trials, 50)
-        worst_closed, worst_kron = _identity_residuals(cfg.n, trials, stream)
+        worst_closed, worst_kron = ptrace._identity_residuals(cfg.n, trials, stream)
         return {"target": "identity-cross-check", "trials": trials,
                 "worst_closed_form_residual": worst_closed,
                 "worst_kron_identity_residual": worst_kron, "violations": 0}, None
 
     def regression(stream):
-        worst, violations = _commuting_regression(cfg.question, cfg.n, cfg.trials, stream,
-                                                  cfg.k_spec, cfg.tolerance)
+        worst, violations = ptrace._commuting_regression(cfg.question, cfg.n, cfg.trials,
+                                                         stream, cfg.k_spec, cfg.tolerance)
         return {"target": "commuting-regression", "question": cfg.question,
                 "trials": cfg.trials, "worst_margin": worst, "tolerance": cfg.tolerance,
                 "violations": violations}, skipped
 
-    search = functools.partial(_search, cfg, target="bounded-search")
+    search = functools.partial(_search, cfg, ptrace, target="bounded-search")
     return [(s, (part,), _only)
             for s, part in enumerate((identities, regression) + (() if skipped else (search,)))]
 
 
-def _execute_search(cfg: RunConfig) -> list:
-    return [(0, (functools.partial(_search, cfg, target="counterexample-search", n=cfg.n,
-                                   restarts=cfg.restarts),), _only)]
+def _execute_search(cfg: RunConfig, ptrace) -> list:
+    return [(0, (functools.partial(_search, cfg, ptrace, target="counterexample-search",
+                                   n=cfg.n, restarts=cfg.restarts),), _only)]
 
 
-def _search(cfg: RunConfig, stream: SeededStream, **head):
+def _search(cfg: RunConfig, ptrace, stream: SeededStream, **head):
     """The configured search, drawing from ``stream``: its report section
     (``head``, then the fields both search sections report, its violation
     count and its witness if it found one among them) and its note."""
-    result = search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget, cfg.restarts,
-                                   stream, strategy=cfg.strategy, tolerance=cfg.tolerance)
+    result = ptrace.search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget,
+                                          cfg.restarts, stream, strategy=cfg.strategy,
+                                          tolerance=cfg.tolerance)
     fields = {**head, "question": cfg.question, "strategy": result.strategy,
               "budget": cfg.budget, "evaluations": result.evaluations,
               "best_margin": result.best_margin, "violations": 0}
@@ -565,16 +583,43 @@ def _search(cfg: RunConfig, stream: SeededStream, **head):
     return fields, "counterexample candidate found — inspect the witness"
 
 
-#: command -> its executor: ``cfg`` -> its ``(stream_section, parts, fold)``
-#: sections in report order (see :func:`_run`); a fold gives its section's
-#: report section and note (None for none)
-_EXECUTORS = {
-    "check": _execute_check,
-    "extremal": _execute_extremal,
-    "repro": _execute_repro,
-    "ptrace": _execute_ptrace,
-    "search": _execute_search,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand, declared once.
+
+    ``engine`` names the ``kyfan`` module that runs it and ``help`` is its
+    line in ``kyfan --help``.  ``options(parser, module)`` gives its parser
+    its description and options, and ``sections(cfg, module)`` lists its
+    ``(stream_section, parts, fold)`` sections in report order (see
+    :func:`_run`), ``module`` being the engine module; a fold gives its
+    section's report section and note (None for none).
+    """
+
+    engine: str
+    help: str
+    options: Callable
+    sections: Callable
+
+
+#: every subcommand, in ``kyfan --help`` order
+_COMMANDS = {
+    "check": _Command("suite", "run a randomized inequality suite",
+                      _check_options, _execute_check),
+    "extremal": _Command("suite", "support-function and trace-equality validation",
+                         _extremal_options, _execute_extremal),
+    "repro": _Command("suite", "reproduce the exact 3x3 contraction-norm violation (exits 2)",
+                      _repro_options, _execute_repro),
+    "ptrace": _Command("ptrace",
+                       "partial-trace lab: identities, commuting regression, bounded search",
+                       _ptrace_options, _execute_ptrace),
+    "search": _Command("ptrace", "multi-restart counterexample search for one open question",
+                       _search_options, _execute_search),
 }
+
+
+def _sections(cfg: RunConfig) -> list:
+    """The sections of ``cfg``'s command, listed by its engine."""
+    return _COMMANDS[cfg.command].sections(cfg, _engine(cfg.command))
 
 
 def _run(sections) -> tuple[list, int | None, int]:
@@ -597,7 +642,7 @@ def execute(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     outcomes, blas_threads, processes = _run(
         [(SeededStream(cfg.seed, s * STREAM_STRIDE), parts, fold)
-         for s, parts, fold in _EXECUTORS[cfg.command](cfg)])
+         for s, parts, fold in _sections(cfg)])
     results = [result for result, _ in outcomes]
     notes = [note for _, note in outcomes if note is not None]
     total_violations = sum(r["violations"] for r in results)

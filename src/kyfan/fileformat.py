@@ -106,19 +106,27 @@ def matrix_to_document(a) -> dict:
 
 
 def document_to_matrix(doc) -> np.ndarray:
+    """The matrix of a :func:`matrix_to_document` document; ``ValueError`` for
+    any other: ``rows`` and ``cols`` positive ints, ``data`` a list of
+    rows * cols entries, each a list of two finite real numbers.  A bool,
+    though an int to Python, is neither."""
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be an object")
     missing = {"rows", "cols", "data"} - set(doc)
     if missing:
         raise ValueError(f"matrix document missing fields: {sorted(missing)}")
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    if not (type(rows) is int and type(cols) is int):
+        raise ValueError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
-    data = doc["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ValueError(f"expected a list of {rows * cols} entries, got {data!r:.60}")
     flat = np.empty(rows * cols, dtype=np.complex128)
     for idx, pair in enumerate(data):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(v) in (int, float) for v in pair)):
+            raise ValueError(f"entry {idx} must be [re, im], two real numbers, got {pair!r}")
         re, im = float(pair[0]), float(pair[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"non-finite entry at index {idx}")

@@ -10,15 +10,21 @@ determinism tests compare.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 from . import __version__
 from .ensembles import GENERATOR_ID
 from .fileformat import dump_document, matrix_to_document, write_text
-from .suite import CheckReport, Witness
+
+if TYPE_CHECKING:  # an annotation only: importing suite here would load it for every command
+    from .suite import CheckReport
 
 __all__ = [
     "SCHEMA_ID",
     "TIMING_FIELDS",
     "ENVIRONMENT_FIELD",
+    "Witness",
     "witness_document",
     "check_report_document",
     "run_document",
@@ -33,6 +39,15 @@ SCHEMA_ID = "kyfan-report/1"
 TIMING_FIELDS = frozenset({"elapsed_seconds"})
 #: the run document's record of the numeric stack, excluded from body bytes
 ENVIRONMENT_FIELD = "environment"
+
+
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """Inputs of one trial plus the k and margin they produced."""
+
+    matrices: dict
+    k: int
+    margin: float
 
 
 def witness_document(witness: Witness) -> dict:

@@ -3,7 +3,8 @@
 Each checker draws seeded trials, evaluates one inequality family at every
 requested k, and counts as violations the (trial, k) entries whose margin
 lhs - rhs breaks the tolerance rule of :mod:`kyfan.norms`.  The worst trial
-is kept as a :class:`Witness` whose matrices re-evaluate to its margin.
+is kept as a :class:`~kyfan.reports.Witness` whose matrices re-evaluate to
+its margin.
 
 Each inequality family is declared once, by its entry in :data:`FAMILIES`:
 its report id, ``check --ineq`` group, help line, one-trial draw, build and
@@ -185,6 +186,7 @@ from .matrixcore import (
     svd,
 )
 from .norms import INEQUALITY_TOL, _check_weight_rows, _violated, residual_vanishes
+from .reports import Witness
 
 __all__ = [
     "Witness",
@@ -202,16 +204,8 @@ __all__ = [
     "reevaluate_margin",
     "Family",
     "FAMILIES",
+    "INEQUALITY_IDS",
 ]
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Inputs of one trial plus the k and margin they produced."""
-
-    matrices: dict
-    k: int
-    margin: float
-
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
@@ -453,6 +447,9 @@ FAMILIES = {family.id: family for family in (
            "s_1 of the diagonal-negated product <= s_1(A) s_1(B), also with A transposed",
            _draw_two, _ginibre_pair, _parts_fan_sigma1, _top_k),
 )}
+
+#: the ``check --ineq`` groups, in ``FAMILIES`` order
+INEQUALITY_IDS = tuple(dict.fromkeys(family.ineq for family in FAMILIES.values()))
 
 
 def _family(report_id: str) -> Family:

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
 import signal
@@ -13,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kyfan import cli
+from kyfan import cli, suite
 from kyfan.cli import (
     DEFAULT_SEED,
-    INEQUALITY_IDS,
     SEED_ENV_VAR,
     STREAM_STRIDE,
     RunConfig,
@@ -26,12 +27,54 @@ from kyfan.cli import (
     parse_arguments,
 )
 from kyfan.ensembles import BudgetError, SeededStream, _check_enumeration_budgets
-from kyfan.suite import FAMILIES, _check_section
+from kyfan.suite import FAMILIES, INEQUALITY_IDS, _check_section
 from kyfan.norms import INEQUALITY_TOL, RESIDUAL_TOL
 from kyfan.fileformat import load_document
 from kyfan.reports import SCHEMA_ID, report_body_bytes
 
 RT13_3 = np.sqrt(13.0) / 3.0
+
+#: the kyfan modules every command loads, and those its engine adds
+CLI_MODULES = ("kyfan", "kyfan.cli", "kyfan.ensembles", "kyfan.fileformat", "kyfan.matrixcore",
+               "kyfan.norms", "kyfan.reports")
+_SUITE, _PTRACE = ("kyfan.forms", "kyfan.suite"), ("kyfan.ptrace",)
+ENGINES = {"check": _SUITE, "extremal": _SUITE, "repro": _SUITE, "ptrace": _PTRACE,
+           "search": _PTRACE}
+
+
+def _benchmark_workloads() -> dict:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("kyfan_bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    return run.WORKLOADS
+
+
+BENCHMARK_WORKLOADS = _benchmark_workloads()
+
+#: run in a fresh interpreter on the JSON argv: the kyfan modules loaded once
+#: parsing ends and once execute returns, every part run in this process
+_IMPORTS_OF_A_RUN = """
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0}
+import kyfan.cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "kyfan")
+
+cfg = None
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cfg = kyfan.cli.parse_arguments(json.loads(sys.argv[1]))
+parsed, numpy_random = loaded(), "numpy.random" in sys.modules
+if cfg is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        kyfan.cli.execute(cfg)
+print(json.dumps({"parsed": parsed, "executed": loaded(), "numpy_random": numpy_random}))
+"""
 
 
 class TestParsing:
@@ -203,11 +246,11 @@ class TestParsing:
             "search": output | {"--seed", "--question", "--n", "--k", "--budget",
                                 "--restarts", "--strategy", "--tolerance"},
         }
-        (subparsers,) = [a for a in _build_parser()._actions
-                         if isinstance(a, argparse._SubParsersAction)]
-        assert set(subparsers.choices) == set(expected)
-        for name, sub in subparsers.choices.items():
-            assert set(sub._option_string_actions) == expected[name], name
+        for name in expected:  # the parser fills in the options of the command it parses
+            (subparsers,) = [a for a in _build_parser(name)._actions
+                             if isinstance(a, argparse._SubParsersAction)]
+            assert set(subparsers.choices) == set(expected)
+            assert set(subparsers.choices[name]._option_string_actions) == expected[name], name
 
     @pytest.mark.parametrize("command", [
         ["check", "--ineq", "lemma31"], ["extremal"], ["repro", "fan-counterexample"],
@@ -229,18 +272,44 @@ class TestParsing:
             "hmn-hadamard", "hmn-fan", "fan-sigma1",
         ]
 
-    def test_parsing_leaves_numpy_random_unimported(self):
-        # numpy.random is imported when the first stream opens, not before
-        code = (
-            "import sys\n"
-            "import kyfan.cli\n"
-            "kyfan.cli.parse_arguments(['check', '--ineq', 'all', '--trials', '5'])\n"
-            "print('numpy.random' in sys.modules)\n"
-        )
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["check", "--ineq", "lemma31", "--n", "3", "--trials", "3"],
+        ["extremal", "--trials", "3"],
+        ["repro", "fan-counterexample"],
+        ["ptrace", "--question", "1", "--trials", "3"],
+        ["search", "--question", "2", "--budget", "40", "--restarts", "2"],
+        *[list(workload.argv) for workload in BENCHMARK_WORKLOADS.values()],
+    ], ids=["help", "check", "extremal", "repro", "ptrace", "search",
+            *[f"bench-{name}" for name in BENCHMARK_WORKLOADS]])
+    def test_parsing_imports_only_the_commands_engine(self, argv):
+        # set-up loads the command's engine and no other; the timed execute
+        # imports no kyfan module, and numpy.random waits for the first stream
         src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.strip() == "False"
+        done = subprocess.run([sys.executable, "-c", _IMPORTS_OF_A_RUN, json.dumps(argv)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        seen = json.loads(done.stdout)
+        assert seen["parsed"] == sorted(CLI_MODULES + ENGINES.get(argv[0], ()))
+        assert seen["executed"] == seen["parsed"]
+        assert seen["numpy_random"] is False
+
+    @pytest.mark.parametrize("command, digest", [
+        (None, "9c98368f567883785ca9eae10f594523de4679764e172d2b2e0fcdaa65d69110"),
+        ("check", "280ffa80e9bb20b259c1da0da231c88c9f1ead45f3a06c378ee9d12d089044a9"),
+        ("extremal", "a6f4886e90ec10a8c274ebd9e5b42fbf7fa5e80975369cf9e93643b13958e6e5"),
+        ("repro", "1a9be47733bc29c3481da234d99c66e5fa71efed168150789152a08386f9b2ed"),
+        ("ptrace", "527a06076ad761d93cccc4881c3c2f71a78847a5bc4b7b0639fae19469ce63a7"),
+        ("search", "419f7e77fab26b23fff242821411e17aaa1baad0c42420ef71b00dc2dd69e813"),
+    ], ids=["kyfan", "check", "extremal", "repro", "ptrace", "search"])
+    def test_help_text_is_pinned(self, command, digest, monkeypatch, capsys):
+        # sha256 of `kyfan [command] --help` at 100 columns: building only the
+        # parsed subcommand's options must not change what a user reads
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as err:
+            parse_arguments([command, "--help"] if command else ["--help"])
+        assert err.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestSeedResolution:
@@ -588,7 +657,7 @@ class TestKRejection:
 def test_each_run_declares_its_stream_sections(argv, layout):
     # execute opens section s's stream at s * STREAM_STRIDE: no two sections may share one
     cfg = parse_arguments(argv)
-    declared = tuple(s for s, _, _ in cli._EXECUTORS[cfg.command](cfg))
+    declared = tuple(s for s, _, _ in cli._sections(cfg))
     assert declared == layout
     assert len(set(declared)) == len(declared)
 
@@ -601,7 +670,7 @@ def _before_each_section(monkeypatch, act):
     """Call ``act(part, in_parent)`` as each part of a check or an extremal
     run starts: ``part`` is a check section's stream section, or an extremal
     chunk's (stream section, chunk)."""
-    parent, real, real_chunk = os.getpid(), cli._check_section, cli._extremal_chunk_gaps
+    parent, real, real_chunk = os.getpid(), suite._check_section, suite._extremal_chunk_gaps
 
     def section(family, n, trials, stream, tolerance, k_values):
         act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
@@ -611,8 +680,8 @@ def _before_each_section(monkeypatch, act):
         act((stream.stream_index // STREAM_STRIDE, c), os.getpid() == parent)
         return real_chunk(target, n_max, trials, stream, samples, c)
 
-    monkeypatch.setattr(cli, "_check_section", section)
-    monkeypatch.setattr(cli, "_extremal_chunk_gaps", chunk)
+    monkeypatch.setattr(suite, "_check_section", section)
+    monkeypatch.setattr(suite, "_extremal_chunk_gaps", chunk)
 
 
 def _needs_blas_thread_setter():

@@ -17,7 +17,7 @@ import pytest
 
 import kyfan.suite as suite
 from extremal_reference import block_size, matrix_gap, reference_gaps, vector_gap
-from kyfan.cli import STREAM_STRIDE, _execute_extremal, execute, parse_arguments
+from kyfan.cli import STREAM_STRIDE, _sections, execute, parse_arguments
 from kyfan.ensembles import (
     ENUMERATION_BUDGET,
     BudgetError,
@@ -66,7 +66,7 @@ def test_report_matches_the_reference_loop(n_max, samples, trials):
     cfg = parse_arguments(["extremal", "--n", str(n_max), "--samples", str(samples),
                            "--trials", str(trials), "--seed", str(SEED)])
     results = []
-    for s, parts, fold in _execute_extremal(cfg):  # each part in order, as in one process
+    for s, parts, fold in _sections(cfg):  # each part in order, as in one process
         stream = SeededStream(SEED, s * STREAM_STRIDE)
         results.append(fold([part(stream) for part in parts])[0])
     assert [r["trials"] for r in results] == [trials] * 3

@@ -73,6 +73,29 @@ def test_matrix_document_validation():
         document_to_matrix([1, 2, 3])
 
 
+@pytest.mark.parametrize("doc", [
+    {"rows": 1, "cols": 1, "data": [[1.0, 2.0, 3.0]]},  # a third entry, once dropped
+    {"rows": 1, "cols": 1, "data": [["1", "2"]]},  # strings, once parsed
+    {"rows": 1, "cols": 1, "data": [[1.0]]},  # once an IndexError
+    {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
+    {"rows": 1, "cols": 1, "data": [1.0]},
+    {"rows": 1, "cols": 1, "data": [(1.0, 0.0)]},
+    {"rows": 1, "cols": 1, "data": "xy"},
+    {"rows": 1.5, "cols": 1, "data": [[1.0, 0.0]]},  # once read as 1
+    {"rows": "1", "cols": 1, "data": [[1.0, 0.0]]},
+    {"rows": 1, "cols": True, "data": [[1.0, 0.0]]},
+], ids=["three-numbers", "strings", "one-number", "bool", "bare-number", "tuple", "string-data",
+        "float-rows", "string-rows", "bool-cols"])
+def test_a_malformed_matrix_document_raises_value_error(doc):
+    with pytest.raises(ValueError):
+        document_to_matrix(doc)
+
+
+def test_a_matrix_document_takes_json_ints_as_entries():
+    m = document_to_matrix({"rows": 1, "cols": 2, "data": [[1, 0], [2.5, -1]]})
+    assert m.dtype == np.complex128 and m.tolist() == [[1 + 0j, 2.5 - 1j]]
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "doc.json")
     write_document(path, {"ok": True})
