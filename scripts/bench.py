@@ -49,7 +49,7 @@ the repeats:
   restarts=SEARCH_RESTARTS)`` in process, per evaluation; the row also gives the median
   in evaluations per second.
 - ``extremal_2000``: the ``kyfan extremal`` engine in process,
-  ``suite._extremal_gaps`` for each of the three targets at n_max = 8 with
+  ``extremal._extremal_gaps`` for each of the three targets at n_max = 8 with
   ``samples = 2`` and 2000 trials, each target on its own section as the CLI
   spaces them; per trial of the 6000, and the row also gives the median in
   trials per second.
@@ -59,10 +59,11 @@ the repeats:
   its report written to a discarded buffer, as the ``check_all_*`` rows
   run; every repeat takes its own seed.  Per trial of the 6000, and the
   row also gives the median in trials per second.
-- ``setup_check`` and ``setup_search``: the set-up of perfbench's
-  sweep-small and search-q2 command lines (``check --ineq all --trials 50``
-  and ``search --question 2 --n 3 --restarts 8 --strategy general --budget
-  3000``), per launch, ``SETUP_LAUNCHES`` launches a loop: the time from
+- ``setup_check``, ``setup_search`` and ``setup_extremal``: the set-up of
+  perfbench's sweep-small, search-q2 and extremal command lines (``check
+  --ineq all --trials 50``, ``search --question 2 --n 3 --restarts 8
+  --strategy general --budget 3000`` and ``extremal --target all --trials
+  2000``), per launch, ``SETUP_LAUNCHES`` launches a loop: the time from
   spawn to exit of a fresh interpreter that imports ``kyfan.cli``, parses
   the command line with ``parse_arguments`` and leaves by ``os._exit``,
   before any report work or interpreter teardown.  The launch imports the
@@ -118,17 +119,11 @@ from kyfan.cli import (
     parse_arguments,
 )
 from kyfan.ensembles import GENERATOR_ID, SeededStream, _gaussian
+from kyfan.extremal import EXTREMAL_TARGETS, _extremal_gaps
 from kyfan.matrixcore import svd
 from kyfan.norms import INEQUALITY_TOL
 from kyfan.ptrace import SEARCH_BATCH, _unpack_pair, _worst_margins, search_counterexample
-from kyfan.suite import (
-    EXTREMAL_TARGETS,
-    FAMILIES,
-    _check_section,
-    _extremal_gaps,
-    check_ahj,
-    check_lemma32,
-)
+from kyfan.suite import FAMILIES, _check_section, check_ahj, check_lemma32
 
 SEED = DEFAULT_SEED
 SECTION = STREAM_STRIDE
@@ -149,11 +144,13 @@ CAL_REF_S = 0.03
 CALIBRATION_ROUNDS = 5
 #: fresh interpreters launched per timed loop of a ``setup_*`` row
 SETUP_LAUNCHES = 3
-#: perfbench's sweep-small and search-q2 command lines, by the row that times their set-up
+#: perfbench's sweep-small, search-q2 and extremal command lines, by the row
+#: that times their set-up
 SETUP_ARGV = {
     "setup_check": ("check", "--ineq", "all", "--trials", "50"),
     "setup_search": ("search", "--question", "2", "--n", "3", "--restarts", "8",
                      "--strategy", "general", "--budget", "3000"),
+    "setup_extremal": ("extremal", "--target", "all", "--trials", "2000"),
 }
 #: one ``setup_*`` launch: the set-up of ``kyfan``, then an exit with no teardown
 _SETUP = "import os, sys, kyfan.cli; kyfan.cli.parse_arguments(sys.argv[1:]); os._exit(0)"

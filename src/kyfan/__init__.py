@@ -11,6 +11,8 @@ The package bundles:
   their trace adjoints) in :mod:`kyfan.forms`;
 * randomized inequality checkers and an exact 3x3 counterexample
   reproduction in :mod:`kyfan.suite`;
+* the ``extremal`` engine, which scores support functions at the extreme
+  points of the weighted Ky Fan balls, in :mod:`kyfan.extremal`;
 * a partial-trace lab with closed forms, commuting regressions, and
   counterexample searches in :mod:`kyfan.ptrace`;
 * a seeded, report-writing command line in :mod:`kyfan.cli`.

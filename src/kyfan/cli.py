@@ -14,8 +14,11 @@ search    dedicated multi-restart counterexample search for either open
           question
 
 Exit status: 0 = run completed with zero violations, 2 = violations found,
-1 = error, usage errors included (``--k`` above ``--n``, or an ``extremal
---n`` past what the vector target can enumerate).  The default master seed
+1 = error, usage errors included (``--k`` above ``--n``, an ``extremal
+--n`` past what the vector target can enumerate, or an ``--out`` that names
+a directory or a file in no existing directory).  A usage error found after
+argparse has parsed the line prints the parsed subcommand's usage, as
+argparse's own errors do.  The default master seed
 can be overridden by the ``KYFAN_SEED`` environment variable or the
 ``--seed`` flag; the effective seed and its source are echoed into every report.
 
@@ -23,17 +26,19 @@ Set-up
 ------
 :func:`parse_arguments` imports the one engine module the chosen command
 runs, as ``_COMMANDS`` names it: :mod:`kyfan.suite` (with the
-:mod:`kyfan.forms` it imports) for ``check``, ``extremal`` and ``repro``,
-:mod:`kyfan.ptrace` for ``ptrace`` and ``search``, and neither for ``kyfan
---help``.  Every command also loads :mod:`kyfan.ensembles`,
-:mod:`kyfan.fileformat` and :mod:`kyfan.reports`, which this module
-imports.  The parser fills in the options of the chosen subcommand only:
-``check --ineq`` reads its choices and help from ``suite.FAMILIES``, and
-``extremal --target`` its choices from ``suite.EXTREMAL_TARGETS``, only
-when that subcommand is parsed, while ``kyfan --help`` lists every
-subcommand with its help line.  Without a bytecode cache a module is
-compiled as it is imported, so a ``check`` compiles no ``ptrace`` (about
-7 ms of set-up) and a ``search`` no ``suite`` or ``forms`` (about 10 ms).
+:mod:`kyfan.forms` it imports) for ``check`` and ``repro``,
+:mod:`kyfan.extremal` for ``extremal``, :mod:`kyfan.ptrace` for ``ptrace``
+and ``search``, and none for ``kyfan --help``.  Every command also loads
+:mod:`kyfan.ensembles`, :mod:`kyfan.fileformat` and :mod:`kyfan.reports`,
+which this module imports.  The parser fills in the options of the chosen
+subcommand only: ``check --ineq`` reads its choices and help from
+``suite.FAMILIES``, and ``extremal --target`` its choices from
+``extremal.EXTREMAL_TARGETS``, only when that subcommand is parsed, while
+``kyfan --help`` lists every subcommand with its help line.  Without a
+bytecode cache a module is compiled as it is imported, so a ``check``
+compiles no ``ptrace`` (about 7 ms of set-up), a ``search`` no ``suite`` or
+``forms`` (about 10 ms), and an ``extremal`` its own engine in their place
+(about 8 ms less).
 :func:`execute` imports nothing once the command is parsed: it reaches the
 engine's functions through the module parsing loaded, so no import falls in
 the window of a caller that times ``execute`` alone.  (A ``RunConfig`` built
@@ -46,23 +51,23 @@ Every command is a list of independent sections: one family at one n for
 commuting regression and the bounded search for ``ptrace``, the one search
 or reproduction otherwise.  A section is a triple ``(stream_section, parts,
 fold)``.  Each part calls an engine that owns its trial loop
-(``suite._check_section``, ``suite._extremal_chunk_gaps``, the ``ptrace``
-lab and search functions) on the section's stream, and the fold shapes the
-outcomes, in part order, into the section's report entry and note.  An
-``extremal`` target has one part per chunk of ``suite.EXTREMAL_CHUNK_BLOCKS``
-blocks, every other section one part.  :func:`execute` opens section s's
-stream, based at index s * 2**24, before any fork, and :func:`_run` deals
-the parts of all sections, section after section, round-robin over
-min(available CPUs, parts) processes: this one plus one ``os.fork`` child
-per extra CPU (see :func:`_run_sections`; a run in one process takes the
-same path, with no child).  Each child sends its outcomes back as one
-pickle on a pipe, so the report bytes do not depend on the split.  ``fork``
-rather than ``spawn``, because a spawned worker re-imports numpy, which
-costs about as much as the whole ``check --trials 50`` sweep.  The run
-stays in one process when one CPU is available or there is one part, off
-Linux, when other Python threads are alive (``fork`` copies no thread, so
-a lock one held would stay locked in the child), and when the BLAS is not
-pinned to one thread.
+(``suite._check_section``, ``extremal._extremal_chunk_gaps``, the
+``ptrace`` lab and search functions) on the section's stream, and the fold
+shapes the outcomes, in part order, into the section's report entry and
+note.  An ``extremal`` target has one part per chunk of
+``extremal.EXTREMAL_CHUNK_BLOCKS`` blocks, every other section one part.
+:func:`execute` opens section s's stream, based at index s * 2**24, before
+any fork, and :func:`_run` deals the parts of all sections, section after
+section, round-robin over min(available CPUs, parts) processes: this one
+plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`; a
+run in one process takes the same path, with no child).  Each child sends
+its outcomes back as one pickle on a pipe, so the report bytes do not
+depend on the split.  ``fork`` rather than ``spawn``, because a spawned
+worker re-imports numpy, which costs about as much as the whole ``check
+--trials 50`` sweep.  The run stays in one process when one CPU is
+available or there is one part, off Linux, when other Python threads are
+alive (``fork`` copies no thread, so a lock one held would stay locked in
+the child), and when the BLAS is not pinned to one thread.
 
 One BLAS thread
 ---------------
@@ -241,13 +246,13 @@ def _check_options(parser, suite) -> None:
                  trials=10000)
 
 
-def _extremal_options(parser, suite) -> None:
+def _extremal_options(parser, extremal) -> None:
     parser.description = (
         "Targets: vector (sign-vector candidates vs the dual-norm closed form), "
         "matrix (scaled partial isometries vs the dual form on the spectrum), "
         "equality (rank-one construction attaining the trace bound)."
     )
-    parser.add_argument("--target", choices=suite.EXTREMAL_TARGETS + ("all",), default="all")
+    parser.add_argument("--target", choices=extremal.EXTREMAL_TARGETS + ("all",), default="all")
     parser.add_argument("--n", type=_extremal_dimension, default=8,
                         help="maximum dimension sampled (default 8)")
     parser.add_argument("--samples", type=_nonnegative_int, default=2,
@@ -282,6 +287,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         subparser = sub.add_parser(name, help=spec.help)
         if name == command:
             spec.options(subparser, _engine(name))
+            # parse_arguments' own usage errors print this subcommand's usage
+            parser.command_parser = subparser
     return parser
 
 
@@ -312,24 +319,33 @@ def parse_arguments(argv) -> RunConfig:
     # the one argparse runs; any other word ahead of it is a usage error
     parser = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     args = parser.parse_args(argv)
+    error = parser.command_parser.error  # args.command is the one _build_parser filled in
     if args.command == "check" and args.inequality_id == "all" and args.k_spec != "all":
         # each family scores its own k values, so no one k suits them all
-        parser.error("--k needs a single --ineq: with --ineq all, every family scores "
-                     "its own k values")
+        error("--k needs a single --ineq: with --ineq all, every family scores "
+              "its own k values")
     if args.command in ("ptrace", "search") and args.k_spec != "all" and args.k_spec > args.n:
-        parser.error(f"--k must be at most --n ({args.n}), got {args.k_spec}")
+        error(f"--k must be at most --n ({args.n}), got {args.k_spec}")
     if args.command == "extremal" and args.target in ("vector", "all"):
         # the vector target enumerates the families E1..En of every n it samples
         bound = next(n for n in itertools.count(1) if max(
             _count_sign_vectors(n + 1, j) for j in range(1, n + 2)) > ENUMERATION_BUDGET)
         if args.n > bound:
-            parser.error(f"--n must be at most {bound} for --target {args.target}, got {args.n}")
+            error(f"--n must be at most {bound} for --target {args.target}, got {args.n}")
     if args.command in ("ptrace", "search") and args.budget < args.restarts:
         # a restart with no budget scores nothing; ptrace's --budget 0 runs no search at all
         if args.command == "search" or args.budget > 0:
-            parser.error(f"--budget must be at least --restarts ({args.restarts}), "
-                         f"got {args.budget}")
-    args.seed, args.seed_source = _resolve_seed(parser, getattr(args, "seed", None))
+            error(f"--budget must be at least --restarts ({args.restarts}), got {args.budget}")
+    if args.output_path:
+        # write_text makes its temp file in the report's directory: refuse a
+        # path it cannot write before the run, not after it
+        directory = os.path.dirname(os.path.abspath(args.output_path))
+        if os.path.isdir(args.output_path) or not os.path.basename(args.output_path):
+            error(f"--out names a directory: {args.output_path}")
+        if not os.path.isdir(directory):
+            error(f"--out's directory does not exist: {directory}")
+    args.seed, args.seed_source = _resolve_seed(parser.command_parser,
+                                                getattr(args, "seed", None))
     # every parsed option is a RunConfig field: a flag without one fails here
     return RunConfig(**vars(args))
 
@@ -502,11 +518,11 @@ def _run_share(parts, share):
     return results, None
 
 
-def _execute_extremal(cfg: RunConfig, suite) -> list:
+def _execute_extremal(cfg: RunConfig, extremal) -> list:
     n_max = cfg.n or 8
 
     def chunk(target, c, stream):
-        return suite._extremal_chunk_gaps(target, n_max, cfg.trials, stream, cfg.samples, c)
+        return extremal._extremal_chunk_gaps(target, n_max, cfg.trials, stream, cfg.samples, c)
 
     def fold(target, gaps):
         gaps = np.concatenate(gaps)
@@ -516,10 +532,11 @@ def _execute_extremal(cfg: RunConfig, suite) -> list:
                 "violations": int(np.count_nonzero(~residual_vanishes(gaps, tol=cfg.tolerance))),
                 }, None
 
-    chunks = suite._extremal_chunks(n_max, cfg.trials, cfg.samples)
+    chunks = extremal._extremal_chunks(n_max, cfg.trials, cfg.samples)
     return [(s, tuple(functools.partial(chunk, target, c) for c in chunks),
              functools.partial(fold, target))
-            for s, target in enumerate(suite.EXTREMAL_TARGETS) if cfg.target in ("all", target)]
+            for s, target in enumerate(extremal.EXTREMAL_TARGETS)
+            if cfg.target in ("all", target)]
 
 
 def _execute_repro(cfg: RunConfig, suite) -> list:
@@ -605,7 +622,7 @@ class _Command:
 _COMMANDS = {
     "check": _Command("suite", "run a randomized inequality suite",
                       _check_options, _execute_check),
-    "extremal": _Command("suite", "support-function and trace-equality validation",
+    "extremal": _Command("extremal", "support-function and trace-equality validation",
                          _extremal_options, _execute_extremal),
     "repro": _Command("suite", "reproduce the exact 3x3 contraction-norm violation (exits 2)",
                       _repro_options, _execute_repro),

@@ -6,8 +6,9 @@ generator, so results are independent of scheduling.  A run section based
 at stream index ``base`` maps its trials to streams by the stream contract
 named in ``GENERATOR_ID``.  Under contract v7, as under v6, the checker
 engine and the ``extremal`` targets draw block b of their trials from stream
-``base + b``, a checker block only the normals of the trials it scores (see
-:mod:`kyfan.suite`); the ``ptrace`` loops and the searches open one
+``base + b``, its size set by ``BLOCK_ENTRIES``, a checker block only the
+normals of the trials it scores (see :mod:`kyfan.suite` and
+:mod:`kyfan.extremal`); the ``ptrace`` loops and the searches open one
 stream per trial or restart, base + t, and a search restart draws its
 proposals in blocks (see :mod:`kyfan.ptrace`).  Every sampler also accepts an
 already-open ``numpy.random.Generator`` so several draws inside one trial
@@ -22,6 +23,9 @@ carry the extreme points of the weighted vector k-norm ball, and evaluates
 support functions of the matrix-ball candidates (scaled partial isometries)
 both through explicitly constructed maximizers and through the dual-norm
 closed form — the agreement of the two routes is what the test suite pins.
+The ``extremal`` engine, :mod:`kyfan.extremal`, scores its stacks of trials
+through the stacked forms of the same routes (``_support_gaps``,
+``_aligned_gaps``, ``_sampled_values``).
 """
 
 from __future__ import annotations
@@ -62,10 +66,10 @@ __all__ = [
 #: recorded in every report so a replay can verify it uses the same bit source:
 #: the generator family, the stream contract (v7: block-drawn checker trials
 #: whose blocks draw the normals of the scored trials only, and exact-size
-#: extremal draws scored through diag(U* C V), see kyfan.suite, as in v6;
-#: block-drawn search proposals, and the Hermitian factors' spectra of the
-#: search and ptrace kernel taken from eigvalsh, see kyfan.ptrace) and the
-#: numpy version
+#: extremal draws scored through diag(U* C V), see kyfan.suite and
+#: kyfan.extremal, as in v6; block-drawn search proposals, and the Hermitian
+#: factors' spectra of the search and ptrace kernel taken from eigvalsh, see
+#: kyfan.ptrace) and the numpy version
 GENERATOR_ID = f"numpy-pcg64-seedseq-v7/{np.__version__}"
 
 #: hard cap on enumerated candidate vectors per family
@@ -73,6 +77,12 @@ ENUMERATION_BUDGET = 10**6
 
 #: most complex entries in one stacked (T, n, n) operand of a trial chunk
 CHUNK_ENTRIES = 4096
+
+#: a checker block holds max(1, BLOCK_ENTRIES // n**2) trials, an extremal
+#: block max(1, BLOCK_ENTRIES // n_max**2).  The block size is part of the
+#: stream contract, so this constant moves every checker and extremal stream;
+#: it is not a memory knob like CHUNK_ENTRIES
+BLOCK_ENTRIES = 4096
 
 
 class BudgetError(ValueError):

@@ -1,6 +1,6 @@
 """Trial-by-trial reference for the extremal targets under stream contract v5.
 
-Written from the contract text in ``kyfan.suite``, not from the engine:
+Written from the contract text in ``kyfan.extremal``, not from the engine:
 block j of ``max(1, BLOCK_ENTRIES // n_max**2)`` trials is drawn from
 ``base.offset(j).generator()`` as n, k, the weight's ones-mask, entries and
 tail mask, then one flat draw of the normals of c, C or B, the trials'

@@ -21,6 +21,7 @@ from kyfan.ensembles import (
     random_hermitian,
     support_function_gap,
 )
+from kyfan.extremal import _extremal_gaps
 from kyfan.forms import fan_product, phi, psi
 from kyfan.matrixcore import kronecker, partial_trace_first, singular_values
 from kyfan.ptrace import lhs_operator, lhs_operator_brute, question_margins_all_k, search_counterexample
@@ -28,7 +29,6 @@ from kyfan.reports import check_report_document, report_body_bytes, run_document
 from kyfan.suite import (
     FAMILIES,
     _check_section,
-    _extremal_gaps,
     check_hadamard_family,
     reproduce_fan_counterexample,
     von_neumann_equality_witness,

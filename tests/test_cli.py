@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kyfan import cli, suite
+from kyfan import cli, extremal, suite
 from kyfan.cli import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
@@ -38,8 +38,8 @@ RT13_3 = np.sqrt(13.0) / 3.0
 CLI_MODULES = ("kyfan", "kyfan.cli", "kyfan.ensembles", "kyfan.fileformat", "kyfan.matrixcore",
                "kyfan.norms", "kyfan.reports")
 _SUITE, _PTRACE = ("kyfan.forms", "kyfan.suite"), ("kyfan.ptrace",)
-ENGINES = {"check": _SUITE, "extremal": _SUITE, "repro": _SUITE, "ptrace": _PTRACE,
-           "search": _PTRACE}
+ENGINES = {"check": _SUITE, "extremal": ("kyfan.extremal",), "repro": _SUITE,
+           "ptrace": _PTRACE, "search": _PTRACE}
 
 
 def _benchmark_workloads() -> dict:
@@ -293,6 +293,42 @@ class TestParsing:
         assert seen["parsed"] == sorted(CLI_MODULES + ENGINES.get(argv[0], ()))
         assert seen["executed"] == seen["parsed"]
         assert seen["numpy_random"] is False
+        # the extremal engine is extremal's alone
+        assert ("kyfan.extremal" in seen["executed"]) == (argv[0] == "extremal")
+
+    def test_the_extremal_engine_loads_no_checker(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, sys, kyfan.extremal; print(json.dumps("
+             "sorted(m for m in sys.modules if m.partition('.')[0] == 'kyfan')))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+            timeout=120)
+        # neither kyfan.suite nor kyfan.forms: only the modules the engine imports
+        assert json.loads(done.stdout) == ["kyfan", "kyfan.ensembles", "kyfan.extremal",
+                                           "kyfan.matrixcore", "kyfan.norms"]
+
+    @pytest.mark.parametrize("argv, flag, seed_env", [
+        (["check", "--ineq", "all", "--n", "3", "--k", "1"], "--ineq", None),
+        (["ptrace", "--question", "1", "--n", "3", "--k", "5"], "--question", None),
+        (["extremal", "--n", "14"], "--samples", None),
+        (["search", "--question", "2", "--budget", "3", "--restarts", "8"], "--strategy", None),
+        (["extremal", "--out", "."], "--samples", None),
+        (["search", "--question", "2"], "--strategy", "not-a-seed"),
+    ], ids=["k-with-all", "k-above-n", "extremal-n", "budget-below-restarts", "out", "seed-env"])
+    def test_errors_after_parsing_print_the_subcommands_usage(self, argv, flag, seed_env,
+                                                              monkeypatch, capsys):
+        # as argparse's own errors do, e.g. extremal --trials 0
+        if seed_env is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, seed_env)
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(argv)
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith(f"usage: kyfan {argv[0]} [-h]")
+        assert flag in err_text.split("error:")[0]
+        assert f"kyfan {argv[0]}: error: " in err_text
 
     @pytest.mark.parametrize("command, digest", [
         (None, "9c98368f567883785ca9eae10f594523de4679764e172d2b2e0fcdaa65d69110"),
@@ -546,14 +582,43 @@ class TestExecution:
         in_process = json.loads(capsys.readouterr().out)
         assert report_body_bytes(json.loads(done.stdout)) == report_body_bytes(in_process)
 
-    def test_unwritable_output_returns_one(self, tmp_path, capsys):
-        target = tmp_path / "missing-dir" / "r.json"
+    def test_unwritable_output_returns_one(self, tmp_path, monkeypatch, capsys):
+        # the directory passes the parse-time check and is gone by the time
+        # the report is written
+        target = tmp_path / "gone-dir" / "r.json"
+        target.parent.mkdir()
+        real_execute = cli.execute
+
+        def remove_then_execute(cfg):
+            target.parent.rmdir()
+            return real_execute(cfg)
+
+        monkeypatch.setattr(cli, "execute", remove_then_execute)
         status = main(
             ["check", "--ineq", "von-neumann", "--n", "2", "--trials", "2",
              "--seed", "37", "--out", str(target)]
         )
         assert status == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: failed writing report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, message", [
+        (".", "--out names a directory"),
+        ("new-dir/", "--out names a directory"),
+        ("missing-dir/r.json", "--out's directory does not exist"),
+    ], ids=["directory", "trailing-separator", "missing-directory"])
+    def test_an_unusable_output_path_is_refused_before_any_section_runs(
+            self, out, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        _before_each_section(monkeypatch, lambda part, in_parent: ran.append(part))
+        for argv in (["check", "--ineq", "von-neumann", "--n", "2", "--trials", "2"],
+                     ["extremal", "--trials", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--out", out])
+            assert err.value.code == 1
+            assert message in capsys.readouterr().err
+        assert ran == []
+        assert os.listdir(tmp_path) == []  # no temp file left behind
 
     def test_a_family_is_added_by_one_table_entry(self, monkeypatch, capsys):
         # a new id on the product family's draw and evaluator, with no check_* function
@@ -670,7 +735,7 @@ def _before_each_section(monkeypatch, act):
     """Call ``act(part, in_parent)`` as each part of a check or an extremal
     run starts: ``part`` is a check section's stream section, or an extremal
     chunk's (stream section, chunk)."""
-    parent, real, real_chunk = os.getpid(), suite._check_section, suite._extremal_chunk_gaps
+    parent, real, real_chunk = os.getpid(), suite._check_section, extremal._extremal_chunk_gaps
 
     def section(family, n, trials, stream, tolerance, k_values):
         act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
@@ -681,7 +746,7 @@ def _before_each_section(monkeypatch, act):
         return real_chunk(target, n_max, trials, stream, samples, c)
 
     monkeypatch.setattr(suite, "_check_section", section)
-    monkeypatch.setattr(suite, "_extremal_chunk_gaps", chunk)
+    monkeypatch.setattr(extremal, "_extremal_chunk_gaps", chunk)
 
 
 def _needs_blas_thread_setter():

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import kyfan.suite as suite
+import kyfan.extremal as extremal
 from extremal_reference import block_size, matrix_gap, reference_gaps, vector_gap
 from kyfan.cli import STREAM_STRIDE, _sections, execute, parse_arguments
 from kyfan.ensembles import (
@@ -33,9 +33,10 @@ from kyfan.ensembles import (
     sign_vectors,
     support_function_gap,
 )
+from kyfan.extremal import _extremal_gaps
 from kyfan.matrixcore import _adjoint, svd
 from kyfan.norms import Weight, _prefix_table
-from kyfan.suite import _extremal_gaps, von_neumann_equality_witness
+from kyfan.suite import von_neumann_equality_witness
 
 TARGETS = ("vector", "matrix", "equality")
 SEED = 7
@@ -87,14 +88,14 @@ def test_engine_gaps_match_the_reference_loop_trial_by_trial(target, n_max, samp
 @pytest.mark.parametrize("target", TARGETS)
 def test_gaps_are_the_chunks_scored_one_at_a_time(target):
     # a run deals the chunks over processes: each must score alone, in any order
-    chunks = suite._extremal_chunks(8, 2000, 2)
+    chunks = extremal._extremal_chunks(8, 2000, 2)
     assert len(chunks) == 4
-    alone = {c: suite._extremal_chunk_gaps(target, 8, 2000, _base(target), 2, c)
+    alone = {c: extremal._extremal_chunk_gaps(target, 8, 2000, _base(target), 2, c)
              for c in reversed(chunks)}
     joined = np.concatenate([alone[c] for c in chunks])
     assert joined.tobytes() == _extremal_gaps(target, 8, 2000, _base(target), 2).tobytes()
     with pytest.raises(ValueError, match="chunk 4 is not one of the section's 4 chunks"):
-        suite._extremal_chunk_gaps(target, 8, 2000, _base(target), 2, 4)
+        extremal._extremal_chunk_gaps(target, 8, 2000, _base(target), 2, 4)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -110,8 +111,8 @@ def test_matrices_and_weights_do_not_depend_on_the_sample_count(monkeypatch):
         seen[-1].append((c.tobytes(), ws.tobytes(), ks.tobytes()))
         return aligned_gaps(c, ws, ks)
 
-    aligned_gaps = suite._aligned_gaps
-    monkeypatch.setattr(suite, "_aligned_gaps", recording)
+    aligned_gaps = extremal._aligned_gaps
+    monkeypatch.setattr(extremal, "_aligned_gaps", recording)
     for samples in (0, 1, 7):
         seen.append([])
         _extremal_gaps("matrix", 8, 300, _base("matrix"), samples)

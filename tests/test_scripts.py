@@ -136,7 +136,8 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
                                   "checker_trial_lemma32_5", "checker_sweep_50",
                                   "search_stack_3", "search_q2_3000", "extremal_2000",
                                   "extremal_all_2000", "check_all_50", "check_all_1000",
-                                  "check_all_n64_20", "setup_check", "setup_search"}
+                                  "check_all_n64_20", "setup_check", "setup_search",
+                                  "setup_extremal"}
     for row in doc["layers"].values():
         assert row["q1_us"] <= row["median_us"] <= row["q3_us"] and row["repeats"] == 2
         assert row["q1_us_scaled"] <= row["median_us_scaled"] <= row["q3_us_scaled"]
