@@ -48,6 +48,13 @@ the repeats:
 - ``search_q2_3000``: ``search_counterexample(2, 3, budget=3000,
   restarts=SEARCH_RESTARTS)`` in process, per evaluation; the row also gives the median
   in evaluations per second.
+- ``search_all_3000``: perfbench's search-q2 command line (``search
+  --question 2 --n 3 --restarts 8 --strategy general --budget 3000``) in
+  process through ``cli.execute``, the whole command as ``kyfan`` runs it
+  (its one BLAS thread and its restarts cut into spans over processes) with
+  its report written to a discarded buffer; every repeat takes its own
+  seed.  Per evaluation, and the row also gives the median in evaluations
+  per second.
 - ``extremal_2000``: the ``kyfan extremal`` engine in process,
   ``extremal._extremal_gaps`` for each of the three targets at n_max = 8 with
   ``samples = 2`` and 2000 trials, each target on its own section as the CLI
@@ -85,8 +92,9 @@ the end of the run; the file records both medians and the run's
 scaled figures.
 
 The file also records the machine: ``os.cpu_count()``, the Python and numpy
-versions and the BLAS/LAPACK build (name, version and OpenBLAS
-configuration) as ``kyfan.cli._numeric_stack`` records it in a report.
+versions, the BLAS/LAPACK build (name, version and OpenBLAS
+configuration) as ``kyfan.cli._numeric_stack`` records it in a report, and
+the BLAS kernel that ran, as ``kyfan.cli._blas_kernel`` does.
 Only the standard library and numpy are used besides kyfan itself.
 """
 
@@ -114,6 +122,7 @@ from kyfan.cli import (
     DEFAULT_SEED,
     STREAM_STRIDE,
     RunConfig,
+    _blas_kernel,
     _numeric_stack,
     execute,
     parse_arguments,
@@ -238,6 +247,11 @@ def measure(ops: int, repeats: int) -> dict:
         search_counterexample(2, SEARCH_N, budget=SEARCH_BUDGET, restarts=SEARCH_RESTARTS,
                               s=SeededStream(SEED))
 
+    def search_all(rep):
+        cfg = parse_arguments([*SETUP_ARGV["setup_search"], "--seed", str(SEED + rep)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            execute(cfg)
+
     sweep = list(itertools.product(FAMILIES.values(), SWEEP_NS))
 
     def checker_sweep(rep):
@@ -285,6 +299,7 @@ def measure(ops: int, repeats: int) -> dict:
         "checker_trial_lemma32_5": (checker_section(check_lemma32), SECTION_TRIALS),
         "search_stack_3": (search_round, rounds),
         "search_q2_3000": (search_q2, SEARCH_BUDGET),
+        "search_all_3000": (search_all, SEARCH_BUDGET),
         "checker_sweep_50": (checker_sweep, len(sweep) * SWEEP_TRIALS),
         "extremal_2000": (extremal, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
         "extremal_all_2000": (extremal_all, len(EXTREMAL_TARGETS) * EXTREMAL_TRIALS),
@@ -294,9 +309,10 @@ def measure(ops: int, repeats: int) -> dict:
         **{name: (setup(argv), SETUP_LAUNCHES) for name, argv in SETUP_ARGV.items()},
     }
     rows = {name: _per_op_us(loop, count, repeats) for name, (loop, count) in layers.items()}
-    search = rows["search_q2_3000"]
-    search["evaluations_per_s"] = 1e6 / search["median_us"]
-    search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
+    for name in ("search_q2_3000", "search_all_3000"):
+        search = rows[name]
+        search["evaluations_per_s"] = 1e6 / search["median_us"]
+        search["evaluations_per_s_scaled"] = 1e6 / search["median_us_scaled"]
     for name in ("checker_sweep_50", "extremal_2000", "extremal_all_2000", "check_all_50",
                  "check_all_1000", "check_all_n64_20"):
         row = rows[name]
@@ -313,6 +329,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         **_numeric_stack(),  # the BLAS and LAPACK records of a report's environment
+        "blas_kernel": _blas_kernel(),
     }
 
 

@@ -52,22 +52,30 @@ commuting regression and the bounded search for ``ptrace``, the one search
 or reproduction otherwise.  A section is a triple ``(stream_section, parts,
 fold)``.  Each part calls an engine that owns its trial loop
 (``suite._check_section``, ``extremal._extremal_chunk_gaps``, the
-``ptrace`` lab and search functions) on the section's stream, and the fold
-shapes the outcomes, in part order, into the section's report entry and
-note.  An ``extremal`` target has one part per chunk of
-``extremal.EXTREMAL_CHUNK_BLOCKS`` blocks, every other section one part.
-:func:`execute` opens section s's stream, based at index s * 2**24, before
-any fork, and :func:`_run` deals the parts of all sections, section after
-section, round-robin over min(available CPUs, parts) processes: this one
-plus one ``os.fork`` child per extra CPU (see :func:`_run_sections`; a
-run in one process takes the same path, with no child).  Each child sends
-its outcomes back as one pickle on a pipe, so the report bytes do not
-depend on the split.  ``fork`` rather than ``spawn``, because a spawned
-worker re-imports numpy, which costs about as much as the whole ``check
---trials 50`` sweep.  The run stays in one process when one CPU is
-available or there is one part, off Linux, when other Python threads are
-alive (``fork`` copies no thread, so a lock one held would stay locked in
-the child), and when the BLAS is not pinned to one thread.
+``ptrace`` lab functions, ``ptrace._search_span``) on the section's stream,
+and the fold shapes the outcomes, in part order, into the section's report
+entry and note.  An ``extremal`` target has one part per chunk of
+``extremal.EXTREMAL_CHUNK_BLOCKS`` blocks.  A search section (``search``'s,
+and ``ptrace``'s bounded search) has one part per span of its restarts:
+min(restarts, usable processes) contiguous spans, so on 2 CPUs restarts
+0-3 of 8 run in this process and 4-7 in a child, each span in its own
+lockstep, and the fold takes the first strict best in restart order.
+Every other section is one part.  :func:`execute` opens section s's
+stream, based at index s * 2**24, before any fork, and :func:`_run` deals
+the parts of all sections, section after section, round-robin over
+min(usable processes, parts) processes: this one plus one ``os.fork``
+child per extra CPU (see :func:`_run_sections`; a run in one process takes
+the same path, with no child).  Each child sends its outcomes back as one
+pickle on a pipe, so the report bytes do not depend on the split.  ``fork``
+rather than ``spawn``, because a spawned worker re-imports numpy, which
+costs about as much as the whole ``check --trials 50`` sweep.  One helper,
+:func:`_process_count`, gives the usable process count for both the
+dealing and the spans: 1 off Linux, when other Python threads are alive
+(``fork`` copies no thread, so a lock one held would stay locked in the
+child), and where no BLAS thread setter is found, else the CPUs this
+process may run on.  The run also stays in one process when there is one
+part or the BLAS is not pinned to one thread, and a search on one CPU is
+one span, scored as :func:`ptrace.search_counterexample` scores it.
 
 One BLAS thread
 ---------------
@@ -76,9 +84,12 @@ thread-count setter of the OpenBLAS numpy is built on, and gives the caller
 back its count on return or raise.  Each process of a split run then has
 one core's worth of BLAS work, and the report bytes do not depend on the
 machine's default thread count (at n = 96 and 128 they did).  The report's
-``environment`` block records the numpy and BLAS builds, the thread count
-(null where no setter is found: the BLAS then runs as the caller set it,
-and every command in one process) and the process count.
+``environment`` block records the numpy and BLAS builds, the BLAS kernel
+that ran and its run-time configuration (a ``DYNAMIC_ARCH`` OpenBLAS picks
+its kernel as it loads, and the build's own string names the build host's;
+null where not found), the thread count (null where no setter is found:
+the BLAS then runs as the caller set it, and every command in one process)
+and the process count.
 """
 
 from __future__ import annotations
@@ -375,13 +386,13 @@ def _execute_check(cfg: RunConfig, suite) -> list:
             for s, (family, n) in enumerate(cells)]
 
 
-def _process_count(parts: int, blas_threads) -> int:
-    """How many processes share a run of ``parts`` section parts; 1 keeps
-    them in this one (see the module docstring).  ``blas_threads`` is the
-    count :func:`_one_blas_thread` yields: a run splits only under its pin."""
-    if sys.platform != "linux" or threading.active_count() > 1 or blas_threads != 1:
+def _process_count() -> int:
+    """How many processes a run may use: 1 off Linux, while other Python
+    threads are alive, or where no BLAS thread setter is found (see the
+    module docstring), else the CPUs this process may run on."""
+    if sys.platform != "linux" or threading.active_count() > 1 or _blas_thread_calls() is None:
         return 1
-    return min(len(os.sched_getaffinity(0)), parts)
+    return len(os.sched_getaffinity(0))
 
 
 def _numeric_stack() -> dict:
@@ -395,14 +406,16 @@ def _numeric_stack() -> dict:
 
 
 @functools.cache
-def _blas_thread_calls():
-    """The thread-count getter and setter of the OpenBLAS numpy is built on,
-    as ``ctypes`` functions, or None where none is found.
+def _openblas_symbol():
+    """``symbol(base)``, the ``ctypes`` function ``base`` (``"get_config"``,
+    say) of the OpenBLAS numpy is built on, or None where it has none; None
+    where no such OpenBLAS is found.
 
-    Their symbol names follow the build that ``np.show_config`` names.  They
-    are looked up through the handle of numpy's LAPACK extension module,
-    which also searches the libraries it links (the wheel's bundled
-    ``scipy-openblas`` among them): about 0.1 ms, and no directory listing.
+    The symbol names follow the build that ``np.show_config`` names, and end
+    as its thread-count setter's do.  They are looked up through the handle
+    of numpy's LAPACK extension module, which also searches the libraries it
+    links (the wheel's bundled ``scipy-openblas`` among them): about 0.1 ms,
+    and no directory listing.
     """
     name = _numeric_stack()["blas"]["name"] or ""
     if "openblas" not in name:
@@ -412,14 +425,46 @@ def _blas_thread_calls():
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for suffix in ("64_", ""):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            put.argtypes, put.restype = (ctypes.c_int,), None
-            return get, put
-    return None
+    suffix = next((suffix for suffix in ("64_", "")
+                   if hasattr(lib, f"{prefix}_set_num_threads{suffix}")), None)
+    if suffix is None:
+        return None
+    return lambda base: getattr(lib, f"{prefix}_{base}{suffix}", None)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS numpy is built on,
+    as ``ctypes`` functions, or None where none is found."""
+    symbol = _openblas_symbol()
+    if symbol is None:
+        return None
+    get, put = symbol("get_num_threads"), symbol("set_num_threads")
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+@functools.cache
+def _blas_kernel() -> dict:
+    """The kernel the BLAS runs, which a ``DYNAMIC_ARCH`` OpenBLAS picks as it
+    loads (``OPENBLAS_CORETYPE`` overrides the pick), and its run-time
+    configuration string, as the OpenBLAS numpy is built on reports them;
+    each None where it is not found.  The build's own configuration string
+    (see :func:`_numeric_stack`) names the build host's kernel instead."""
+    symbol = _openblas_symbol()
+
+    def read(base):
+        call = None if symbol is None else symbol(base)
+        if call is None:
+            return None
+        call.argtypes, call.restype = (), ctypes.c_char_p
+        value = call()
+        return value.decode() if value else None
+
+    return {"name": read("get_corename"), "config": read("get_config")}
 
 
 @contextlib.contextmanager
@@ -572,32 +617,45 @@ def _execute_ptrace(cfg: RunConfig, ptrace) -> list:
                 "trials": cfg.trials, "worst_margin": worst, "tolerance": cfg.tolerance,
                 "violations": violations}, skipped
 
-    search = functools.partial(_search, cfg, ptrace, target="bounded-search")
-    return [(s, (part,), _only)
-            for s, part in enumerate((identities, regression) + (() if skipped else (search,)))]
+    sections = [(s, (part,), _only) for s, part in enumerate((identities, regression))]
+    if not skipped:
+        sections.append(_search_section(cfg, ptrace, 2, target="bounded-search"))
+    return sections
 
 
 def _execute_search(cfg: RunConfig, ptrace) -> list:
-    return [(0, (functools.partial(_search, cfg, ptrace, target="counterexample-search",
-                                   n=cfg.n, restarts=cfg.restarts),), _only)]
+    return [_search_section(cfg, ptrace, 0, target="counterexample-search", n=cfg.n,
+                            restarts=cfg.restarts)]
 
 
-def _search(cfg: RunConfig, ptrace, stream: SeededStream, **head):
-    """The configured search, drawing from ``stream``: its report section
+def _search_section(cfg: RunConfig, ptrace, s: int, **head) -> tuple:
+    """Section ``s``, the configured search, its inputs validated here before
+    any part runs.  Its restarts are cut into min(restarts, usable processes)
+    contiguous spans, one part each, the earlier spans one restart longer
+    where they do not divide evenly.  The fold gives its report section
     (``head``, then the fields both search sections report, its violation
-    count and its witness if it found one among them) and its note."""
-    result = ptrace.search_counterexample(cfg.question, cfg.n, cfg.k_spec, cfg.budget,
-                                          cfg.restarts, stream, strategy=cfg.strategy,
-                                          tolerance=cfg.tolerance)
-    fields = {**head, "question": cfg.question, "strategy": result.strategy,
-              "budget": cfg.budget, "evaluations": result.evaluations,
-              "best_margin": result.best_margin, "violations": 0}
-    if result.witness is None:
-        return fields, "no counterexample found within budget"
-    w = result.witness
-    witness = Witness(matrices={"A": w.A, "B": w.B}, k=w.k, margin=result.best_margin)
-    fields.update(violations=1, witness=witness_document(witness))
-    return fields, "counterexample candidate found — inspect the witness"
+    count and its witness if it found one) and its note."""
+    plan = ptrace._SearchPlan(cfg.question, cfg.n, cfg.k_spec, cfg.budget, cfg.restarts,
+                              cfg.strategy, cfg.tolerance)
+    spans = min(cfg.restarts, _process_count())
+    size, rem = divmod(cfg.restarts, spans)
+    bounds = [i * size + min(i, rem) for i in range(spans + 1)]
+    parts = tuple(functools.partial(ptrace._search_span, plan, first, stop)
+                  for first, stop in zip(bounds, bounds[1:]))
+
+    def fold(bests):
+        result = ptrace._search_result(plan, bests, cfg.seed)
+        fields = {**head, "question": cfg.question, "strategy": result.strategy,
+                  "budget": cfg.budget, "evaluations": result.evaluations,
+                  "best_margin": result.best_margin, "violations": 0}
+        if result.witness is None:
+            return fields, "no counterexample found within budget"
+        w = result.witness
+        witness = Witness(matrices={"A": w.A, "B": w.B}, k=w.k, margin=result.best_margin)
+        fields.update(violations=1, witness=witness_document(witness))
+        return fields, "counterexample candidate found — inspect the witness"
+
+    return s, parts, fold
 
 
 @dataclass(frozen=True)
@@ -647,7 +705,8 @@ def _run(sections) -> tuple[list, int | None, int]:
     with _one_blas_thread() as blas_threads:
         parts = [functools.partial(part, stream)
                  for stream, section_parts, _ in sections for part in section_parts]
-        processes = _process_count(len(parts), blas_threads)
+        # a run splits only under the one-thread pin
+        processes = min(_process_count(), len(parts)) if blas_threads == 1 else 1
         done = iter(_run_sections(parts, processes))
         outcomes = [fold(list(itertools.islice(done, len(section_parts))))
                     for _, section_parts, fold in sections]
@@ -673,7 +732,8 @@ def execute(cfg: RunConfig) -> int:
         elapsed_seconds=time.perf_counter() - t0,
         notes=notes,
         environment={"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-                     **_numeric_stack(), "blas_threads": blas_threads, "processes": processes},
+                     **_numeric_stack(), "blas_kernel": _blas_kernel(),
+                     "blas_threads": blas_threads, "processes": processes},
     )
     text = render_table(doc) if cfg.format == "table" else dump_document(doc)
     if cfg.output_path:

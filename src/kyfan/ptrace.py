@@ -90,7 +90,15 @@ restart leaves the rounds once its quota is used, and the best result is
 taken in restart order, so ties go to the earlier restart.  A group holds
 at most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
 restarts, which keeps every operand of a round within ``CHUNK_ENTRIES``
-entries.  Each generator makes the same calls as for a restart run alone.
+entries.  Each generator makes the same calls as for a restart run alone,
+so a restart's bits do not depend on which group it shares.  That lets
+the search run in three steps: :class:`_SearchPlan` validates the inputs
+and sets the quotas, :func:`_search_span` scores one contiguous span of
+restarts in its lockstep groups and gives the span's first strict best,
+and :func:`_search_result` takes the first strict best over the spans in
+order and re-checks it as a witness.  :func:`search_counterexample` runs
+all the restarts as one span, in one process; ``kyfan.cli`` deals a span
+to each usable process, with the same bits.
 Measured on numpy 2.4.6 with OpenBLAS 0.3.31, this rests on stacked
 ``svd``, ``eigvalsh``, ``matmul`` and ``trace(axis1=-2, axis2=-1)`` giving
 the same bits as per-matrix calls, as elementwise arithmetic, ``sort`` and
@@ -154,8 +162,10 @@ __all__ = [
 #: 6 and 5651 in 98 at 8.  Run in process, interleaved 24 times on a shared
 #: 2-core x86_64 VM, it made 35.7k, 35.2k, 35.4k and 34.3k evaluations/s at
 #: 4, 5, 6 and 8 (medians; 36.0k, 36.7k, 35.6k and 33.6k at seed 161803):
-#: 4 to 6 are equal within noise and 8 is slower.  Report bytes do not
-#: depend on it.
+#: 4 to 6 are equal within noise and 8 is slower.  These figures were
+#: measured with all 8 restarts in one process, before ``kyfan search`` cut
+#: them into a span a process; they were not re-measured with 4 restarts a
+#: lockstep.  Report bytes do not depend on it.
 SEARCH_BATCH = 5
 
 #: proposals a search restart draws per pair of generator calls, part of the
@@ -626,61 +636,93 @@ def search_counterexample(
     :func:`_worst_margins` re-scores it; a negative result never claims
     nonexistence.  ``s`` is a SeededStream or an int master seed.  The
     restarts run in lockstep, each scoring its proposals ``SEARCH_BATCH`` at
-    a time (see the module docstring).
+    a time (see the module docstring): here all of them form one span, as
+    :func:`_search_span` scores it.
     """
-    question = int(question)
-    if question not in (1, 2):
-        raise ValueError("question must be 1 or 2")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
-    budget = int(budget)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    restarts = int(restarts)
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    if strategy not in ("general", "commuting"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if k_policy != "all":
-        k_policy = int(k_policy)
-        if not 1 <= k_policy <= n:
-            raise ValueError(f"k={k_policy} out of range 1..{n}")
-    ks = None if k_policy == "all" else np.array([k_policy])
+    plan = _SearchPlan(question, n, k_policy, budget, restarts, strategy, tolerance)
     if s is None:
         raise ValueError("a seed stream is required")
     stream = _as_stream(s)
+    return _search_result(plan, [_search_span(plan, 0, plan.restarts, stream)],
+                          stream.master_seed)
 
-    best_margin = -math.inf
-    best_pair = None
-    best_k = 1
-    base, rem = divmod(budget, restarts)
-    quotas = [base + (1 if r < rem else 0) for r in range(restarts)]
-    group = max(1, CHUNK_ENTRIES // (SEARCH_BATCH * n * n))
-    for first in range(0, restarts, group):
-        members = [r for r in range(first, min(restarts, first + group)) if quotas[r] > 0]
-        if not members:
-            continue
-        finals = _climb([stream.offset(r).generator() for r in members],
-                        [quotas[r] for r in members], question, n, ks, strategy)
-        for pair, margin, k, _, _ in finals:
-            if margin > best_margin:
-                best_margin, best_pair, best_k = margin, pair, k
 
+class _SearchPlan:
+    """A search's inputs, validated, and ``budget`` dealt over its restarts:
+    restart r's quota of evaluations is budget // restarts, plus one if
+    r < budget % restarts.  ``ks`` holds the k values, None for all of 1..n.
+    (A plain class: a dataclass would compile its methods at import.)"""
+
+    def __init__(self, question, n, k_policy, budget, restarts, strategy, tolerance):
+        question = int(question)
+        if question not in (1, 2):
+            raise ValueError("question must be 1 or 2")
+        n = int(n)
+        if n < 1:
+            raise ValueError("n must be positive")
+        budget = int(budget)
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
+        restarts = int(restarts)
+        if restarts < 1:
+            raise ValueError("restarts must be positive")
+        if strategy not in ("general", "commuting"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if k_policy != "all":
+            k_policy = int(k_policy)
+            if not 1 <= k_policy <= n:
+                raise ValueError(f"k={k_policy} out of range 1..{n}")
+        self.question, self.n, self.strategy, self.tolerance = question, n, strategy, tolerance
+        self.ks = None if k_policy == "all" else np.array([k_policy])
+        self.restarts = restarts
+        base, rem = divmod(budget, restarts)
+        self.quotas = [base + (1 if r < rem else 0) for r in range(restarts)]
+
+
+def _search_span(plan: _SearchPlan, first: int, stop: int, stream):
+    """Restarts ``first`` to ``stop`` - 1 of ``plan``, drawing from ``stream``:
+    the first strict best (margin, pair, k) among their final points, or
+    (-inf, None, 1) if none has a quota.  They run in lockstep groups of at
+    most max(1, ``CHUNK_ENTRIES`` // (``SEARCH_BATCH`` n^2)) consecutive
+    restarts; a restart's bits do not depend on the group it shares (see the
+    module docstring), so neither do the span's."""
+    finals = []
+    group = max(1, CHUNK_ENTRIES // (SEARCH_BATCH * plan.n * plan.n))
+    for start in range(first, stop, group):
+        members = [r for r in range(start, min(stop, start + group)) if plan.quotas[r] > 0]
+        if members:
+            finals += _climb([stream.offset(r).generator() for r in members],
+                             [plan.quotas[r] for r in members], plan.question, plan.n,
+                             plan.ks, plan.strategy)
+    return _first_best((margin, pair, k) for pair, margin, k, _, _ in finals)
+
+
+def _first_best(bests):
+    """The first of ``(margin, pair, k)`` triples whose margin beats every
+    earlier one, or (-inf, None, 1) for none."""
+    return max([(-math.inf, None, 1), *bests], key=lambda best: best[0])
+
+
+def _search_result(plan: _SearchPlan, bests, master_seed: int) -> SearchResult:
+    """The search's result from its spans' :func:`_search_span` bests, in
+    restart order: the first strict best of them, its pair a witness if it
+    breaks the tolerance rule at its k as :func:`_worst_margins` re-scores
+    it."""
+    best_margin, best_pair, best_k = _first_best(bests)
     witness = None
     if best_pair is not None:
-        margin, _, rhs, _, _ = _worst_margins(best_pair, question, np.array([best_k]))
-        if _violated(margin[0], rhs[0], tolerance):
+        margin, _, rhs, _, _ = _worst_margins(best_pair, plan.question, np.array([best_k]))
+        if _violated(margin[0], rhs[0], plan.tolerance):
             witness = QuestionInstance(
-                A=best_pair[0], B=best_pair[1], n=n, question=question, k=best_k
+                A=best_pair[0], B=best_pair[1], n=plan.n, question=plan.question, k=best_k
             )
     return SearchResult(
         best_margin=float(best_margin),
         witness=witness,
-        evaluations=sum(quotas),
-        strategy=strategy,
-        master_seed=stream.master_seed,
-        question=question,
-        n=n,
-        restarts=restarts,
+        evaluations=sum(plan.quotas),
+        strategy=plan.strategy,
+        master_seed=master_seed,
+        question=plan.question,
+        n=plan.n,
+        restarts=plan.restarts,
     )

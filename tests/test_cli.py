@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kyfan import cli, extremal, suite
+from kyfan import cli, extremal, ptrace, suite
 from kyfan.cli import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
@@ -732,10 +732,12 @@ def _cpus(monkeypatch, count):
 
 
 def _before_each_section(monkeypatch, act):
-    """Call ``act(part, in_parent)`` as each part of a check or an extremal
-    run starts: ``part`` is a check section's stream section, or an extremal
-    chunk's (stream section, chunk)."""
+    """Call ``act(part, in_parent)`` as each part of a check, an extremal or a
+    search run starts: ``part`` is a check section's stream section, an
+    extremal chunk's (stream section, chunk), or (stream section, restart)
+    for each restart of a search span, in restart order."""
     parent, real, real_chunk = os.getpid(), suite._check_section, extremal._extremal_chunk_gaps
+    real_span = ptrace._search_span
 
     def section(family, n, trials, stream, tolerance, k_values):
         act(stream.stream_index // STREAM_STRIDE, os.getpid() == parent)
@@ -745,8 +747,14 @@ def _before_each_section(monkeypatch, act):
         act((stream.stream_index // STREAM_STRIDE, c), os.getpid() == parent)
         return real_chunk(target, n_max, trials, stream, samples, c)
 
+    def span(plan, first, stop, stream):
+        for r in range(first, stop):
+            act((stream.stream_index // STREAM_STRIDE, r), os.getpid() == parent)
+        return real_span(plan, first, stop, stream)
+
     monkeypatch.setattr(suite, "_check_section", section)
     monkeypatch.setattr(extremal, "_extremal_chunk_gaps", chunk)
+    monkeypatch.setattr(ptrace, "_search_span", span)
 
 
 def _needs_blas_thread_setter():
@@ -764,24 +772,35 @@ def _assert_no_child_left():
 class TestSplitSections:
     """Every command deals its sections over forked processes (see ``kyfan.cli``)."""
 
-    @pytest.mark.parametrize("argv", [
-        ["check", "--ineq", "all", "--trials", "20"],
-        ["check", "--ineq", "ahj", "--n", "3", "--trials", "40"],
-        ["check", "--ineq", "von-neumann", "--n", "3", "--trials", "40"],
-        ["extremal", "--target", "all", "--trials", "300"],
+    @pytest.mark.parametrize("argv, status", [
+        (["check", "--ineq", "all", "--trials", "20"], 0),
+        (["check", "--ineq", "ahj", "--n", "3", "--trials", "40"], 0),
+        (["check", "--ineq", "von-neumann", "--n", "3", "--trials", "40"], 0),
+        (["extremal", "--target", "all", "--trials", "300"], 0),
         # one section of several parts, its last chunk partial
-        ["extremal", "--target", "matrix", "--n", "6", "--samples", "3", "--trials", "777"],
-        ["ptrace", "--question", "2", "--n", "3", "--trials", "30", "--budget", "500"],
+        (["extremal", "--target", "matrix", "--n", "6", "--samples", "3", "--trials", "777"], 0),
+        (["ptrace", "--question", "2", "--n", "3", "--trials", "30", "--budget", "500"], 0),
+        # the search's restarts cut into spans: perfbench's search-q2 line, a
+        # witness, uneven spans, and 13 restarts in two lockstep groups at n = 8
+        (["search", "--question", "2", "--n", "3", "--restarts", "8", "--strategy", "general",
+          "--budget", "3000"], 0),
+        (["search", "--question", "2", "--n", "2", "--budget", "20000", "--tolerance", "0"], 2),
+        (["search", "--question", "1", "--n", "4", "--restarts", "5", "--budget", "3001",
+          "--strategy", "commuting"], 0),
+        (["search", "--question", "2", "--n", "8", "--restarts", "13", "--budget", "4000",
+          "--k", "3"], 0),
+        (["search", "--question", "2", "--n", "3", "--restarts", "1", "--budget", "500"], 0),
     ], ids=["all", "ahj-n3", "von-neumann-n3", "extremal-all", "extremal-matrix-chunks",
-            "ptrace-q2-n3"])
-    def test_split_and_serial_runs_give_the_same_body(self, argv, monkeypatch, capsys):
+            "ptrace-q2-n3", "search-q2-n3", "search-witness", "search-commuting-5",
+            "search-n8-13", "search-one-restart"])
+    def test_split_and_serial_runs_give_the_same_body(self, argv, status, monkeypatch, capsys):
         bodies = []
-        for cpus in (2, 1):
+        for cpus in (3, 2, 1):
             _cpus(monkeypatch, cpus)
-            assert main(argv + ["--seed", "43"]) == 0
+            assert main(argv + ["--seed", "43"]) == status
             bodies.append(report_body_bytes(json.loads(capsys.readouterr().out)))
             _assert_no_child_left()
-        assert bodies[0] == bodies[1]
+        assert bodies[0] == bodies[1] == bodies[2]
 
     def test_sections_are_dealt_round_robin(self, monkeypatch, capsys):
         real = cli.check_report_document
@@ -804,8 +823,12 @@ class TestSplitSections:
         # three chunks a target: the matrix target's last chunk (part 5, a
         # child's) failing before the equality target's first (part 6, the parent's)
         (["extremal", "--target", "all", "--trials", "1100"], ((1, 2), (2, 0))),
+        # restarts 0-3 are the parent's span under two CPUs, 4-7 the child's:
+        # the child's failing, then both, the parent's earliest
+        *[(["search", "--question", "2", "--n", "3", "--budget", "80"], failing)
+          for failing in [((0, 5),), ((0, 3), (0, 4)), ((0, 1), (0, 7))]],
     ], ids=["check-1", "check-2-3", "check-1-2", "check-3-4", "extremal-vector", "extremal-all",
-            "extremal-chunks"])
+            "extremal-chunks", "search-child", "search-both", "search-both-apart"])
     def test_the_earliest_failing_section_raises_as_in_one_process(self, argv, failing,
                                                                    monkeypatch, tmp_path,
                                                                    capsys):
@@ -824,6 +847,37 @@ class TestSplitSections:
             errors.append(captured.err)
             _assert_no_child_left()
         assert errors[0] == errors[1] == f"error: section {min(failing)} failed\n"
+
+    @pytest.mark.parametrize("cpus, restarts, spans", [
+        (1, 8, [(0, 8)]),
+        (2, 8, [(0, 4), (4, 8)]),
+        (3, 8, [(0, 3), (3, 6), (6, 8)]),
+        (2, 1, [(0, 1)]),
+    ], ids=["one-cpu", "two-cpus", "three-cpus", "one-restart"])
+    def test_a_search_cuts_its_restarts_into_one_span_a_process(self, cpus, restarts, spans,
+                                                                monkeypatch, capsys):
+        _needs_blas_thread_setter()
+        _cpus(monkeypatch, cpus)
+        argv = ["search", "--question", "2", "--n", "3", "--restarts", str(restarts),
+                "--budget", "400"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["environment"]["processes"] == len(spans)
+        _assert_no_child_left()
+        monkeypatch.setattr(ptrace, "_search_span", lambda plan, first, stop, stream:
+                            (first, stop))
+        ((section, parts, _),) = cli._sections(parse_arguments(argv))
+        assert section == 0 and [part(None) for part in parts] == spans
+
+    def test_a_search_on_one_cpu_makes_one_lockstep_call(self, monkeypatch, capsys):
+        # 4 + 4 restarts one after the other take longer than all 8 in one lockstep
+        calls, real = [], ptrace._climb
+        monkeypatch.setattr(ptrace, "_climb", lambda gens, quotas, *args: (
+            calls.append(len(gens)), real(gens, quotas, *args))[1])
+        _cpus(monkeypatch, 1)
+        assert main(["search", "--question", "2", "--n", "3", "--restarts", "8",
+                     "--budget", "3000"]) == 0
+        assert json.loads(capsys.readouterr().out)["environment"]["processes"] == 1
+        assert calls == [8]
 
     def test_a_killed_child_is_an_error_not_a_partial_report(self, monkeypatch, tmp_path,
                                                              capsys):
@@ -866,35 +920,38 @@ class TestSplitSections:
     def test_without_the_one_thread_pin_every_command_stays_in_one_process(self, argv,
                                                                            monkeypatch,
                                                                            capsys):
+        _needs_blas_thread_setter()  # a run splits only where kyfan finds one
         _cpus(monkeypatch, 2)
         processes = {}
         for threads in (None, 2, 1):
-            if threads is None:  # no setter found: the pin yields None
-                monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
-            else:  # 2 stands for a BLAS left on more than one thread
-                monkeypatch.setattr(cli, "_one_blas_thread",
-                                    lambda threads=threads: contextlib.nullcontext(threads))
-            assert main(argv) in (0, 2)
-            env = json.loads(capsys.readouterr().out)["environment"]
-            assert env["blas_threads"] == threads
-            processes[threads] = env["processes"]
-            _assert_no_child_left()
+            with monkeypatch.context() as patch:
+                if threads is None:  # no setter found: the pin yields None
+                    patch.setattr(cli, "_blas_thread_calls", lambda: None)
+                else:  # 2 stands for a BLAS left on more than one thread
+                    patch.setattr(cli, "_one_blas_thread",
+                                  lambda threads=threads: contextlib.nullcontext(threads))
+                assert main(argv) in (0, 2)
+                env = json.loads(capsys.readouterr().out)["environment"]
+                assert env["blas_threads"] == threads
+                processes[threads] = env["processes"]
+                _assert_no_child_left()
+                assert cli._process_count() == (1 if threads is None else 2)
         assert processes[None] == processes[2] == 1
-        assert processes[1] == (1 if argv[0] in ("search", "repro") else 2)
-        assert [cli._process_count(sections, 1) for sections in (1, 2, 10)] == [1, 2, 2]
+        assert processes[1] == (1 if argv[0] == "repro" else 2)
 
     def test_other_threads_keep_the_run_in_one_process(self, monkeypatch):
+        _needs_blas_thread_setter()
         _cpus(monkeypatch, 2)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert cli._process_count(10, 1) == 1
+            assert cli._process_count() == 1
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert cli._process_count(10, 1) == 2
+        assert cli._process_count() == 2
 
     def test_split_run_passes_with_warnings_as_errors(self, capsys):
         # two CPUs whatever the host has, so that the run forks
@@ -953,10 +1010,34 @@ class TestOneBlasThread:
         assert set(env["blas"]) == set(env["lapack"]) == {"name", "version",
                                                            "openblas configuration"}
         assert env["blas_threads"] == (None if cli._blas_thread_calls() is None else 1)
-        assert env["processes"] == cli._process_count(len(doc["results"]), env["blas_threads"])
+        assert env["processes"] == min(cli._process_count(), len(doc["results"]))
+        assert set(env["blas_kernel"]) == {"name", "config"}
+        if cli._blas_thread_calls() is not None:  # numpy's OpenBLAS reports its kernel
+            assert env["blas_kernel"]["name"] and env["blas_kernel"]["config"]
         assert b"environment" not in report_body_bytes(doc)
         assert main(argv + ["--format", "table"]) == 0
         assert "ahj" in capsys.readouterr().out
+
+    def test_the_report_names_the_blas_kernel_that_ran_outside_the_body(self):
+        if cli._blas_kernel()["name"] is None:
+            pytest.skip("numpy's BLAS reports no run-time kernel")
+        # a search whose body is the same under this machine's kernel and Haswell's
+        argv = ["search", "--question", "2", "--n", "3", "--budget", "500"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        kernels, bodies = [], []
+        for coretype in (None, "Haswell"):
+            env = {**os.environ, "PYTHONPATH": src}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            done = subprocess.run([sys.executable, "-m", "kyfan", *argv], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            doc = json.loads(done.stdout)
+            kernels.append(doc["environment"]["blas_kernel"])
+            bodies.append(report_body_bytes(doc))
+        assert kernels[0] == cli._blas_kernel()
+        assert kernels[1]["name"] == "Haswell" and "Haswell" in kernels[1]["config"]
+        assert bodies[0] == bodies[1]
 
     def test_the_body_at_n96_does_not_depend_on_the_thread_count(self):
         _needs_blas_thread_setter()

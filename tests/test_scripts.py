@@ -134,7 +134,8 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
     assert set(doc["layers"]) == {"stream_open", "draw_gaussian_5",
                                   "svd_5_looped", "svd_5_stacked", "checker_trial_ahj_5",
                                   "checker_trial_lemma32_5", "checker_sweep_50",
-                                  "search_stack_3", "search_q2_3000", "extremal_2000",
+                                  "search_stack_3", "search_q2_3000", "search_all_3000",
+                                  "extremal_2000",
                                   "extremal_all_2000", "check_all_50", "check_all_1000",
                                   "check_all_n64_20", "setup_check", "setup_search",
                                   "setup_extremal"}
@@ -142,8 +143,11 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
         assert row["q1_us"] <= row["median_us"] <= row["q3_us"] and row["repeats"] == 2
         assert row["q1_us_scaled"] <= row["median_us_scaled"] <= row["q3_us_scaled"]
         assert row["speed_factor"] > 0
-    search = doc["layers"]["search_q2_3000"]
-    assert search["evaluations_per_s"] == pytest.approx(1e6 / search["median_us"])
+    for name in ("search_q2_3000", "search_all_3000"):
+        search = doc["layers"][name]
+        assert search["evaluations_per_s"] == pytest.approx(1e6 / search["median_us"])
+        assert search["evaluations_per_s_scaled"] == pytest.approx(
+            1e6 / search["median_us_scaled"])
     for name in ("checker_sweep_50", "extremal_2000", "extremal_all_2000", "check_all_50",
                  "check_all_1000", "check_all_n64_20"):
         row = doc["layers"][name]
@@ -155,4 +159,4 @@ def test_bench_script_writes_every_layer_and_the_machine(tmp_path, capsys):
         calibration["reference_s"] / ((calibration["before_s"] + calibration["after_s"]) / 2))
     assert doc["machine"]["cpu_count"] == os.cpu_count()
     assert doc["machine"]["numpy"] == np.__version__
-    assert {"blas", "lapack"} <= set(doc["machine"])
+    assert {"blas", "lapack", "blas_kernel"} <= set(doc["machine"])
