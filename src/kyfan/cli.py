@@ -11,7 +11,7 @@ repro     exact reproduction of the 3x3 contraction-norm violation
 ptrace    partial-trace lab: closed-form cross-check, commuting regression,
           and a bounded counterexample search
 search    dedicated multi-restart counterexample search for either open
-          question
+          question, or for a grid of questions, sizes and strategies
 
 Exit status: 0 = run completed with zero violations, 2 = violations found,
 1 = error, usage errors included (``--k`` above ``--n``, an ``extremal
@@ -48,8 +48,10 @@ Split runs
 ----------
 Every command is a list of independent sections: one family at one n for
 ``check``, one target for ``extremal``, the identity cross-check, the
-commuting regression and the bounded search for ``ptrace``, the one search
-or reproduction otherwise.  A section is a triple ``(stream_section, parts,
+commuting regression and the bounded search for ``ptrace``, one cell of
+question x n x strategy for ``search`` (one cell unless its ``--question``,
+``--n`` or ``--strategy`` is a comma list), and the one reproduction for
+``repro``.  A section is a triple ``(stream_section, parts,
 fold)``.  Each part calls an engine that owns its trial loop
 (``suite._check_section``, ``extremal._extremal_chunk_gaps``, the
 ``ptrace`` lab functions, ``ptrace._search_span``) on the section's stream,
@@ -132,17 +134,20 @@ DEFAULT_NS = (2, 3, 4, 5, 6, 7, 8)
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One parsed command line.  ``search`` keeps a comma list of questions,
+    sizes or strategies as a tuple, and one value as that value."""
+
     command: str
     inequality_id: str | None = None
     target: str | None = None
-    question: int | None = None
-    n: int | None = None
+    question: int | tuple[int, ...] | None = None
+    n: int | tuple[int, ...] | None = None
     k_spec: object = "all"
     trials: int = 10000
     samples: int = 2
     budget: int = 0
     restarts: int = 4
-    strategy: str = "general"
+    strategy: str | tuple[str, ...] = "general"
     seed: int = DEFAULT_SEED
     seed_source: str = "default"
     tolerance: float = INEQUALITY_TOL
@@ -173,14 +178,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _trial_count(text: str) -> int:
-    """Trials per run section: at least one, so that a clean report has
-    scored something, and fewer than ``STREAM_STRIDE``, so that section s's
-    trial streams never run into section s+1's."""
+def _stream_count(text: str) -> int:
+    """Trials or restarts per run section, each drawing its own stream: at
+    least one, so that a clean report has scored something, and fewer than
+    ``STREAM_STRIDE``, so that section s's streams never run into section
+    s+1's."""
     value = _positive_int(text)
     if value >= STREAM_STRIDE:
         raise argparse.ArgumentTypeError(
-            f"at most {STREAM_STRIDE - 1} trials per section, got {text}"
+            f"at most {STREAM_STRIDE - 1} per section, got {text}"
         )
     return value
 
@@ -219,17 +225,19 @@ _OPTIONS = {
     "--tolerance": dict(type=_finite_float, default=INEQUALITY_TOL),
     "--k": dict(dest="k_spec", type=_all_or_positive_int, default="all",
                 help="score one k only (default: all k)"),
-    "--trials": dict(type=_trial_count, help="trials per section (default %(default)s)"),
+    "--trials": dict(type=_stream_count, help="trials per section (default %(default)s)"),
     "--question": dict(type=int, choices=(1, 2), required=True),
     "--n": dict(type=_positive_int, default=3),
     "--budget": dict(type=_nonnegative_int,
                      help="margin evaluations of the search (default %(default)s; "
                           "ptrace's 0 runs none)"),
-    "--restarts": dict(type=_positive_int),
+    "--restarts": dict(type=_stream_count),
     "--strategy": dict(choices=("general", "commuting"), default="general"),
 }
 _SEARCH = ("--question", "--n", "--k", "--budget", "--restarts", "--strategy", "--tolerance",
            "--seed", "--out", "--format")
+#: the options ``search`` also takes as comma lists, one section a cell (see :func:`_listed`)
+_GRID = ("--question", "--n", "--strategy")
 
 
 def _add_options(parser, *flags, **defaults) -> None:
@@ -242,6 +250,35 @@ def _add_options(parser, *flags, **defaults) -> None:
     for flag in flags:
         parser.add_argument(flag, **_OPTIONS[flag])
     parser.set_defaults(**defaults)
+
+
+def _listed(option: dict) -> dict:
+    """``option``, an ``_OPTIONS`` entry, taking one value or a comma list of
+    values, each parsed and checked as ``option`` parses one.  A list parses
+    to a tuple, one value to that value alone, as ``option`` gives it."""
+    item, choices = option.get("type", str), option.get("choices")
+
+    def values(text):
+        try:
+            parsed = tuple(map(item, text.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected one value or a comma list, got {text!r}") from None
+        for value in parsed:
+            if choices is not None and value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {value!r} (choose from {', '.join(map(str, choices))})")
+        return parsed if len(parsed) > 1 else parsed[0]
+
+    one = " or ".join(map(str, choices)) if choices else "one value"
+    default = "" if option.get("required") else " (default %(default)s)"
+    return {**option, "type": values, "choices": None,
+            "help": f"{one}, or a comma list{default}"}
+
+
+def _cells(value) -> tuple:
+    """The values of a :func:`_listed` option: its tuple, or its one value."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _check_options(parser, suite) -> None:
@@ -282,7 +319,13 @@ def _ptrace_options(parser, engine) -> None:
 
 
 def _search_options(parser, engine) -> None:
-    _add_options(parser, *_SEARCH, budget=20000, restarts=8)
+    parser.description = ("Comma lists (--question 1,2 --n 2,3,4 --strategy general,commuting) "
+                          "search every cell of question x n x strategy, in that order, each "
+                          "cell one report section with the whole --budget and --restarts.")
+    for flag in _SEARCH:
+        parser.add_argument(flag, **(_listed(_OPTIONS[flag]) if flag in _GRID else
+                                     _OPTIONS[flag]))
+    parser.set_defaults(budget=20000, restarts=8)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -335,8 +378,10 @@ def parse_arguments(argv) -> RunConfig:
         # each family scores its own k values, so no one k suits them all
         error("--k needs a single --ineq: with --ineq all, every family scores "
               "its own k values")
-    if args.command in ("ptrace", "search") and args.k_spec != "all" and args.k_spec > args.n:
-        error(f"--k must be at most --n ({args.n}), got {args.k_spec}")
+    if args.command in ("ptrace", "search") and args.k_spec != "all":
+        n = min(_cells(args.n))  # every cell's n
+        if args.k_spec > n:
+            error(f"--k must be at most --n ({n}), got {args.k_spec}")
     if args.command == "extremal" and args.target in ("vector", "all"):
         # the vector target enumerates the families E1..En of every n it samples
         bound = next(n for n in itertools.count(1) if max(
@@ -624,8 +669,11 @@ def _execute_ptrace(cfg: RunConfig, ptrace) -> list:
 
 
 def _execute_search(cfg: RunConfig, ptrace) -> list:
-    return [_search_section(cfg, ptrace, 0, target="counterexample-search", n=cfg.n,
-                            restarts=cfg.restarts)]
+    """Section c searches cell c of question x n x strategy, in that order."""
+    cells = itertools.product(*map(_cells, (cfg.question, cfg.n, cfg.strategy)))
+    return [_search_section(dataclasses.replace(cfg, question=question, n=n, strategy=strategy),
+                            ptrace, c, target="counterexample-search", n=n, restarts=cfg.restarts)
+            for c, (question, n, strategy) in enumerate(cells)]
 
 
 def _search_section(cfg: RunConfig, ptrace, s: int, **head) -> tuple:

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import signal
@@ -135,6 +136,20 @@ class TestParsing:
         assert cfg.trials == STREAM_STRIDE - 1
 
     @pytest.mark.parametrize("command", [
+        ["ptrace", "--question", "1"], ["search", "--question", "1,2", "--n", "2,3"],
+    ], ids=["ptrace", "search-grid"])
+    def test_restarts_reaching_the_stream_stride_rejected(self, command, capsys):
+        # restart r of section s draws stream s * STREAM_STRIDE + r
+        budget = ["--budget", str(STREAM_STRIDE)]
+        with pytest.raises(SystemExit) as err:
+            parse_arguments(command + budget + ["--restarts", str(STREAM_STRIDE)])
+        assert err.value.code == 1
+        assert (f"argument --restarts: at most {STREAM_STRIDE - 1} per section, "
+                f"got {STREAM_STRIDE}") in capsys.readouterr().err
+        cfg = parse_arguments(command + budget + ["--restarts", str(STREAM_STRIDE - 1)])
+        assert cfg.restarts == STREAM_STRIDE - 1
+
+    @pytest.mark.parametrize("command", [
         ["check", "--ineq", "lemma31"], ["extremal"], ["ptrace", "--question", "1"],
     ])
     def test_zero_trials_rejected(self, command, capsys):
@@ -211,6 +226,11 @@ class TestParsing:
         assert cfg.question == 2 and cfg.n == 4 and cfg.budget == 10
         cfg = parse_arguments(["search", "--question", "1", "--strategy", "commuting"])
         assert cfg.strategy == "commuting" and cfg.budget == 20000
+        # a comma list parses to a tuple, one value to that value alone
+        cfg = parse_arguments(["search", "--question", "1,2", "--n", "2,3,4",
+                               "--strategy", "general,commuting"])
+        assert (cfg.question, cfg.n, cfg.strategy) == ((1, 2), (2, 3, 4),
+                                                       ("general", "commuting"))
 
 
     @pytest.mark.parametrize("argv, expected", [
@@ -314,7 +334,14 @@ class TestParsing:
         (["search", "--question", "2", "--budget", "3", "--restarts", "8"], "--strategy", None),
         (["extremal", "--out", "."], "--samples", None),
         (["search", "--question", "2"], "--strategy", "not-a-seed"),
-    ], ids=["k-with-all", "k-above-n", "extremal-n", "budget-below-restarts", "out", "seed-env"])
+        (["search", "--question", "2", "--k", "4", "--n", "3,5"], "--strategy", None),
+        (["search", "--question", "2", "--n", "3,"], "--strategy", None),
+        (["search", "--question", "1,3"], "--strategy", None),
+        (["search", "--question", "2", "--strategy", "general,foo"], "--strategy", None),
+        (["ptrace", "--question", "1,2"], "--trials", None),
+    ], ids=["k-with-all", "k-above-n", "extremal-n", "budget-below-restarts", "out", "seed-env",
+            "k-above-a-listed-n", "n-list-trailing-comma", "question-list-3",
+            "strategy-list-foo", "ptrace-question-list"])
     def test_errors_after_parsing_print_the_subcommands_usage(self, argv, flag, seed_env,
                                                               monkeypatch, capsys):
         # as argparse's own errors do, e.g. extremal --trials 0
@@ -529,6 +556,28 @@ class TestExecution:
         assert status in (0, 2)
         assert (status == 2) == ("witness" in result)
 
+    @pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "5"], 5)],
+                             ids=["env", "flag-beats-env"])
+    def test_each_grid_cell_is_the_search_on_its_sections_streams(self, flags, seed,
+                                                                  monkeypatch, capsys):
+        # cell c of question x n x strategy searches with the whole budget and
+        # restarts, restart r drawing stream c * STREAM_STRIDE + r, as a loop
+        # over search_counterexample does
+        monkeypatch.setenv(SEED_ENV_VAR, "7")
+        _cpus(monkeypatch, 2)
+        assert main(["search", "--question", "1,2", "--n", "2,3", "--strategy",
+                     "general,commuting", "--budget", "400", "--restarts", "3", *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["seed"] == seed
+        cells = list(itertools.product((1, 2), (2, 3), ("general", "commuting")))
+        assert [(r["question"], r["n"], r["strategy"]) for r in doc["results"]] == cells
+        for c, ((question, n, strategy), result) in enumerate(zip(cells, doc["results"])):
+            expected = ptrace.search_counterexample(
+                question, n, budget=400, restarts=3, s=SeededStream(seed, c * STREAM_STRIDE),
+                strategy=strategy)
+            assert result["evaluations"] == expected.evaluations == 400
+            assert result["best_margin"] == expected.best_margin, (question, n, strategy)
+
     def test_table_format(self, capsys):
         status = main(
             ["check", "--ineq", "lemma32", "--n", "3", "--trials", "5",
@@ -716,9 +765,11 @@ class TestKRejection:
     (["ptrace", "--question", "1"], (0, 1)),
     (["ptrace", "--question", "2", "--budget", "100"], (0, 1, 2)),
     (["search", "--question", "2"], (0,)),
+    (["search", "--question", "1,2", "--n", "2,3,4", "--strategy", "general,commuting"],
+     tuple(range(12))),
     (["repro", "fan-counterexample"], (0,)),
 ], ids=["check-all", "check-one-family", "check-one-group", "extremal-all",
-        "extremal-matrix", "ptrace", "ptrace-budget", "search", "repro"])
+        "extremal-matrix", "ptrace", "ptrace-budget", "search", "search-grid", "repro"])
 def test_each_run_declares_its_stream_sections(argv, layout):
     # execute opens section s's stream at s * STREAM_STRIDE: no two sections may share one
     cfg = parse_arguments(argv)
@@ -790,9 +841,12 @@ class TestSplitSections:
         (["search", "--question", "2", "--n", "8", "--restarts", "13", "--budget", "4000",
           "--k", "3"], 0),
         (["search", "--question", "2", "--n", "3", "--restarts", "1", "--budget", "500"], 0),
+        # eight cells of three restarts, each cell's spans dealt as one search's
+        (["search", "--question", "1,2", "--n", "2,3", "--strategy", "general,commuting",
+          "--restarts", "3", "--budget", "400"], 0),
     ], ids=["all", "ahj-n3", "von-neumann-n3", "extremal-all", "extremal-matrix-chunks",
             "ptrace-q2-n3", "search-q2-n3", "search-witness", "search-commuting-5",
-            "search-n8-13", "search-one-restart"])
+            "search-n8-13", "search-one-restart", "search-grid"])
     def test_split_and_serial_runs_give_the_same_body(self, argv, status, monkeypatch, capsys):
         bodies = []
         for cpus in (3, 2, 1):

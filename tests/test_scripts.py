@@ -3,7 +3,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,76 +19,7 @@ def _load(name):
     return module
 
 
-def test_search_script_gives_every_cell_and_restart_its_own_stream(monkeypatch, capsys):
-    script = _load("search_open_questions")
-    calls = []
-
-    def fake_search(question, n, *, budget, restarts, s, strategy):
-        calls.append((s.master_seed, s.stream_index, restarts))
-        return SimpleNamespace(witness=None, evaluations=0, best_margin=0.0)
-
-    monkeypatch.setattr(script, "search_counterexample", fake_search)
-    monkeypatch.setattr(sys, "argv", ["search_open_questions.py", "--seed", "7"])
-    assert script.main() == 0
-    # restart r of a cell opens stream base + r (kyfan.ptrace.search_counterexample)
-    indices = [base + r for _, base, restarts in calls for r in range(restarts)]
-    assert len(calls) == 12  # 2 questions x 3 dims x 2 strategies
-    assert len(indices) == 96
-    assert len(set(indices)) == len(indices)
-    assert {seed for seed, _, _ in calls} == {7}
-
-
-@pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "5"], 5)],
-                         ids=["env", "flag-beats-env"])
-def test_search_script_resolves_its_seed_as_kyfan_does(monkeypatch, capsys, flags, seed):
-    script = _load("search_open_questions")
-    seeds = []
-
-    def fake_search(question, n, *, budget, restarts, s, strategy):
-        seeds.append(s.master_seed)
-        return SimpleNamespace(witness=None, evaluations=0, best_margin=0.0)
-
-    monkeypatch.setattr(script, "search_counterexample", fake_search)
-    monkeypatch.setenv("KYFAN_SEED", "7")
-    monkeypatch.setattr(sys, "argv", ["search_open_questions.py", *flags])
-    assert script.main() == 0
-    assert seeds == [seed] * 12  # every cell: 2 questions x 3 dims x 2 strategies
-
-
-def test_search_script_rejects_a_non_integer_seed_variable(monkeypatch, capsys):
-    script = _load("search_open_questions")
-    monkeypatch.setattr(script, "search_counterexample", None)  # nothing may run
-    monkeypatch.setenv("KYFAN_SEED", "seven")
-    monkeypatch.setattr(sys, "argv", ["search_open_questions.py"])
-    with pytest.raises(SystemExit) as err:
-        script.main()
-    assert err.value.code == 1
-    assert "KYFAN_SEED must be an integer, got 'seven'" in capsys.readouterr().err
-
-
-def test_search_script_rejects_restarts_that_reach_the_next_cell(monkeypatch, capsys):
-    script = _load("search_open_questions")
-    monkeypatch.setattr(sys, "argv", ["search_open_questions.py",
-                                      "--restarts", str(2**24)])
-    with pytest.raises(SystemExit) as err:
-        script.main()
-    assert err.value.code == 1
-
-
-@pytest.mark.parametrize("budget, restarts", [("-1", "8"), ("0", "8"), ("3", "8")])
-def test_search_script_rejects_a_budget_below_the_restarts(monkeypatch, capsys, budget,
-                                                           restarts):
-    script = _load("search_open_questions")
-    monkeypatch.setattr(sys, "argv", ["search_open_questions.py", "--budget", budget,
-                                      "--restarts", restarts])
-    with pytest.raises(SystemExit) as err:
-        script.main()
-    assert err.value.code == 1
-    assert (f"--budget must be at least --restarts ({restarts}), got {budget}"
-            in capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("name", ["search_open_questions", "run_full_suite"])
+@pytest.mark.parametrize("name", ["run_full_suite"])
 def test_scripts_refuse_a_negative_seed_at_parse_time(monkeypatch, capsys, tmp_path, name):
     script = _load(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", "--seed", "-3",

@@ -1,4 +1,4 @@
-"""Every name a kyfan module imports is used there or exported.
+"""Every name a kyfan module, script or test imports is used there or exported.
 
 No linter runs on this repository, so this test does the one check of
 pyflakes' F401 that matters most here: a name bound by an import statement
@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "kyfan").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*(ROOT / "src" / "kyfan").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def _exported(tree) -> set:
