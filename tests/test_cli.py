@@ -363,7 +363,7 @@ class TestParsing:
         ("extremal", "a6f4886e90ec10a8c274ebd9e5b42fbf7fa5e80975369cf9e93643b13958e6e5"),
         ("repro", "1a9be47733bc29c3481da234d99c66e5fa71efed168150789152a08386f9b2ed"),
         ("ptrace", "527a06076ad761d93cccc4881c3c2f71a78847a5bc4b7b0639fae19469ce63a7"),
-        ("search", "419f7e77fab26b23fff242821411e17aaa1baad0c42420ef71b00dc2dd69e813"),
+        ("search", "635d6345c112b0eba88f8f28820dd56ddf01b44e3b3dd36dd14dad2990bce95d"),
     ], ids=["kyfan", "check", "extremal", "repro", "ptrace", "search"])
     def test_help_text_is_pinned(self, command, digest, monkeypatch, capsys):
         # sha256 of `kyfan [command] --help` at 100 columns: building only the
