@@ -339,9 +339,10 @@ class TestParsing:
         (["search", "--question", "1,3"], "--strategy", None),
         (["search", "--question", "2", "--strategy", "general,foo"], "--strategy", None),
         (["ptrace", "--question", "1,2"], "--trials", None),
+        (["search", "--question", "1,2", "--seed", "-3"], "--strategy", None),
     ], ids=["k-with-all", "k-above-n", "extremal-n", "budget-below-restarts", "out", "seed-env",
             "k-above-a-listed-n", "n-list-trailing-comma", "question-list-3",
-            "strategy-list-foo", "ptrace-question-list"])
+            "strategy-list-foo", "ptrace-question-list", "negative-seed"])
     def test_errors_after_parsing_print_the_subcommands_usage(self, argv, flag, seed_env,
                                                               monkeypatch, capsys):
         # as argparse's own errors do, e.g. extremal --trials 0
